@@ -6,7 +6,6 @@ undercutting race and the winner provisions capacity through an exact
 minimum-cost routing and wavelength assignment core.
 """
 
-from ._kernel import BACKEND as kernel_backend
 from .cost import CostCurve, CurveSegment, marginal_cost, total_cost_curve
 from .errors import (
     ConfigError,

@@ -14,11 +14,9 @@ evaluate mid-market; its unit costs trace out the marginal-cost curve.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
 from . import _kernel
 from .errors import (
@@ -60,54 +58,85 @@ class LightPath:
 
 
 class Allocation:
-    """Immutable set of lightpaths plus occupancy indexes for O(1) lookups."""
+    """Immutable set of lightpaths plus occupancy indexes held as bitmasks.
 
-    __slots__ = ("lightpaths", "_occupancy", "_link_used", "_conn_waves", "_conn_vc")
+    Per link: a wavelength bitmask (bit ``w-1`` set = wavelength ``w`` taken)
+    and a used count.  Per connection: a wavelength bitmask and a lightpath
+    count.  ``apply_delta`` extends copies of the parent's indexes with the
+    delta only, so a commit costs the delta, not the whole allocation.
+
+    A lightpath with a wavelength below 1 names no bit.  It is accepted, so
+    that ``validate_allocation`` can report it, and is kept in ``_stray``.
+    """
+
+    __slots__ = ("lightpaths", "_masks", "_used", "_conn_masks", "_conn_counts", "_stray")
 
     def __init__(self, lightpaths=()):
-        self.lightpaths: tuple[LightPath, ...] = tuple(lightpaths)
-        occupancy: dict[tuple[tuple[str, str], int], tuple[str, tuple[str, str]]] = {}
-        link_used: dict[tuple[str, str], int] = {}
-        conn_waves: dict[str, set[int]] = {}
-        conn_vc: dict[str, VirtualChannel] = {}
-        for lp in self.lightpaths:
+        self.lightpaths: tuple[LightPath, ...] = ()
+        self._masks: dict[tuple[str, str], int] = {}
+        self._used: dict[tuple[str, str], int] = {}
+        self._conn_masks: dict[str, int] = {}
+        self._conn_counts: dict[str, int] = {}
+        self._stray: tuple[LightPath, ...] = ()
+        self._index(tuple(lightpaths))
+
+    def _index(self, delta: tuple[LightPath, ...]) -> None:
+        masks, used, conn_masks, conn_counts = self._masks, self._used, self._conn_masks, self._conn_counts
+        for lp in delta:
+            w = lp.wavelength
+            if w < 1:
+                self._add_stray(lp)
+                bit = 0
+            else:
+                bit = 1 << (w - 1)
             for u, v in lp.hops:
                 key = _link_key(u, v)
-                cell = (key, lp.wavelength)
-                if cell in occupancy:
-                    raise ConflictError(f"cell {key} w={lp.wavelength} carries two lightpaths")
-                occupancy[cell] = (lp.conn, (u, v))
-                link_used[key] = link_used.get(key, 0) + 1
-            conn_waves.setdefault(lp.conn, set()).add(lp.wavelength)
-            conn_vc[lp.conn] = lp.vc
-        self._occupancy = occupancy
-        self._link_used = link_used
-        self._conn_waves = conn_waves
-        self._conn_vc = conn_vc
+                mask = masks.get(key, 0)
+                if mask & bit:
+                    raise ConflictError(f"cell {key} w={w} carries two lightpaths")
+                masks[key] = mask | bit
+                used[key] = used.get(key, 0) + 1
+            conn_masks[lp.conn] = conn_masks.get(lp.conn, 0) | bit
+            conn_counts[lp.conn] = conn_counts.get(lp.conn, 0) + 1
+        self.lightpaths += delta
+
+    def _add_stray(self, lp: LightPath) -> None:
+        taken = {(key, s.wavelength) for s in self._stray for key in s.link_keys()}
+        for key in lp.link_keys():
+            if (key, lp.wavelength) in taken:
+                raise ConflictError(f"cell {key} w={lp.wavelength} carries two lightpaths")
+            taken.add((key, lp.wavelength))
+        self._stray += (lp,)
+
+    def _extended(self, delta: tuple[LightPath, ...]) -> "Allocation":
+        child = object.__new__(Allocation)
+        child.lightpaths = self.lightpaths
+        child._masks = dict(self._masks)
+        child._used = dict(self._used)
+        child._conn_masks = dict(self._conn_masks)
+        child._conn_counts = dict(self._conn_counts)
+        child._stray = self._stray
+        child._index(delta)
+        return child
 
     @staticmethod
     def empty() -> "Allocation":
         return Allocation()
 
-    @property
-    def occupancy(self):
-        return MappingProxyType(self._occupancy)
-
     def used_on(self, link_key: tuple[str, str]) -> int:
-        return self._link_used.get(link_key, 0)
+        return self._used.get(link_key, 0)
 
     def wavelengths_of(self, conn: str) -> frozenset[int]:
-        return frozenset(self._conn_waves.get(conn, ()))
+        waves = {w + 1 for w in _bits(self._conn_masks.get(conn, 0))}
+        waves.update(lp.wavelength for lp in self._stray if lp.conn == conn)
+        return frozenset(waves)
 
     def connections(self) -> dict[str, int]:
         """Connection id -> number of lightpaths it holds."""
-        counts: dict[str, int] = {}
-        for lp in self.lightpaths:
-            counts[lp.conn] = counts.get(lp.conn, 0) + 1
-        return counts
+        return dict(self._conn_counts)
 
     def next_conn_index(self) -> int:
-        return len(self._conn_waves) + 1
+        return len(self._conn_counts) + 1
 
     def total_cost(self, net: Network) -> int:
         return sum(lp.cost(net) for lp in self.lightpaths)
@@ -124,6 +153,16 @@ class Allocation:
         return f"Allocation({len(self.lightpaths)} lightpaths)"
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class RwaSolution:
     """Result of an exact solve: the merged allocation and its exact cost."""
@@ -137,7 +176,7 @@ class RwaSolution:
 
 def apply_delta(state: Allocation, delta) -> Allocation:
     """Merge new lightpaths into an allocation; ConflictError on any taken cell."""
-    return Allocation(state.lightpaths + tuple(delta))
+    return state._extended(tuple(delta))
 
 
 def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int] | None = None) -> list[Violation]:
@@ -216,57 +255,42 @@ def dump_allocation(net: Network, alloc: Allocation) -> list[str]:
 def _net_tables(net: Network):
     keys = sorted(net.link_by_key)
     index = {k: i for i, k in enumerate(keys)}
-    caps = array("q", (min(net.link_by_key[k].capacity, net.wavelength_count) for k in keys))
+    caps = tuple(min(net.link_by_key[k].capacity, net.wavelength_count) for k in keys)
     return keys, index, caps
 
 
 @lru_cache(maxsize=2048)
 def _path_tables(net: Network, vc: VirtualChannel):
     _, index, _ = _net_tables(net)
-    paths = route_candidates(net, vc)
-    offs = [0]
-    flat: list[int] = []
-    costs = []
-    link_lists = []
-    for p in paths:
-        ids = [index[_link_key(u, v)] for u, v in zip(p, p[1:])]
-        flat.extend(ids)
-        offs.append(len(flat))
-        costs.append(path_cost(net, p))
-        link_lists.append(ids)
-    return paths, array("q", offs), array("q", flat), array("q", costs), link_lists
+    paths = tuple(route_candidates(net, vc))
+    costs = tuple(path_cost(net, p) for p in paths)
+    link_lists = tuple(tuple(index[_link_key(u, v)] for u, v in zip(p, p[1:])) for p in paths)
+    return paths, costs, link_lists
 
 
 class _Scratch:
-    """Mutable occupancy mirror used while units are being placed."""
+    """Mutable copy of an allocation's link masks and used counts, by link index."""
 
-    __slots__ = ("occ", "used", "n_wl")
+    __slots__ = ("masks", "used")
 
     def __init__(self, net: Network, state: Allocation):
-        keys, index, _ = _net_tables(net)
-        self.n_wl = net.wavelength_count
-        self.occ = bytearray(len(keys) * self.n_wl)
-        self.used = array("q", bytes(8 * len(keys)))
-        for (key, w), _occupant in state.occupancy.items():
-            li = index.get(key)
-            if li is None:
-                continue
-            self.occ[li * self.n_wl + (w - 1)] = 1
+        keys, _, _ = _net_tables(net)
+        self.masks = [state._masks.get(k, 0) for k in keys]
+        self.used = [state._used.get(k, 0) for k in keys]
+
+    def place(self, link_ids, bit: int) -> None:
+        for li in link_ids:
+            self.masks[li] |= bit
             self.used[li] += 1
 
-    def place(self, link_ids, w0: int) -> None:
+    def unplace(self, link_ids, bit: int) -> None:
         for li in link_ids:
-            self.occ[li * self.n_wl + w0] = 1
-            self.used[li] += 1
-
-    def unplace(self, link_ids, w0: int) -> None:
-        for li in link_ids:
-            self.occ[li * self.n_wl + w0] = 0
+            self.masks[li] ^= bit
             self.used[li] -= 1
 
-    def fits(self, link_ids, w0: int, caps) -> bool:
+    def fits(self, link_ids, bit: int, caps) -> bool:
         for li in link_ids:
-            if self.used[li] >= caps[li] or self.occ[li * self.n_wl + w0]:
+            if self.used[li] >= caps[li] or self.masks[li] & bit:
                 return False
         return True
 
@@ -276,7 +300,7 @@ def _hops_for(path: Path) -> tuple[tuple[str, str], ...]:
 
 
 def _fresh_conn_ids(state: Allocation, requests) -> list[str]:
-    taken = set(state.connections())
+    taken = set(state._conn_counts)
     ids = []
     n = state.next_conn_index()
     for req in requests:
@@ -310,19 +334,17 @@ def incremental_allocate(
     if conn is None:
         conn = _fresh_conn_ids(state, [DemandRequest(vc, count)])[0]
     try:
-        paths, offs, flat, costs, link_lists = _path_tables(net, vc)
+        paths, costs, link_lists = _path_tables(net, vc)
     except NoPathError as exc:
         raise InfeasibleError(str(exc), placed=0) from exc
     _, _, caps = _net_tables(net)
     scratch = _Scratch(net, state)
-    banned = bytearray(scratch.n_wl)
-    for w in state.wavelengths_of(conn):
-        banned[w - 1] = 1
+    allowed = ((1 << net.wavelength_count) - 1) & ~state._conn_masks.get(conn, 0)
 
     delta: list[LightPath] = []
     added = 0
     for placed in range(count):
-        p, w0 = _kernel.cheapest_placement(offs, flat, costs, scratch.occ, scratch.used, caps, banned, scratch.n_wl)
+        p, w0 = _kernel.cheapest_placement(link_lists, costs, scratch.masks, scratch.used, caps, allowed)
         if p < 0:
             raise InfeasibleError(
                 f"{vc.label}: only {placed} of {count} wavelengths fit",
@@ -330,8 +352,8 @@ def incremental_allocate(
                 delta=tuple(delta),
                 added_cost=added,
             )
-        scratch.place(link_lists[p], w0)
-        banned[w0] = 1
+        scratch.place(link_lists[p], 1 << w0)
+        allowed &= ~(1 << w0)
         delta.append(LightPath(conn, vc, w0 + 1, _hops_for(paths[p])))
         added += costs[p]
     return delta, added
@@ -396,8 +418,7 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
     _, _, caps = _net_tables(net)
     per_req = []
     for req in requests:
-        paths, _offs, _flat, costs, link_lists = _path_tables(net, req.vc)
-        per_req.append((paths, costs, link_lists))
+        per_req.append(_path_tables(net, req.vc))
 
     unit_req: list[int] = []
     for k, req in enumerate(requests):
@@ -409,7 +430,11 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
         suffix[u] = suffix[u + 1] + per_req[unit_req[u]][1][0]
 
     scratch = _Scratch(net, state)
-    anchored = {w - 1 for (_key, w) in state.occupancy}
+    full = (1 << W) - 1
+    # wavelengths in use anywhere, as a mask
+    anchored = 0
+    for mask in state._masks.values():
+        anchored |= mask
     last_w = [-1] * len(requests)
     assignment: list[tuple[int, int]] = [(-1, -1)] * n_units
     best: list[tuple[int, int]] | None = None
@@ -418,17 +443,15 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
     def wave_choices(k: int):
         lo = last_w[k]
         if reduce_symmetry:
-            fresh = 0
-            while fresh in anchored:
-                fresh += 1
-            ws = [w for w in anchored if w > lo]
+            fresh = (~anchored & (anchored + 1)).bit_length() - 1
+            ws = anchored >> (lo + 1) << (lo + 1)
             if lo < fresh < W:
-                ws.append(fresh)
-            return sorted(ws)
+                ws |= 1 << fresh
+            return _bits(ws & full)
         return range(lo + 1, W)
 
     def dfs(u: int, cost: int) -> None:
-        nonlocal best, best_cost
+        nonlocal best, best_cost, anchored
         if best is not None and prune and cost + suffix[u] >= best_cost:
             return
         if u == n_units:
@@ -439,23 +462,23 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
         k = unit_req[u]
         _paths, costs, link_lists = per_req[k]
         for w in wave_choices(k):
+            bit = 1 << w
             for p in range(len(costs)):
                 if best is not None and prune and cost + costs[p] + suffix[u + 1] >= best_cost:
                     break
-                if not scratch.fits(link_lists[p], w, caps):
+                if not scratch.fits(link_lists[p], bit, caps):
                     continue
-                scratch.place(link_lists[p], w)
-                introduced = w not in anchored
-                if introduced:
-                    anchored.add(w)
+                scratch.place(link_lists[p], bit)
+                introduced = not anchored & bit
+                anchored |= bit
                 prev = last_w[k]
                 last_w[k] = w
                 assignment[u] = (p, w)
                 dfs(u + 1, cost + costs[p])
                 last_w[k] = prev
                 if introduced:
-                    anchored.discard(w)
-                scratch.unplace(link_lists[p], w)
+                    anchored ^= bit
+                scratch.unplace(link_lists[p], bit)
 
     dfs(0, 0)
     if best is None:

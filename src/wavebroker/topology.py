@@ -39,6 +39,21 @@ class Network:
     links: tuple[Link, ...]
     wavelength_count: int
 
+    # The routing tables are lru_caches keyed by the network, so it is hashed
+    # on every placement; hash the fields (as the dataclass would) only once.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.id, self.nodes, self.links, self.wavelength_count))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self):
+        # str hashes differ between processes, so a pickled copy rehashes
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     @cached_property
     def link_by_key(self) -> dict[tuple[str, str], Link]:
         # first one wins; duplicate links are reported by validate_network

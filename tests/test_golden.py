@@ -1,0 +1,59 @@
+"""Golden digests: every output byte of the shipped scenarios is pinned.
+
+Each case runs ``simulate run`` into a temporary directory and compares
+the sha256 of every file it writes with ``tests/golden/digests.json``.  A
+missing, extra or changed file fails the test.  After an intended change
+of behaviour, regenerate the goldens and say why in the change log:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE))
+
+from conftest import scenario_path  # noqa: E402
+from wavebroker.cli import main  # noqa: E402
+
+GOLDEN = HERE / "golden" / "digests.json"
+SHIPPED = ("duel", "three_channels", "two_route_costcurve")
+SWEEP_RUNS = 20
+
+CASES = {f"run/{name}": [scenario_path(name), "--traces"] for name in SHIPPED}
+CASES.update({f"sweep{SWEEP_RUNS}/{name}": [scenario_path(name), "--sweep", str(SWEEP_RUNS)] for name in ("duel", "three_channels")})
+
+
+def digests(case: str, out: Path) -> dict[str, str]:
+    """sha256 of every file one case writes, keyed by its path under ``out``."""
+    assert main(["run", CASES[case][0], "--out", str(out), *CASES[case][1:]]) == 0
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden_digests(case, tmp_path):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
+    got = digests(case, tmp_path / "out")
+    assert sorted(got) == sorted(want), f"{case}: written files differ from the golden list"
+    changed = [name for name in want if got[name] != want[name]]
+    assert not changed, f"{case}: bytes changed in {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        goldens = {case: digests(case, Path(tmp) / case) for case in sorted(CASES)}
+    GOLDEN.write_text(json.dumps(goldens, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {sum(map(len, goldens.values()))} digests for {len(goldens)} cases to {GOLDEN}")

@@ -1,112 +1,79 @@
-"""The native placement kernel must behave exactly like the pure-Python one."""
+"""The bitmask placement kernel keeps the tie order of a plain cell scan."""
 
 import random
-from array import array
 
-import pytest
-
-from wavebroker._kernel import BACKEND
-from wavebroker._kernel.placement_py import cheapest_placement as pure_placement
-
-try:
-    from wavebroker._kernel._placement import cheapest_placement as native_placement
-except ImportError:
-    native_placement = None
-
-needs_native = pytest.mark.skipif(native_placement is None, reason="native kernel not built")
+from wavebroker._kernel import cheapest_placement
 
 
-def random_case(rng):
-    n_links = rng.randint(1, 8)
-    n_wl = rng.randint(1, 6)
-    n_paths = rng.randint(1, 5)
-    offs = [0]
-    flat = []
-    costs = sorted(rng.randint(1, 30) for _ in range(n_paths))
-    for _ in range(n_paths):
-        for _ in range(rng.randint(1, 4)):
-            flat.append(rng.randrange(n_links))
-        offs.append(len(flat))
-    occ = bytearray(rng.randint(0, 1) and rng.randint(0, 1) for _ in range(n_links * n_wl))
-    caps = array("q", [rng.randint(0, n_wl) for _ in range(n_links)])
-    used = array("q", [sum(occ[l * n_wl : (l + 1) * n_wl]) for l in range(n_links)])
-    banned = bytearray(1 if rng.random() < 0.2 else 0 for _ in range(n_wl))
-    return (
-        array("q", offs),
-        array("q", flat),
-        array("q", costs),
-        occ,
-        used,
-        caps,
-        banned,
-        n_wl,
-    )
+def scan_placement(link_lists, costs, grid, used, caps, banned, n_wl):
+    """Reference: scan wavelengths in order over a link-major 0/1 grid."""
+    best_p = best_w = -1
+    best_cost = 0
+    for p, links in enumerate(link_lists):
+        if best_p >= 0 and costs[p] > best_cost:
+            break
+        if any(used[li] >= caps[li] for li in links):
+            continue
+        limit = best_w if best_p >= 0 else n_wl
+        for w in range(limit):
+            if not banned[w] and not any(grid[li * n_wl + w] for li in links):
+                best_p, best_w, best_cost = p, w, costs[p]
+                break
+    return best_p, best_w
 
 
-@needs_native
-def test_native_backend_selected_by_default():
-    import os
-
-    if os.environ.get("WAVEBROKER_PURE"):
-        assert BACKEND == "pure"
-    else:
-        assert BACKEND == "native"
+def masks_of(grid, n_links, n_wl):
+    return [sum(1 << w for w in range(n_wl) if grid[li * n_wl + w]) for li in range(n_links)]
 
 
-@needs_native
-def test_backends_agree_on_random_instances():
+def allowed_of(banned):
+    return sum(1 << w for w, b in enumerate(banned) if not b)
+
+
+def test_matches_reference_scan_on_random_instances():
     rng = random.Random(4242)
-    for _ in range(800):
-        args = random_case(rng)
-        assert pure_placement(*args) == native_placement(*args)
+    hits = 0
+    for _ in range(3000):
+        n_links = rng.randint(1, 8)
+        n_wl = rng.randint(1, 70)
+        n_paths = rng.randint(1, 5)
+        link_lists = [rng.sample(range(n_links), rng.randint(1, n_links)) for _ in range(n_paths)]
+        # few distinct costs, so that equal-cost ties are common
+        costs = sorted(rng.randint(1, 4) for _ in range(n_paths))
+        density = rng.random()
+        grid = [int(rng.random() < density) for _ in range(n_links * n_wl)]
+        used = [sum(grid[li * n_wl : (li + 1) * n_wl]) for li in range(n_links)]
+        caps = [rng.randint(0, n_wl) for _ in range(n_links)]
+        banned = [int(rng.random() < 0.2) for _ in range(n_wl)]
+        want = scan_placement(link_lists, costs, grid, used, caps, banned, n_wl)
+        got = cheapest_placement(link_lists, costs, masks_of(grid, n_links, n_wl), used, caps, allowed_of(banned))
+        assert got == want
+        hits += want[0] >= 0
+    assert 300 < hits < 2700  # both outcomes are exercised
 
 
 def test_prefers_lower_wavelength_then_path_rank():
     # two equal-cost single-link paths over different links, wavelength 0 busy on link 0
-    offs = array("q", [0, 1, 2])
-    flat = array("q", [0, 1])
-    costs = array("q", [10, 10])
-    n_wl = 2
-    occ = bytearray([1, 0, 0, 0])  # link 0: w0 busy; link 1: free
-    used = array("q", [1, 0])
-    caps = array("q", [2, 2])
-    banned = bytearray(n_wl)
+    link_lists = [[0], [1]]
+    costs = [10, 10]
+    masks = [0b01, 0b00]
+    used = [1, 0]
+    caps = [2, 2]
     # path 1 can serve w0; path 0 only w1 -> lower wavelength wins despite higher rank
-    assert pure_placement(offs, flat, costs, occ, used, caps, banned, n_wl) == (1, 0)
-    # with w0 banned both paths offer w1; lower rank wins the tie
-    banned[0] = 1
-    assert pure_placement(offs, flat, costs, occ, used, caps, banned, n_wl) == (0, 1)
+    assert cheapest_placement(link_lists, costs, masks, used, caps, 0b11) == (1, 0)
+    # with w0 not allowed both paths offer w1; lower rank wins the tie
+    assert cheapest_placement(link_lists, costs, masks, used, caps, 0b10) == (0, 1)
 
 
 def test_cheaper_path_beats_lower_wavelength():
-    offs = array("q", [0, 1, 2])
-    flat = array("q", [0, 1])
-    costs = array("q", [5, 8])
-    n_wl = 2
-    occ = bytearray([1, 0, 0, 0])  # cheap path only offers w1
-    used = array("q", [1, 0])
-    caps = array("q", [2, 2])
-    banned = bytearray(n_wl)
-    assert pure_placement(offs, flat, costs, occ, used, caps, banned, n_wl) == (0, 1)
+    # the cheap path only offers w1
+    assert cheapest_placement([[0], [1]], [5, 8], [0b01, 0b00], [1, 0], [2, 2], 0b11) == (0, 1)
 
 
 def test_capacity_blocks_even_with_free_cells():
-    offs = array("q", [0, 1])
-    flat = array("q", [0])
-    costs = array("q", [5])
-    occ = bytearray([1, 0, 0])  # w0 busy, w1/w2 free
-    used = array("q", [1])
-    caps = array("q", [1])  # but the link only admits one wavelength
-    banned = bytearray(3)
-    assert pure_placement(offs, flat, costs, occ, used, caps, banned, 3) == (-1, -1)
+    # w0 busy, w1/w2 free, but the link only admits one wavelength
+    assert cheapest_placement([[0]], [5], [0b001], [1], [1], 0b111) == (-1, -1)
 
 
 def test_nothing_fits_returns_sentinel():
-    offs = array("q", [0, 1])
-    flat = array("q", [0])
-    costs = array("q", [5])
-    occ = bytearray([1, 1])
-    used = array("q", [2])
-    caps = array("q", [2])
-    banned = bytearray(2)
-    assert pure_placement(offs, flat, costs, occ, used, caps, banned, 2) == (-1, -1)
+    assert cheapest_placement([[0]], [5], [0b11], [2], [2], 0b11) == (-1, -1)

@@ -271,6 +271,46 @@ class TestApplyDelta:
         state = apply_delta(Allocation.empty(), delta)
         assert apply_delta(state, []) == state
 
+    @staticmethod
+    def assert_same_index(net, state, whole):
+        assert state == whole
+        assert list(state.connections().items()) == list(whole.connections().items())
+        assert state.next_conn_index() == whole.next_conn_index()
+        for key in net.link_by_key:
+            assert state.used_on(key) == whole.used_on(key)
+        for conn in whole.connections():
+            assert state.wavelengths_of(conn) == whole.wavelengths_of(conn)
+
+    def test_chain_of_deltas_matches_one_construction(self):
+        rng = random.Random(808)
+        for tag in range(40):
+            net, _requests = random_guard_instance(rng, 5000 + tag)
+            nodes = sorted(net.nodes)
+            chain = [Allocation.empty()]
+            for step in range(rng.randint(1, 6)):
+                src, dst = rng.sample(nodes, 2)
+                vc = VirtualChannel(src, dst, f"V{step % 2}")
+                try:
+                    delta, _ = incremental_allocate(net, chain[-1], vc, rng.randint(1, 3))
+                except InfeasibleError as exc:
+                    delta = list(exc.delta)
+                chain.append(apply_delta(chain[-1], delta))
+            # every state of the chain, parents included, still indexes its own lightpaths
+            for state in chain:
+                self.assert_same_index(net, state, Allocation(state.lightpaths))
+            state, whole = chain[-1], Allocation(chain[-1].lightpaths)
+            assert validate_allocation(net, state) == []
+            # both index the same cells, so the next placement agrees too
+            src, dst = rng.sample(nodes, 2)
+            vc = VirtualChannel(src, dst, "probe")
+            outcomes = []
+            for alloc in (state, whole):
+                try:
+                    outcomes.append(incremental_allocate(net, alloc, vc, 2))
+                except InfeasibleError as exc:
+                    outcomes.append((exc.placed, exc.delta))
+            assert outcomes[0] == outcomes[1]
+
 
 class TestValidator:
     def test_solver_output_is_clean(self):
@@ -326,6 +366,22 @@ class TestValidator:
         lp2 = LightPath("c2", VirtualChannel("A", "Z", "z"), 1, (("A", "Z"),))
         vios2 = validate_allocation(net, Allocation([lp2]))
         assert "unknown-link" in {v.code for v in vios2}
+
+    def test_out_of_range_wavelengths_are_kept_and_flagged(self):
+        net = mknet([("A", "B", 3, 5)], wavelength_count=3)
+        low = LightPath("c1", VC_AB, 0, (("A", "B"),))
+        high = LightPath("c1", VC_AB, 4, (("A", "B"),))
+        state = apply_delta(Allocation([low]), [high])
+        assert state == Allocation([low, high])
+        assert state.used_on(("A", "B")) == 2
+        assert state.wavelengths_of("c1") == frozenset({0, 4})
+        vios = validate_allocation(net, state)
+        assert [v.code for v in vios] == ["wavelength-range", "wavelength-range"]
+        with pytest.raises(ConflictError):
+            apply_delta(state, [LightPath("c2", VC_AB, 0, (("B", "A"),))])
+        # neither takes a cell of the real wavelength range
+        delta, _ = incremental_allocate(net, state, VC_AB, 1)
+        assert delta[0].wavelength == 1
 
     def test_flags_demand_count_mismatch(self):
         net = mknet([("A", "B", 2, 5)])

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -56,6 +57,14 @@ class TestValidateNetwork:
 
 
 class TestDomainTypes:
+    def test_network_hash_is_cached_and_not_pickled(self):
+        net = two_route_net()
+        assert hash(net) == hash((net.id, net.nodes, net.links, net.wavelength_count))
+        assert "_hash" in vars(net)
+        clone = pickle.loads(pickle.dumps(net))
+        assert "_hash" not in vars(clone)
+        assert clone == net and hash(clone) == hash(net)
+
     def test_vc_rejects_equal_endpoints(self):
         with pytest.raises(ValueError):
             VirtualChannel("A", "A", "VC1")
