@@ -1,20 +1,21 @@
 """Placement kernel: where does the next wavelength unit of a connection go?
 
-Occupancy is held as one Python ``int`` per link, with bit ``w`` set when
-0-based wavelength ``w`` is taken, so a path's free wavelengths are one
-AND/OR over its links and the lowest free one is its lowest set bit.
+Occupancy is one Python ``int`` per link, with bit ``w`` set when 0-based
+wavelength ``w`` is taken, and nothing else: a link's used count is the
+popcount of its mask, a path's taken wavelengths are the OR of its links'
+masks, and the lowest free one is the lowest set bit of the complement.
 """
 
 from __future__ import annotations
 
 
-def cheapest_placement(link_lists, costs, masks, used, caps, allowed):
+def cheapest_placement(link_lists, costs, masks, caps, allowed):
     """Pick the cheapest feasible (path, wavelength) cell for one unit.
 
     - link_lists: link indices of each candidate path
     - costs: per-wavelength cost of each path, ascending
     - masks: per-link occupancy bitmask, bit ``w`` set = wavelength ``w`` taken
-    - used/caps: per-link occupied counts and capacity limits
+    - caps: per-link capacity limits, compared with each mask's popcount
     - allowed: bitmask of the wavelengths this connection may take
 
     Tie order is (path cost, wavelength index, path rank).  Returns
@@ -29,9 +30,10 @@ def cheapest_placement(link_lists, costs, masks, used, caps, allowed):
             break
         taken = 0
         for li in links:
-            if used[li] >= caps[li]:
+            mask = masks[li]
+            if mask.bit_count() >= caps[li]:
                 break
-            taken |= masks[li]
+            taken |= mask
         else:
             free = allowed & ~taken
             # once a same-cost candidate exists, only a strictly lower wavelength wins

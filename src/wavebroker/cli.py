@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cost import curve_csv_rows, total_cost_curve
-from .errors import ConfigError, EmptyCurveError, ParseError, WavebrokerError
+from .errors import ConfigError, ParseError, WavebrokerError
 from .game import UndercutPolicy
 from .market import (
     ChannelConfig,
@@ -430,9 +430,6 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return EXIT_CONFIG
-    except EmptyCurveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except WavebrokerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -58,64 +58,49 @@ class LightPath:
 
 
 class Allocation:
-    """Immutable set of lightpaths plus occupancy indexes held as bitmasks.
+    """Immutable set of lightpaths with its occupancy held as per-link bitmasks.
 
-    Per link: a wavelength bitmask (bit ``w-1`` set = wavelength ``w`` taken)
-    and a used count.  Per connection: a wavelength bitmask and a lightpath
-    count.  ``apply_delta`` extends copies of the parent's indexes with the
-    delta only, so a commit costs the delta, not the whole allocation.
+    Per link, a wavelength bitmask (bit ``w-1`` set = wavelength ``w``
+    taken) is the only occupancy state: a link's used count is its
+    popcount.  Per connection, a lightpath count, from which fresh
+    connection ids are named.  ``apply_delta`` extends copies of the
+    parent's dicts with the delta only, so a commit costs the delta, not
+    the whole allocation.
 
-    A lightpath with a wavelength below 1 names no bit.  It is accepted, so
-    that ``validate_allocation`` can report it, and is kept in ``_stray``.
+    A wavelength below 1 names no bit and raises ``ValueError``; placement
+    never makes one.  One above the network's range is kept, and
+    ``validate_allocation`` reports it.
     """
 
-    __slots__ = ("lightpaths", "_masks", "_used", "_conn_masks", "_conn_counts", "_stray")
+    __slots__ = ("lightpaths", "_masks", "_conn_counts")
 
     def __init__(self, lightpaths=()):
         self.lightpaths: tuple[LightPath, ...] = ()
         self._masks: dict[tuple[str, str], int] = {}
-        self._used: dict[tuple[str, str], int] = {}
-        self._conn_masks: dict[str, int] = {}
         self._conn_counts: dict[str, int] = {}
-        self._stray: tuple[LightPath, ...] = ()
         self._index(tuple(lightpaths))
 
     def _index(self, delta: tuple[LightPath, ...]) -> None:
-        masks, used, conn_masks, conn_counts = self._masks, self._used, self._conn_masks, self._conn_counts
+        masks, conn_counts = self._masks, self._conn_counts
         for lp in delta:
             w = lp.wavelength
             if w < 1:
-                self._add_stray(lp)
-                bit = 0
-            else:
-                bit = 1 << (w - 1)
+                raise ValueError(f"{lp.conn}: wavelength {w} is below 1")
+            bit = 1 << (w - 1)
             for u, v in lp.hops:
                 key = _link_key(u, v)
                 mask = masks.get(key, 0)
                 if mask & bit:
                     raise ConflictError(f"cell {key} w={w} carries two lightpaths")
                 masks[key] = mask | bit
-                used[key] = used.get(key, 0) + 1
-            conn_masks[lp.conn] = conn_masks.get(lp.conn, 0) | bit
             conn_counts[lp.conn] = conn_counts.get(lp.conn, 0) + 1
         self.lightpaths += delta
-
-    def _add_stray(self, lp: LightPath) -> None:
-        taken = {(key, s.wavelength) for s in self._stray for key in s.link_keys()}
-        for key in lp.link_keys():
-            if (key, lp.wavelength) in taken:
-                raise ConflictError(f"cell {key} w={lp.wavelength} carries two lightpaths")
-            taken.add((key, lp.wavelength))
-        self._stray += (lp,)
 
     def _extended(self, delta: tuple[LightPath, ...]) -> "Allocation":
         child = object.__new__(Allocation)
         child.lightpaths = self.lightpaths
         child._masks = dict(self._masks)
-        child._used = dict(self._used)
-        child._conn_masks = dict(self._conn_masks)
         child._conn_counts = dict(self._conn_counts)
-        child._stray = self._stray
         child._index(delta)
         return child
 
@@ -124,12 +109,7 @@ class Allocation:
         return Allocation()
 
     def used_on(self, link_key: tuple[str, str]) -> int:
-        return self._used.get(link_key, 0)
-
-    def wavelengths_of(self, conn: str) -> frozenset[int]:
-        waves = {w + 1 for w in _bits(self._conn_masks.get(conn, 0))}
-        waves.update(lp.wavelength for lp in self._stray if lp.conn == conn)
-        return frozenset(waves)
+        return self._masks.get(link_key, 0).bit_count()
 
     def connections(self) -> dict[str, int]:
         """Connection id -> number of lightpaths it holds."""
@@ -180,19 +160,21 @@ def apply_delta(state: Allocation, delta) -> Allocation:
 
 
 def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int] | None = None) -> list[Violation]:
-    """Independent invariant check, recomputed from raw hop data.
+    """Independent invariant check, recounted from ``alloc.lightpaths`` alone.
 
     Verifies per-hop flow balance at every node for every (connection,
     wavelength) pair, link capacity sums, one-lightpath-one-direction cell
     exclusivity, and distinct wavelengths per connection.  When ``demands``
     maps connection ids to requested counts, the per-connection lightpath
-    count is checked against it.
+    count is checked against it.  The allocation's own index is not read.
     """
     violations: list[Violation] = []
     cells: dict[tuple[tuple[str, str], int], int] = {}
     per_link: dict[tuple[str, str], int] = {}
+    waves: dict[str, list[int]] = {}
 
     for lp in alloc.lightpaths:
+        waves.setdefault(lp.conn, []).append(lp.wavelength)
         if not lp.hops:
             violations.append(Violation("path-shape", f"{lp.conn}: empty hop list"))
             continue
@@ -230,14 +212,14 @@ def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int]
         if link is not None and n > link.capacity:
             violations.append(Violation("capacity", f"link {key} carries {n} wavelengths, capacity {link.capacity}"))
 
-    counts = alloc.connections()
-    for conn, n in counts.items():
-        if len(alloc.wavelengths_of(conn)) != n:
+    for conn, ws in waves.items():
+        if len(set(ws)) != len(ws):
             violations.append(Violation("demand-count", f"{conn}: units share a wavelength index"))
     if demands is not None:
         for conn, want in demands.items():
-            if counts.get(conn, 0) != want:
-                violations.append(Violation("demand-count", f"{conn}: {counts.get(conn, 0)} units allocated, {want} requested"))
+            got = len(waves.get(conn, ()))
+            if got != want:
+                violations.append(Violation("demand-count", f"{conn}: {got} units allocated, {want} requested"))
     return violations
 
 
@@ -269,28 +251,30 @@ def _path_tables(net: Network, vc: VirtualChannel):
 
 
 class _Scratch:
-    """Mutable copy of an allocation's link masks and used counts, by link index."""
+    """Mutable copy of an allocation's link masks, by link index.
 
-    __slots__ = ("masks", "used")
+    The masks are the whole occupancy: a link is full when its popcount
+    reaches its capacity.
+    """
+
+    __slots__ = ("masks",)
 
     def __init__(self, net: Network, state: Allocation):
         keys, _, _ = _net_tables(net)
         self.masks = [state._masks.get(k, 0) for k in keys]
-        self.used = [state._used.get(k, 0) for k in keys]
 
     def place(self, link_ids, bit: int) -> None:
         for li in link_ids:
             self.masks[li] |= bit
-            self.used[li] += 1
 
     def unplace(self, link_ids, bit: int) -> None:
         for li in link_ids:
             self.masks[li] ^= bit
-            self.used[li] -= 1
 
     def fits(self, link_ids, bit: int, caps) -> bool:
         for li in link_ids:
-            if self.used[li] >= caps[li] or self.masks[li] & bit:
+            mask = self.masks[li]
+            if mask & bit or mask.bit_count() >= caps[li]:
                 return False
         return True
 
@@ -299,16 +283,17 @@ def _hops_for(path: Path) -> tuple[tuple[str, str], ...]:
     return tuple(zip(path, path[1:]))
 
 
-def _fresh_conn_ids(state: Allocation, requests) -> list[str]:
-    taken = set(state._conn_counts)
+def _fresh_conn_ids(state: Allocation, labels) -> list[str]:
+    """One unused ``label#n`` id per label, with ``n`` strictly increasing.
+
+    Distinct ``n`` keep the new ids apart, so only the state's ids are checked.
+    """
     ids = []
     n = state.next_conn_index()
-    for req in requests:
-        while f"{req.vc.label}#{n}" in taken:
+    for label in labels:
+        while f"{label}#{n}" in state._conn_counts:
             n += 1
-        cid = f"{req.vc.label}#{n}"
-        ids.append(cid)
-        taken.add(cid)
+        ids.append(f"{label}#{n}")
         n += 1
     return ids
 
@@ -320,7 +305,6 @@ def incremental_allocate(
     state: Allocation,
     vc: VirtualChannel,
     count: int,
-    conn: str | None = None,
 ) -> tuple[list[LightPath], int]:
     """Place ``count`` wavelengths one at a time, each at minimum incremental cost.
 
@@ -331,20 +315,19 @@ def incremental_allocate(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if conn is None:
-        conn = _fresh_conn_ids(state, [DemandRequest(vc, count)])[0]
+    conn = _fresh_conn_ids(state, [vc.label])[0]
     try:
         paths, costs, link_lists = _path_tables(net, vc)
     except NoPathError as exc:
         raise InfeasibleError(str(exc), placed=0) from exc
     _, _, caps = _net_tables(net)
     scratch = _Scratch(net, state)
-    allowed = ((1 << net.wavelength_count) - 1) & ~state._conn_masks.get(conn, 0)
+    allowed = (1 << net.wavelength_count) - 1
 
     delta: list[LightPath] = []
     added = 0
     for placed in range(count):
-        p, w0 = _kernel.cheapest_placement(link_lists, costs, scratch.masks, scratch.used, caps, allowed)
+        p, w0 = _kernel.cheapest_placement(link_lists, costs, scratch.masks, caps, allowed)
         if p < 0:
             raise InfeasibleError(
                 f"{vc.label}: only {placed} of {count} wavelengths fit",
@@ -498,7 +481,7 @@ def solve_min_cost_rwa(net: Network, state: Allocation, requests: list[DemandReq
     Raises InfeasibleError when the demands cannot all be met.
     """
     requests = list(requests)
-    conns = _fresh_conn_ids(state, requests)
+    conns = _fresh_conn_ids(state, [req.vc.label for req in requests])
     for req in requests:
         if req.count > net.wavelength_count:
             raise InfeasibleError(
@@ -531,7 +514,7 @@ def brute_force_rwa(net: Network, state: Allocation, requests: list[DemandReques
         raise InstanceTooLargeError(
             f"guard is <= {BRUTE_MAX_NODES} nodes, W <= {BRUTE_MAX_WAVELENGTHS}, <= {BRUTE_MAX_UNITS} units"
         )
-    conns = _fresh_conn_ids(state, requests)
+    conns = _fresh_conn_ids(state, [req.vc.label for req in requests])
     try:
         for req in requests:
             _path_tables(net, req.vc)

@@ -7,6 +7,7 @@ from wavebroker.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_RUNTIME,
     load_scenario,
     main,
 )
@@ -172,6 +173,17 @@ class TestCurveCommand:
         assert main(
             ["curve", scenario_path("two_route_costcurve"), "--vc", "VC1", "--network", "nope", "--out", str(tmp_path)]
         ) == EXIT_CONFIG
+
+    def test_channel_with_no_capacity_is_a_runtime_error(self, tmp_path, capsys):
+        doc = json.loads(open(scenario_path("two_route_costcurve")).read())
+        for link in doc["networks"][0]["links"]:
+            link["capacity"] = 0
+        p = tmp_path / "dark.json"
+        p.write_text(json.dumps(doc))
+        assert main(["curve", str(p), "--vc", "VC1", "--out", str(tmp_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "VC1" in err
+        assert "Traceback" not in err
 
 
 class TestValidateCommand:

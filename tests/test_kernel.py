@@ -46,7 +46,7 @@ def test_matches_reference_scan_on_random_instances():
         caps = [rng.randint(0, n_wl) for _ in range(n_links)]
         banned = [int(rng.random() < 0.2) for _ in range(n_wl)]
         want = scan_placement(link_lists, costs, grid, used, caps, banned, n_wl)
-        got = cheapest_placement(link_lists, costs, masks_of(grid, n_links, n_wl), used, caps, allowed_of(banned))
+        got = cheapest_placement(link_lists, costs, masks_of(grid, n_links, n_wl), caps, allowed_of(banned))
         assert got == want
         hits += want[0] >= 0
     assert 300 < hits < 2700  # both outcomes are exercised
@@ -57,23 +57,22 @@ def test_prefers_lower_wavelength_then_path_rank():
     link_lists = [[0], [1]]
     costs = [10, 10]
     masks = [0b01, 0b00]
-    used = [1, 0]
     caps = [2, 2]
     # path 1 can serve w0; path 0 only w1 -> lower wavelength wins despite higher rank
-    assert cheapest_placement(link_lists, costs, masks, used, caps, 0b11) == (1, 0)
+    assert cheapest_placement(link_lists, costs, masks, caps, 0b11) == (1, 0)
     # with w0 not allowed both paths offer w1; lower rank wins the tie
-    assert cheapest_placement(link_lists, costs, masks, used, caps, 0b10) == (0, 1)
+    assert cheapest_placement(link_lists, costs, masks, caps, 0b10) == (0, 1)
 
 
 def test_cheaper_path_beats_lower_wavelength():
     # the cheap path only offers w1
-    assert cheapest_placement([[0], [1]], [5, 8], [0b01, 0b00], [1, 0], [2, 2], 0b11) == (0, 1)
+    assert cheapest_placement([[0], [1]], [5, 8], [0b01, 0b00], [2, 2], 0b11) == (0, 1)
 
 
 def test_capacity_blocks_even_with_free_cells():
     # w0 busy, w1/w2 free, but the link only admits one wavelength
-    assert cheapest_placement([[0]], [5], [0b001], [1], [1], 0b111) == (-1, -1)
+    assert cheapest_placement([[0]], [5], [0b001], [1], 0b111) == (-1, -1)
 
 
 def test_nothing_fits_returns_sentinel():
-    assert cheapest_placement([[0]], [5], [0b11], [2], [2], 0b11) == (-1, -1)
+    assert cheapest_placement([[0]], [5], [0b11], [2], 0b11) == (-1, -1)

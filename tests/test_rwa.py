@@ -277,9 +277,8 @@ class TestApplyDelta:
         assert list(state.connections().items()) == list(whole.connections().items())
         assert state.next_conn_index() == whole.next_conn_index()
         for key in net.link_by_key:
-            assert state.used_on(key) == whole.used_on(key)
-        for conn in whole.connections():
-            assert state.wavelengths_of(conn) == whole.wavelengths_of(conn)
+            recount = sum(key in lp.link_keys() for lp in state.lightpaths)
+            assert state.used_on(key) == whole.used_on(key) == recount
 
     def test_chain_of_deltas_matches_one_construction(self):
         rng = random.Random(808)
@@ -367,21 +366,51 @@ class TestValidator:
         vios2 = validate_allocation(net, Allocation([lp2]))
         assert "unknown-link" in {v.code for v in vios2}
 
-    def test_out_of_range_wavelengths_are_kept_and_flagged(self):
+    def test_wavelength_zero_raises_and_above_range_is_kept_and_flagged(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=3)
-        low = LightPath("c1", VC_AB, 0, (("A", "B"),))
+        zero = LightPath("c1", VC_AB, 0, (("A", "B"),))
+        with pytest.raises(ValueError):
+            Allocation([zero])
+        with pytest.raises(ValueError):
+            apply_delta(Allocation.empty(), [zero])
         high = LightPath("c1", VC_AB, 4, (("A", "B"),))
-        state = apply_delta(Allocation([low]), [high])
-        assert state == Allocation([low, high])
-        assert state.used_on(("A", "B")) == 2
-        assert state.wavelengths_of("c1") == frozenset({0, 4})
-        vios = validate_allocation(net, state)
-        assert [v.code for v in vios] == ["wavelength-range", "wavelength-range"]
+        state = apply_delta(Allocation.empty(), [high])
+        assert state == Allocation([high])
+        assert state.used_on(("A", "B")) == 1
+        assert [v.code for v in validate_allocation(net, state)] == ["wavelength-range"]
         with pytest.raises(ConflictError):
-            apply_delta(state, [LightPath("c2", VC_AB, 0, (("B", "A"),))])
-        # neither takes a cell of the real wavelength range
-        delta, _ = incremental_allocate(net, state, VC_AB, 1)
-        assert delta[0].wavelength == 1
+            apply_delta(state, [LightPath("c2", VC_AB, 4, (("B", "A"),))])
+        # placement takes only wavelengths 1..W, and W+1 still counts against capacity 3
+        delta, _ = incremental_allocate(net, state, VC_AB, 2)
+        assert [lp.wavelength for lp in delta] == [1, 2]
+        sol = solve_min_cost_rwa(net, state, [DemandRequest(VC_AB, 2)])
+        assert sorted(lp.wavelength for lp in sol.delta) == [1, 2]
+        with pytest.raises(InfeasibleError):
+            incremental_allocate(net, apply_delta(state, delta), VC_AB, 1)
+
+    def test_verdict_comes_from_lightpaths_not_the_index(self):
+        net = mknet([("A", "B", 2, 5), ("A", "C", 2, 5), ("C", "B", 2, 5)], wavelength_count=3)
+        clean = Allocation(
+            [
+                LightPath("c1", VC_AB, 1, (("A", "B"),)),
+                LightPath("c1", VC_AB, 2, (("A", "B"),)),
+            ]
+        )
+        clean._conn_counts["c1"] = 5
+        clean._conn_counts["ghost"] = 1
+        clean._masks[("A", "B")] = 0b111
+        assert validate_allocation(net, clean, demands={"c1": 2}) == []
+        shared = Allocation(
+            [
+                LightPath("c1", VC_AB, 1, (("A", "B"),)),
+                LightPath("c1", VC_AB, 1, (("A", "C"), ("C", "B"))),
+            ]
+        )
+        shared._conn_counts["c1"] = 1
+        shared._masks.clear()
+        vios = validate_allocation(net, shared, demands={"c1": 2})
+        assert [v.code for v in vios] == ["demand-count"]
+        assert "share a wavelength" in vios[0].detail
 
     def test_flags_demand_count_mismatch(self):
         net = mknet([("A", "B", 2, 5)])
