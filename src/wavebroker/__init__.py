@@ -2,8 +2,10 @@
 
 Competing optical transport networks bid to carry point-to-point
 wavelength demand aggregated by a broker; prices fall through a stochastic
-undercutting race and the winner provisions capacity through an exact
-minimum-cost routing and wavelength assignment core.
+undercutting race and the winner provisions capacity by greedy placement,
+one wavelength at a time at the cheapest free route and wavelength.  An
+exact minimum-cost routing and wavelength assignment solver, with an
+exhaustive oracle, is provided beside it but does not yet drive settlement.
 """
 
 from .cost import CostCurve, CurveSegment, marginal_cost, total_cost_curve
@@ -61,7 +63,6 @@ from .protocol import (
 from .rwa import (
     Allocation,
     LightPath,
-    RwaSolution,
     apply_delta,
     brute_force_rwa,
     dump_allocation,

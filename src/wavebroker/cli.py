@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
+import re
 import statistics
 import sys
-from dataclasses import dataclass
+from json.scanner import NUMBER_RE
 from pathlib import Path
 
 from .cost import curve_csv_rows, total_cost_curve
@@ -42,17 +44,37 @@ EXIT_RUNTIME = 4
 SEED_ENV_VAR = "SIM_SEED"
 
 
-@dataclass(frozen=True)
-class RunOptions:
-    scenario_path: str
-    seed_override: int | None = None
-    sweep: int | None = None
-    out_dir: str = "out"
-    emit_traces: bool = False
-    workers: int = 1
-
-
 # -- scenario loading -----------------------------------------------------------
+
+# A JSON string, or a number or constant as the decoder reads it.
+_JSON_SCALAR = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN|' + NUMBER_RE.pattern)
+
+
+class _NonFinite(ValueError):
+    """A number literal that reads as NaN or an infinity; its text is the argument."""
+
+
+def _finite_float(token: str) -> float:
+    """Decoder hook for float literals and for the constants NaN, Infinity and -Infinity."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise _NonFinite(token)
+    return value
+
+
+def _decode_json(path, text: str):
+    """``json.loads`` that refuses NaN, Infinity and overflowing numbers, located."""
+    try:
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+    except _NonFinite as exc:
+        token = exc.args[0]
+        # the decoder stops at the first such literal, so the first one outside strings is it
+        pos = next(m.start() for m in _JSON_SCALAR.finditer(text) if m.group() == token)
+        err = json.JSONDecodeError(f"non-finite number {token} is not allowed", text, pos)
+    except json.JSONDecodeError as exc:
+        err = exc
+    raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+
 
 def _typed(obj, key, loc, kinds, problems, required=True, default=None):
     if key not in obj:
@@ -109,10 +131,7 @@ def load_scenario(path: str | Path, fallback_seed: int | None = None) -> Scenari
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    try:
-        root = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    root = _decode_json(path, text)
     if not isinstance(root, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
 
@@ -331,38 +350,27 @@ def _env_seed() -> int | None:
         raise ConfigError(f"{SEED_ENV_VAR}: not an integer: {raw!r}") from None
 
 
-def run(options: RunOptions) -> int:
+def _cmd_run(args) -> int:
     """Run a scenario (or a sweep of seeded instances) and write its reports."""
-    config = load_scenario(options.scenario_path, fallback_seed=_env_seed())
-    if options.seed_override is not None:
-        config = dataclasses.replace(config, seed=options.seed_override)
-    out_dir = Path(options.out_dir)
-    if options.sweep is not None:
-        if options.sweep < 1:
+    config = load_scenario(args.scenario, fallback_seed=_env_seed())
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    if args.workers < 1:
+        raise ConfigError("--workers: count must be >= 1")
+    out_dir = Path(args.out)
+    if args.sweep is not None:
+        if args.sweep < 1:
             raise ConfigError("--sweep: count must be >= 1")
-        reports = run_sweep(config, options.sweep, workers=options.workers)
+        reports = run_sweep(config, args.sweep, workers=args.workers)
         for i, rep in enumerate(reports):
-            write_report_files(rep, out_dir / f"run_{i:05d}", options.emit_traces)
+            write_report_files(rep, out_dir / f"run_{i:05d}", args.traces)
         _write_text(out_dir / "sweep_summary.csv", sweep_summary_csv(reports))
-        print(f"{config.id}: {options.sweep} runs -> {out_dir}/sweep_summary.csv")
+        print(f"{config.id}: {args.sweep} runs -> {out_dir}/sweep_summary.csv")
     else:
         report = run_scenario(config)
-        write_report_files(report, out_dir, options.emit_traces)
+        write_report_files(report, out_dir, args.traces)
         print(f"{config.id}: {len(report.records)} auctions -> {out_dir}/report.json")
     return EXIT_OK
-
-
-def _cmd_run(args) -> int:
-    return run(
-        RunOptions(
-            scenario_path=args.scenario,
-            seed_override=args.seed,
-            sweep=args.sweep,
-            out_dir=args.out,
-            emit_traces=args.traces,
-            workers=args.workers,
-        )
-    )
 
 
 def _cmd_curve(args) -> int:

@@ -57,12 +57,9 @@ def total_cost_curve(net: Network, state: Allocation, vc: VirtualChannel, q_cap:
     """
     if q_cap < 1:
         raise ValueError("q_cap must be >= 1")
-    try:
-        delta, _added = incremental_allocate(net, state, vc, q_cap)
-    except InfeasibleError as exc:
-        if exc.placed == 0:
-            raise EmptyCurveError(f"{vc.label}: no capacity for even one wavelength") from exc
-        delta = list(exc.delta)
+    delta, _added = incremental_allocate(net, state, vc, q_cap)
+    if not delta:
+        raise EmptyCurveError(f"{vc.label}: no capacity for even one wavelength")
     segments: list[CurveSegment] = []
     for q, lp in enumerate(delta, start=1):
         mc = lp.cost(net)
@@ -79,7 +76,9 @@ def marginal_cost(net: Network, state: Allocation, vc: VirtualChannel) -> int:
 
     Raises InfeasibleError when no capacity remains.
     """
-    _delta, added = incremental_allocate(net, state, vc, 1)
+    delta, added = incremental_allocate(net, state, vc, 1)
+    if not delta:
+        raise InfeasibleError(f"{vc.label}: no capacity for one more wavelength")
     return added
 
 

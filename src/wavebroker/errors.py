@@ -29,17 +29,7 @@ class NetworkTooLargeError(WavebrokerError):
 
 
 class InfeasibleError(WavebrokerError):
-    """The requested wavelengths cannot all be accommodated.
-
-    ``placed`` says how many units fit before exhaustion; ``delta`` and
-    ``added_cost`` describe that partial placement so callers can accept it.
-    """
-
-    def __init__(self, message: str, placed: int = 0, delta: tuple = (), added_cost: int = 0):
-        super().__init__(message)
-        self.placed = placed
-        self.delta = delta
-        self.added_cost = added_cost
+    """The requested wavelengths cannot all be accommodated."""
 
 
 class InstanceTooLargeError(WavebrokerError):

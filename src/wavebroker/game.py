@@ -124,12 +124,6 @@ class SupplierAgent:
         except InfeasibleError:
             return None
 
-    def initial_bid(self, vc: VirtualChannel) -> int | None:
-        mc = self.next_unit_mc(vc)
-        if mc is None:
-            return None
-        return round_half_up(self.markup * mc)
-
     def commit(self, delta) -> None:
         self.state = apply_delta(self.state, delta)
 

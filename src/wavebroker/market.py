@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .errors import ConfigError, InfeasibleError, InvalidOutcomeError, UnknownNetworkError
+from .errors import ConfigError, InvalidOutcomeError, UnknownNetworkError
 from .game import SupplierAgent, UndercutPolicy, equilibrium_bounds
 from .protocol import (
     BROKER_TO_SUPPLIER,
@@ -197,18 +198,16 @@ def settle(
         )
         return SettlementResult(Termination.BROKER_REJECTED, 0, 0, 0, 0, (), events)
 
-    try:
-        delta, added = incremental_allocate(winner_agent.network, winner_agent.state, vc, demand)
-        events = (TraceEvent(rnd, BROKER_TO_SUPPLIER, wid, Ack(x, y, demand)),)
-        return SettlementResult(Termination.WON, demand, demand, price * demand, added, tuple(delta), events)
-    except InfeasibleError as exc:
-        fit = exc.placed
-        shortfall = (TraceEvent(rnd, SUPPLIER_TO_BROKER, wid, Exc1(fit, price, x, y)),)
-        if fit >= 1 and not reject_partial:
-            events = shortfall + (TraceEvent(rnd, BROKER_TO_SUPPLIER, wid, Ack(x, y, fit)),)
-            return SettlementResult(Termination.WON, demand, fit, price * fit, exc.added_cost, exc.delta, events)
-        events = shortfall + (TraceEvent(rnd, BROKER_TO_SUPPLIER, wid, Nack(x, y)),)
-        return SettlementResult(Termination.WON, demand, 0, 0, 0, (), events)
+    delta, added = incremental_allocate(winner_agent.network, winner_agent.state, vc, demand)
+    fit = len(delta)
+    events = ()
+    if fit < demand:
+        events = (TraceEvent(rnd, SUPPLIER_TO_BROKER, wid, Exc1(fit, price, x, y)),)
+        if fit == 0 or reject_partial:
+            events += (TraceEvent(rnd, BROKER_TO_SUPPLIER, wid, Nack(x, y)),)
+            return SettlementResult(Termination.WON, demand, 0, 0, 0, (), events)
+    events += (TraceEvent(rnd, BROKER_TO_SUPPLIER, wid, Ack(x, y, fit)),)
+    return SettlementResult(Termination.WON, demand, fit, price * fit, added, delta, events)
 
 
 # -- scenario ------------------------------------------------------------------
@@ -406,19 +405,20 @@ def child_seed(root: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def _sweep_one(args):
-    config, seed = args
-    return run_scenario(config, seed_override=seed)
-
-
 def run_sweep(config: ScenarioConfig, count: int, workers: int = 1) -> list[Report]:
-    """Run ``count`` seeded scenario instances; results come back in run-index order."""
+    """Run ``count`` seeded scenario instances; results come back in run-index order.
+
+    At most ``min(workers, count, os.cpu_count())`` processes run them.
+    """
     if count < 1:
         raise ValueError("sweep count must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     seeds = [child_seed(config.seed, i) for i in range(count)]
-    if workers <= 1:
-        return [run_scenario(config, seed_override=s) for s in seeds]
+    workers = min(workers, count, os.cpu_count() or 1)
+    if workers == 1:
+        return list(map(run_scenario, [config] * count, seeds))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_one, [(config, s) for s in seeds]))
+        return list(pool.map(run_scenario, [config] * count, seeds))

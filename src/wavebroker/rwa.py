@@ -9,7 +9,12 @@ pairwise-distinct wavelength indices.
 Two solvers are provided: a branch-and-bound exact solver and a guarded
 exhaustive enumerator used as its oracle in tests.  A third operation
 places units greedily one at a time, which is what suppliers can actually
-evaluate mid-market; its unit costs trace out the marginal-cost curve.
+evaluate mid-market; its unit costs trace out the marginal-cost curve, and
+settlement provisions through it.
+
+All three return one result shape, ``(delta, added)``: the new lightpaths
+as a tuple and their summed cost.  Nothing is committed; the caller merges
+the delta with ``apply_delta``.
 """
 
 from __future__ import annotations
@@ -143,17 +148,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class RwaSolution:
-    """Result of an exact solve: the merged allocation and its exact cost."""
-
-    allocation: Allocation
-    total_cost: int
-    optimal: bool
-    delta: tuple[LightPath, ...]
-    added_cost: int
-
-
 def apply_delta(state: Allocation, delta) -> Allocation:
     """Merge new lightpaths into an allocation; ConflictError on any taken cell."""
     return state._extended(tuple(delta))
@@ -250,33 +244,14 @@ def _path_tables(net: Network, vc: VirtualChannel):
     return paths, costs, link_lists
 
 
-class _Scratch:
-    """Mutable copy of an allocation's link masks, by link index.
+def _link_masks(net: Network, state: Allocation) -> list[int]:
+    """Mutable copy of the state's link masks, by link index.
 
     The masks are the whole occupancy: a link is full when its popcount
     reaches its capacity.
     """
-
-    __slots__ = ("masks",)
-
-    def __init__(self, net: Network, state: Allocation):
-        keys, _, _ = _net_tables(net)
-        self.masks = [state._masks.get(k, 0) for k in keys]
-
-    def place(self, link_ids, bit: int) -> None:
-        for li in link_ids:
-            self.masks[li] |= bit
-
-    def unplace(self, link_ids, bit: int) -> None:
-        for li in link_ids:
-            self.masks[li] ^= bit
-
-    def fits(self, link_ids, bit: int, caps) -> bool:
-        for li in link_ids:
-            mask = self.masks[li]
-            if mask & bit or mask.bit_count() >= caps[li]:
-                return False
-        return True
+    keys, _, _ = _net_tables(net)
+    return [state._masks.get(k, 0) for k in keys]
 
 
 def _hops_for(path: Path) -> tuple[tuple[str, str], ...]:
@@ -305,41 +280,39 @@ def incremental_allocate(
     state: Allocation,
     vc: VirtualChannel,
     count: int,
-) -> tuple[list[LightPath], int]:
-    """Place ``count`` wavelengths one at a time, each at minimum incremental cost.
+) -> tuple[tuple[LightPath, ...], int]:
+    """Place up to ``count`` wavelengths one at a time, each at minimum incremental cost.
 
     All units belong to one connection, so they take pairwise-distinct
-    wavelength indices.  Nothing is committed; the caller applies the
-    returned delta.  Raises InfeasibleError carrying the partial placement
-    when fewer than ``count`` units fit.
+    wavelength indices.  Returns ``(delta, added)``, the placed lightpaths
+    in placement order and their summed cost.  The delta is shorter than
+    ``count`` when capacity runs out, and empty when the endpoints are not
+    connected or nothing fits.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    conn = _fresh_conn_ids(state, [vc.label])[0]
     try:
         paths, costs, link_lists = _path_tables(net, vc)
-    except NoPathError as exc:
-        raise InfeasibleError(str(exc), placed=0) from exc
+    except NoPathError:
+        return (), 0
+    conn = _fresh_conn_ids(state, [vc.label])[0]
     _, _, caps = _net_tables(net)
-    scratch = _Scratch(net, state)
+    masks = _link_masks(net, state)
     allowed = (1 << net.wavelength_count) - 1
 
     delta: list[LightPath] = []
     added = 0
-    for placed in range(count):
-        p, w0 = _kernel.cheapest_placement(link_lists, costs, scratch.masks, caps, allowed)
+    for _ in range(count):
+        p, w0 = _kernel.cheapest_placement(link_lists, costs, masks, caps, allowed)
         if p < 0:
-            raise InfeasibleError(
-                f"{vc.label}: only {placed} of {count} wavelengths fit",
-                placed=placed,
-                delta=tuple(delta),
-                added_cost=added,
-            )
-        scratch.place(link_lists[p], 1 << w0)
-        allowed &= ~(1 << w0)
+            break
+        bit = 1 << w0
+        for li in link_lists[p]:
+            masks[li] |= bit
+        allowed &= ~bit
         delta.append(LightPath(conn, vc, w0 + 1, _hops_for(paths[p])))
         added += costs[p]
-    return delta, added
+    return tuple(delta), added
 
 
 # -- exact solvers -------------------------------------------------------------
@@ -396,6 +369,7 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
     the enumeration into branch and bound; with ``reduce_symmetry`` a unit
     may only take an already-used wavelength or the single lowest fresh
     one, which is sound because fresh wavelengths are interchangeable.
+    Returns ``(delta, added)``; raises InfeasibleError when nothing fits.
     """
     W = net.wavelength_count
     _, _, caps = _net_tables(net)
@@ -412,7 +386,7 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
     for u in range(n_units - 1, -1, -1):
         suffix[u] = suffix[u + 1] + per_req[unit_req[u]][1][0]
 
-    scratch = _Scratch(net, state)
+    masks = _link_masks(net, state)
     full = (1 << W) - 1
     # wavelengths in use anywhere, as a mask
     anchored = 0
@@ -433,6 +407,13 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
             return _bits(ws & full)
         return range(lo + 1, W)
 
+    def fits(links, bit: int) -> bool:
+        for li in links:
+            mask = masks[li]
+            if mask & bit or mask.bit_count() >= caps[li]:
+                return False
+        return True
+
     def dfs(u: int, cost: int) -> None:
         nonlocal best, best_cost, anchored
         if best is not None and prune and cost + suffix[u] >= best_cost:
@@ -449,9 +430,11 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
             for p in range(len(costs)):
                 if best is not None and prune and cost + costs[p] + suffix[u + 1] >= best_cost:
                     break
-                if not scratch.fits(link_lists[p], bit, caps):
+                links = link_lists[p]
+                if not fits(links, bit):
                     continue
-                scratch.place(link_lists[p], bit)
+                for li in links:
+                    masks[li] |= bit
                 introduced = not anchored & bit
                 anchored |= bit
                 prev = last_w[k]
@@ -461,11 +444,12 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
                 last_w[k] = prev
                 if introduced:
                     anchored ^= bit
-                scratch.unplace(link_lists[p], bit)
+                for li in links:
+                    masks[li] ^= bit
 
     dfs(0, 0)
     if best is None:
-        return None
+        raise InfeasibleError("no joint assignment satisfies the constraints")
     delta = []
     for u, (p, w) in enumerate(best):
         k = unit_req[u]
@@ -473,12 +457,14 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
     return tuple(delta), best_cost
 
 
-def solve_min_cost_rwa(net: Network, state: Allocation, requests: list[DemandRequest]) -> RwaSolution:
-    """Minimum-cost allocation of every requested wavelength on top of ``state``.
+def solve_min_cost_rwa(net: Network, state: Allocation, requests: list[DemandRequest]) -> tuple[tuple[LightPath, ...], int]:
+    """Minimum-cost placement of every requested wavelength on top of ``state``.
 
-    Existing lightpaths are never moved.  Deterministic: cost-equal optima
-    are resolved by (connection index, wavelength index, path rank).
-    Raises InfeasibleError when the demands cannot all be met.
+    Returns ``(delta, added)``: the new lightpaths, one block per request
+    in request order, and their summed cost.  Existing lightpaths are never
+    moved.  Deterministic: cost-equal optima are resolved by (connection
+    index, wavelength index, path rank).  Raises InfeasibleError when the
+    demands cannot all be met.
     """
     requests = list(requests)
     conns = _fresh_conn_ids(state, [req.vc.label for req in requests])
@@ -494,19 +480,14 @@ def solve_min_cost_rwa(net: Network, state: Allocation, requests: list[DemandReq
         if _flow_upper_bound(net, state, req.vc, req.count) < req.count:
             raise InfeasibleError(f"{req.vc.label}: demand {req.count} exceeds residual capacity")
 
-    found = _search(net, state, requests, conns, prune=True, reduce_symmetry=True)
-    if found is None:
-        raise InfeasibleError("no joint assignment satisfies the constraints")
-    delta, added = found
-    allocation = apply_delta(state, delta)
-    return RwaSolution(allocation, allocation.total_cost(net), True, delta, added)
+    return _search(net, state, requests, conns, prune=True, reduce_symmetry=True)
 
 
-def brute_force_rwa(net: Network, state: Allocation, requests: list[DemandRequest]) -> RwaSolution:
+def brute_force_rwa(net: Network, state: Allocation, requests: list[DemandRequest]) -> tuple[tuple[LightPath, ...], int]:
     """Test oracle: exhaustive enumeration of every feasible assignment.
 
     No bounding and no wavelength-symmetry reduction; only the guard below
-    keeps it tractable.  Tie-break matches solve_min_cost_rwa.
+    keeps it tractable.  Result shape and tie-break match solve_min_cost_rwa.
     """
     requests = list(requests)
     total_units = sum(r.count for r in requests)
@@ -520,9 +501,4 @@ def brute_force_rwa(net: Network, state: Allocation, requests: list[DemandReques
             _path_tables(net, req.vc)
     except NoPathError as exc:
         raise InfeasibleError(str(exc)) from exc
-    found = _search(net, state, requests, conns, prune=False, reduce_symmetry=False)
-    if found is None:
-        raise InfeasibleError("no joint assignment satisfies the constraints")
-    delta, added = found
-    allocation = apply_delta(state, delta)
-    return RwaSolution(allocation, allocation.total_cost(net), True, delta, added)
+    return _search(net, state, requests, conns, prune=False, reduce_symmetry=False)

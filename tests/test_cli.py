@@ -89,6 +89,25 @@ class TestLoadScenario:
         with pytest.raises(ParseError):
             load_scenario("/nonexistent/scenario.json")
 
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("markup", "NaN"), ("a", "Infinity"), ("a", "1e400")],
+    )
+    def test_non_finite_number_is_a_located_parse_error(self, tmp_path, capsys, field, literal):
+        doc = json.loads(open(scenario_path("duel")).read())
+        if field == "markup":
+            doc["networks"][1]["markup"] = "@"
+        else:
+            doc["virtual_channels"][0]["demand"]["a"] = "@"
+        text = json.dumps(doc, indent=2)
+        line = text[: text.index('"@"')].count("\n") + 1
+        p = tmp_path / "nonfinite.json"
+        p.write_text(text.replace('"@"', literal))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {p}:{line}:") and literal in err
+        assert "Traceback" not in err
+
 
 class TestRunCommand:
     def test_run_writes_reports(self, tmp_path):
@@ -144,6 +163,12 @@ class TestRunCommand:
         assert int(rows["netB"][2]) == 5 * 10
         assert float(rows["netB"][3]) > 0.0
         assert float(rows["netA"][3]) == 0.0
+
+    def test_workers_below_one_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["run", scenario_path("duel"), "--out", str(out), "--sweep", "2", "--workers", "0"]) == EXIT_CONFIG
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_exit_codes(self, tmp_path):
         p = tmp_path / "broken.json"

@@ -114,18 +114,11 @@ class TestEquilibriumBounds:
 
 
 class TestSupplierAgent:
-    def test_initial_bid_applies_markup(self):
-        agent = SupplierAgent("a", mknet([("A", "B", 2, 100)]), policy=UndercutPolicy(1, 1), markup=2.0)
-        from wavebroker import VirtualChannel
-
-        assert agent.initial_bid(VirtualChannel("A", "B", "x")) == 200
-
     def test_no_capacity_means_no_bid(self):
         from wavebroker import VirtualChannel
 
         agent = SupplierAgent("a", mknet([("A", "B", 0, 100)]), policy=UndercutPolicy(1, 1))
         assert agent.next_unit_mc(VirtualChannel("A", "B", "x")) is None
-        assert agent.initial_bid(VirtualChannel("A", "B", "x")) is None
 
     def test_markup_below_one_rejected(self):
         with pytest.raises(ValueError):

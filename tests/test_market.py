@@ -125,6 +125,15 @@ class TestSettle:
         assert result.allocation_delta == ()
         assert [type(ev.message) for ev in result.events] == [Exc1, Nack]
 
+    def test_winner_with_nothing_left_is_denied(self):
+        outcome, winner = won_outcome()
+        winner.network = mknet([("S", "T", 0, 400)], wavelength_count=8, net_id="B")
+        result = settle(outcome, LinearDemand(a=10.9, b=0.001), winner, VC)
+        assert (result.demand, result.granted, result.revenue, result.cost) == (10, 0, 0, 0)
+        assert result.allocation_delta == ()
+        assert [type(ev.message) for ev in result.events] == [Exc1, Nack]
+        assert result.events[0].message.d == 0
+
     def test_settlement_extends_a_conformant_trace(self):
         outcome, winner = won_outcome()
         result = settle(outcome, LinearDemand(a=5.9, b=0.001), winner, VC)
@@ -249,3 +258,36 @@ class TestSweep:
         serial = run_sweep(duel_config(schedule_len=2), 3, workers=1)
         parallel = run_sweep(duel_config(schedule_len=2), 3, workers=2)
         assert [report_json(r) for r in serial] == [report_json(r) for r in parallel]
+
+    @pytest.mark.parametrize(
+        "count, workers, cpus, pool_size",
+        [(3, 10**6, 64, 3), (5, 10**6, 2, 2), (5, 4, 64, 4), (4, 10**6, 1, None), (1, 8, 64, None)],
+    )
+    def test_workers_are_clamped_to_runs_and_cpus(self, monkeypatch, count, workers, cpus, pool_size):
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        reports = run_sweep(duel_config(schedule_len=1), count, workers=workers)
+        assert [r.seed for r in reports] == [child_seed(42, i) for i in range(count)]
+        assert sizes == ([] if pool_size is None else [pool_size])
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            run_sweep(duel_config(schedule_len=1), 2, workers=0)

@@ -34,23 +34,22 @@ def route2_count(delta):
 class TestSolve:
     def test_single_link_forced_placement(self):
         net = mknet([("A", "B", 2, 5)])
-        sol = solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(VC_AB, 1)])
-        assert sol.total_cost == 5
-        assert sol.optimal
-        assert len(sol.delta) == 1
-        assert sol.delta[0].wavelength == 1  # tie-break takes the lowest index
+        delta, added = solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(VC_AB, 1)])
+        assert added == 5
+        assert len(delta) == 1
+        assert delta[0].wavelength == 1  # tie-break takes the lowest index
 
     def test_two_route_overflow_split(self):
         net = two_route_net()
-        sol = solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(VC_SEA_BOS, 9)])
-        assert route1_count(sol.delta) == 8
-        assert route2_count(sol.delta) == 1
-        assert sol.total_cost == 8 * 125 + 170
+        delta, added = solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(VC_SEA_BOS, 9)])
+        assert route1_count(delta) == 8
+        assert route2_count(delta) == 1
+        assert added == 8 * 125 + 170
 
     def test_two_route_capacity_ceiling(self):
         net = two_route_net()
-        sol = solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(VC_SEA_BOS, 16)])
-        assert sol.total_cost == 8 * 125 + 8 * 170
+        _delta, added = solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(VC_SEA_BOS, 16)])
+        assert added == 8 * 125 + 8 * 170
         with pytest.raises(InfeasibleError):
             solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(VC_SEA_BOS, 17)])
 
@@ -68,9 +67,7 @@ class TestSolve:
 
     def test_empty_requests_cost_zero(self):
         net = mknet([("A", "B", 2, 5)])
-        sol = solve_min_cost_rwa(net, Allocation.empty(), [])
-        assert sol.total_cost == 0
-        assert sol.delta == ()
+        assert solve_min_cost_rwa(net, Allocation.empty(), []) == ((), 0)
 
     def test_demand_above_wavelength_budget_infeasible(self):
         net = mknet([("A", "B", 5, 5)], wavelength_count=2)
@@ -81,10 +78,11 @@ class TestSolve:
         net = mknet([("A", "B", 3, 5)], wavelength_count=3)
         delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 2)
         state = apply_delta(Allocation.empty(), delta)
-        sol = solve_min_cost_rwa(net, state, [DemandRequest(VC_AB, 1)])
-        assert set(state.lightpaths) <= set(sol.allocation.lightpaths)
-        assert sol.total_cost == 15  # three units on the same 5-cost link
-        assert sol.added_cost == 5
+        extra, added = solve_min_cost_rwa(net, state, [DemandRequest(VC_AB, 1)])
+        merged = apply_delta(state, extra)
+        assert set(state.lightpaths) <= set(merged.lightpaths)
+        assert merged.total_cost(net) == 15  # three units on the same 5-cost link
+        assert added == 5
 
     def test_disconnected_vc_infeasible(self):
         net = mknet([("A", "B", 1, 1), ("C", "D", 1, 1)])
@@ -94,14 +92,14 @@ class TestSolve:
     def test_deterministic_under_link_permutation(self):
         base = [("A", "B", 1, 10), ("A", "C", 2, 1), ("C", "B", 1, 2), ("A", "D", 1, 4), ("D", "B", 2, 4)]
         requests = [DemandRequest(VC_AB, 2)]
-        reference = solve_min_cost_rwa(mknet(base, 3), Allocation.empty(), requests)
+        ref_delta, ref_cost = solve_min_cost_rwa(mknet(base, 3), Allocation.empty(), requests)
         rng = random.Random(5)
         for _ in range(5):
             shuffled = base[:]
             rng.shuffle(shuffled)
-            again = solve_min_cost_rwa(mknet(shuffled, 3), Allocation.empty(), requests)
-            assert again.total_cost == reference.total_cost
-            assert set(again.delta) == set(reference.delta)
+            delta, added = solve_min_cost_rwa(mknet(shuffled, 3), Allocation.empty(), requests)
+            assert added == ref_cost
+            assert set(delta) == set(ref_delta)
 
 
 class TestBruteForce:
@@ -118,9 +116,7 @@ class TestBruteForce:
 
     def test_empty_requests(self):
         net = mknet([("A", "B", 2, 5)])
-        sol = brute_force_rwa(net, Allocation.empty(), [])
-        assert sol.total_cost == 0
-        assert sol.delta == ()
+        assert brute_force_rwa(net, Allocation.empty(), []) == ((), 0)
 
     def test_oracle_equivalence_randomized(self):
         rng = random.Random(1234)
@@ -134,9 +130,9 @@ class TestBruteForce:
                 with pytest.raises(InfeasibleError):
                     solve_min_cost_rwa(net, Allocation.empty(), requests)
                 continue
-            got = solve_min_cost_rwa(net, Allocation.empty(), requests)
-            assert got.total_cost == expected.total_cost
-            assert set(got.delta) == set(expected.delta)  # identical tie-breaks
+            delta, added = solve_min_cost_rwa(net, Allocation.empty(), requests)
+            assert added == expected[1]
+            assert set(delta) == set(expected[0])  # identical tie-breaks
             feasible += 1
         assert feasible >= 20 and infeasible >= 5
 
@@ -145,9 +141,8 @@ class TestBruteForce:
         checked = 0
         for tag in range(40):
             net, requests = random_guard_instance(rng, 1000 + tag)
-            try:
-                seed_delta, _ = incremental_allocate(net, Allocation.empty(), requests[0].vc, 1)
-            except InfeasibleError:
+            seed_delta, _ = incremental_allocate(net, Allocation.empty(), requests[0].vc, 1)
+            if not seed_delta:
                 continue
             state = apply_delta(Allocation.empty(), seed_delta)
             tail = requests[1:] or requests
@@ -157,9 +152,9 @@ class TestBruteForce:
                 with pytest.raises(InfeasibleError):
                     solve_min_cost_rwa(net, state, tail)
                 continue
-            got = solve_min_cost_rwa(net, state, tail)
-            assert got.total_cost == expected.total_cost
-            assert set(got.delta) == set(expected.delta)
+            delta, added = solve_min_cost_rwa(net, state, tail)
+            assert added == expected[1]
+            assert set(delta) == set(expected[0])
             checked += 1
         assert checked >= 10
 
@@ -171,11 +166,11 @@ class TestBruteForce:
             if len(requests) < 2:
                 continue
             try:
-                smaller = solve_min_cost_rwa(net, Allocation.empty(), requests[:1])
-                bigger = solve_min_cost_rwa(net, Allocation.empty(), requests)
+                _, smaller = solve_min_cost_rwa(net, Allocation.empty(), requests[:1])
+                _, bigger = solve_min_cost_rwa(net, Allocation.empty(), requests)
             except InfeasibleError:
                 continue
-            assert bigger.total_cost >= smaller.total_cost
+            assert bigger >= smaller
             checked += 1
         assert checked >= 10
 
@@ -199,17 +194,17 @@ class TestIncremental:
         net = mknet([("A", "B", 1, 5)])
         delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 1)
         state = apply_delta(Allocation.empty(), delta)
-        with pytest.raises(InfeasibleError) as err:
-            incremental_allocate(net, state, VC_AB, 1)
-        assert err.value.placed == 0
+        assert incremental_allocate(net, state, VC_AB, 1) == ((), 0)
 
     def test_partial_exhaustion_carries_delta(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=5)
-        with pytest.raises(InfeasibleError) as err:
-            incremental_allocate(net, Allocation.empty(), VC_AB, 5)
-        assert err.value.placed == 3
-        assert len(err.value.delta) == 3
-        assert err.value.added_cost == 15
+        delta, added = incremental_allocate(net, Allocation.empty(), VC_AB, 5)
+        assert len(delta) == 3
+        assert added == 15
+
+    def test_disconnected_endpoints_place_nothing(self):
+        net = mknet([("A", "B", 1, 1), ("C", "D", 1, 1)])
+        assert incremental_allocate(net, Allocation.empty(), VirtualChannel("A", "C", "x"), 2) == ((), 0)
 
     def test_count_must_be_positive(self):
         net = mknet([("A", "B", 1, 5)])
@@ -229,14 +224,13 @@ class TestIncremental:
             net = random_parallel_routes_net(rng, tag)
             vc = VirtualChannel("S", "T", "p")
             q = rng.randint(1, min(4, net.wavelength_count))
-            try:
-                delta, added = incremental_allocate(net, Allocation.empty(), vc, q)
-            except InfeasibleError:
+            delta, added = incremental_allocate(net, Allocation.empty(), vc, q)
+            if len(delta) < q:
                 with pytest.raises(InfeasibleError):
                     brute_force_rwa(net, Allocation.empty(), [DemandRequest(vc, q)])
                 continue
-            exact = brute_force_rwa(net, Allocation.empty(), [DemandRequest(vc, q)])
-            assert added == exact.added_cost
+            _exact_delta, exact = brute_force_rwa(net, Allocation.empty(), [DemandRequest(vc, q)])
+            assert added == exact
             checked += 1
         assert checked >= 15
 
@@ -248,12 +242,11 @@ class TestIncremental:
             wavelength_count=2,
         )
         vc = VirtualChannel("S", "T", "p")
-        with pytest.raises(InfeasibleError) as err:
-            incremental_allocate(net, Allocation.empty(), vc, 2)
-        assert err.value.placed == 1
-        assert err.value.delta[0].cost(net) == 3
-        exact = solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(vc, 2)])
-        assert exact.total_cost == 22
+        delta, added = incremental_allocate(net, Allocation.empty(), vc, 2)
+        assert len(delta) == 1
+        assert delta[0].cost(net) == added == 3
+        _exact_delta, exact = solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(vc, 2)])
+        assert exact == 22
 
 
 class TestApplyDelta:
@@ -289,10 +282,7 @@ class TestApplyDelta:
             for step in range(rng.randint(1, 6)):
                 src, dst = rng.sample(nodes, 2)
                 vc = VirtualChannel(src, dst, f"V{step % 2}")
-                try:
-                    delta, _ = incremental_allocate(net, chain[-1], vc, rng.randint(1, 3))
-                except InfeasibleError as exc:
-                    delta = list(exc.delta)
+                delta, _ = incremental_allocate(net, chain[-1], vc, rng.randint(1, 3))
                 chain.append(apply_delta(chain[-1], delta))
             # every state of the chain, parents included, still indexes its own lightpaths
             for state in chain:
@@ -302,13 +292,7 @@ class TestApplyDelta:
             # both index the same cells, so the next placement agrees too
             src, dst = rng.sample(nodes, 2)
             vc = VirtualChannel(src, dst, "probe")
-            outcomes = []
-            for alloc in (state, whole):
-                try:
-                    outcomes.append(incremental_allocate(net, alloc, vc, 2))
-                except InfeasibleError as exc:
-                    outcomes.append((exc.placed, exc.delta))
-            assert outcomes[0] == outcomes[1]
+            assert incremental_allocate(net, state, vc, 2) == incremental_allocate(net, whole, vc, 2)
 
 
 class TestValidator:
@@ -317,15 +301,15 @@ class TestValidator:
         for tag in range(30):
             net, requests = random_guard_instance(rng, 3000 + tag)
             try:
-                sol = solve_min_cost_rwa(net, Allocation.empty(), requests)
+                delta, _ = solve_min_cost_rwa(net, Allocation.empty(), requests)
             except InfeasibleError:
                 continue
             demands = {}
             offset = 0
             for req in requests:  # delta keeps request order, one block per connection
-                demands[sol.delta[offset].conn] = req.count
+                demands[delta[offset].conn] = req.count
                 offset += req.count
-            assert validate_allocation(net, sol.allocation, demands) == []
+            assert validate_allocation(net, apply_delta(Allocation.empty(), delta), demands) == []
 
     def test_flags_discontinuous_hops(self):
         net = mknet([("A", "B", 2, 5), ("B", "C", 2, 5), ("C", "D", 2, 5)])
@@ -383,10 +367,9 @@ class TestValidator:
         # placement takes only wavelengths 1..W, and W+1 still counts against capacity 3
         delta, _ = incremental_allocate(net, state, VC_AB, 2)
         assert [lp.wavelength for lp in delta] == [1, 2]
-        sol = solve_min_cost_rwa(net, state, [DemandRequest(VC_AB, 2)])
-        assert sorted(lp.wavelength for lp in sol.delta) == [1, 2]
-        with pytest.raises(InfeasibleError):
-            incremental_allocate(net, apply_delta(state, delta), VC_AB, 1)
+        exact, _ = solve_min_cost_rwa(net, state, [DemandRequest(VC_AB, 2)])
+        assert sorted(lp.wavelength for lp in exact) == [1, 2]
+        assert incremental_allocate(net, apply_delta(state, delta), VC_AB, 1) == ((), 0)
 
     def test_verdict_comes_from_lightpaths_not_the_index(self):
         net = mknet([("A", "B", 2, 5), ("A", "C", 2, 5), ("C", "B", 2, 5)], wavelength_count=3)
