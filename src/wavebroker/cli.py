@@ -50,27 +50,35 @@ SEED_ENV_VAR = "SIM_SEED"
 _JSON_SCALAR = re.compile(r'"(?:[^"\\]|\\.)*"|-?Infinity|NaN|' + NUMBER_RE.pattern)
 
 
-class _NonFinite(ValueError):
-    """A number literal that reads as NaN or an infinity; its text is the argument."""
+class _BadNumber(ValueError):
+    """A number literal the scenario may not hold; the arguments are its text and why."""
 
 
 def _finite_float(token: str) -> float:
     """Decoder hook for float literals and for the constants NaN, Infinity and -Infinity."""
     value = float(token)
     if not math.isfinite(value):
-        raise _NonFinite(token)
+        raise _BadNumber(token, f"non-finite number {token} is not allowed")
     return value
 
 
+def _float_sized_int(token: str) -> int:
+    """Decoder hook for integer literals: any number field must also convert to a float."""
+    if not math.isfinite(float(token)):
+        shown = token if len(token) <= 24 else f"{token[:12]}... ({len(token)} characters)"
+        raise _BadNumber(token, f"integer {shown} is too large")
+    return int(token)
+
+
 def _decode_json(path, text: str):
-    """``json.loads`` that refuses NaN, Infinity and overflowing numbers, located."""
+    """``json.loads`` that refuses NaN, Infinity and numbers too large for a float, located."""
     try:
-        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
-    except _NonFinite as exc:
-        token = exc.args[0]
+        return json.loads(text, parse_constant=_finite_float, parse_float=_finite_float, parse_int=_float_sized_int)
+    except _BadNumber as exc:
+        token, why = exc.args
         # the decoder stops at the first such literal, so the first one outside strings is it
         pos = next(m.start() for m in _JSON_SCALAR.finditer(text) if m.group() == token)
-        err = json.JSONDecodeError(f"non-finite number {token} is not allowed", text, pos)
+        err = json.JSONDecodeError(why, text, pos)
     except json.JSONDecodeError as exc:
         err = exc
     raise ParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
@@ -102,23 +110,20 @@ def _parse_demand(obj, loc, problems):
         return None
     kind = _typed(obj, "kind", loc, str, problems)
     if kind == "linear":
-        a = _typed(obj, "a", loc, float, problems)
-        b = _typed(obj, "b", loc, float, problems)
-        if a is None or b is None:
-            return None
-        return LinearDemand(a=float(a), b=float(b))
-    if kind == "constant_elasticity":
-        a = _typed(obj, "a", loc, float, problems)
-        eps = _typed(obj, "eps", loc, float, problems)
-        if a is None or eps is None:
-            return None
-        try:
-            return ConstantElasticityDemand(a=float(a), eps=float(eps))
-        except ValueError as exc:
-            problems.append(f"{loc}: {exc}")
-            return None
-    problems.append(f"{loc}.kind: unknown demand kind {kind!r}")
-    return None
+        cls, params = LinearDemand, ("a", "b")
+    elif kind == "constant_elasticity":
+        cls, params = ConstantElasticityDemand, ("a", "eps")
+    else:
+        problems.append(f"{loc}.kind: unknown demand kind {kind!r}")
+        return None
+    values = [_typed(obj, name, loc, float, problems) for name in params]
+    if None in values:
+        return None
+    try:
+        return cls(*map(float, values))
+    except ValueError as exc:
+        problems.append(f"{loc}: {exc}")
+        return None
 
 
 def load_scenario(path: str | Path, fallback_seed: int | None = None) -> ScenarioConfig:

@@ -13,6 +13,7 @@ import hashlib
 import math
 import os
 import random
+import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -47,6 +48,10 @@ class LinearDemand:
     b: float
 
     kind = "linear"
+
+    def __post_init__(self):
+        if self.b < 0:
+            raise ValueError(f"slope b={self.b} is negative; demand must not rise with price")
 
     def quantity(self, price: int) -> int:
         return max(0, math.floor(self.a - self.b * price))
@@ -212,6 +217,10 @@ def settle(
 
 # -- scenario ------------------------------------------------------------------
 
+# Network ids and channel labels name output files and fill CSV cells.
+SAFE_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
+SAFE_ID_RULE = "must be letters, digits, '_', '-' or '.', not starting with '.'"
+
 @dataclass(frozen=True)
 class SupplierConfig:
     network: Network
@@ -246,6 +255,8 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         loc = f"networks[{i}]"
         if sup.network.id in seen_nets:
             problems.append(f"{loc}: duplicate network id {sup.network.id!r}")
+        if not SAFE_ID.fullmatch(sup.network.id):
+            problems.append(f"{loc}.id: {sup.network.id!r} {SAFE_ID_RULE}")
         seen_nets.add(sup.network.id)
         for v in validate_network(sup.network):
             problems.append(f"{loc}: {v}")
@@ -256,6 +267,8 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         loc = f"virtual_channels[{j}]"
         if ch.vc.label in labels:
             problems.append(f"{loc}: duplicate label {ch.vc.label!r}")
+        if not SAFE_ID.fullmatch(ch.vc.label):
+            problems.append(f"{loc}.label: {ch.vc.label!r} {SAFE_ID_RULE}")
         labels.add(ch.vc.label)
         for i, sup in enumerate(config.suppliers):
             for end in (ch.vc.src, ch.vc.dst):

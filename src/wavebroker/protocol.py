@@ -16,6 +16,7 @@ import dataclasses
 import random
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import RoundCapExceededError, Violation
 from .game import Bid, SupplierAgent, decide_bid, round_half_up
@@ -94,8 +95,7 @@ Message = Reqc | Offp | Ocl | Nack | Ack | Exc1 | Exc2
 _WIRE_NAMES = {Reqc: "reqc", Offp: "offp", Ocl: "ocl", Nack: "nack", Ack: "ack", Exc1: "exc_1", Exc2: "exc_2"}
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     round: int
     direction: str
     supplier_id: str
@@ -170,21 +170,21 @@ def run_competition(
     if round_cap < 1:
         raise ValueError("round_cap must be >= 1")
 
-    events: list[TraceEvent] = []
-    for s in suppliers:
-        events.append(TraceEvent(1, BROKER_TO_SUPPLIER, s.id, Reqc(vc.src, vc.dst)))
+    x, y = vc.src, vc.dst
+    reqc = Reqc(x, y)
+    events = [TraceEvent(1, BROKER_TO_SUPPLIER, s.id, reqc) for s in suppliers]
 
     mcs: dict[str, int] = {}
     bids: dict[str, int] = {}
     for s in suppliers:
         mc = mc_by_supplier.get(s.id) if mc_by_supplier is not None else s.next_unit_mc(vc)
         if mc is None:
-            events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Exc1(0, 0, vc.src, vc.dst)))
+            events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Exc1(0, 0, x, y)))
             continue
         mcs[s.id] = mc
         opening = round_half_up(s.markup * mc)
         bids[s.id] = opening
-        events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Offp(opening, vc.src, vc.dst)))
+        events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Offp(opening, x, y)))
 
     active = [s for s in suppliers if s.id in bids]
     if not active:
@@ -203,13 +203,13 @@ def run_competition(
         rnd += 1
         if rnd > round_cap:
             raise RoundCapExceededError(f"no resting price after {round_cap} rounds")
-        for s in active:
-            events.append(TraceEvent(rnd, BROKER_TO_SUPPLIER, s.id, Ocl(vc.src, vc.dst, current_min)))
+        ocl = Ocl(x, y, current_min)
+        events += [TraceEvent(rnd, BROKER_TO_SUPPLIER, s.id, ocl) for s in active]
         cutters: list[tuple[SupplierAgent, int]] = []
         for s in active:
             decision = decide_bid(current_min, mcs[s.id], s is leader, s.policy, rng)
             if isinstance(decision, Bid):
-                events.append(TraceEvent(rnd, SUPPLIER_TO_BROKER, s.id, Offp(decision.price, vc.src, vc.dst)))
+                events.append(TraceEvent(rnd, SUPPLIER_TO_BROKER, s.id, Offp(decision.price, x, y)))
                 cutters.append((s, decision.price))
         if not cutters:
             return CompetitionOutcome(leader.id, current_min, rnd, CompetitionTrace(tuple(events)), Termination.WON)

@@ -15,6 +15,9 @@ from .errors import NetworkTooLargeError, NoPathError, Violation
 # Complete simple-path enumeration is exponential; desk-scale graphs only.
 MAX_ROUTE_NODES = 12
 
+# Every placement probe builds a wavelength_count-bit mask per link.
+MAX_WAVELENGTH_COUNT = 4096
+
 Path = tuple[str, ...]
 
 
@@ -113,9 +116,9 @@ def validate_network(net: Network) -> list[Violation]:
     for node in net.nodes:
         if not node:
             violations.append(Violation("empty-node-id", "network contains an empty node label"))
-    if net.wavelength_count < 1:
+    if not 1 <= net.wavelength_count <= MAX_WAVELENGTH_COUNT:
         violations.append(
-            Violation("bad-wavelength-count", f"wavelength_count={net.wavelength_count}, need >= 1")
+            Violation("bad-wavelength-count", f"wavelength_count={net.wavelength_count}, need 1..{MAX_WAVELENGTH_COUNT}")
         )
     seen: set[tuple[str, str]] = set()
     for link in net.links:

@@ -11,6 +11,7 @@ from wavebroker.cli import (
     load_scenario,
     main,
 )
+from wavebroker.topology import MAX_WAVELENGTH_COUNT
 
 from conftest import scenario_path
 
@@ -107,6 +108,79 @@ class TestLoadScenario:
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: {p}:{line}:") and literal in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + "9" * 5000])
+    def test_integer_too_large_for_a_float_is_a_located_parse_error(self, tmp_path, capsys, literal):
+        doc = json.loads(open(scenario_path("duel")).read())
+        doc["virtual_channels"][0]["demand"]["a"] = "@"
+        text = json.dumps(doc, indent=2)
+        line = text[: text.index('"@"')].count("\n") + 1
+        p = tmp_path / "huge.json"
+        p.write_text(text.replace('"@"', literal))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {p}:{line}:") and "is too large" in err
+        assert len(err) < 200 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_largest_float_sized_integer_loads(self, tmp_path):
+        doc = json.loads(open(scenario_path("duel")).read())
+        doc["seed"] = 10**300
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc))
+        assert load_scenario(p).seed == 10**300
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            ("label", "a,b/../../escaped"),
+            ("label", ".hidden"),
+            ("label", "VC 1"),
+            ("network", "net/A"),
+            ("network", ".."),
+            ("network", ""),
+        ],
+    )
+    def test_unsafe_ids_are_config_errors(self, tmp_path, capsys, where, value):
+        doc = json.loads(open(scenario_path("duel")).read())
+        if where == "label":
+            doc["virtual_channels"][0]["label"] = value
+            for item in doc["schedule"]:
+                item["vc"] = value
+            loc = "virtual_channels[0].label"
+        else:
+            doc["networks"][1]["id"] = value
+            loc = "networks[1].id"
+        p = tmp_path / "unsafe.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "a" / "b" / "out"
+        assert main(["run", str(p), "--out", str(out), "--traces"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {loc}: {value!r} must be letters, digits" in err
+        assert [f.name for f in tmp_path.rglob("*") if f.is_file()] == ["unsafe.json"]
+
+    def test_rising_linear_demand_is_a_config_error(self, tmp_path, capsys):
+        doc = json.loads(open(scenario_path("duel")).read())
+        doc["virtual_channels"][0]["demand"]["b"] = -0.05
+        p = tmp_path / "rising.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert "virtual_channels[0].demand: slope b=-0.05 is negative" in capsys.readouterr().err
+        doc["virtual_channels"][0]["demand"]["b"] = 0
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_OK
+
+    def test_wavelength_count_above_the_bound_is_a_config_error(self, tmp_path, capsys):
+        doc = json.loads(open(scenario_path("duel")).read())
+        doc["networks"][0]["wavelength_count"] = MAX_WAVELENGTH_COUNT + 1
+        p = tmp_path / "wide.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_CONFIG
+        assert f"networks[0]: bad-wavelength-count: wavelength_count={MAX_WAVELENGTH_COUNT + 1}" in capsys.readouterr().err
+        doc["networks"][0]["wavelength_count"] = MAX_WAVELENGTH_COUNT
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_OK
 
 
 class TestRunCommand:

@@ -21,7 +21,9 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 from conftest import scenario_path  # noqa: E402
-from wavebroker.cli import main  # noqa: E402
+from wavebroker.cli import load_scenario, main  # noqa: E402
+from wavebroker.market import run_scenario  # noqa: E402
+from wavebroker.protocol import Offp  # noqa: E402
 
 GOLDEN = HERE / "golden" / "digests.json"
 SHIPPED = ("duel", "three_channels", "two_route_costcurve")
@@ -29,6 +31,8 @@ SWEEP_RUNS = 20
 
 CASES = {f"run/{name}": [scenario_path(name), "--traces"] for name in SHIPPED}
 CASES.update({f"sweep{SWEEP_RUNS}/{name}": [scenario_path(name), "--sweep", str(SWEEP_RUNS)] for name in ("duel", "three_channels")})
+# Six suppliers with small steps: rounds with several cutters and ties among them.
+CASES["run/six_way_race"] = [str(HERE / "golden" / "six_way_race.json"), "--traces"]
 
 
 def digests(case: str, out: Path) -> dict[str, str]:
@@ -48,6 +52,19 @@ def test_outputs_match_golden_digests(case, tmp_path):
     assert sorted(got) == sorted(want), f"{case}: written files differ from the golden list"
     changed = [name for name in want if got[name] != want[name]]
     assert not changed, f"{case}: bytes changed in {changed}"
+
+
+def test_six_way_race_has_rounds_with_tied_cutters():
+    """The six-way golden reaches the random pick among cutters tied at the round minimum."""
+    report = run_scenario(load_scenario(CASES["run/six_way_race"][0]))
+    tied_rounds = 0
+    for trace in report.traces:
+        bids: dict[int, list[int]] = {}
+        for ev in trace.events:
+            if ev.round > 1 and isinstance(ev.message, Offp):
+                bids.setdefault(ev.round, []).append(ev.message.p)
+        tied_rounds += sum(1 for prices in bids.values() if prices.count(min(prices)) >= 2)
+    assert tied_rounds > 0
 
 
 if __name__ == "__main__":

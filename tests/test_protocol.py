@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -198,3 +199,24 @@ class TestTraceFormat:
         assert format_event(ev) == "3\tsupplier->broker\tnetB\toffp\tp=725,x=S,y=T"
         ev2 = TraceEvent(1, BROKER_TO_SUPPLIER, "netA", Reqc("S", "T"))
         assert format_event(ev2) == "1\tbroker->supplier\tnetA\treqc\tx=S,y=T"
+
+    def test_trace_event_is_an_immutable_picklable_tuple(self):
+        ev = TraceEvent(2, BROKER_TO_SUPPLIER, "netA", Ocl("S", "T", 900))
+        assert TraceEvent._fields == ("round", "direction", "supplier_id", "message")
+        with pytest.raises(AttributeError):
+            ev.round = 3
+        assert not hasattr(ev, "__dict__")
+        back = pickle.loads(pickle.dumps(ev))
+        assert back == ev and type(back) is TraceEvent
+        assert format_event(back) == "2\tbroker->supplier\tnetA\tocl\tx=S,y=T,p=900"
+
+    def test_every_announcement_of_a_round_has_the_same_price(self):
+        suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
+        outcome = run_competition(VC, suppliers, BrokerAgent(), random.Random(5))
+        by_round: dict[int, set[Ocl]] = {}
+        for ev in outcome.trace.events:
+            if isinstance(ev.message, Ocl):
+                by_round.setdefault(ev.round, set()).add(ev.message)
+        assert len(by_round) == outcome.rounds - 1 > 5
+        assert all(len(msgs) == 1 for msgs in by_round.values())
+        assert [next(iter(by_round[r])).p for r in sorted(by_round)] == outcome.trace.ocl_prices()
