@@ -221,6 +221,7 @@ def settle(
 SAFE_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 SAFE_ID_RULE = "must be letters, digits, '_', '-' or '.', not starting with '.'"
 
+
 @dataclass(frozen=True)
 class SupplierConfig:
     network: Network

@@ -8,6 +8,11 @@ The current leader sits still; a round in which nobody cuts ends the
 auction with the leader winning at the standing minimum, as does a round
 with a single cutter right after a round that had several.  Demand and
 grant/deny messages are exchanged at settlement, after the price is final.
+
+Every message is recorded as it is sent.  A trace event is a named tuple
+(round, direction, supplier_id, message) and messages are frozen
+dataclasses that compare by value, so the announcements of one round
+share a single ``Ocl``; a long race records each event as one tuple.
 """
 
 from __future__ import annotations

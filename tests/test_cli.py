@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,10 @@ from conftest import scenario_path
 
 def read(path):
     return path.read_bytes()
+
+
+def duel_doc():
+    return json.loads(Path(scenario_path("duel")).read_text(encoding="utf-8"))
 
 
 class TestLoadScenario:
@@ -111,7 +116,7 @@ class TestLoadScenario:
 
     @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + "9" * 5000])
     def test_integer_too_large_for_a_float_is_a_located_parse_error(self, tmp_path, capsys, literal):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         doc["virtual_channels"][0]["demand"]["a"] = "@"
         text = json.dumps(doc, indent=2)
         line = text[: text.index('"@"')].count("\n") + 1
@@ -125,7 +130,7 @@ class TestLoadScenario:
         assert not out.exists()
 
     def test_largest_float_sized_integer_loads(self, tmp_path):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         doc["seed"] = 10**300
         p = tmp_path / "big.json"
         p.write_text(json.dumps(doc))
@@ -143,7 +148,7 @@ class TestLoadScenario:
         ],
     )
     def test_unsafe_ids_are_config_errors(self, tmp_path, capsys, where, value):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         if where == "label":
             doc["virtual_channels"][0]["label"] = value
             for item in doc["schedule"]:
@@ -161,7 +166,7 @@ class TestLoadScenario:
         assert [f.name for f in tmp_path.rglob("*") if f.is_file()] == ["unsafe.json"]
 
     def test_rising_linear_demand_is_a_config_error(self, tmp_path, capsys):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         doc["virtual_channels"][0]["demand"]["b"] = -0.05
         p = tmp_path / "rising.json"
         p.write_text(json.dumps(doc))
@@ -172,7 +177,7 @@ class TestLoadScenario:
         assert main(["validate", str(p)]) == EXIT_OK
 
     def test_wavelength_count_above_the_bound_is_a_config_error(self, tmp_path, capsys):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         doc["networks"][0]["wavelength_count"] = MAX_WAVELENGTH_COUNT + 1
         p = tmp_path / "wide.json"
         p.write_text(json.dumps(doc))

@@ -11,6 +11,7 @@ or 4 with no traceback, and write nothing outside ``--out``.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -44,7 +45,7 @@ SENTINEL = "\x00fuzz"
 
 
 def _base() -> dict:
-    doc = json.loads(open(scenario_path("duel"), encoding="utf-8").read())
+    doc = json.loads(Path(scenario_path("duel")).read_text(encoding="utf-8"))
     doc["schedule"] = doc["schedule"][:1]
     return doc
 
@@ -64,8 +65,7 @@ def _at(doc, path):
 
 
 def _mutants():
-    base_paths = list(_paths(_base()))
-    for path in base_paths:
+    for path in _paths(_base()):
         for literal in POOL:
             doc = _base()
             _at(doc, path)[path[-1]] = SENTINEL
