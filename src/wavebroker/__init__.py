@@ -52,7 +52,6 @@ from .market import (
     settle,
 )
 from .protocol import (
-    BrokerAgent,
     CompetitionOutcome,
     CompetitionTrace,
     Termination,

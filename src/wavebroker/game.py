@@ -4,6 +4,13 @@ A supplier undercuts the standing minimum by a step drawn uniformly from
 its policy interval, as long as the resulting price does not fall below
 its own next-unit marginal cost.  The undercutting race therefore rests
 near the runner-up marginal cost, within a band set by the step extremes.
+
+The step is ``random.Random.randint(l_min, l_max)`` written out on
+``getrandbits``: with ``width = l_max - l_min + 1``, draw
+``width.bit_length()`` bits until they fall below ``width``.  That is
+CPython 3.11's ``_randbelow`` loop, so the step has the same value and
+leaves the generator in the same state, without the three Python-level
+frames (``randint``, ``randrange``, ``_randbelow``) it goes through.
 """
 
 from __future__ import annotations
@@ -30,22 +37,17 @@ class UndercutPolicy:
             raise ValueError(f"need 0 < l_min <= l_max, got [{self.l_min}, {self.l_max}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bid:
     price: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pass:
     pass
 
 
 PASS = Pass()
-
-
-def sample_undercut(policy: UndercutPolicy, rng: random.Random) -> int:
-    """One uniform draw from [l_min, l_max], inclusive, in integer minor units."""
-    return rng.randint(policy.l_min, policy.l_max)
 
 
 def decide_bid(
@@ -60,14 +62,31 @@ def decide_bid(
     The current leader always passes and consumes no randomness.  Everyone
     else samples a step first and passes if the resulting price would dip
     below their own marginal cost; landing exactly on it is a valid bid.
+
+    The step is drawn inline, as the module docstring describes, because
+    the race makes this call once per supplier and round.
     """
     if is_leader:
         return PASS
-    step = sample_undercut(policy, rng)
-    candidate = current_min - step
+    l_min = policy.l_min
+    width = policy.l_max - l_min + 1
+    bits = width.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= width:
+        r = rng.getrandbits(bits)
+    candidate = current_min - l_min - r
     if candidate >= own_next_unit_mc:
         return Bid(candidate)
     return PASS
+
+
+def sample_undercut(policy: UndercutPolicy, rng: random.Random) -> int:
+    """One uniform draw from [l_min, l_max], inclusive, in integer minor units.
+
+    This is the step ``decide_bid`` cuts by, read off a bid that cannot
+    fall below its cost, so the draw has a single definition.
+    """
+    return -decide_bid(0, -policy.l_max, False, policy, rng).price
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .protocol import (
     BROKER_TO_SUPPLIER,
     SUPPLIER_TO_BROKER,
     Ack,
-    BrokerAgent,
     CompetitionOutcome,
     CompetitionTrace,
     DEFAULT_ROUND_CAP,
@@ -54,7 +53,9 @@ class LinearDemand:
             raise ValueError(f"slope b={self.b} is negative; demand must not rise with price")
 
     def quantity(self, price: int) -> int:
-        return max(0, math.floor(self.a - self.b * price))
+        # a steep slope can overflow to -inf, which floor() refuses
+        q = self.a - self.b * price
+        return math.floor(q) if q > 0 else 0
 
 
 @dataclass(frozen=True)
@@ -221,6 +222,11 @@ def settle(
 SAFE_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 SAFE_ID_RULE = "must be letters, digits, '_', '-' or '.', not starting with '.'"
 
+# A simple path costs at most the sum of its network's link unit costs, so
+# markup times that sum bounds every opening bid.  Up to 2**53 the float
+# product, and so the bid, is an exact integer.
+MAX_OPENING_BID = 2**53
+
 
 @dataclass(frozen=True)
 class SupplierConfig:
@@ -263,6 +269,12 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
             problems.append(f"{loc}: {v}")
         if sup.markup < 1:
             problems.append(f"{loc}: markup {sup.markup} is below 1")
+        total_cost = sum(link.unit_cost for link in sup.network.links)
+        if total_cost > MAX_OPENING_BID or sup.markup * total_cost > MAX_OPENING_BID:
+            problems.append(
+                f"{loc}: markup {sup.markup} times the summed link unit_cost {total_cost} exceeds 2**53,"
+                " so opening bids would not be exact integers"
+            )
     labels: set[str] = set()
     for j, ch in enumerate(config.channels):
         loc = f"virtual_channels[{j}]"
@@ -336,7 +348,6 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         SupplierAgent(sc.network.id, sc.network, Allocation.empty(), sc.policy, sc.markup)
         for sc in config.suppliers
     ]
-    broker = BrokerAgent()
     channels = {ch.vc.label: ch for ch in config.channels}
     ledger = ProfitLedger()
     for agent in agents:
@@ -353,7 +364,7 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         if len(priced) >= 2:
             bound = equilibrium_bounds([mc for _, mc in priced], [a.policy for a, _ in priced])
 
-        outcome = run_competition(ch.vc, agents, broker, rng, config.round_cap, mc_by_supplier=mcs)
+        outcome = run_competition(ch.vc, agents, rng, config.round_cap, mc_by_supplier=mcs)
         if outcome.termination is Termination.WON:
             winner = next(a for a in agents if a.id == outcome.winner)
             result = settle(outcome, ch.demand, winner, ch.vc, reject_partial=config.reject_partial)

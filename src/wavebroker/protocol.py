@@ -10,9 +10,14 @@ with a single cutter right after a round that had several.  Demand and
 grant/deny messages are exchanged at settlement, after the price is final.
 
 Every message is recorded as it is sent.  A trace event is a named tuple
-(round, direction, supplier_id, message) and messages are frozen
+(round, direction, supplier_id, message) and messages are frozen, slotted
 dataclasses that compare by value, so the announcements of one round
 share a single ``Ocl``; a long race records each event as one tuple.
+
+Each round asks every active supplier but the leader for a decision
+through ``game.decide_bid``; the leader would pass and draw nothing, so it
+is skipped without a call.  The round minimum, its tied cutters and the
+number of cutters are tracked as the bids arrive.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .errors import RoundCapExceededError, Violation
-from .game import Bid, SupplierAgent, decide_bid, round_half_up
+from .game import PASS, SupplierAgent, decide_bid, round_half_up
 from .topology import VirtualChannel
 
 BROKER_TO_SUPPLIER = "broker->supplier"
@@ -33,7 +38,7 @@ SUPPLIER_TO_BROKER = "supplier->broker"
 DEFAULT_ROUND_CAP = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reqc:
     """Open a competition for the virtual link x-y."""
 
@@ -41,7 +46,7 @@ class Reqc:
     y: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Offp:
     """A supplier's per-wavelength price offer."""
 
@@ -50,7 +55,7 @@ class Offp:
     y: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ocl:
     """Broker: beat this price.  Carries no bidder identity."""
 
@@ -59,7 +64,7 @@ class Ocl:
     p: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nack:
     """The link request is not granted."""
 
@@ -67,7 +72,7 @@ class Nack:
     y: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ack:
     """The link request is granted with d wavelengths to provision."""
 
@@ -76,7 +81,7 @@ class Ack:
     d: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exc1:
     """Supplier exception: only d of the requested wavelengths fit (0 = none)."""
 
@@ -86,7 +91,7 @@ class Exc1:
     y: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exc2:
     """Broker exception: at price p the demand is zero."""
 
@@ -147,17 +152,9 @@ class CompetitionOutcome:
     termination: Termination
 
 
-@dataclass(frozen=True)
-class BrokerAgent:
-    """The auctioneer; demand behavior lives with market settlement."""
-
-    id: str = "broker"
-
-
 def run_competition(
     vc: VirtualChannel,
     suppliers: list[SupplierAgent],
-    broker: BrokerAgent,
     rng: random.Random,
     round_cap: int = DEFAULT_ROUND_CAP,
     mc_by_supplier: dict[str, int | None] | None = None,
@@ -202,6 +199,13 @@ def run_competition(
     if len(active) == 1:
         return CompetitionOutcome(leader.id, current_min, 1, CompetitionTrace(tuple(events)), Termination.WON)
 
+    # A race records an event per supplier and round, so events are built
+    # with tuple.__new__: what the TraceEvent constructor returns, without
+    # its Python-level frame.
+    bidders = [(s, s.id, mcs[s.id], s.policy) for s in active]
+    ids = [s.id for s in active]
+    new_event = tuple.__new__
+    append = events.append
     prev_contested = False
     rnd = 1
     while True:
@@ -209,23 +213,33 @@ def run_competition(
         if rnd > round_cap:
             raise RoundCapExceededError(f"no resting price after {round_cap} rounds")
         ocl = Ocl(x, y, current_min)
-        events += [TraceEvent(rnd, BROKER_TO_SUPPLIER, s.id, ocl) for s in active]
-        cutters: list[tuple[SupplierAgent, int]] = []
-        for s in active:
-            decision = decide_bid(current_min, mcs[s.id], s is leader, s.policy, rng)
-            if isinstance(decision, Bid):
-                events.append(TraceEvent(rnd, SUPPLIER_TO_BROKER, s.id, Offp(decision.price, x, y)))
-                cutters.append((s, decision.price))
-        if not cutters:
+        events += [new_event(TraceEvent, (rnd, BROKER_TO_SUPPLIER, sid, ocl)) for sid in ids]
+        # The cutters of this round: how many, their lowest price, and the
+        # first to reach it; ``tied`` lists all who reached it once two have.
+        n_cutters = 0
+        round_min = first_at_min = tied = None
+        for s, sid, mc, policy in bidders:
+            if s is leader:
+                continue
+            decision = decide_bid(current_min, mc, False, policy, rng)
+            if decision is PASS:
+                continue
+            price = decision.price
+            append(new_event(TraceEvent, (rnd, SUPPLIER_TO_BROKER, sid, Offp(price, x, y))))
+            n_cutters += 1
+            if round_min is None or price < round_min:
+                round_min, first_at_min, tied = price, s, None
+            elif price == round_min:
+                if tied is None:
+                    tied = [first_at_min]
+                tied.append(s)
+        if not n_cutters:
             return CompetitionOutcome(leader.id, current_min, rnd, CompetitionTrace(tuple(events)), Termination.WON)
-        if len(cutters) == 1 and prev_contested:
-            winner, price = cutters[0]
-            return CompetitionOutcome(winner.id, price, rnd, CompetitionTrace(tuple(events)), Termination.WON)
-        round_min = min(price for _, price in cutters)
-        tied = [s for s, price in cutters if price == round_min]
-        leader = tied[0] if len(tied) == 1 else rng.choice(tied)
+        if n_cutters == 1 and prev_contested:
+            return CompetitionOutcome(first_at_min.id, round_min, rnd, CompetitionTrace(tuple(events)), Termination.WON)
+        leader = first_at_min if tied is None else rng.choice(tied)
         current_min = round_min
-        prev_contested = len(cutters) >= 2
+        prev_contested = n_cutters >= 2
 
 
 def validate_trace(trace: CompetitionTrace) -> list[Violation]:

@@ -9,7 +9,6 @@ from contextlib import contextmanager
 
 from wavebroker import (
     Allocation,
-    BrokerAgent,
     CurveSegment,
     DemandRequest,
     EmptyCurveError,
@@ -98,7 +97,7 @@ def test_criterion_3_duel_price_band():
         vc = VirtualChannel("S", "T", "VC1")
         for seed in range(1000):
             a, b = duel_supplier("A", 600), duel_supplier("B", 400)
-            outcome = run_competition(vc, [a, b], BrokerAgent(), random.Random(seed))
+            outcome = run_competition(vc, [a, b], random.Random(seed))
             assert outcome.termination is Termination.WON
             assert outcome.winner == "B", f"seed {seed}: {outcome.winner} won"
             assert 500 <= outcome.final_price <= 700, f"seed {seed}: price {outcome.final_price}"
@@ -110,7 +109,7 @@ def test_criterion_4_equal_mc_split():
         wins = {"A": 0, "B": 0}
         for seed in range(10_000):
             a, b = duel_supplier("A", 500), duel_supplier("B", 500)
-            outcome = run_competition(vc, [a, b], BrokerAgent(), random.Random(seed))
+            outcome = run_competition(vc, [a, b], random.Random(seed))
             wins[outcome.winner] += 1
         for sid in ("A", "B"):
             rate = wins[sid] / 10_000
@@ -158,7 +157,7 @@ def test_criterion_5_allocation_invariant_fuzz():
             expected_counts = {net.id: {} for net in nets}
             for _ in range(12):
                 steps += 1
-                outcome = run_competition(vc, agents, BrokerAgent(), rng)
+                outcome = run_competition(vc, agents, rng)
                 if outcome.termination is not Termination.WON:
                     break
                 winner = next(ag for ag in agents if ag.id == outcome.winner)
@@ -191,7 +190,7 @@ def test_criterion_6_trace_conformance():
                         1.0 + rng.random() * 2.5,
                     )
                 )
-            outcome = run_competition(vc, suppliers, BrokerAgent(), random.Random(trial))
+            outcome = run_competition(vc, suppliers, random.Random(trial))
             assert validate_trace(outcome.trace) == []
             prices = outcome.trace.ocl_prices()
             assert all(p1 > p2 for p1, p2 in zip(prices, prices[1:]))

@@ -188,6 +188,30 @@ class TestLoadScenario:
         assert main(["validate", str(p)]) == EXIT_OK
 
 
+    @pytest.mark.parametrize("field, value", [("unit_cost", 10**308), ("markup", 1e308), ("unit_cost", 2**52 + 1)])
+    def test_opening_bid_above_2_53_is_a_config_error(self, tmp_path, capsys, field, value):
+        doc = duel_doc()
+        if field == "unit_cost":
+            doc["networks"][1]["links"][0]["unit_cost"] = value
+        else:
+            doc["networks"][1]["markup"] = value
+        p = tmp_path / "costly.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(p), "--out", str(out), "--traces"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: networks[1]: markup" in err and "exceeds 2**53" in err
+        assert "networks[0]" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_opening_bid_of_2_53_runs(self, tmp_path):
+        doc = duel_doc()
+        doc["networks"][1]["links"][0]["unit_cost"] = 2**52
+        p = tmp_path / "costly.json"
+        p.write_text(json.dumps(doc))
+        assert main(["run", str(p), "--out", str(tmp_path / "out")]) == EXIT_OK
+
+
 class TestRunCommand:
     def test_run_writes_reports(self, tmp_path):
         out = tmp_path / "out"

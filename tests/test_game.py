@@ -89,6 +89,25 @@ class TestDecideBid:
             assert decision.price < current
 
 
+class TestDrawMatchesRandint:
+    """The race's draw is ``randint`` written out; a Python whose ``randint``
+    draws differently fails here instead of silently moving the goldens."""
+
+    WIDTHS = [*range(1, 71), 2**31, 2**53 + 1]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_same_values_and_stream_position_as_randint(self, width):
+        for seed in range(50):
+            l_min = 1 + seed % 7
+            policy = UndercutPolicy(l_min, l_min + width - 1)
+            race, ref = random.Random(seed), random.Random(seed)
+            for _ in range(4):
+                decision = decide_bid(policy.l_max, 0, False, policy, race)
+                assert policy.l_max - decision.price == ref.randint(policy.l_min, policy.l_max)
+            assert sample_undercut(policy, race) == ref.randint(policy.l_min, policy.l_max)
+            assert race.getstate() == ref.getstate()
+
+
 class TestEquilibriumBounds:
     def test_two_supplier_band(self):
         bound = equilibrium_bounds([600, 400], [UndercutPolicy(50, 100), UndercutPolicy(50, 100)])

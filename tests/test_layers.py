@@ -1,24 +1,50 @@
-"""The benchmark's per-layer tracer still finds every binding it wraps.
+"""The benchmark's per-layer tracer still finds, and sees called, every binding it wraps.
 
 A refactor that renames or removes a traced binding would otherwise zero
-that layer's metrics without any error.
+that layer's metrics without any error, and so would one that keeps the
+binding but stops calling through it.
 """
 
 import importlib.util
 from pathlib import Path
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+from wavebroker import cli, rwa
+
+REPO = Path(__file__).resolve().parents[1]
+LAYERS = REPO / "perfbench" / "layers.py"
 
 # Bindings the tracer lists ahead of the code that will call through them.
 NOT_YET_CALLED = {"wavebroker.market.solve_min_cost_rwa"}
 
 
-def test_tracer_finds_every_traced_binding():
+def _layers():
     spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    tracer = layers.Tracer()
+    return layers
+
+
+def test_tracer_finds_every_traced_binding():
+    tracer = _layers().Tracer()
     tracer.install()
     tracer.uninstall()
     assert tracer.absent_layers == []
     assert set(tracer.missing) <= NOT_YET_CALLED
+
+
+def test_every_traced_layer_is_called_in_a_traced_run(tmp_path):
+    tracer = _layers().Tracer()
+    # The path tables are cached by network value; after an earlier run of
+    # the same scenario route_candidates would not be called.
+    rwa._path_tables.cache_clear()
+    tracer.install()
+    try:
+        code = cli.main(["run", str(REPO / "tests" / "golden" / "six_way_race.json"), "--out", str(tmp_path), "--traces"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = tracer.metrics()
+    calls = {name: n for name, n in metrics.items() if name.endswith(".calls")}
+    idle = [name for name, n in calls.items() if n <= 0 and name != "rwa.solve_min_cost_rwa.calls"]
+    assert calls and idle == []
+    assert metrics["game.decide_bid.cut_ratio"] > 0

@@ -4,7 +4,6 @@ import pytest
 
 from wavebroker import (
     Allocation,
-    BrokerAgent,
     ChannelConfig,
     ConfigError,
     ConstantElasticityDemand,
@@ -44,7 +43,7 @@ def supplier(sid, unit_cost, capacity=1000, wavelengths=1000):
 def won_outcome(mc_a=600, mc_b=400, seed=17):
     """A decided duel; the final price lands somewhere in [500, 700]."""
     a, b = supplier("A", mc_a), supplier("B", mc_b)
-    outcome = run_competition(VC, [a, b], BrokerAgent(), random.Random(seed))
+    outcome = run_competition(VC, [a, b], random.Random(seed))
     assert outcome.winner == "B" and 500 <= outcome.final_price <= 700
     return outcome, b
 
@@ -62,6 +61,9 @@ def duel_config(schedule_len=10, seed=42, mc_a=600, mc_b=400, demand=None, cap=1
 class TestBrokerDemand:
     def test_linear(self):
         assert broker_demand(LinearDemand(100, 2), 10) == 80
+
+    def test_linear_slope_overflowing_to_minus_infinity_is_zero(self):
+        assert broker_demand(LinearDemand(a=40, b=1e308), 800) == 0
 
     def test_linear_boundary_hits_zero(self):
         assert broker_demand(LinearDemand(100, 2), 50) == 0
@@ -142,7 +144,7 @@ class TestSettle:
 
     def test_requires_a_won_auction(self):
         dry_a, dry_b = supplier("A", 1, capacity=0), supplier("B", 1, capacity=0)
-        outcome = run_competition(VC, [dry_a, dry_b], BrokerAgent(), random.Random(0))
+        outcome = run_competition(VC, [dry_a, dry_b], random.Random(0))
         with pytest.raises(InvalidOutcomeError):
             settle(outcome, LinearDemand(10, 0.1), dry_a, VC)
 

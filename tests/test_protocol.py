@@ -7,7 +7,8 @@ import pytest
 
 from wavebroker import (
     Allocation,
-    BrokerAgent,
+    Bid,
+    CompetitionOutcome,
     CompetitionTrace,
     RoundCapExceededError,
     SupplierAgent,
@@ -17,6 +18,7 @@ from wavebroker import (
     run_competition,
     validate_trace,
 )
+from wavebroker.game import PASS, round_half_up
 from wavebroker.protocol import (
     BROKER_TO_SUPPLIER,
     SUPPLIER_TO_BROKER,
@@ -41,7 +43,7 @@ def supplier(sid, unit_cost, capacity=1000, policy=POLICY, markup=2.0, wavelengt
 
 def duel(seed, mc_a=600, mc_b=400):
     a, b = supplier("A", mc_a), supplier("B", mc_b)
-    return run_competition(VC, [a, b], BrokerAgent(), random.Random(seed))
+    return run_competition(VC, [a, b], random.Random(seed))
 
 
 class TestDuel:
@@ -62,7 +64,7 @@ class TestGateExceptions:
     def test_single_capable_supplier_wins_at_opening_bid_in_one_round(self):
         capable = supplier("A", 600)
         dry = supplier("B", 400, capacity=0)
-        outcome = run_competition(VC, [capable, dry], BrokerAgent(), random.Random(0))
+        outcome = run_competition(VC, [capable, dry], random.Random(0))
         assert outcome.termination is Termination.WON
         assert outcome.winner == "A"
         assert outcome.final_price == 1200
@@ -72,7 +74,7 @@ class TestGateExceptions:
 
     def test_all_declining_ends_with_no_winner(self):
         outcome = run_competition(
-            VC, [supplier("A", 1, capacity=0), supplier("B", 1, capacity=0)], BrokerAgent(), random.Random(0)
+            VC, [supplier("A", 1, capacity=0), supplier("B", 1, capacity=0)], random.Random(0)
         )
         assert outcome.termination is Termination.ALL_DECLINED
         assert outcome.winner is None
@@ -80,7 +82,7 @@ class TestGateExceptions:
 
     def test_no_suppliers_is_an_error(self):
         with pytest.raises(ValueError):
-            run_competition(VC, [], BrokerAgent(), random.Random(0))
+            run_competition(VC, [], random.Random(0))
 
 
 class TestMultiSupplier:
@@ -90,7 +92,7 @@ class TestMultiSupplier:
         a = supplier("A", 800, policy=UndercutPolicy(50, 50), markup=1.25)
         b = supplier("B", 800, policy=UndercutPolicy(100, 100), markup=1.2375)
         c = supplier("C", 800, policy=UndercutPolicy(100, 100), markup=1.225)
-        outcome = run_competition(VC, [a, b, c], BrokerAgent(), random.Random(1))
+        outcome = run_competition(VC, [a, b, c], random.Random(1))
         assert outcome.rounds == 3
         assert outcome.winner == "A"
         assert outcome.final_price == 830
@@ -104,7 +106,7 @@ class TestMultiSupplier:
     def test_round_cap_guard(self):
         a, b = supplier("A", 600), supplier("B", 400)
         with pytest.raises(RoundCapExceededError):
-            run_competition(VC, [a, b], BrokerAgent(), random.Random(0), round_cap=1)
+            run_competition(VC, [a, b], random.Random(0), round_cap=1)
 
 
 class TestTraceConformance:
@@ -122,7 +124,7 @@ class TestTraceConformance:
                 )
                 for i in range(n)
             ]
-            outcome = run_competition(VC, suppliers, BrokerAgent(), random.Random(trial))
+            outcome = run_competition(VC, suppliers, random.Random(trial))
             assert validate_trace(outcome.trace) == []
 
     def test_announced_minimum_strictly_decreases(self):
@@ -138,7 +140,7 @@ class TestTraceConformance:
             policy = UndercutPolicy(lo, lo + rng.randint(0, 80))
             mc_a, mc_b = rng.randint(100, 900), rng.randint(100, 900)
             a, b = supplier("A", mc_a, policy=policy), supplier("B", mc_b, policy=policy)
-            outcome = run_competition(VC, [a, b], BrokerAgent(), random.Random(trial))
+            outcome = run_competition(VC, [a, b], random.Random(trial))
             max_bid = max(2 * mc_a, 2 * mc_b)
             bound = math.ceil((max_bid - min(mc_a, mc_b)) / policy.l_min) + 2
             assert outcome.rounds <= bound
@@ -212,7 +214,7 @@ class TestTraceFormat:
 
     def test_every_announcement_of_a_round_has_the_same_price(self):
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
-        outcome = run_competition(VC, suppliers, BrokerAgent(), random.Random(5))
+        outcome = run_competition(VC, suppliers, random.Random(5))
         by_round: dict[int, set[Ocl]] = {}
         for ev in outcome.trace.events:
             if isinstance(ev.message, Ocl):
@@ -220,3 +222,108 @@ class TestTraceFormat:
         assert len(by_round) == outcome.rounds - 1 > 5
         assert all(len(msgs) == 1 for msgs in by_round.values())
         assert [next(iter(by_round[r])).p for r in sorted(by_round)] == outcome.trace.ocl_prices()
+
+
+def reference_decide(current_min, own_next_unit_mc, is_leader, policy, rng):
+    """The decision as first written: ``randint`` for the step."""
+    if is_leader:
+        return PASS
+    candidate = current_min - rng.randint(policy.l_min, policy.l_max)
+    return Bid(candidate) if candidate >= own_next_unit_mc else PASS
+
+
+def reference_race(vc, suppliers, rng, round_cap=10_000, mc_by_supplier=None):
+    """The race loop as first written: one decision per active supplier and
+    round, the leader's included, and the round minimum found afterwards."""
+    x, y = vc.src, vc.dst
+    reqc = Reqc(x, y)
+    events = [TraceEvent(1, BROKER_TO_SUPPLIER, s.id, reqc) for s in suppliers]
+    mcs, bids = {}, {}
+    for s in suppliers:
+        mc = mc_by_supplier.get(s.id) if mc_by_supplier is not None else s.next_unit_mc(vc)
+        if mc is None:
+            events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Exc1(0, 0, x, y)))
+            continue
+        mcs[s.id] = mc
+        bids[s.id] = round_half_up(s.markup * mc)
+        events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Offp(bids[s.id], x, y)))
+    active = [s for s in suppliers if s.id in bids]
+    if not active:
+        return CompetitionOutcome(None, None, 1, CompetitionTrace(tuple(events)), Termination.ALL_DECLINED)
+    current_min = min(bids.values())
+    tied = [s for s in active if bids[s.id] == current_min]
+    leader = tied[0] if len(tied) == 1 else rng.choice(tied)
+    if len(active) == 1:
+        return CompetitionOutcome(leader.id, current_min, 1, CompetitionTrace(tuple(events)), Termination.WON)
+    prev_contested = False
+    rnd = 1
+    while True:
+        rnd += 1
+        if rnd > round_cap:
+            raise RoundCapExceededError(f"no resting price after {round_cap} rounds")
+        ocl = Ocl(x, y, current_min)
+        events += [TraceEvent(rnd, BROKER_TO_SUPPLIER, s.id, ocl) for s in active]
+        cutters = []
+        for s in active:
+            decision = reference_decide(current_min, mcs[s.id], s is leader, s.policy, rng)
+            if isinstance(decision, Bid):
+                events.append(TraceEvent(rnd, SUPPLIER_TO_BROKER, s.id, Offp(decision.price, x, y)))
+                cutters.append((s, decision.price))
+        if not cutters:
+            return CompetitionOutcome(leader.id, current_min, rnd, CompetitionTrace(tuple(events)), Termination.WON)
+        if len(cutters) == 1 and prev_contested:
+            winner, price = cutters[0]
+            return CompetitionOutcome(winner.id, price, rnd, CompetitionTrace(tuple(events)), Termination.WON)
+        round_min = min(price for _, price in cutters)
+        tied = [s for s, price in cutters if price == round_min]
+        leader = tied[0] if len(tied) == 1 else rng.choice(tied)
+        current_min = round_min
+        prev_contested = len(cutters) >= 2
+
+
+def random_market(rng, tied_openings):
+    """2-8 suppliers with steps of 1-6; some decline, some share an opening price."""
+    n = rng.randint(2, 8)
+    cost, markup = rng.randint(100, 130), rng.choice((1.5, 2.0, 2.25))
+    out = []
+    for i in range(n):
+        lo = rng.randint(1, 6)
+        out.append(
+            supplier(
+                f"S{i}",
+                cost if tied_openings else rng.randint(100, 130),
+                capacity=0 if rng.random() < 0.1 else 1000,
+                policy=UndercutPolicy(lo, rng.randint(lo, 6)),
+                markup=markup if tied_openings else rng.choice((1.5, 2.0, 2.25)),
+            )
+        )
+    return out
+
+
+def race_result(race, suppliers, seed, **kwargs):
+    """Everything a race shows: trace lines, outcome, and the generator's final state."""
+    rng = random.Random(seed)
+    try:
+        out = race(VC, suppliers, rng, **kwargs)
+    except RoundCapExceededError as exc:
+        return ("round cap", str(exc), rng.getstate())
+    return (out.trace.lines(), out.winner, out.final_price, out.rounds, out.termination, rng.getstate())
+
+
+class TestRaceMatchesReference:
+    @pytest.mark.parametrize("tied_openings", [False, True])
+    def test_random_markets(self, tied_openings):
+        rng = random.Random(2024 + tied_openings)
+        for trial in range(150):
+            suppliers = random_market(rng, tied_openings)
+            kwargs = {}
+            if trial % 2:
+                kwargs["mc_by_supplier"] = {s.id: s.next_unit_mc(VC) for s in suppliers}
+            want = race_result(reference_race, suppliers, trial, **kwargs)
+            assert race_result(run_competition, suppliers, trial, **kwargs) == want, trial
+
+    def test_round_cap(self):
+        suppliers = [supplier(f"S{i}", 100, policy=UndercutPolicy(1, 2)) for i in range(6)]
+        want = race_result(reference_race, suppliers, 3, round_cap=12)
+        assert want[0] == "round cap"
+        assert race_result(run_competition, suppliers, 3, round_cap=12) == want

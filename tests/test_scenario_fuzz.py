@@ -28,6 +28,8 @@ POOL = (
     '""',
     '"x/y"',
     "1" + "0" * 400,
+    "1" + "0" * 308,
+    "1e308",
     "7" * 5000,
     "9" * 30,
     "-1",
