@@ -19,6 +19,7 @@ from .errors import (
     InvalidOutcomeError,
     NetworkTooLargeError,
     NoPathError,
+    OutputError,
     ParseError,
     RoundCapExceededError,
     UnknownNetworkError,

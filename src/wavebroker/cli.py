@@ -19,7 +19,7 @@ from json.scanner import NUMBER_RE
 from pathlib import Path
 
 from .cost import curve_csv_rows, total_cost_curve
-from .errors import ConfigError, ParseError, WavebrokerError
+from .errors import ConfigError, OutputError, ParseError, WavebrokerError
 from .game import UndercutPolicy
 from .market import (
     ChannelConfig,
@@ -235,9 +235,12 @@ def load_scenario(path: str | Path, fallback_seed: int | None = None) -> Scenari
 # -- output writers ---------------------------------------------------------------
 
 def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def ledger_csv(report: Report) -> str:
@@ -386,6 +389,8 @@ def _cmd_curve(args) -> int:
     wanted = [s for s in config.suppliers if args.network in (None, s.network.id)]
     if not wanted:
         raise ConfigError(f"--network: no network with id {args.network!r}")
+    if args.qmax < 1:
+        raise ConfigError("--qmax: probe depth must be >= 1")
     out_dir = Path(args.out)
     for sup in wanted:
         curve = total_cost_curve(sup.network, Allocation.empty(), channel.vc, args.qmax)

@@ -60,6 +60,10 @@ class UnknownNetworkError(WavebrokerError):
     """The ledger has no entry for this network."""
 
 
+class OutputError(WavebrokerError):
+    """An output file could not be written."""
+
+
 class ParseError(WavebrokerError):
     """The scenario file is not readable JSON."""
 

@@ -371,7 +371,7 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
             if result.allocation_delta:
                 winner.commit(result.allocation_delta)
             ledger.record(winner.id, label, result.revenue, result.cost, result.granted)
-            trace = CompetitionTrace(outcome.trace.events + result.events)
+            trace = outcome.trace.settled(result.events)
             termination = result.termination
             demand: int | None = result.demand
             granted, revenue, cost = result.granted, result.revenue, result.cost

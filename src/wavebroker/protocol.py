@@ -9,15 +9,20 @@ auction with the leader winning at the standing minimum, as does a round
 with a single cutter right after a round that had several.  Demand and
 grant/deny messages are exchanged at settlement, after the price is final.
 
-Every message is recorded as it is sent.  A trace event is a named tuple
-(round, direction, supplier_id, message) and messages are frozen, slotted
-dataclasses that compare by value, so the announcements of one round
-share a single ``Ocl``; a long race records each event as one tuple.
+Every message is recorded.  A trace event is a named tuple (round,
+direction, supplier_id, message) and messages are frozen, slotted
+dataclasses that compare by value.  The race, where nearly all messages
+are sent, records only its bids: a ``RaceLog`` of (bidder index, price)
+pairs and the offset where each round's bids start.  A round's
+announcements follow from that, as each carries the previous round's
+lowest bid.  ``CompetitionTrace`` builds the race's events from the log
+when they are first read, so a run whose traces nobody reads builds no
+per-message objects, and a trace not yet read pickles as its log.
 
 Each round asks every active supplier but the leader for a decision
 through ``game.decide_bid``; the leader would pass and draw nothing, so it
-is skipped without a call.  The round minimum, its tied cutters and the
-number of cutters are tracked as the bids arrive.
+is skipped without a call.  The round minimum and its tied cutters are
+tracked as the bids arrive.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import dataclasses
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import NamedTuple
 
 from .errors import RoundCapExceededError, Violation
@@ -112,16 +118,89 @@ class TraceEvent(NamedTuple):
     message: Message
 
 
+def _line_format(cls) -> str:
+    fields = ",".join(f"{f.name}={{3.{f.name}}}" for f in dataclasses.fields(cls))
+    return f"{{0}}\t{{1}}\t{{2}}\t{_WIRE_NAMES[cls]}\t{fields}"
+
+
+# One ``str.format`` per message type, e.g. "{0}\t{1}\t{2}\tocl\tx={3.x},y={3.y},p={3.p}".
+_LINE_FORMATS = {cls: _line_format(cls).format for cls in _WIRE_NAMES}
+
+
 def format_event(ev: TraceEvent) -> str:
     """Stable tab-separated trace line; golden tests compare these bytes."""
-    msg = ev.message
-    fields = ",".join(f"{f.name}={getattr(msg, f.name)}" for f in dataclasses.fields(msg))
-    return f"{ev.round}\t{ev.direction}\t{ev.supplier_id}\t{_WIRE_NAMES[type(msg)]}\t{fields}"
+    return _LINE_FORMATS[type(ev.message)](*ev)
 
 
-@dataclass(frozen=True)
+class RaceLog(NamedTuple):
+    """The bidding rounds of one competition, without per-message objects.
+
+    ``bids`` is a flat list of (bidder index, price) pairs in the order the
+    bids arrived, bidder indexes pointing into ``ids``; ``starts`` holds the
+    offset in ``bids`` of the first bid of rounds 2, 3, ....  Every round
+    opens with one announcement per bidder, and the price announced is
+    ``opening_min`` in round 2 and the previous round's lowest bid after it.
+    """
+
+    x: str
+    y: str
+    ids: tuple[str, ...]
+    opening_min: int
+    starts: list[int]
+    bids: list[int]
+
+    def events(self) -> list[TraceEvent]:
+        # tuple.__new__ returns what the TraceEvent constructor does, without
+        # its Python-level frame
+        x, y, ids = self.x, self.y, self.ids
+        bids, new_event = self.bids, tuple.__new__
+        ends = self.starts[1:] + [len(bids)]
+        price = self.opening_min
+        events: list[TraceEvent] = []
+        for rnd, start, end in zip(count(2), self.starts, ends):
+            ocl = Ocl(x, y, price)
+            events += [new_event(TraceEvent, (rnd, BROKER_TO_SUPPLIER, sid, ocl)) for sid in ids]
+            for j in range(start, end, 2):
+                events.append(new_event(TraceEvent, (rnd, SUPPLIER_TO_BROKER, ids[bids[j]], Offp(bids[j + 1], x, y))))
+            if end > start:
+                price = min(bids[start + 1 : end : 2])
+        return events
+
+
 class CompetitionTrace:
-    events: tuple[TraceEvent, ...]
+    """Every message of one competition, in the order sent.
+
+    ``CompetitionTrace(events)`` holds the given events.  ``run_competition``
+    instead hands over the opening block and the race as a ``RaceLog``, to
+    which settlement adds a tail of events.  The race's events are built on
+    the first read of ``events`` and then replace the log, so a trace that
+    was never read pickles as its log.  Two traces are equal when their
+    events are.
+    """
+
+    __slots__ = ("_head", "_race", "_tail")
+
+    def __init__(self, events):
+        self._head, self._race, self._tail = tuple(events), None, ()
+
+    @classmethod
+    def _of_race(cls, head: tuple[TraceEvent, ...], race: RaceLog, tail: tuple[TraceEvent, ...] = ()) -> CompetitionTrace:
+        trace = cls.__new__(cls)
+        trace._head, trace._race, trace._tail = head, race, tail
+        return trace
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        if self._race is not None:
+            self._head = (*self._head, *self._race.events(), *self._tail)
+            self._race, self._tail = None, ()
+        return self._head
+
+    def settled(self, tail: tuple[TraceEvent, ...]) -> CompetitionTrace:
+        """This trace followed by the settlement messages ``tail``, without building the race's events."""
+        if self._race is None:
+            return CompetitionTrace(self._head + tail)
+        return CompetitionTrace._of_race(self._head, self._race, self._tail + tail)
 
     def lines(self) -> list[str]:
         return [format_event(ev) for ev in self.events]
@@ -135,6 +214,17 @@ class CompetitionTrace:
                 prices.append(ev.message.p)
                 seen_rounds.add(ev.round)
         return prices
+
+    def __eq__(self, other):
+        if not isinstance(other, CompetitionTrace):
+            return NotImplemented
+        return self.events == other.events
+
+    def __hash__(self):
+        return hash(self.events)
+
+    def __repr__(self):
+        return f"CompetitionTrace({self.events!r})"
 
 
 class Termination(str, Enum):
@@ -188,58 +278,59 @@ def run_competition(
         bids[s.id] = opening
         events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Offp(opening, x, y)))
 
+    head = tuple(events)
     active = [s for s in suppliers if s.id in bids]
     if not active:
-        return CompetitionOutcome(None, None, 1, CompetitionTrace(tuple(events)), Termination.ALL_DECLINED)
+        return CompetitionOutcome(None, None, 1, CompetitionTrace(head), Termination.ALL_DECLINED)
 
     current_min = min(bids.values())
-    tied = [s for s in active if bids[s.id] == current_min]
+    tied = [i for i, s in enumerate(active) if bids[s.id] == current_min]
     leader = tied[0] if len(tied) == 1 else rng.choice(tied)
 
     if len(active) == 1:
-        return CompetitionOutcome(leader.id, current_min, 1, CompetitionTrace(tuple(events)), Termination.WON)
+        return CompetitionOutcome(active[leader].id, current_min, 1, CompetitionTrace(head), Termination.WON)
 
-    # A race records an event per supplier and round, so events are built
-    # with tuple.__new__: what the TraceEvent constructor returns, without
-    # its Python-level frame.
-    bidders = [(s, s.id, mcs[s.id], s.policy) for s in active]
-    ids = [s.id for s in active]
-    new_event = tuple.__new__
-    append = events.append
+    # Bidders, the leader among them, are indexes into ``active``.  Only the
+    # bids are logged; the trace builds the events when they are read.
+    race = RaceLog(x, y, tuple(s.id for s in active), current_min, [], [])
+    starts, log = race.starts, race.bids
+    bidders = [(i, mcs[s.id], s.policy) for i, s in enumerate(active)]
     prev_contested = False
     rnd = 1
     while True:
         rnd += 1
         if rnd > round_cap:
             raise RoundCapExceededError(f"no resting price after {round_cap} rounds")
-        ocl = Ocl(x, y, current_min)
-        events += [new_event(TraceEvent, (rnd, BROKER_TO_SUPPLIER, sid, ocl)) for sid in ids]
-        # The cutters of this round: how many, their lowest price, and the
-        # first to reach it; ``tied`` lists all who reached it once two have.
-        n_cutters = 0
+        start = len(log)
+        starts.append(start)
+        # The cutters' lowest price and the first to reach it; ``tied``
+        # lists all who reached it once two have.
         round_min = first_at_min = tied = None
-        for s, sid, mc, policy in bidders:
-            if s is leader:
+        for i, mc, policy in bidders:
+            if i == leader:
                 continue
             decision = decide_bid(current_min, mc, False, policy, rng)
             if decision is PASS:
                 continue
             price = decision.price
-            append(new_event(TraceEvent, (rnd, SUPPLIER_TO_BROKER, sid, Offp(price, x, y))))
-            n_cutters += 1
+            log += (i, price)
             if round_min is None or price < round_min:
-                round_min, first_at_min, tied = price, s, None
+                round_min, first_at_min, tied = price, i, None
             elif price == round_min:
                 if tied is None:
                     tied = [first_at_min]
-                tied.append(s)
-        if not n_cutters:
-            return CompetitionOutcome(leader.id, current_min, rnd, CompetitionTrace(tuple(events)), Termination.WON)
-        if n_cutters == 1 and prev_contested:
-            return CompetitionOutcome(first_at_min.id, round_min, rnd, CompetitionTrace(tuple(events)), Termination.WON)
+                tied.append(i)
+        logged = len(log) - start  # two entries per cutter
+        if not logged:
+            winner, final = leader, current_min
+            break
+        if logged == 2 and prev_contested:
+            winner, final = first_at_min, round_min
+            break
         leader = first_at_min if tied is None else rng.choice(tied)
         current_min = round_min
-        prev_contested = n_cutters >= 2
+        prev_contested = logged > 2
+    return CompetitionOutcome(active[winner].id, final, rnd, CompetitionTrace._of_race(head, race), Termination.WON)
 
 
 def validate_trace(trace: CompetitionTrace) -> list[Violation]:

@@ -31,7 +31,7 @@ from .errors import (
     NoPathError,
     Violation,
 )
-from .topology import DemandRequest, Network, Path, VirtualChannel, path_cost, route_candidates
+from .topology import DemandRequest, Network, VirtualChannel, path_cost, route_candidates
 
 # exhaustive-oracle guard
 BRUTE_MAX_NODES = 6
@@ -232,16 +232,20 @@ def _net_tables(net: Network):
     keys = sorted(net.link_by_key)
     index = {k: i for i, k in enumerate(keys)}
     caps = tuple(min(net.link_by_key[k].capacity, net.wavelength_count) for k in keys)
-    return keys, index, caps
+    # one (u, v) tuple per link direction, shared by every hop tuple of the network
+    pairs = {hop: hop for k in keys for hop in (k, k[::-1])}
+    return keys, index, caps, pairs
 
 
 @lru_cache(maxsize=2048)
 def _path_tables(net: Network, vc: VirtualChannel):
-    _, index, _ = _net_tables(net)
-    paths = tuple(route_candidates(net, vc))
+    """Per candidate path, cheapest first: its hop tuple, its cost and its link indexes."""
+    _, index, _, pairs = _net_tables(net)
+    paths = route_candidates(net, vc)
     costs = tuple(path_cost(net, p) for p in paths)
-    link_lists = tuple(tuple(index[_link_key(u, v)] for u, v in zip(p, p[1:])) for p in paths)
-    return paths, costs, link_lists
+    hops = tuple(tuple(pairs[hop] for hop in zip(p, p[1:])) for p in paths)
+    link_lists = tuple(tuple(index[_link_key(u, v)] for u, v in h) for h in hops)
+    return hops, costs, link_lists
 
 
 def _link_masks(net: Network, state: Allocation) -> list[int]:
@@ -250,12 +254,8 @@ def _link_masks(net: Network, state: Allocation) -> list[int]:
     The masks are the whole occupancy: a link is full when its popcount
     reaches its capacity.
     """
-    keys, _, _ = _net_tables(net)
+    keys, _, _, _ = _net_tables(net)
     return [state._masks.get(k, 0) for k in keys]
-
-
-def _hops_for(path: Path) -> tuple[tuple[str, str], ...]:
-    return tuple(zip(path, path[1:]))
 
 
 def _fresh_conn_ids(state: Allocation, labels) -> list[str]:
@@ -292,11 +292,11 @@ def incremental_allocate(
     if count < 1:
         raise ValueError("count must be >= 1")
     try:
-        paths, costs, link_lists = _path_tables(net, vc)
+        hops, costs, link_lists = _path_tables(net, vc)
     except NoPathError:
         return (), 0
     conn = _fresh_conn_ids(state, [vc.label])[0]
-    _, _, caps = _net_tables(net)
+    _, _, caps, _ = _net_tables(net)
     masks = _link_masks(net, state)
     allowed = (1 << net.wavelength_count) - 1
 
@@ -310,7 +310,7 @@ def incremental_allocate(
         for li in link_lists[p]:
             masks[li] |= bit
         allowed &= ~bit
-        delta.append(LightPath(conn, vc, w0 + 1, _hops_for(paths[p])))
+        delta.append(LightPath(conn, vc, w0 + 1, hops[p]))
         added += costs[p]
     return tuple(delta), added
 
@@ -372,7 +372,7 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
     Returns ``(delta, added)``; raises InfeasibleError when nothing fits.
     """
     W = net.wavelength_count
-    _, _, caps = _net_tables(net)
+    _, _, caps, _ = _net_tables(net)
     per_req = []
     for req in requests:
         per_req.append(_path_tables(net, req.vc))
@@ -424,7 +424,7 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
                 best_cost = cost
             return
         k = unit_req[u]
-        _paths, costs, link_lists = per_req[k]
+        _hops, costs, link_lists = per_req[k]
         for w in wave_choices(k):
             bit = 1 << w
             for p in range(len(costs)):
@@ -453,7 +453,7 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
     delta = []
     for u, (p, w) in enumerate(best):
         k = unit_req[u]
-        delta.append(LightPath(conns[k], requests[k].vc, w + 1, _hops_for(per_req[k][0][p])))
+        delta.append(LightPath(conns[k], requests[k].vc, w + 1, per_req[k][0][p]))
     return tuple(delta), best_cost
 
 

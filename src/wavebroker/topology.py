@@ -179,6 +179,7 @@ def route_candidates(net: Network, vc: VirtualChannel) -> list[Path]:
                 stack.pop()
 
     walk(vc.src)
+    del walk  # it refers to itself; unbinding it frees the paths without a GC pass
     if not found:
         raise NoPathError(f"{vc.src} and {vc.dst} are disconnected in network {net.id!r}")
     found.sort(key=lambda p: (path_cost(net, p), p))

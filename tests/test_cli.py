@@ -283,6 +283,16 @@ class TestRunCommand:
         q.write_text(json.dumps(doc))
         assert main(["run", str(q), "--out", str(tmp_path / "y")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_naming_a_file_is_a_runtime_error(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep me")
+        out = blocker / under if under else blocker
+        assert main(["run", scenario_path("duel"), "--out", str(out), "--traces"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+        assert blocker.read_text() == "keep me"
+
 
 class TestCurveCommand:
     def test_two_route_curve_csv(self, tmp_path):
@@ -312,6 +322,23 @@ class TestCurveCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "VC1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("qmax", ["0", "-4"])
+    def test_qmax_below_one_is_a_config_error(self, tmp_path, capsys, qmax):
+        args = ["curve", scenario_path("two_route_costcurve"), "--vc", "VC1", "--qmax", qmax, "--out", str(tmp_path)]
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: --qmax: probe depth must be >= 1\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("under", ["", "sub"])
+    def test_out_naming_a_file_is_a_runtime_error(self, tmp_path, capsys, under):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep me")
+        out = blocker / under if under else blocker
+        assert main(["curve", scenario_path("two_route_costcurve"), "--vc", "VC1", "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+        assert blocker.read_text() == "keep me"
 
 
 class TestValidateCommand:

@@ -260,6 +260,8 @@ class TestSweep:
         serial = run_sweep(duel_config(schedule_len=2), 3, workers=1)
         parallel = run_sweep(duel_config(schedule_len=2), 3, workers=2)
         assert [report_json(r) for r in serial] == [report_json(r) for r in parallel]
+        # traces cross the process pool as race logs
+        assert [[t.lines() for t in r.traces] for r in serial] == [[t.lines() for t in r.traces] for r in parallel]
 
     @pytest.mark.parametrize(
         "count, workers, cpus, pool_size",

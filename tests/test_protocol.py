@@ -20,9 +20,13 @@ from wavebroker import (
 )
 from wavebroker.game import PASS, round_half_up
 from wavebroker.protocol import (
+    _WIRE_NAMES,
     BROKER_TO_SUPPLIER,
     SUPPLIER_TO_BROKER,
+    Ack,
     Exc1,
+    Exc2,
+    Nack,
     Ocl,
     Offp,
     Reqc,
@@ -212,6 +216,38 @@ class TestTraceFormat:
         assert back == ev and type(back) is TraceEvent
         assert format_event(back) == "2\tbroker->supplier\tnetA\tocl\tx=S,y=T,p=900"
 
+    def test_every_message_type_formats_as_its_fields_in_order(self):
+        def reference_format(ev):
+            msg = ev.message
+            fields = ",".join(f"{f.name}={getattr(msg, f.name)}" for f in dataclasses.fields(msg))
+            return f"{ev.round}\t{ev.direction}\t{ev.supplier_id}\t{_WIRE_NAMES[type(msg)]}\t{fields}"
+
+        messages = [
+            Reqc("S", "T"),
+            Offp(725, "S", "T"),
+            Ocl("n-1", "n.2", 2**53),
+            Nack("S", "T"),
+            Ack("S", "T", 3),
+            Exc1(0, 0, "S", "T"),
+            Exc2("S", "T", -1),
+        ]
+        assert {type(m) for m in messages} == set(_WIRE_NAMES)
+        for rnd, msg in enumerate(messages, start=1):
+            for direction in (BROKER_TO_SUPPLIER, SUPPLIER_TO_BROKER):
+                ev = TraceEvent(rnd, direction, "net_B.2", msg)
+                assert format_event(ev) == reference_format(ev)
+
+    def test_a_race_pickles_as_its_log_and_settles_without_its_events(self):
+        suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
+        trace = run_competition(VC, suppliers, random.Random(5)).trace
+        unread = len(pickle.dumps(trace))
+        eager = CompetitionTrace(trace.events)
+        assert unread * 4 < len(pickle.dumps(eager)) == len(pickle.dumps(trace))
+        tail = (TraceEvent(99, BROKER_TO_SUPPLIER, "S0", Nack("S", "T")),)
+        lazy = run_competition(VC, suppliers, random.Random(5)).trace.settled(tail)
+        assert lazy == eager.settled(tail) == CompetitionTrace(trace.events + tail)
+        assert hash(lazy) == hash(CompetitionTrace(trace.events + tail))
+
     def test_every_announcement_of_a_round_has_the_same_price(self):
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
         outcome = run_competition(VC, suppliers, random.Random(5))
@@ -301,13 +337,21 @@ def random_market(rng, tied_openings):
 
 
 def race_result(race, suppliers, seed, **kwargs):
-    """Everything a race shows: trace lines, outcome, and the generator's final state."""
+    """Everything a race shows: trace events and lines, outcome, and the generator's final state.
+
+    The trace must also equal one built from its own events, and survive a
+    pickle round trip.
+    """
     rng = random.Random(seed)
     try:
         out = race(VC, suppliers, rng, **kwargs)
     except RoundCapExceededError as exc:
         return ("round cap", str(exc), rng.getstate())
-    return (out.trace.lines(), out.winner, out.final_price, out.rounds, out.termination, rng.getstate())
+    trace = out.trace
+    copy = pickle.loads(pickle.dumps(trace))
+    assert CompetitionTrace(trace.events) == trace
+    assert copy.events == trace.events and copy.lines() == trace.lines()
+    return (trace.events, trace.lines(), out.winner, out.final_price, out.rounds, out.termination, rng.getstate())
 
 
 class TestRaceMatchesReference:

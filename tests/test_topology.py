@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 
@@ -91,6 +92,18 @@ class TestRouteCandidates:
         assert paths[1] == ("SEA", "POR", "SLC", "KC", "CHI", "BOS")
         assert path_cost(net, paths[0]) == 125
         assert path_cost(net, paths[1]) == 170
+
+    def test_enumeration_leaves_no_reference_cycle(self):
+        # placement tables keep hop tuples, not the returned paths, so the
+        # paths must be freed as soon as the caller drops them
+        net = two_route_net()
+        gc.collect()
+        gc.disable()
+        try:
+            route_candidates(net, VC_SEA_BOS)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_costs_nondecreasing(self):
         net = mknet(
