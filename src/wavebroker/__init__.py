@@ -29,12 +29,10 @@ from .errors import (
 from .game import (
     Bid,
     EquilibriumBound,
-    Pass,
     SupplierAgent,
     UndercutPolicy,
     decide_bid,
     equilibrium_bounds,
-    sample_undercut,
 )
 from .market import (
     ChannelConfig,

@@ -33,6 +33,7 @@ from .market import (
     run_sweep,
     validate_scenario,
 )
+from .protocol import DEFAULT_ROUND_CAP
 from .rwa import Allocation, dump_allocation
 from .topology import Link, VirtualChannel, make_network
 
@@ -147,7 +148,7 @@ def load_scenario(path: str | Path, fallback_seed: int | None = None) -> Scenari
         if fallback_seed is None:
             problems.append("seed: required (set it in the file, via --seed, or via SIM_SEED)")
         seed = fallback_seed
-    round_cap = _typed(root, "round_cap", "$", int, problems, required=False, default=10_000)
+    round_cap = _typed(root, "round_cap", "$", int, problems, required=False, default=DEFAULT_ROUND_CAP)
     reject_partial = _typed(root, "reject_partial", "$", bool, problems, required=False, default=False)
 
     suppliers: list[SupplierConfig] = []
@@ -334,15 +335,13 @@ def write_report_files(report: Report, out_dir: Path, emit_traces: bool = False)
     return written
 
 
-def sweep_summary_csv(reports: list[Report]) -> str:
+def sweep_summary_csv(profits: dict[str, list[float]], wins: dict[str, int]) -> str:
+    """One row per network from its per-run profits and its count of auctions won."""
     lines = ["network,runs,auctions_won,mean_profit,std_profit"]
-    network_ids = reports[0].network_ids if reports else ()
-    for nid in network_ids:
-        profits = [float(r.ledger.totals(nid).profit) for r in reports]
-        won = sum(1 for r in reports for rec in r.records if rec.winner == nid)
-        mean = statistics.mean(profits)
-        std = statistics.stdev(profits) if len(profits) > 1 else 0.0
-        lines.append(f"{nid},{len(profits)},{won},{mean:.2f},{std:.2f}")
+    for nid, runs in profits.items():
+        mean = statistics.mean(runs)
+        std = statistics.stdev(runs) if len(runs) > 1 else 0.0
+        lines.append(f"{nid},{len(runs)},{wins[nid]},{mean:.2f},{std:.2f}")
     return "\n".join(lines) + "\n"
 
 
@@ -369,10 +368,15 @@ def _cmd_run(args) -> int:
     if args.sweep is not None:
         if args.sweep < 1:
             raise ConfigError("--sweep: count must be >= 1")
-        reports = run_sweep(config, args.sweep, workers=args.workers)
-        for i, rep in enumerate(reports):
+        # each run's files are written as it arrives; only the summary's inputs are kept
+        profits: dict[str, list[float]] = {}
+        wins: dict[str, int] = {}
+        for i, rep in enumerate(run_sweep(config, args.sweep, workers=args.workers)):
             write_report_files(rep, out_dir / f"run_{i:05d}", args.traces)
-        _write_text(out_dir / "sweep_summary.csv", sweep_summary_csv(reports))
+            for nid in rep.network_ids:
+                profits.setdefault(nid, []).append(float(rep.ledger.totals(nid).profit))
+                wins[nid] = wins.get(nid, 0) + sum(rec.winner == nid for rec in rep.records)
+        _write_text(out_dir / "sweep_summary.csv", sweep_summary_csv(profits, wins))
         print(f"{config.id}: {args.sweep} runs -> {out_dir}/sweep_summary.csv")
     else:
         report = run_scenario(config)

@@ -42,32 +42,22 @@ class Bid:
     price: int
 
 
-@dataclass(frozen=True, slots=True)
-class Pass:
-    pass
-
-
-PASS = Pass()
-
-
 def decide_bid(
     current_min: int,
     own_next_unit_mc: int,
-    is_leader: bool,
     policy: UndercutPolicy,
     rng: random.Random,
-) -> Bid | Pass:
-    """Undercut the standing minimum or sit out this round.
+) -> Bid | None:
+    """Undercut the standing minimum, or return None to sit out this round.
 
-    The current leader always passes and consumes no randomness.  Everyone
-    else samples a step first and passes if the resulting price would dip
-    below their own marginal cost; landing exactly on it is a valid bid.
+    The supplier samples a step first and passes if the resulting price
+    would dip below its own marginal cost; landing exactly on it is a
+    valid bid.  The current leader is never asked: it would pass and draw
+    nothing, so the race skips it.
 
     The step is drawn inline, as the module docstring describes, because
     the race makes this call once per supplier and round.
     """
-    if is_leader:
-        return PASS
     l_min = policy.l_min
     width = policy.l_max - l_min + 1
     bits = width.bit_length()
@@ -77,16 +67,7 @@ def decide_bid(
     candidate = current_min - l_min - r
     if candidate >= own_next_unit_mc:
         return Bid(candidate)
-    return PASS
-
-
-def sample_undercut(policy: UndercutPolicy, rng: random.Random) -> int:
-    """One uniform draw from [l_min, l_max], inclusive, in integer minor units.
-
-    This is the step ``decide_bid`` cuts by, read off a bid that cannot
-    fall below its cost, so the draw has a single definition.
-    """
-    return -decide_bid(0, -policy.l_max, False, policy, rng).price
+    return None
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import math
 import os
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -34,7 +35,7 @@ from .protocol import (
     run_competition,
 )
 from .rwa import Allocation, incremental_allocate
-from .topology import Network, VirtualChannel, validate_network
+from .topology import MAX_ROUTE_NODES, Network, VirtualChannel, validate_network
 
 
 # -- demand --------------------------------------------------------------------
@@ -267,6 +268,10 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         seen_nets.add(sup.network.id)
         for v in validate_network(sup.network):
             problems.append(f"{loc}: {v}")
+        if len(sup.network.nodes) > MAX_ROUTE_NODES:
+            problems.append(
+                f"{loc}: {len(sup.network.nodes)} nodes; complete path enumeration is capped at {MAX_ROUTE_NODES}"
+            )
         if sup.markup < 1:
             problems.append(f"{loc}: markup {sup.markup} is below 1")
         total_cost = sum(link.unit_cost for link in sup.network.links)
@@ -364,7 +369,7 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         if len(priced) >= 2:
             bound = equilibrium_bounds([mc for _, mc in priced], [a.policy for a, _ in priced])
 
-        outcome = run_competition(ch.vc, agents, rng, config.round_cap, mc_by_supplier=mcs)
+        outcome = run_competition(ch.vc, agents, rng, mcs, config.round_cap)
         if outcome.termination is Termination.WON:
             winner = next(a for a in agents if a.id == outcome.winner)
             result = settle(outcome, ch.demand, winner, ch.vc, reject_partial=config.reject_partial)
@@ -430,10 +435,12 @@ def child_seed(root: int, index: int) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def run_sweep(config: ScenarioConfig, count: int, workers: int = 1) -> list[Report]:
-    """Run ``count`` seeded scenario instances; results come back in run-index order.
+def run_sweep(config: ScenarioConfig, count: int, workers: int = 1) -> Iterator[Report]:
+    """Run ``count`` seeded scenario instances, yielding the reports in run-index order.
 
-    At most ``min(workers, count, os.cpu_count())`` processes run them.
+    The arguments are checked on the call; each run happens as its report
+    is read, so a caller that stops reading stops a serial sweep.  At most
+    ``min(workers, count, os.cpu_count())`` processes run them.
     """
     if count < 1:
         raise ValueError("sweep count must be >= 1")
@@ -442,8 +449,12 @@ def run_sweep(config: ScenarioConfig, count: int, workers: int = 1) -> list[Repo
     seeds = [child_seed(config.seed, i) for i in range(count)]
     workers = min(workers, count, os.cpu_count() or 1)
     if workers == 1:
-        return list(map(run_scenario, [config] * count, seeds))
+        return map(run_scenario, [config] * count, seeds)
+    return _pooled_runs(config, seeds, workers)
+
+
+def _pooled_runs(config: ScenarioConfig, seeds: list[int], workers: int) -> Iterator[Report]:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_scenario, [config] * count, seeds))
+        yield from pool.map(run_scenario, [config] * len(seeds), seeds)

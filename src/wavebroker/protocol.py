@@ -19,10 +19,12 @@ lowest bid.  ``CompetitionTrace`` builds the race's events from the log
 when they are first read, so a run whose traces nobody reads builds no
 per-message objects, and a trace not yet read pickles as its log.
 
+The caller hands in each supplier's next-unit marginal cost, which sets
+its opening bid and its floor; the race itself never probes placement.
 Each round asks every active supplier but the leader for a decision
-through ``game.decide_bid``; the leader would pass and draw nothing, so it
-is skipped without a call.  The round minimum and its tied cutters are
-tracked as the bids arrive.
+through ``game.decide_bid``, which returns None for a pass; the leader
+would pass and draw nothing, so it is skipped without a call.  The round
+minimum and its tied cutters are tracked as the bids arrive.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from itertools import count
 from typing import NamedTuple
 
 from .errors import RoundCapExceededError, Violation
-from .game import PASS, SupplierAgent, decide_bid, round_half_up
+from .game import SupplierAgent, decide_bid, round_half_up
 from .topology import VirtualChannel
 
 BROKER_TO_SUPPLIER = "broker->supplier"
@@ -205,16 +207,6 @@ class CompetitionTrace:
     def lines(self) -> list[str]:
         return [format_event(ev) for ev in self.events]
 
-    def ocl_prices(self) -> list[int]:
-        """The announced standing-minimum sequence, one entry per round."""
-        prices: list[int] = []
-        seen_rounds: set[int] = set()
-        for ev in self.events:
-            if isinstance(ev.message, Ocl) and ev.round not in seen_rounds:
-                prices.append(ev.message.p)
-                seen_rounds.add(ev.round)
-        return prices
-
     def __eq__(self, other):
         if not isinstance(other, CompetitionTrace):
             return NotImplemented
@@ -246,16 +238,16 @@ def run_competition(
     vc: VirtualChannel,
     suppliers: list[SupplierAgent],
     rng: random.Random,
+    mcs: dict[str, int | None],
     round_cap: int = DEFAULT_ROUND_CAP,
-    mc_by_supplier: dict[str, int | None] | None = None,
 ) -> CompetitionOutcome:
     """Run one undercutting auction to completion and record every message.
 
-    Suppliers with no capacity for even a single wavelength decline at the
-    gate and drop out.  Opening-bid ties pick the provisional leader
-    uniformly at random from the tied set; the same rule applies when
-    several cutters land on the round minimum.  ``mc_by_supplier`` lets the
-    caller reuse marginal costs it already computed.
+    ``mcs`` maps every supplier id to its next-unit marginal cost, None for
+    a supplier with no capacity for even a single wavelength, which
+    declines at the gate and drops out.  Opening-bid ties pick the
+    provisional leader uniformly at random from the tied set; the same
+    rule applies when several cutters land on the round minimum.
     """
     if not suppliers:
         raise ValueError("a competition needs at least one supplier")
@@ -266,14 +258,12 @@ def run_competition(
     reqc = Reqc(x, y)
     events = [TraceEvent(1, BROKER_TO_SUPPLIER, s.id, reqc) for s in suppliers]
 
-    mcs: dict[str, int] = {}
     bids: dict[str, int] = {}
     for s in suppliers:
-        mc = mc_by_supplier.get(s.id) if mc_by_supplier is not None else s.next_unit_mc(vc)
+        mc = mcs[s.id]
         if mc is None:
             events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Exc1(0, 0, x, y)))
             continue
-        mcs[s.id] = mc
         opening = round_half_up(s.markup * mc)
         bids[s.id] = opening
         events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Offp(opening, x, y)))
@@ -309,8 +299,8 @@ def run_competition(
         for i, mc, policy in bidders:
             if i == leader:
                 continue
-            decision = decide_bid(current_min, mc, False, policy, rng)
-            if decision is PASS:
+            decision = decide_bid(current_min, mc, policy, rng)
+            if decision is None:
                 continue
             price = decision.price
             log += (i, price)

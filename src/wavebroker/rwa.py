@@ -31,16 +31,12 @@ from .errors import (
     NoPathError,
     Violation,
 )
-from .topology import DemandRequest, Network, VirtualChannel, path_cost, route_candidates
+from .topology import DemandRequest, Network, VirtualChannel, link_key, path_cost, route_candidates
 
 # exhaustive-oracle guard
 BRUTE_MAX_NODES = 6
 BRUTE_MAX_WAVELENGTHS = 3
 BRUTE_MAX_UNITS = 4
-
-
-def _link_key(u: str, v: str) -> tuple[str, str]:
-    return (u, v) if u <= v else (v, u)
 
 
 @dataclass(frozen=True)
@@ -55,11 +51,8 @@ class LightPath:
     def nodes(self) -> tuple[str, ...]:
         return (self.hops[0][0],) + tuple(v for _, v in self.hops)
 
-    def link_keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple(_link_key(u, v) for u, v in self.hops)
-
     def cost(self, net: Network) -> int:
-        return sum(net.link_by_key[k].unit_cost for k in self.link_keys())
+        return sum(net.link_by_key[link_key(u, v)].unit_cost for u, v in self.hops)
 
 
 class Allocation:
@@ -93,7 +86,7 @@ class Allocation:
                 raise ValueError(f"{lp.conn}: wavelength {w} is below 1")
             bit = 1 << (w - 1)
             for u, v in lp.hops:
-                key = _link_key(u, v)
+                key = link_key(u, v)
                 mask = masks.get(key, 0)
                 if mask & bit:
                     raise ConflictError(f"cell {key} w={w} carries two lightpaths")
@@ -116,23 +109,8 @@ class Allocation:
     def used_on(self, link_key: tuple[str, str]) -> int:
         return self._masks.get(link_key, 0).bit_count()
 
-    def connections(self) -> dict[str, int]:
-        """Connection id -> number of lightpaths it holds."""
-        return dict(self._conn_counts)
-
-    def next_conn_index(self) -> int:
-        return len(self._conn_counts) + 1
-
     def total_cost(self, net: Network) -> int:
         return sum(lp.cost(net) for lp in self.lightpaths)
-
-    def __eq__(self, other):
-        if not isinstance(other, Allocation):
-            return NotImplemented
-        return frozenset(self.lightpaths) == frozenset(other.lightpaths)
-
-    def __hash__(self):
-        return hash(frozenset(self.lightpaths))
 
     def __repr__(self):
         return f"Allocation({len(self.lightpaths)} lightpaths)"
@@ -186,7 +164,7 @@ def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int]
         # flow balance per node on this (connection, wavelength) layer
         balance: dict[str, int] = {}
         for u, v in lp.hops:
-            key = _link_key(u, v)
+            key = link_key(u, v)
             if key not in net.link_by_key:
                 violations.append(Violation("unknown-link", f"{lp.conn}: no link {key} in network {net.id!r}"))
             balance[u] = balance.get(u, 0) + 1
@@ -244,7 +222,7 @@ def _path_tables(net: Network, vc: VirtualChannel):
     paths = route_candidates(net, vc)
     costs = tuple(path_cost(net, p) for p in paths)
     hops = tuple(tuple(pairs[hop] for hop in zip(p, p[1:])) for p in paths)
-    link_lists = tuple(tuple(index[_link_key(u, v)] for u, v in h) for h in hops)
+    link_lists = tuple(tuple(index[link_key(u, v)] for u, v in h) for h in hops)
     return hops, costs, link_lists
 
 
@@ -264,7 +242,7 @@ def _fresh_conn_ids(state: Allocation, labels) -> list[str]:
     Distinct ``n`` keep the new ids apart, so only the state's ids are checked.
     """
     ids = []
-    n = state.next_conn_index()
+    n = len(state._conn_counts) + 1
     for label in labels:
         while f"{label}#{n}" in state._conn_counts:
             n += 1

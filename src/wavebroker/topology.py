@@ -21,6 +21,11 @@ MAX_WAVELENGTH_COUNT = 4096
 Path = tuple[str, ...]
 
 
+def link_key(u: str, v: str) -> tuple[str, str]:
+    """Direction-free identity of the link joining ``u`` and ``v``."""
+    return (u, v) if u <= v else (v, u)
+
+
 @dataclass(frozen=True)
 class Link:
     """Bidirectional fiber link between two named nodes."""
@@ -31,8 +36,7 @@ class Link:
     unit_cost: int
 
     def key(self) -> tuple[str, str]:
-        """Direction-free identity of the link."""
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+        return link_key(self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -140,11 +144,7 @@ def validate_network(net: Network) -> list[Violation]:
 
 def path_cost(net: Network, path: Path) -> int:
     """Per-wavelength cost of a route: sum of unit costs along its links."""
-    total = 0
-    for u, v in zip(path, path[1:]):
-        key = (u, v) if u <= v else (v, u)
-        total += net.link_by_key[key].unit_cost
-    return total
+    return sum(net.link_by_key[link_key(u, v)].unit_cost for u, v in zip(path, path[1:]))
 
 
 def route_candidates(net: Network, vc: VirtualChannel) -> list[Path]:

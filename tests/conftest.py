@@ -1,4 +1,4 @@
-"""Shared builders: quick networks, shipped-scenario paths, fuzz instance generators."""
+"""Shared builders: quick networks, shipped-scenario paths, fuzz instance generators, race helpers."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from wavebroker import DemandRequest, Link, Network, VirtualChannel, make_network
+from wavebroker.protocol import Ocl
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -40,6 +41,20 @@ def two_route_net(net_id="canwest") -> Network:
 
 
 VC_SEA_BOS = VirtualChannel("SEA", "BOS", "VC1")
+
+
+def probed_mcs(vc, suppliers):
+    """Each supplier's next-unit marginal cost on ``vc``, as ``run_scenario`` probes it for the race."""
+    return {s.id: s.next_unit_mc(vc) for s in suppliers}
+
+
+def ocl_prices(trace):
+    """The announced standing-minimum sequence of a race, one entry per round."""
+    prices = {}
+    for ev in trace.events:
+        if isinstance(ev.message, Ocl):
+            prices.setdefault(ev.round, ev.message.p)
+    return list(prices.values())
 
 
 def random_guard_instance(rng: random.Random, tag: int):

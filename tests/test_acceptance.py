@@ -31,7 +31,7 @@ from wavebroker import (
 from wavebroker.cli import load_scenario, main
 from wavebroker.protocol import Ocl
 
-from conftest import mknet, random_guard_instance, scenario_path
+from conftest import mknet, ocl_prices, probed_mcs, random_guard_instance, scenario_path
 
 DUEL_POLICY = UndercutPolicy(50, 100)
 
@@ -97,7 +97,7 @@ def test_criterion_3_duel_price_band():
         vc = VirtualChannel("S", "T", "VC1")
         for seed in range(1000):
             a, b = duel_supplier("A", 600), duel_supplier("B", 400)
-            outcome = run_competition(vc, [a, b], random.Random(seed))
+            outcome = run_competition(vc, [a, b], random.Random(seed), probed_mcs(vc, [a, b]))
             assert outcome.termination is Termination.WON
             assert outcome.winner == "B", f"seed {seed}: {outcome.winner} won"
             assert 500 <= outcome.final_price <= 700, f"seed {seed}: price {outcome.final_price}"
@@ -109,7 +109,7 @@ def test_criterion_4_equal_mc_split():
         wins = {"A": 0, "B": 0}
         for seed in range(10_000):
             a, b = duel_supplier("A", 500), duel_supplier("B", 500)
-            outcome = run_competition(vc, [a, b], random.Random(seed))
+            outcome = run_competition(vc, [a, b], random.Random(seed), probed_mcs(vc, [a, b]))
             wins[outcome.winner] += 1
         for sid in ("A", "B"):
             rate = wins[sid] / 10_000
@@ -157,7 +157,7 @@ def test_criterion_5_allocation_invariant_fuzz():
             expected_counts = {net.id: {} for net in nets}
             for _ in range(12):
                 steps += 1
-                outcome = run_competition(vc, agents, rng)
+                outcome = run_competition(vc, agents, rng, probed_mcs(vc, agents))
                 if outcome.termination is not Termination.WON:
                     break
                 winner = next(ag for ag in agents if ag.id == outcome.winner)
@@ -190,9 +190,9 @@ def test_criterion_6_trace_conformance():
                         1.0 + rng.random() * 2.5,
                     )
                 )
-            outcome = run_competition(vc, suppliers, random.Random(trial))
+            outcome = run_competition(vc, suppliers, random.Random(trial), probed_mcs(vc, suppliers))
             assert validate_trace(outcome.trace) == []
-            prices = outcome.trace.ocl_prices()
+            prices = ocl_prices(outcome.trace)
             assert all(p1 > p2 for p1, p2 in zip(prices, prices[1:]))
             for ev in outcome.trace.events:
                 if isinstance(ev.message, Ocl):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from wavebroker import ConfigError, ParseError
+from wavebroker import ConfigError, ParseError, market
 from wavebroker.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -12,7 +12,7 @@ from wavebroker.cli import (
     load_scenario,
     main,
 )
-from wavebroker.topology import MAX_WAVELENGTH_COUNT
+from wavebroker.topology import MAX_ROUTE_NODES, MAX_WAVELENGTH_COUNT
 
 from conftest import scenario_path
 
@@ -273,6 +273,20 @@ class TestRunCommand:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_sweep_stops_at_the_first_run_it_cannot_write(self, tmp_path, capsys, monkeypatch):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep me")
+        run_scenario, runs = market.run_scenario, []
+
+        def counted(*args):
+            runs.append(args)
+            return run_scenario(*args)
+
+        monkeypatch.setattr(market, "run_scenario", counted)
+        assert main(["run", scenario_path("duel"), "--out", str(blocker / "sub"), "--sweep", "5"]) == EXIT_RUNTIME
+        assert len(runs) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+
     def test_exit_codes(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{oops")
@@ -353,3 +367,22 @@ class TestValidateCommand:
         p.write_text(json.dumps(doc))
         assert main(["validate", str(p)]) == EXIT_CONFIG
         assert "networks[0]" in capsys.readouterr().err
+
+    def test_network_above_the_route_node_cap_is_a_config_error(self, tmp_path, capsys):
+        doc = duel_doc()
+        doc["networks"][1]["nodes"] += [f"X{i}" for i in range(MAX_ROUTE_NODES - 2)]
+        p = tmp_path / "capped.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_OK
+        doc["networks"][1]["nodes"].append("Y")
+        p.write_text(json.dumps(doc))
+        want = f"config error: networks[1]: {MAX_ROUTE_NODES + 1} nodes; complete path enumeration is capped at {MAX_ROUTE_NODES}\n"
+        capsys.readouterr()
+        for command, *options in (
+            ["validate"],
+            ["run", "--out", str(tmp_path / "run")],
+            ["curve", "--vc", "VC1", "--out", str(tmp_path / "curve")],
+        ):
+            assert main([command, str(p), *options]) == EXIT_CONFIG
+            assert capsys.readouterr().err == want
+        assert not (tmp_path / "run").exists() and not (tmp_path / "curve").exists()

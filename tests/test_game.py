@@ -7,15 +7,18 @@ from hypothesis import strategies as st
 from wavebroker import (
     Bid,
     DegenerateMarketError,
-    Pass,
     SupplierAgent,
     UndercutPolicy,
     decide_bid,
     equilibrium_bounds,
-    sample_undercut,
 )
 
 from conftest import mknet
+
+
+def sample_undercut(policy, rng):
+    """The step ``decide_bid`` cuts by, read off a bid that cannot fall below its cost."""
+    return -decide_bid(0, -policy.l_max, policy, rng).price
 
 
 class TestSampleUndercut:
@@ -45,32 +48,25 @@ class TestSampleUndercut:
 
 
 class TestDecideBid:
-    def test_leader_always_passes_without_consuming_randomness(self):
-        rng = random.Random(4)
-        before = rng.getstate()
-        decision = decide_bid(1_000, 10, True, UndercutPolicy(50, 100), rng)
-        assert isinstance(decision, Pass)
-        assert rng.getstate() == before
-
     def test_forced_bid(self):
         rng = random.Random(5)
-        decision = decide_bid(1_000, 500, False, UndercutPolicy(100, 100), rng)
+        decision = decide_bid(1_000, 500, UndercutPolicy(100, 100), rng)
         assert decision == Bid(900)
 
     def test_pass_when_cut_would_cross_own_cost(self):
         rng = random.Random(6)
-        decision = decide_bid(550, 500, False, UndercutPolicy(100, 100), rng)
-        assert isinstance(decision, Pass)
+        decision = decide_bid(550, 500, UndercutPolicy(100, 100), rng)
+        assert decision is None
 
     def test_landing_exactly_on_own_cost_is_a_bid(self):
         rng = random.Random(7)
-        decision = decide_bid(600, 500, False, UndercutPolicy(100, 100), rng)
+        decision = decide_bid(600, 500, UndercutPolicy(100, 100), rng)
         assert decision == Bid(500)
 
     def test_non_leader_consumes_exactly_one_draw(self):
         policy = UndercutPolicy(50, 100)
         a, b = random.Random(8), random.Random(8)
-        decide_bid(1_000, 10, False, policy, a)
+        decide_bid(1_000, 10, policy, a)
         sample_undercut(policy, b)
         assert a.getstate() == b.getstate()
 
@@ -83,7 +79,7 @@ class TestDecideBid:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_never_bids_below_own_marginal_cost(self, current, mc, lo, span, seed):
-        decision = decide_bid(current, mc, False, UndercutPolicy(lo, lo + span), random.Random(seed))
+        decision = decide_bid(current, mc, UndercutPolicy(lo, lo + span), random.Random(seed))
         if isinstance(decision, Bid):
             assert decision.price >= mc
             assert decision.price < current
@@ -102,7 +98,7 @@ class TestDrawMatchesRandint:
             policy = UndercutPolicy(l_min, l_min + width - 1)
             race, ref = random.Random(seed), random.Random(seed)
             for _ in range(4):
-                decision = decide_bid(policy.l_max, 0, False, policy, race)
+                decision = decide_bid(policy.l_max, 0, policy, race)
                 assert policy.l_max - decision.price == ref.randint(policy.l_min, policy.l_max)
             assert sample_undercut(policy, race) == ref.randint(policy.l_min, policy.l_max)
             assert race.getstate() == ref.getstate()

@@ -29,7 +29,7 @@ from wavebroker import (
 )
 from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
 
-from conftest import mknet
+from conftest import mknet, probed_mcs
 
 VC = VirtualChannel("S", "T", "VC1")
 POLICY = UndercutPolicy(50, 100)
@@ -43,7 +43,7 @@ def supplier(sid, unit_cost, capacity=1000, wavelengths=1000):
 def won_outcome(mc_a=600, mc_b=400, seed=17):
     """A decided duel; the final price lands somewhere in [500, 700]."""
     a, b = supplier("A", mc_a), supplier("B", mc_b)
-    outcome = run_competition(VC, [a, b], random.Random(seed))
+    outcome = run_competition(VC, [a, b], random.Random(seed), probed_mcs(VC, [a, b]))
     assert outcome.winner == "B" and 500 <= outcome.final_price <= 700
     return outcome, b
 
@@ -144,7 +144,7 @@ class TestSettle:
 
     def test_requires_a_won_auction(self):
         dry_a, dry_b = supplier("A", 1, capacity=0), supplier("B", 1, capacity=0)
-        outcome = run_competition(VC, [dry_a, dry_b], random.Random(0))
+        outcome = run_competition(VC, [dry_a, dry_b], random.Random(0), probed_mcs(VC, [dry_a, dry_b]))
         with pytest.raises(InvalidOutcomeError):
             settle(outcome, LinearDemand(10, 0.1), dry_a, VC)
 

@@ -18,7 +18,8 @@ from wavebroker import (
     run_competition,
     validate_trace,
 )
-from wavebroker.game import PASS, round_half_up
+from wavebroker import game
+from wavebroker.game import round_half_up
 from wavebroker.protocol import (
     _WIRE_NAMES,
     BROKER_TO_SUPPLIER,
@@ -34,7 +35,7 @@ from wavebroker.protocol import (
     format_event,
 )
 
-from conftest import mknet
+from conftest import mknet, ocl_prices, probed_mcs
 
 VC = VirtualChannel("S", "T", "VC1")
 POLICY = UndercutPolicy(50, 100)
@@ -47,7 +48,7 @@ def supplier(sid, unit_cost, capacity=1000, policy=POLICY, markup=2.0, wavelengt
 
 def duel(seed, mc_a=600, mc_b=400):
     a, b = supplier("A", mc_a), supplier("B", mc_b)
-    return run_competition(VC, [a, b], random.Random(seed))
+    return run_competition(VC, [a, b], random.Random(seed), probed_mcs(VC, [a, b]))
 
 
 class TestDuel:
@@ -68,7 +69,7 @@ class TestGateExceptions:
     def test_single_capable_supplier_wins_at_opening_bid_in_one_round(self):
         capable = supplier("A", 600)
         dry = supplier("B", 400, capacity=0)
-        outcome = run_competition(VC, [capable, dry], random.Random(0))
+        outcome = run_competition(VC, [capable, dry], random.Random(0), probed_mcs(VC, [capable, dry]))
         assert outcome.termination is Termination.WON
         assert outcome.winner == "A"
         assert outcome.final_price == 1200
@@ -77,16 +78,15 @@ class TestGateExceptions:
         assert kinds == [Reqc, Reqc, Offp, Exc1]
 
     def test_all_declining_ends_with_no_winner(self):
-        outcome = run_competition(
-            VC, [supplier("A", 1, capacity=0), supplier("B", 1, capacity=0)], random.Random(0)
-        )
+        dry = [supplier("A", 1, capacity=0), supplier("B", 1, capacity=0)]
+        outcome = run_competition(VC, dry, random.Random(0), probed_mcs(VC, dry))
         assert outcome.termination is Termination.ALL_DECLINED
         assert outcome.winner is None
         assert outcome.final_price is None
 
     def test_no_suppliers_is_an_error(self):
         with pytest.raises(ValueError):
-            run_competition(VC, [], random.Random(0))
+            run_competition(VC, [], random.Random(0), {})
 
 
 class TestMultiSupplier:
@@ -96,7 +96,7 @@ class TestMultiSupplier:
         a = supplier("A", 800, policy=UndercutPolicy(50, 50), markup=1.25)
         b = supplier("B", 800, policy=UndercutPolicy(100, 100), markup=1.2375)
         c = supplier("C", 800, policy=UndercutPolicy(100, 100), markup=1.225)
-        outcome = run_competition(VC, [a, b, c], random.Random(1))
+        outcome = run_competition(VC, [a, b, c], random.Random(1), probed_mcs(VC, [a, b, c]))
         assert outcome.rounds == 3
         assert outcome.winner == "A"
         assert outcome.final_price == 830
@@ -110,7 +110,7 @@ class TestMultiSupplier:
     def test_round_cap_guard(self):
         a, b = supplier("A", 600), supplier("B", 400)
         with pytest.raises(RoundCapExceededError):
-            run_competition(VC, [a, b], random.Random(0), round_cap=1)
+            run_competition(VC, [a, b], random.Random(0), probed_mcs(VC, [a, b]), round_cap=1)
 
 
 class TestTraceConformance:
@@ -128,13 +128,13 @@ class TestTraceConformance:
                 )
                 for i in range(n)
             ]
-            outcome = run_competition(VC, suppliers, random.Random(trial))
+            outcome = run_competition(VC, suppliers, random.Random(trial), probed_mcs(VC, suppliers))
             assert validate_trace(outcome.trace) == []
 
     def test_announced_minimum_strictly_decreases(self):
         for seed in range(30):
             outcome = duel(seed, mc_a=500, mc_b=500)
-            prices = outcome.trace.ocl_prices()
+            prices = ocl_prices(outcome.trace)
             assert all(p1 > p2 for p1, p2 in zip(prices, prices[1:]))
 
     def test_termination_round_bound(self):
@@ -144,7 +144,7 @@ class TestTraceConformance:
             policy = UndercutPolicy(lo, lo + rng.randint(0, 80))
             mc_a, mc_b = rng.randint(100, 900), rng.randint(100, 900)
             a, b = supplier("A", mc_a, policy=policy), supplier("B", mc_b, policy=policy)
-            outcome = run_competition(VC, [a, b], random.Random(trial))
+            outcome = run_competition(VC, [a, b], random.Random(trial), probed_mcs(VC, [a, b]))
             max_bid = max(2 * mc_a, 2 * mc_b)
             bound = math.ceil((max_bid - min(mc_a, mc_b)) / policy.l_min) + 2
             assert outcome.rounds <= bound
@@ -239,48 +239,48 @@ class TestTraceFormat:
 
     def test_a_race_pickles_as_its_log_and_settles_without_its_events(self):
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
-        trace = run_competition(VC, suppliers, random.Random(5)).trace
+        mcs = probed_mcs(VC, suppliers)
+        trace = run_competition(VC, suppliers, random.Random(5), mcs).trace
         unread = len(pickle.dumps(trace))
         eager = CompetitionTrace(trace.events)
         assert unread * 4 < len(pickle.dumps(eager)) == len(pickle.dumps(trace))
         tail = (TraceEvent(99, BROKER_TO_SUPPLIER, "S0", Nack("S", "T")),)
-        lazy = run_competition(VC, suppliers, random.Random(5)).trace.settled(tail)
+        lazy = run_competition(VC, suppliers, random.Random(5), mcs).trace.settled(tail)
         assert lazy == eager.settled(tail) == CompetitionTrace(trace.events + tail)
         assert hash(lazy) == hash(CompetitionTrace(trace.events + tail))
 
     def test_every_announcement_of_a_round_has_the_same_price(self):
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
-        outcome = run_competition(VC, suppliers, random.Random(5))
+        outcome = run_competition(VC, suppliers, random.Random(5), probed_mcs(VC, suppliers))
         by_round: dict[int, set[Ocl]] = {}
         for ev in outcome.trace.events:
             if isinstance(ev.message, Ocl):
                 by_round.setdefault(ev.round, set()).add(ev.message)
         assert len(by_round) == outcome.rounds - 1 > 5
         assert all(len(msgs) == 1 for msgs in by_round.values())
-        assert [next(iter(by_round[r])).p for r in sorted(by_round)] == outcome.trace.ocl_prices()
+        assert [next(iter(by_round[r])).p for r in sorted(by_round)] == ocl_prices(outcome.trace)
 
 
 def reference_decide(current_min, own_next_unit_mc, is_leader, policy, rng):
     """The decision as first written: ``randint`` for the step."""
     if is_leader:
-        return PASS
+        return None
     candidate = current_min - rng.randint(policy.l_min, policy.l_max)
-    return Bid(candidate) if candidate >= own_next_unit_mc else PASS
+    return Bid(candidate) if candidate >= own_next_unit_mc else None
 
 
-def reference_race(vc, suppliers, rng, round_cap=10_000, mc_by_supplier=None):
+def reference_race(vc, suppliers, rng, mcs, round_cap=10_000):
     """The race loop as first written: one decision per active supplier and
     round, the leader's included, and the round minimum found afterwards."""
     x, y = vc.src, vc.dst
     reqc = Reqc(x, y)
     events = [TraceEvent(1, BROKER_TO_SUPPLIER, s.id, reqc) for s in suppliers]
-    mcs, bids = {}, {}
+    bids = {}
     for s in suppliers:
-        mc = mc_by_supplier.get(s.id) if mc_by_supplier is not None else s.next_unit_mc(vc)
+        mc = mcs[s.id]
         if mc is None:
             events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Exc1(0, 0, x, y)))
             continue
-        mcs[s.id] = mc
         bids[s.id] = round_half_up(s.markup * mc)
         events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Offp(bids[s.id], x, y)))
     active = [s for s in suppliers if s.id in bids]
@@ -339,12 +339,13 @@ def random_market(rng, tied_openings):
 def race_result(race, suppliers, seed, **kwargs):
     """Everything a race shows: trace events and lines, outcome, and the generator's final state.
 
-    The trace must also equal one built from its own events, and survive a
-    pickle round trip.
+    The race gets the suppliers' probed marginal costs.  The trace must
+    also equal one built from its own events, and survive a pickle round
+    trip.
     """
     rng = random.Random(seed)
     try:
-        out = race(VC, suppliers, rng, **kwargs)
+        out = race(VC, suppliers, rng, probed_mcs(VC, suppliers), **kwargs)
     except RoundCapExceededError as exc:
         return ("round cap", str(exc), rng.getstate())
     trace = out.trace
@@ -360,14 +361,28 @@ class TestRaceMatchesReference:
         rng = random.Random(2024 + tied_openings)
         for trial in range(150):
             suppliers = random_market(rng, tied_openings)
-            kwargs = {}
-            if trial % 2:
-                kwargs["mc_by_supplier"] = {s.id: s.next_unit_mc(VC) for s in suppliers}
-            want = race_result(reference_race, suppliers, trial, **kwargs)
-            assert race_result(run_competition, suppliers, trial, **kwargs) == want, trial
+            want = race_result(reference_race, suppliers, trial)
+            assert race_result(run_competition, suppliers, trial) == want, trial
 
     def test_round_cap(self):
         suppliers = [supplier(f"S{i}", 100, policy=UndercutPolicy(1, 2)) for i in range(6)]
         want = race_result(reference_race, suppliers, 3, round_cap=12)
         assert want[0] == "round cap"
         assert race_result(run_competition, suppliers, 3, round_cap=12) == want
+
+    def test_race_never_probes_placement(self, monkeypatch):
+        suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
+        suppliers.append(supplier("dry", 100, capacity=0))
+        mcs = probed_mcs(VC, suppliers)
+        want = race_result(reference_race, suppliers, 7)
+
+        def no_probe(*args):
+            raise AssertionError("the race probed a marginal cost")
+
+        monkeypatch.setattr(SupplierAgent, "next_unit_mc", no_probe)
+        monkeypatch.setattr(game, "marginal_cost", no_probe)
+        rng = random.Random(7)
+        out = run_competition(VC, suppliers, rng, mcs)
+        assert out.rounds > 2
+        got = (out.trace.events, out.winner, out.final_price, out.rounds, rng.getstate())
+        assert got == (want[0], *want[2:5], want[6])
