@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -413,7 +414,9 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs more than a short parse."""
     parser = argparse.ArgumentParser(
         prog="simulate",
         description="Deterministic wavelength-market simulator over competing optical transport networks.",

@@ -14,11 +14,12 @@ import math
 import os
 import random
 import re
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .errors import ConfigError, InvalidOutcomeError, UnknownNetworkError
+from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, NoPathError, UnknownNetworkError
 from .game import SupplierAgent, UndercutPolicy, equilibrium_bounds
 from .protocol import (
     BROKER_TO_SUPPLIER,
@@ -34,7 +35,7 @@ from .protocol import (
     TraceEvent,
     run_competition,
 )
-from .rwa import Allocation, incremental_allocate
+from .rwa import Allocation, _path_tables, incremental_allocate
 from .topology import MAX_ROUTE_NODES, Network, VirtualChannel, validate_network
 
 
@@ -259,6 +260,7 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     if not config.suppliers:
         problems.append("networks: at least one supplier network is required")
     seen_nets: set[str] = set()
+    routable: list[tuple[int, Network]] = []
     for i, sup in enumerate(config.suppliers):
         loc = f"networks[{i}]"
         if sup.network.id in seen_nets:
@@ -266,12 +268,15 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         if not SAFE_ID.fullmatch(sup.network.id):
             problems.append(f"{loc}.id: {sup.network.id!r} {SAFE_ID_RULE}")
         seen_nets.add(sup.network.id)
-        for v in validate_network(sup.network):
+        violations = validate_network(sup.network)
+        for v in violations:
             problems.append(f"{loc}: {v}")
         if len(sup.network.nodes) > MAX_ROUTE_NODES:
             problems.append(
                 f"{loc}: {len(sup.network.nodes)} nodes; complete path enumeration is capped at {MAX_ROUTE_NODES}"
             )
+        elif not violations:
+            routable.append((i, sup.network))
         if sup.markup < 1:
             problems.append(f"{loc}: markup {sup.markup} is below 1")
         total_cost = sum(link.unit_cost for link in sup.network.links)
@@ -292,6 +297,16 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
             for end in (ch.vc.src, ch.vc.dst):
                 if end not in sup.network.nodes:
                     problems.append(f"{loc}: endpoint {end!r} missing from networks[{i}] ({sup.network.id!r})")
+    # the path tables built here are the ones placement reads later
+    for i, net in routable:
+        for j, ch in enumerate(config.channels):
+            if ch.vc.src in net.nodes and ch.vc.dst in net.nodes:
+                try:
+                    _path_tables(net, ch.vc)
+                except NoPathError:
+                    pass
+                except NetworkTooLargeError as exc:
+                    problems.append(f"networks[{i}]: virtual_channels[{j}] ({ch.vc.label!r}): {exc}")
     for k, (rnd, label) in enumerate(config.schedule):
         if label not in labels:
             problems.append(f"schedule[{k}]: unknown virtual channel {label!r}")
@@ -429,6 +444,10 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
 
 # -- seed sweeps ----------------------------------------------------------------
 
+# A parallel sweep keeps this many runs per worker submitted and unread.
+SWEEP_RUNS_PER_WORKER = 2
+
+
 def child_seed(root: int, index: int) -> int:
     """Stable 63-bit child seed for run ``index`` of a sweep rooted at ``root``."""
     digest = hashlib.sha256(f"{root}:{index}".encode()).digest()
@@ -440,7 +459,9 @@ def run_sweep(config: ScenarioConfig, count: int, workers: int = 1) -> Iterator[
 
     The arguments are checked on the call; each run happens as its report
     is read, so a caller that stops reading stops a serial sweep.  At most
-    ``min(workers, count, os.cpu_count())`` processes run them.
+    ``min(workers, count, os.cpu_count())`` processes run them, with at
+    most ``SWEEP_RUNS_PER_WORKER`` runs per process submitted and not yet
+    read, so finished reports do not pile up behind a slow reader.
     """
     if count < 1:
         raise ValueError("sweep count must be >= 1")
@@ -456,5 +477,11 @@ def run_sweep(config: ScenarioConfig, count: int, workers: int = 1) -> Iterator[
 def _pooled_runs(config: ScenarioConfig, seeds: list[int], workers: int) -> Iterator[Report]:
     from concurrent.futures import ProcessPoolExecutor
 
+    in_flight: deque = deque()
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(run_scenario, [config] * len(seeds), seeds)
+        for seed in seeds:
+            if len(in_flight) == SWEEP_RUNS_PER_WORKER * workers:
+                yield in_flight.popleft().result()
+            in_flight.append(pool.submit(run_scenario, config, seed))
+        while in_flight:
+            yield in_flight.popleft().result()

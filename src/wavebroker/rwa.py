@@ -10,7 +10,10 @@ Two solvers are provided: a branch-and-bound exact solver and a guarded
 exhaustive enumerator used as its oracle in tests.  A third operation
 places units greedily one at a time, which is what suppliers can actually
 evaluate mid-market; its unit costs trace out the marginal-cost curve, and
-settlement provisions through it.
+settlement provisions through it.  Greedy placement asks the kernel for
+the cheapest cell once per path, not once per unit: when the chosen path
+is the only candidate at its cost, the units after it land on that path
+until its room runs out, which is where the unit-by-unit rule puts them.
 
 All three return one result shape, ``(delta, added)``: the new lightpaths
 as a tuple and their summed cost.  Nothing is committed; the caller merges
@@ -79,20 +82,40 @@ class Allocation:
         self._index(tuple(lightpaths))
 
     def _index(self, delta: tuple[LightPath, ...]) -> None:
-        masks, conn_counts = self._masks, self._conn_counts
+        """Add the delta's cells, one OR per link for each run of lightpaths on one hop tuple.
+
+        A run is a stretch of consecutive lightpaths sharing a ``hops``
+        object on distinct wavelengths; a repeated wavelength starts a new
+        run, so it clashes with the run before it like any taken cell.
+        """
+        conn_counts = self._conn_counts
+        run_hops = None
+        run_bits = 0
         for lp in delta:
             w = lp.wavelength
             if w < 1:
+                self._commit_run(run_hops, run_bits)
                 raise ValueError(f"{lp.conn}: wavelength {w} is below 1")
             bit = 1 << (w - 1)
-            for u, v in lp.hops:
-                key = link_key(u, v)
-                mask = masks.get(key, 0)
-                if mask & bit:
-                    raise ConflictError(f"cell {key} w={w} carries two lightpaths")
-                masks[key] = mask | bit
+            if lp.hops is not run_hops or run_bits & bit:
+                self._commit_run(run_hops, run_bits)
+                run_hops, run_bits = lp.hops, 0
+            run_bits |= bit
             conn_counts[lp.conn] = conn_counts.get(lp.conn, 0) + 1
+        self._commit_run(run_hops, run_bits)
         self.lightpaths += delta
+
+    def _commit_run(self, hops, bits: int) -> None:
+        if not bits:
+            return
+        masks = self._masks
+        for u, v in hops:
+            key = link_key(u, v)
+            mask = masks.get(key, 0)
+            clash = mask & bits
+            if clash:
+                raise ConflictError(f"cell {key} w={(clash & -clash).bit_length()} carries two lightpaths")
+            masks[key] = mask | bits
 
     def _extended(self, delta: tuple[LightPath, ...]) -> "Allocation":
         child = object.__new__(Allocation)
@@ -110,7 +133,7 @@ class Allocation:
         return self._masks.get(link_key, 0).bit_count()
 
     def total_cost(self, net: Network) -> int:
-        return sum(lp.cost(net) for lp in self.lightpaths)
+        return sum(_lightpath_costs(net, self.lightpaths))
 
     def __repr__(self):
         return f"Allocation({len(self.lightpaths)} lightpaths)"
@@ -195,12 +218,25 @@ def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int]
     return violations
 
 
+def _lightpath_costs(net: Network, lightpaths) -> list[int]:
+    """Each lightpath's cost from the network's links, once per distinct hop tuple."""
+    memo: dict[tuple, int] = {}
+    costs = []
+    for lp in lightpaths:
+        cost = memo.get(lp.hops)
+        if cost is None:
+            cost = memo[lp.hops] = lp.cost(net)
+        costs.append(cost)
+    return costs
+
+
 def dump_allocation(net: Network, alloc: Allocation) -> list[str]:
     """One line per lightpath in the stable trace/debug format."""
-    lines = []
-    for lp in sorted(alloc.lightpaths, key=lambda l: (l.vc.label, l.conn, l.wavelength)):
-        lines.append(f"{lp.vc.label} w={lp.wavelength} path={'-'.join(lp.nodes())} cost={lp.cost(net)}")
-    return lines
+    lps = sorted(alloc.lightpaths, key=lambda l: (l.vc.label, l.conn, l.wavelength))
+    return [
+        f"{lp.vc.label} w={lp.wavelength} path={'-'.join(lp.nodes())} cost={cost}"
+        for lp, cost in zip(lps, _lightpath_costs(net, lps))
+    ]
 
 
 # -- compiled lookup tables ---------------------------------------------------
@@ -217,13 +253,17 @@ def _net_tables(net: Network):
 
 @lru_cache(maxsize=2048)
 def _path_tables(net: Network, vc: VirtualChannel):
-    """Per candidate path, cheapest first: its hop tuple, its cost and its link indexes."""
+    """Per candidate path, cheapest first: its hop tuple, its cost, its link indexes
+    and whether it is the only candidate at its cost."""
     _, index, _, pairs = _net_tables(net)
     paths = route_candidates(net, vc)
     costs = tuple(path_cost(net, p) for p in paths)
     hops = tuple(tuple(pairs[hop] for hop in zip(p, p[1:])) for p in paths)
     link_lists = tuple(tuple(index[link_key(u, v)] for u, v in h) for h in hops)
-    return hops, costs, link_lists
+    # costs ascend, so a tie can only be with a neighbour
+    padded = (None,) + costs + (None,)
+    alone = tuple(padded[i] != c != padded[i + 2] for i, c in enumerate(costs))
+    return hops, costs, link_lists, alone
 
 
 def _link_masks(net: Network, state: Allocation) -> list[int]:
@@ -251,7 +291,7 @@ def _fresh_conn_ids(state: Allocation, labels) -> list[str]:
     return ids
 
 
-# -- greedy unit-at-a-time placement ------------------------------------------
+# -- greedy placement, a path at a time ---------------------------------------
 
 def incremental_allocate(
     net: Network,
@@ -266,11 +306,21 @@ def incremental_allocate(
     in placement order and their summed cost.  The delta is shorter than
     ``count`` when capacity runs out, and empty when the endpoints are not
     connected or nothing fits.
+
+    The kernel is asked once per path rather than once per unit.  Placing
+    a unit only sets mask bits and clears ``allowed`` bits, so a path that
+    lost to the kernel's pick never becomes feasible again.  When the pick
+    is the only candidate at its cost, every cheaper path has lost for
+    good and every dearer one loses while it fits, so the next units go on
+    it, at its lowest free allowed wavelengths, until its room (the least
+    ``cap - popcount`` over its links) or its free wavelengths run out:
+    the cells the unit-by-unit rule would choose, in the same order.  A
+    pick that ties another path's cost places one unit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     try:
-        hops, costs, link_lists = _path_tables(net, vc)
+        hops, costs, link_lists, alone = _path_tables(net, vc)
     except NoPathError:
         return (), 0
     conn = _fresh_conn_ids(state, [vc.label])[0]
@@ -280,16 +330,33 @@ def incremental_allocate(
 
     delta: list[LightPath] = []
     added = 0
-    for _ in range(count):
+    while len(delta) < count:
         p, w0 = _kernel.cheapest_placement(link_lists, costs, masks, caps, allowed)
         if p < 0:
             break
-        bit = 1 << w0
-        for li in link_lists[p]:
-            masks[li] |= bit
-        allowed &= ~bit
-        delta.append(LightPath(conn, vc, w0 + 1, hops[p]))
-        added += costs[p]
+        links, path = link_lists[p], hops[p]
+        room = count - len(delta)
+        delta.append(LightPath(conn, vc, w0 + 1, path))
+        take = 1 << w0
+        placed = 1
+        if room > 1 and alone[p]:
+            taken = 0
+            for li in links:
+                mask = masks[li]
+                taken |= mask
+                room = min(room, caps[li] - mask.bit_count())
+            # the kernel took the lowest free bit; the next ones follow it up
+            free = allowed & ~taken & ~take
+            while free and placed < room:
+                low = free & -free
+                free ^= low
+                take |= low
+                placed += 1
+                delta.append(LightPath(conn, vc, low.bit_length(), path))
+        for li in links:
+            masks[li] |= take
+        allowed &= ~take
+        added += costs[p] * placed
     return tuple(delta), added
 
 
@@ -402,7 +469,7 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
                 best_cost = cost
             return
         k = unit_req[u]
-        _hops, costs, link_lists = per_req[k]
+        _hops, costs, link_lists, _alone = per_req[k]
         for w in wave_choices(k):
             bit = 1 << w
             for p in range(len(costs)):

@@ -15,6 +15,10 @@ from .errors import NetworkTooLargeError, NoPathError, Violation
 # Complete simple-path enumeration is exponential; desk-scale graphs only.
 MAX_ROUTE_NODES = 12
 
+# Candidate paths per channel: a complete 8-node network has 1,957 between
+# two nodes, a complete 12-node one about 9.9 million.
+MAX_ROUTE_PATHS = 2048
+
 # Every placement probe builds a wavelength_count-bit mask per link.
 MAX_WAVELENGTH_COUNT = 4096
 
@@ -152,8 +156,9 @@ def route_candidates(net: Network, vc: VirtualChannel) -> list[Path]:
 
     Ordering is total and insertion-independent: ascending per-wavelength
     path cost, ties broken lexicographically by the node-label sequence.
-    Raises NoPathError when the endpoints are disconnected and
-    NetworkTooLargeError beyond MAX_ROUTE_NODES nodes.
+    Raises NoPathError when the endpoints are disconnected, and
+    NetworkTooLargeError beyond MAX_ROUTE_NODES nodes or, as soon as the
+    walk finds one more, beyond MAX_ROUTE_PATHS paths.
     """
     if len(net.nodes) > MAX_ROUTE_NODES:
         raise NetworkTooLargeError(
@@ -171,6 +176,11 @@ def route_candidates(net: Network, vc: VirtualChannel) -> list[Path]:
         for nxt in adjacency[node]:
             if nxt == vc.dst:
                 found.append(tuple(stack) + (vc.dst,))
+                if len(found) > MAX_ROUTE_PATHS:
+                    raise NetworkTooLargeError(
+                        f"more than {MAX_ROUTE_PATHS} paths join {vc.src} and {vc.dst};"
+                        f" route enumeration is capped at {MAX_ROUTE_PATHS}"
+                    )
             elif nxt not in on_path:
                 stack.append(nxt)
                 on_path.add(nxt)
@@ -178,8 +188,10 @@ def route_candidates(net: Network, vc: VirtualChannel) -> list[Path]:
                 on_path.remove(nxt)
                 stack.pop()
 
-    walk(vc.src)
-    del walk  # it refers to itself; unbinding it frees the paths without a GC pass
+    try:
+        walk(vc.src)
+    finally:
+        del walk  # it refers to itself; unbinding it frees the paths without a GC pass
     if not found:
         raise NoPathError(f"{vc.src} and {vc.dst} are disconnected in network {net.id!r}")
     found.sort(key=lambda p: (path_cost(net, p), p))

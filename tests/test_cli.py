@@ -9,10 +9,11 @@ from wavebroker.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_RUNTIME,
+    build_parser,
     load_scenario,
     main,
 )
-from wavebroker.topology import MAX_ROUTE_NODES, MAX_WAVELENGTH_COUNT
+from wavebroker.topology import MAX_ROUTE_NODES, MAX_ROUTE_PATHS, MAX_WAVELENGTH_COUNT
 
 from conftest import scenario_path
 
@@ -355,6 +356,24 @@ class TestCurveCommand:
         assert blocker.read_text() == "keep me"
 
 
+class TestParser:
+    def test_built_once_with_the_same_help_and_errors(self, capsys):
+        assert build_parser() is build_parser()
+
+        def outcome(parse, argv):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            return exc.value.code, capsys.readouterr()
+
+        fresh = build_parser.__wrapped__()
+        for argv in (["--help"], ["run", "--help"], ["curve", "--help"], [], ["run"], ["curve", "s.json"], ["nope"]):
+            want = outcome(fresh.parse_args, argv)
+            assert want[1].out or want[1].err
+            # the shared parser answers the same, also when asked again
+            assert outcome(main, argv) == want
+            assert outcome(main, argv) == want
+
+
 class TestValidateCommand:
     def test_ok(self, capsys):
         assert main(["validate", scenario_path("three_channels")]) == EXIT_OK
@@ -367,6 +386,29 @@ class TestValidateCommand:
         p.write_text(json.dumps(doc))
         assert main(["validate", str(p)]) == EXIT_CONFIG
         assert "networks[0]" in capsys.readouterr().err
+
+    def test_network_above_the_route_path_cap_is_a_config_error(self, tmp_path, capsys):
+        # a complete 12-node network is within the node cap, but about 9.9 million paths join two nodes
+        doc = duel_doc()
+        nodes = ["S", "T"] + [f"X{i}" for i in range(MAX_ROUTE_NODES - 2)]
+        doc["networks"][1]["nodes"] = nodes
+        doc["networks"][1]["links"] = [
+            {"a": a, "b": b, "capacity": 160, "unit_cost": 400} for k, a in enumerate(nodes) for b in nodes[k + 1 :]
+        ]
+        p = tmp_path / "dense.json"
+        p.write_text(json.dumps(doc))
+        want = (
+            "config error: networks[1]: virtual_channels[0] ('VC1'): more than"
+            f" {MAX_ROUTE_PATHS} paths join S and T; route enumeration is capped at {MAX_ROUTE_PATHS}\n"
+        )
+        for command, *options in (
+            ["validate"],
+            ["run", "--out", str(tmp_path / "run")],
+            ["curve", "--vc", "VC1", "--out", str(tmp_path / "curve")],
+        ):
+            assert main([command, str(p), *options]) == EXIT_CONFIG
+            assert capsys.readouterr().err == want
+        assert not (tmp_path / "run").exists() and not (tmp_path / "curve").exists()
 
     def test_network_above_the_route_node_cap_is_a_config_error(self, tmp_path, capsys):
         doc = duel_doc()

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +28,7 @@ from wavebroker import (
     validate_allocation,
     validate_trace,
 )
+from wavebroker.market import SWEEP_RUNS_PER_WORKER
 from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
 
 from conftest import mknet, probed_mcs
@@ -56,6 +58,46 @@ def duel_config(schedule_len=10, seed=42, mc_a=600, mc_b=400, demand=None, cap=1
     channels = [ChannelConfig(VC, demand or LinearDemand(a=40, b=0.05))]
     schedule = tuple((r + 1, "VC1") for r in range(schedule_len))
     return ScenarioConfig("duel-test", seed, tuple(nets), tuple(channels), schedule)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the process pool with one that runs each submitted call at once, in process.
+
+    Returns what the pool saw: pool sizes, submitted runs, runs not yet read and the most unread.
+    """
+    import concurrent.futures
+    import os
+
+    log = SimpleNamespace(cpus=64, sizes=[], submitted=0, unread=0, most_unread=0)
+
+    class Done:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            log.unread -= 1
+            return self.value
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            log.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            log.submitted += 1
+            log.unread += 1
+            log.most_unread = max(log.most_unread, log.unread)
+            return Done(fn(*args))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: log.cpus)
+    return log
 
 
 class TestBrokerDemand:
@@ -267,30 +309,23 @@ class TestSweep:
         "count, workers, cpus, pool_size",
         [(3, 10**6, 64, 3), (5, 10**6, 2, 2), (5, 4, 64, 4), (4, 10**6, 1, None), (1, 8, 64, None)],
     )
-    def test_workers_are_clamped_to_runs_and_cpus(self, monkeypatch, count, workers, cpus, pool_size):
-        import concurrent.futures
-        import os
-
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    def test_workers_are_clamped_to_runs_and_cpus(self, serial_pool, count, workers, cpus, pool_size):
+        serial_pool.cpus = cpus
         reports = run_sweep(duel_config(schedule_len=1), count, workers=workers)
         assert [r.seed for r in reports] == [child_seed(42, i) for i in range(count)]
-        assert sizes == ([] if pool_size is None else [pool_size])
+        assert serial_pool.sizes == ([] if pool_size is None else [pool_size])
+
+    @pytest.mark.parametrize("count, workers, bound", [(20, 3, 6), (9, 2, 4), (3, 2, 3)])
+    def test_parallel_sweep_keeps_two_runs_per_worker_in_flight(self, serial_pool, count, workers, bound):
+        assert SWEEP_RUNS_PER_WORKER == 2
+        reports = run_sweep(duel_config(schedule_len=1), count, workers=workers)
+        first = next(reports)
+        # the first report is read once the window is full, not after every run
+        assert serial_pool.submitted == bound
+        seeds = [first.seed] + [r.seed for r in reports]
+        assert seeds == [child_seed(42, i) for i in range(count)]
+        assert serial_pool.submitted == count and serial_pool.unread == 0
+        assert serial_pool.most_unread == bound
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from wavebroker import (
     InfeasibleError,
     InstanceTooLargeError,
     LightPath,
+    NoPathError,
     VirtualChannel,
     apply_delta,
     brute_force_rwa,
@@ -17,7 +18,9 @@ from wavebroker import (
     solve_min_cost_rwa,
     validate_allocation,
 )
-from wavebroker.topology import link_key
+from wavebroker import _kernel
+from wavebroker.rwa import _fresh_conn_ids, _link_masks, _net_tables, _path_tables
+from wavebroker.topology import Link, link_key, make_network
 
 from conftest import mknet, random_guard_instance, random_parallel_routes_net, two_route_net, VC_SEA_BOS
 
@@ -250,6 +253,105 @@ class TestIncremental:
         assert exact == 22
 
 
+def unit_at_a_time(net, state, vc, count):
+    """Reference greedy placement: one kernel call per unit."""
+    try:
+        hops, costs, link_lists, _alone = _path_tables(net, vc)
+    except NoPathError:
+        return (), 0
+    conn = _fresh_conn_ids(state, [vc.label])[0]
+    _, _, caps, _ = _net_tables(net)
+    masks = _link_masks(net, state)
+    allowed = (1 << net.wavelength_count) - 1
+    delta = []
+    added = 0
+    for _ in range(count):
+        p, w0 = _kernel.cheapest_placement(link_lists, costs, masks, caps, allowed)
+        if p < 0:
+            break
+        bit = 1 << w0
+        for li in link_lists[p]:
+            masks[li] |= bit
+        allowed &= ~bit
+        delta.append(LightPath(conn, vc, w0 + 1, hops[p]))
+        added += costs[p]
+    return tuple(delta), added
+
+
+def random_placement_case(rng, tag):
+    """A random network with few distinct link costs (so path costs tie), tight
+    capacities, prior occupancy from earlier connections, and a channel to place."""
+    n_nodes = rng.randint(3, 7)
+    nodes = [f"N{i}" for i in range(n_nodes)]
+    W = rng.randint(1, 9)
+    cost_pool = rng.choice([[1], [1, 2], [1, 2, 3], [2, 3, 5, 7]])
+    links = {}
+    for i in range(1, n_nodes):  # a random spanning tree keeps it connected
+        a, b = nodes[rng.randrange(i)], nodes[i]
+        links[link_key(a, b)] = None
+    for _ in range(rng.randint(0, n_nodes * 2)):
+        a, b = rng.sample(nodes, 2)
+        links[link_key(a, b)] = None
+    net = make_network(
+        f"place{tag}",
+        nodes,
+        [Link(a, b, rng.randint(0, W + 1), rng.choice(cost_pool)) for a, b in links],
+        W,
+    )
+    state = Allocation.empty()
+    for k in range(rng.randint(0, 4)):
+        src, dst = rng.sample(nodes, 2)
+        delta, _ = unit_at_a_time(net, state, VirtualChannel(src, dst, f"P{k % 2}"), rng.randint(1, W))
+        state = apply_delta(state, delta)
+    src, dst = rng.sample(nodes, 2)
+    return net, state, VirtualChannel(src, dst, "V"), rng.randint(1, W + 2)
+
+
+class TestPathAtATime:
+    def test_matches_the_unit_at_a_time_loop(self):
+        rng = random.Random(2024)
+        runs = tied = short = 0
+        for tag in range(600):
+            net, state, vc, count = random_placement_case(rng, tag)
+            delta, added = incremental_allocate(net, state, vc, count)
+            ref_delta, ref_added = unit_at_a_time(net, state, vc, count)
+            # same order, connection, wavelengths and hop tuples (the cached objects themselves)
+            assert delta == ref_delta
+            assert all(a.hops is b.hops for a, b in zip(delta, ref_delta))
+            assert added == ref_added
+            if len(delta) < count:
+                short += 1
+            if any(a.hops is b.hops for a, b in zip(delta, delta[1:])):
+                runs += 1
+            try:
+                _hops, costs, _links, alone = _path_tables(net, vc)
+            except NoPathError:
+                continue
+            assert alone == tuple(costs.count(c) == 1 for c in costs)
+            if delta and len(set(costs)) < len(costs):
+                tied += 1
+        # the cases cover multi-unit runs on one path, tied cost tiers and shortfalls
+        assert runs >= 150 and tied >= 100 and 100 <= short <= 500
+
+    def test_only_a_lone_cost_is_flagged(self):
+        net = mknet(
+            [("A", "B", 2, 5), ("A", "C", 2, 3), ("C", "B", 2, 3), ("A", "D", 2, 4), ("D", "B", 2, 2), ("A", "E", 2, 4), ("E", "B", 2, 4)],
+            wavelength_count=4,
+        )
+        _hops, costs, _links, alone = _path_tables(net, VC_AB)
+        assert costs == (5, 6, 6, 8)
+        assert alone == (True, False, False, True)
+
+    def test_a_lone_path_fills_to_its_room(self):
+        # the direct link is the only cost-5 path; it takes units up to its capacity of 3
+        net = mknet([("A", "B", 3, 5), ("A", "C", 4, 4), ("C", "B", 4, 4)], wavelength_count=6)
+        delta, added = incremental_allocate(net, Allocation.empty(), VC_AB, 5)
+        assert [(lp.nodes(), lp.wavelength) for lp in delta] == [
+            (("A", "B"), 1), (("A", "B"), 2), (("A", "B"), 3), (("A", "C", "B"), 4), (("A", "C", "B"), 5)
+        ]
+        assert added == 3 * 5 + 2 * 8
+
+
 class TestApplyDelta:
     def test_apply_then_conflict(self):
         net = mknet([("A", "B", 2, 5)])
@@ -404,6 +506,39 @@ class TestValidator:
         vios = validate_allocation(net, Allocation([lp]), demands={"c1": 2})
         assert "demand-count" in {v.code for v in vios}
 
+    def test_grouped_commit_clash_inside_one_path_run(self):
+        hops = (("A", "B"), ("B", "C"))
+        vc = VirtualChannel("A", "C", "x")
+        run = [LightPath("c1", vc, w, hops) for w in (1, 2, 3, 2)]
+        with pytest.raises(ConflictError, match="w=2"):
+            apply_delta(Allocation.empty(), run)
+        with pytest.raises(ConflictError):
+            Allocation(run)
+        # a hop tuple that crosses one link twice clashes with itself
+        with pytest.raises(ConflictError):
+            apply_delta(Allocation.empty(), [LightPath("c1", vc, 1, (("A", "B"), ("B", "A")))])
+
+    def test_grouped_commit_clash_across_two_paths(self):
+        vc = VirtualChannel("A", "C", "x")
+        upper, lower = (("A", "B"), ("B", "C")), (("A", "D"), ("D", "B"), ("B", "C"))
+        ok = [LightPath("c1", vc, w, upper) for w in (1, 2)] + [LightPath("c1", vc, w, lower) for w in (3, 4)]
+        state = apply_delta(Allocation.empty(), ok)
+        assert state.used_on(("B", "C")) == 4 and state.used_on(("A", "D")) == 2
+        clash = [LightPath("c1", vc, w, upper) for w in (1, 2)] + [LightPath("c1", vc, w, lower) for w in (3, 2)]
+        with pytest.raises(ConflictError, match=r"w=2"):
+            apply_delta(Allocation.empty(), clash)
+
+    def test_grouped_commit_clash_against_the_state(self):
+        vc = VirtualChannel("A", "C", "x")
+        state = apply_delta(Allocation.empty(), [LightPath("c0", vc, 3, (("B", "C"),))])
+        hops = (("A", "B"), ("B", "C"))
+        with pytest.raises(ConflictError, match=r"cell \('B', 'C'\) w=3"):
+            apply_delta(state, [LightPath("c1", vc, w, hops) for w in (1, 2, 3, 4)])
+        # the parent is untouched and the same run without the taken wavelength commits
+        assert state.used_on(("A", "B")) == 0 and state.used_on(("B", "C")) == 1
+        child = apply_delta(state, [LightPath("c1", vc, w, hops) for w in (1, 2, 4)])
+        assert child.used_on(("A", "B")) == 3 and child.used_on(("B", "C")) == 4
+
     def test_cell_conflicts_rejected_at_construction(self):
         with pytest.raises(ConflictError):
             Allocation(
@@ -423,3 +558,18 @@ class TestDump:
             "VC1 w=1 path=A-B cost=5",
             "VC1 w=2 path=A-B cost=5",
         ]
+
+    def test_costs_are_read_once_per_hop_tuple(self, monkeypatch):
+        net = two_route_net()
+        delta, added = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 12)
+        state = apply_delta(Allocation.empty(), delta)
+        real = LightPath.cost
+        calls = []
+        monkeypatch.setattr(LightPath, "cost", lambda lp, n: calls.append(lp.hops) or real(lp, n))
+        assert state.total_cost(net) == added == 8 * 125 + 4 * 170
+        assert len(calls) == 2
+        calls.clear()
+        lines = dump_allocation(net, state)
+        assert len(calls) == 2
+        assert lines[0] == "VC1 w=1 path=SEA-DEN-BOS cost=125"
+        assert lines[-1] == "VC1 w=12 path=SEA-POR-SLC-KC-CHI-BOS cost=170"

@@ -18,6 +18,8 @@ from wavebroker import (
     validate_network,
 )
 
+from wavebroker.topology import MAX_ROUTE_PATHS
+
 from conftest import mknet, two_route_net, VC_SEA_BOS
 
 
@@ -128,6 +130,18 @@ class TestRouteCandidates:
         net = mknet([("A", "B", 1, 1)])
         with pytest.raises(ValueError):
             route_candidates(net, VirtualChannel("A", "Z", "p"))
+
+    def test_path_count_guard(self):
+        def complete(n):
+            nodes = [f"N{i:02d}" for i in range(n)]
+            links = [Link(a, b, 1, 1) for k, a in enumerate(nodes) for b in nodes[k + 1 :]]
+            return make_network(f"k{n}", nodes, links, 1)
+
+        vc = VirtualChannel("N00", "N01", "p")
+        # a complete 8-node network has 1,957 paths between two nodes, under the cap
+        assert len(route_candidates(complete(8), vc)) == 1957 <= MAX_ROUTE_PATHS
+        with pytest.raises(NetworkTooLargeError, match=f"more than {MAX_ROUTE_PATHS} paths"):
+            route_candidates(complete(12), vc)
 
     def test_node_count_guard(self):
         nodes = [f"N{i}" for i in range(13)]
