@@ -60,6 +60,7 @@ from .protocol import (
 )
 from .rwa import (
     Allocation,
+    Grant,
     LightPath,
     apply_delta,
     brute_force_rwa,

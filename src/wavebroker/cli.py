@@ -311,7 +311,8 @@ def report_json(report: Report) -> str:
         "scenario": report.scenario_id,
         "seed": report.seed,
         "networks": networks,
-        "auctions": [dataclasses.asdict(rec) for rec in report.records],
+        # every AuctionRecord field is a scalar, so its field dict is what asdict would copy
+        "auctions": [vars(rec) for rec in report.records],
         "series": series_rows(report),
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

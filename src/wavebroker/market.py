@@ -35,7 +35,7 @@ from .protocol import (
     TraceEvent,
     run_competition,
 )
-from .rwa import Allocation, _path_tables, incremental_allocate
+from .rwa import Allocation, Grant, _path_tables, incremental_allocate
 from .topology import MAX_ROUTE_NODES, Network, VirtualChannel, validate_network
 
 
@@ -173,7 +173,7 @@ class SettlementResult:
     granted: int
     revenue: int
     cost: int
-    allocation_delta: tuple
+    allocation_delta: Grant | tuple
     events: tuple[TraceEvent, ...]
 
 

@@ -16,15 +16,21 @@ is the only candidate at its cost, the units after it land on that path
 until its room runs out, which is where the unit-by-unit rule puts them.
 
 All three return one result shape, ``(delta, added)``: the new lightpaths
-as a tuple and their summed cost.  Nothing is committed; the caller merges
+and their summed cost.  Greedy placement returns its delta as a ``Grant``,
+one ``(hops, wavelength mask)`` run per path the kernel picks, which
+stands for the tuple of ``LightPath``s and builds them only when read;
+the solvers return a tuple of ``LightPath``s.  Nothing is committed; the caller merges
 the delta with ``apply_delta``.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from . import _kernel
 from .errors import (
@@ -52,78 +58,210 @@ class LightPath:
     hops: tuple[tuple[str, str], ...]
 
     def nodes(self) -> tuple[str, ...]:
-        return (self.hops[0][0],) + tuple(v for _, v in self.hops)
+        return _hops_nodes(self.hops)
 
     def cost(self, net: Network) -> int:
-        return sum(net.link_by_key[link_key(u, v)].unit_cost for u, v in self.hops)
+        return _hops_cost(net, self.hops)
+
+
+def _hops_nodes(hops) -> tuple[str, ...]:
+    return (hops[0][0],) + tuple(v for _, v in hops)
+
+
+def _hops_cost(net: Network, hops) -> int:
+    return sum(net.link_by_key[link_key(u, v)].unit_cost for u, v in hops)
+
+
+class _Lightpaths(Sequence):
+    """A tuple of lightpaths held in a compact form.
+
+    Its length is read without building anything; iterating, indexing or
+    comparing it behaves like the tuple, which is built on first use.
+    """
+
+    __slots__ = ("_count", "_built")
+
+    @abstractmethod
+    def _build(self) -> tuple[LightPath, ...]:
+        """The lightpaths, in order."""
+
+    def _tuple(self) -> tuple[LightPath, ...]:
+        lps = self._built
+        if lps is None:
+            lps = self._built = self._build()
+        return lps
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __getitem__(self, i):
+        return self._tuple()[i]
+
+    def __eq__(self, other):
+        if isinstance(other, _Lightpaths):
+            other = other._tuple()
+        return self._tuple() == other
+
+    def __hash__(self):
+        return hash(self._tuple())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._tuple()!r})"
+
+
+class Grant(_Lightpaths):
+    """The units one placement grants one connection, kept as ``(hops, mask)`` runs.
+
+    A run is a hop tuple and a wavelength bitmask (bit ``w-1`` set =
+    wavelength ``w``).  Runs keep placement order, and within a run the
+    wavelengths ascend.  A grant stands for the tuple of ``LightPath``s in
+    that order, and pickles as its runs.
+    """
+
+    __slots__ = ("conn", "vc", "runs")
+
+    def __init__(self, conn: str, vc: VirtualChannel, runs: tuple, count: int, built=None):
+        self.conn = conn
+        self.vc = vc
+        self.runs = runs
+        self._count = count
+        self._built = built
+
+    def _build(self) -> tuple[LightPath, ...]:
+        conn, vc = self.conn, self.vc
+        return tuple(LightPath(conn, vc, b + 1, hops) for hops, mask in self.runs for b in _bits(mask))
+
+    def __reduce__(self):
+        return Grant, (self.conn, self.vc, self.runs, self._count)
+
+
+class _Committed(_Lightpaths):
+    """An allocation's lightpaths: its grants' units in commit order."""
+
+    __slots__ = ("grants",)
+
+    def __init__(self, grants: tuple[Grant, ...]):
+        self.grants = grants
+        self._count = sum(map(len, grants))
+        self._built = None
+
+    def _build(self) -> tuple[LightPath, ...]:
+        return tuple(chain.from_iterable(self.grants))
+
+
+def _grants_of(lightpaths) -> Iterator[Grant]:
+    """Group lightpaths into grants that stand for exactly them, yielding each as it closes.
+
+    Consecutive lightpaths of one connection and channel form a grant;
+    within it, consecutive ones on equal hops with strictly rising
+    wavelengths form a run, so a repeated cell lands in two runs and
+    clashes when committed.  A wavelength below 1 raises ``ValueError``
+    once the grant before it has been yielded, so the commit reports an
+    earlier clash first.
+    """
+    lps: list[LightPath] = []
+    runs: list[tuple[tuple, int]] = []
+    for lp in lightpaths:
+        if lps and (lp.conn != lps[0].conn or lp.vc != lps[0].vc):
+            yield _grant(lps, runs)
+            lps, runs = [], []
+        if lp.wavelength < 1:
+            if lps:
+                yield _grant(lps, runs)
+            raise ValueError(f"{lp.conn}: wavelength {lp.wavelength} is below 1")
+        bit = 1 << (lp.wavelength - 1)
+        # bit > mask: every wavelength of the run lies below this one
+        if runs and runs[-1][0] == lp.hops and bit > runs[-1][1]:
+            runs[-1] = (runs[-1][0], runs[-1][1] | bit)
+        else:
+            runs.append((lp.hops, bit))
+        lps.append(lp)
+    if lps:
+        yield _grant(lps, runs)
+
+
+def _grant(lps: list[LightPath], runs: list) -> Grant:
+    return Grant(lps[0].conn, lps[0].vc, tuple(runs), len(lps), tuple(lps))
+
+
+def _as_grants(delta):
+    return (delta,) if type(delta) is Grant else _grants_of(delta)
 
 
 class Allocation:
     """Immutable set of lightpaths with its occupancy held as per-link bitmasks.
 
+    The lightpaths are kept as grants, in commit order.  ``lightpaths``
+    stands for their tuple: its length is the unit count, and iterating,
+    indexing or comparing it builds the ``LightPath``s on first use.  An
+    allocation pickles as its grants and index, without them.
+
     Per link, a wavelength bitmask (bit ``w-1`` set = wavelength ``w``
     taken) is the only occupancy state: a link's used count is its
     popcount.  Per connection, a lightpath count, from which fresh
     connection ids are named.  ``apply_delta`` extends copies of the
-    parent's dicts with the delta only, so a commit costs the delta, not
-    the whole allocation.
+    parent's dicts with the delta only, one OR per link of each run's hops,
+    so a commit costs the delta's runs, not the whole allocation.
 
     A wavelength below 1 names no bit and raises ``ValueError``; placement
     never makes one.  One above the network's range is kept, and
     ``validate_allocation`` reports it.
     """
 
-    __slots__ = ("lightpaths", "_masks", "_conn_counts")
+    __slots__ = ("_grants", "_masks", "_conn_counts", "_lightpaths")
 
     def __init__(self, lightpaths=()):
-        self.lightpaths: tuple[LightPath, ...] = ()
+        self._grants: tuple[Grant, ...] = ()
         self._masks: dict[tuple[str, str], int] = {}
         self._conn_counts: dict[str, int] = {}
-        self._index(tuple(lightpaths))
+        self._lightpaths = None
+        self._index(_as_grants(lightpaths))
 
-    def _index(self, delta: tuple[LightPath, ...]) -> None:
-        """Add the delta's cells, one OR per link for each run of lightpaths on one hop tuple.
+    @property
+    def lightpaths(self) -> Sequence[LightPath]:
+        view = self._lightpaths
+        if view is None:
+            view = self._lightpaths = _Committed(self._grants)
+        return view
 
-        A run is a stretch of consecutive lightpaths sharing a ``hops``
-        object on distinct wavelengths; a repeated wavelength starts a new
-        run, so it clashes with the run before it like any taken cell.
-        """
-        conn_counts = self._conn_counts
-        run_hops = None
-        run_bits = 0
-        for lp in delta:
-            w = lp.wavelength
-            if w < 1:
-                self._commit_run(run_hops, run_bits)
-                raise ValueError(f"{lp.conn}: wavelength {w} is below 1")
-            bit = 1 << (w - 1)
-            if lp.hops is not run_hops or run_bits & bit:
-                self._commit_run(run_hops, run_bits)
-                run_hops, run_bits = lp.hops, 0
-            run_bits |= bit
-            conn_counts[lp.conn] = conn_counts.get(lp.conn, 0) + 1
-        self._commit_run(run_hops, run_bits)
-        self.lightpaths += delta
+    def _index(self, grants) -> None:
+        """Add the grants' cells, one OR per link for each run; ConflictError on a taken cell."""
+        masks, conn_counts = self._masks, self._conn_counts
+        kept = []
+        for grant in grants:
+            if not grant._count:
+                continue
+            for hops, bits in grant.runs:
+                # hop by hop, so a route that crosses one link twice clashes with itself
+                for u, v in hops:
+                    key = link_key(u, v)
+                    mask = masks.get(key, 0)
+                    clash = mask & bits
+                    if clash:
+                        raise ConflictError(f"cell {key} w={(clash & -clash).bit_length()} carries two lightpaths")
+                    masks[key] = mask | bits
+            conn_counts[grant.conn] = conn_counts.get(grant.conn, 0) + grant._count
+            kept.append(grant)
+        self._grants += tuple(kept)
 
-    def _commit_run(self, hops, bits: int) -> None:
-        if not bits:
-            return
-        masks = self._masks
-        for u, v in hops:
-            key = link_key(u, v)
-            mask = masks.get(key, 0)
-            clash = mask & bits
-            if clash:
-                raise ConflictError(f"cell {key} w={(clash & -clash).bit_length()} carries two lightpaths")
-            masks[key] = mask | bits
-
-    def _extended(self, delta: tuple[LightPath, ...]) -> "Allocation":
+    def _extended(self, grants) -> "Allocation":
         child = object.__new__(Allocation)
-        child.lightpaths = self.lightpaths
+        child._grants = self._grants
         child._masks = dict(self._masks)
         child._conn_counts = dict(self._conn_counts)
-        child._index(delta)
+        child._lightpaths = None
+        child._index(grants)
         return child
+
+    def __getstate__(self):
+        return self._grants, self._masks, self._conn_counts
+
+    def __setstate__(self, state):
+        self._grants, self._masks, self._conn_counts = state
+        self._lightpaths = None
 
     @staticmethod
     def empty() -> "Allocation":
@@ -133,7 +271,16 @@ class Allocation:
         return self._masks.get(link_key, 0).bit_count()
 
     def total_cost(self, net: Network) -> int:
-        return sum(_lightpath_costs(net, self.lightpaths))
+        """Summed cost of every lightpath: per run, its hops' cost times its unit count."""
+        memo: dict[tuple, int] = {}
+        total = 0
+        for grant in self._grants:
+            for hops, mask in grant.runs:
+                cost = memo.get(hops)
+                if cost is None:
+                    cost = memo[hops] = _hops_cost(net, hops)
+                total += cost * mask.bit_count()
+        return total
 
     def __repr__(self):
         return f"Allocation({len(self.lightpaths)} lightpaths)"
@@ -150,8 +297,8 @@ def _bits(mask: int) -> list[int]:
 
 
 def apply_delta(state: Allocation, delta) -> Allocation:
-    """Merge new lightpaths into an allocation; ConflictError on any taken cell."""
-    return state._extended(tuple(delta))
+    """Merge a grant or new lightpaths into an allocation; ConflictError on any taken cell."""
+    return state._extended(_as_grants(delta))
 
 
 def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int] | None = None) -> list[Violation]:
@@ -218,25 +365,18 @@ def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int]
     return violations
 
 
-def _lightpath_costs(net: Network, lightpaths) -> list[int]:
-    """Each lightpath's cost from the network's links, once per distinct hop tuple."""
-    memo: dict[tuple, int] = {}
-    costs = []
-    for lp in lightpaths:
-        cost = memo.get(lp.hops)
-        if cost is None:
-            cost = memo[lp.hops] = lp.cost(net)
-        costs.append(cost)
-    return costs
-
-
 def dump_allocation(net: Network, alloc: Allocation) -> list[str]:
     """One line per lightpath in the stable trace/debug format."""
-    lps = sorted(alloc.lightpaths, key=lambda l: (l.vc.label, l.conn, l.wavelength))
-    return [
-        f"{lp.vc.label} w={lp.wavelength} path={'-'.join(lp.nodes())} cost={cost}"
-        for lp, cost in zip(lps, _lightpath_costs(net, lps))
-    ]
+    memo: dict[tuple, str] = {}
+    rows = []
+    for grant in alloc._grants:
+        for hops, mask in grant.runs:
+            tail = memo.get(hops)
+            if tail is None:
+                tail = memo[hops] = f"path={'-'.join(_hops_nodes(hops))} cost={_hops_cost(net, hops)}"
+            rows.extend((grant.vc.label, grant.conn, b + 1, tail) for b in _bits(mask))
+    rows.sort(key=lambda row: row[:3])
+    return [f"{label} w={w} {tail}" for label, _conn, w, tail in rows]
 
 
 # -- compiled lookup tables ---------------------------------------------------
@@ -298,14 +438,15 @@ def incremental_allocate(
     state: Allocation,
     vc: VirtualChannel,
     count: int,
-) -> tuple[tuple[LightPath, ...], int]:
+) -> tuple[Grant, int]:
     """Place up to ``count`` wavelengths one at a time, each at minimum incremental cost.
 
     All units belong to one connection, so they take pairwise-distinct
-    wavelength indices.  Returns ``(delta, added)``, the placed lightpaths
-    in placement order and their summed cost.  The delta is shorter than
-    ``count`` when capacity runs out, and empty when the endpoints are not
-    connected or nothing fits.
+    wavelength indices.  Returns ``(delta, added)``: a ``Grant`` of the
+    placed units in placement order, one run per kernel pick, and their
+    summed cost.  The grant is shorter than ``count`` when capacity runs
+    out, and empty when the endpoints are not connected or nothing fits.
+    No ``LightPath`` is built until the grant is read.
 
     The kernel is asked once per path rather than once per unit.  Placing
     a unit only sets mask bits and clears ``allowed`` bits, so a path that
@@ -319,26 +460,25 @@ def incremental_allocate(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    conn = _fresh_conn_ids(state, [vc.label])[0]
     try:
         hops, costs, link_lists, alone = _path_tables(net, vc)
     except NoPathError:
-        return (), 0
-    conn = _fresh_conn_ids(state, [vc.label])[0]
+        return Grant(conn, vc, (), 0), 0
     _, _, caps, _ = _net_tables(net)
     masks = _link_masks(net, state)
     allowed = (1 << net.wavelength_count) - 1
 
-    delta: list[LightPath] = []
-    added = 0
-    while len(delta) < count:
+    runs = []
+    placed = added = 0
+    while placed < count:
         p, w0 = _kernel.cheapest_placement(link_lists, costs, masks, caps, allowed)
         if p < 0:
             break
-        links, path = link_lists[p], hops[p]
-        room = count - len(delta)
-        delta.append(LightPath(conn, vc, w0 + 1, path))
+        links = link_lists[p]
+        room = count - placed
         take = 1 << w0
-        placed = 1
+        n = 1
         if room > 1 and alone[p]:
             taken = 0
             for li in links:
@@ -347,17 +487,18 @@ def incremental_allocate(
                 room = min(room, caps[li] - mask.bit_count())
             # the kernel took the lowest free bit; the next ones follow it up
             free = allowed & ~taken & ~take
-            while free and placed < room:
+            while free and n < room:
                 low = free & -free
                 free ^= low
                 take |= low
-                placed += 1
-                delta.append(LightPath(conn, vc, low.bit_length(), path))
+                n += 1
         for li in links:
             masks[li] |= take
         allowed &= ~take
-        added += costs[p] * placed
-    return tuple(delta), added
+        runs.append((hops[p], take))
+        placed += n
+        added += costs[p] * n
+    return Grant(conn, vc, tuple(runs), placed), added
 
 
 # -- exact solvers -------------------------------------------------------------

@@ -168,6 +168,17 @@ def route_candidates(net: Network, vc: VirtualChannel) -> list[Path]:
         raise ValueError(f"virtual channel {vc.label!r} references nodes outside network {net.id!r}")
 
     adjacency = net.adjacency
+    # The walk below visits every simple path from src, so look for dst first.
+    seen = {vc.src}
+    todo = [vc.src]
+    while todo and vc.dst not in seen:
+        for nxt in adjacency[todo.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    if vc.dst not in seen:
+        raise NoPathError(f"{vc.src} and {vc.dst} are disconnected in network {net.id!r}")
+
     found: list[Path] = []
     stack = [vc.src]
     on_path = {vc.src}
@@ -192,7 +203,5 @@ def route_candidates(net: Network, vc: VirtualChannel) -> list[Path]:
         walk(vc.src)
     finally:
         del walk  # it refers to itself; unbinding it frees the paths without a GC pass
-    if not found:
-        raise NoPathError(f"{vc.src} and {vc.dst} are disconnected in network {net.id!r}")
     found.sort(key=lambda p: (path_cost(net, p), p))
     return found

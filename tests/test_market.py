@@ -1,3 +1,4 @@
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ from wavebroker import (
     ConfigError,
     ConstantElasticityDemand,
     InvalidOutcomeError,
+    LightPath,
     LinearDemand,
     ProfitLedger,
     ScenarioConfig,
@@ -28,10 +30,11 @@ from wavebroker import (
     validate_allocation,
     validate_trace,
 )
+from wavebroker.cli import load_scenario
 from wavebroker.market import SWEEP_RUNS_PER_WORKER
 from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
 
-from conftest import mknet, probed_mcs
+from conftest import mknet, probed_mcs, scenario_path
 
 VC = VirtualChannel("S", "T", "VC1")
 POLICY = UndercutPolicy(50, 100)
@@ -278,6 +281,27 @@ class TestRunScenario:
         )
         with pytest.raises(ConfigError):
             run_scenario(bad)
+
+    def test_a_run_builds_no_lightpath_until_its_states_are_read(self, monkeypatch):
+        built = []
+        init = LightPath.__init__
+        monkeypatch.setattr(LightPath, "__init__", lambda lp, *args: built.append(lp) or init(lp, *args))
+        report = run_scenario(load_scenario(scenario_path("two_route_costcurve")))
+        # capacity binds: a request got fewer units than it asked for
+        assert any(rec.granted < rec.demand for rec in report.records if rec.demand)
+        assert built == []
+        unread = {nid: pickle.dumps(state) for nid, state in report.final_states.items()}
+        assert built == [] and all(b"LightPath" not in data for data in unread.values())
+
+        lightpaths = [lp for state in report.final_states.values() for lp in state.lightpaths]
+        assert len(lightpaths) == sum(rec.granted for rec in report.records) > 0
+        assert built == lightpaths
+        for nid, state in report.final_states.items():
+            assert validate_allocation(report.networks[nid], state) == []
+            # a read state still pickles as its grants, and comes back equal
+            assert pickle.dumps(state) == unread[nid]
+            copy = pickle.loads(unread[nid])
+            assert copy.lightpaths == state.lightpaths and copy._masks == state._masks
 
     def test_auction_records_carry_band_diagnostics(self):
         report = run_scenario(duel_config(schedule_len=2))

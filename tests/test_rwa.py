@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from wavebroker import (
     solve_min_cost_rwa,
     validate_allocation,
 )
-from wavebroker import _kernel
+from wavebroker import _kernel, rwa
 from wavebroker.rwa import _fresh_conn_ids, _link_masks, _net_tables, _path_tables
 from wavebroker.topology import Link, link_key, make_network
 
@@ -563,9 +564,9 @@ class TestDump:
         net = two_route_net()
         delta, added = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 12)
         state = apply_delta(Allocation.empty(), delta)
-        real = LightPath.cost
+        real = rwa._hops_cost
         calls = []
-        monkeypatch.setattr(LightPath, "cost", lambda lp, n: calls.append(lp.hops) or real(lp, n))
+        monkeypatch.setattr(rwa, "_hops_cost", lambda n, hops: calls.append(hops) or real(n, hops))
         assert state.total_cost(net) == added == 8 * 125 + 4 * 170
         assert len(calls) == 2
         calls.clear()
@@ -573,3 +574,101 @@ class TestDump:
         assert len(calls) == 2
         assert lines[0] == "VC1 w=1 path=SEA-DEN-BOS cost=125"
         assert lines[-1] == "VC1 w=12 path=SEA-POR-SLC-KC-CHI-BOS cost=170"
+
+
+class TestGrant:
+    # three channels over a 4-node ring with a chord; each has two routes
+    ROUTES = {
+        "c1": (VirtualChannel("A", "C", "V1"), ((("A", "B"), ("B", "C")), (("A", "D"), ("D", "C")))),
+        "c2": (VirtualChannel("B", "D", "V2"), ((("B", "C"), ("C", "D")), (("B", "A"), ("A", "D")))),
+        "c3": (VirtualChannel("A", "C", "V1"), ((("A", "C"),), (("A", "B"), ("B", "C")))),
+    }
+
+    def random_lightpaths(self, rng, n):
+        """Up to ``n`` lightpaths on distinct cells, in random order, some on equal but not identical hops."""
+        lps, cells = [], set()
+        for _ in range(n):
+            conn = rng.choice(sorted(self.ROUTES))
+            vc, routes = self.ROUTES[conn]
+            hops = rng.choice(routes)
+            if rng.random() < 0.3:
+                hops = tuple(list(hops))
+            w = rng.randint(1, 6)
+            mine = {(link_key(u, v), w) for u, v in hops}
+            if mine & cells or any(lp.conn == conn and lp.wavelength == w for lp in lps):
+                continue
+            cells |= mine
+            lps.append(LightPath(conn, vc, w, hops))
+        return lps
+
+    def test_lightpaths_round_trip_through_grants(self):
+        rng = random.Random(4242)
+        falling = interleaved = copied = clashes = 0
+        for _ in range(400):
+            lps = self.random_lightpaths(rng, rng.randint(1, 10))
+            pairs = list(zip(lps, lps[1:]))
+            falling += any(a.conn == b.conn and a.hops == b.hops and a.wavelength > b.wavelength for a, b in pairs)
+            interleaved += any(a.conn != b.conn for a, b in pairs)
+            copied += any(a.hops == b.hops and a.hops is not b.hops for a, b in pairs)
+            for state in (Allocation(lps), apply_delta(Allocation.empty(), lps)):
+                assert state.lightpaths == tuple(lps)
+                # a copy rebuilds them from the grants' runs alone
+                assert pickle.loads(pickle.dumps(state)).lightpaths == tuple(lps)
+                assert len(state.lightpaths) == len(lps)
+                assert all(got is lp for got, lp in zip(state.lightpaths, lps))
+                for key in {link_key(u, v) for lp in lps for u, v in lp.hops}:
+                    assert state.used_on(key) == sum(link_key(u, v) == key for lp in lps for u, v in lp.hops)
+                assert state._conn_counts == {c: sum(lp.conn == c for lp in lps) for c in {lp.conn for lp in lps}}
+            # repeating any one of them, anywhere after it, takes a cell twice
+            i = rng.randrange(len(lps))
+            again = lps[: i + 1] + lps[i + 1 :][: rng.randint(0, 3)] + [lps[i]]
+            for build in (Allocation, lambda x: apply_delta(Allocation.empty(), x)):
+                with pytest.raises(ConflictError):
+                    build(again)
+            clashes += 1
+        assert falling >= 40 and interleaved >= 200 and copied >= 50 and clashes == 400
+
+    def test_a_grant_and_its_lightpaths_commit_alike(self):
+        rng = random.Random(919)
+        runs = empty = 0
+        for tag in range(60):
+            links = [("S", "T", rng.randint(1, 6), rng.randint(1, 9))]
+            for m in range(rng.randint(1, 3)):
+                cap, cost = rng.randint(1, 6), rng.randint(1, 9)
+                links += [("S", f"M{m}", cap, cost), (f"M{m}", "T", cap, cost)]
+            net = mknet(links, wavelength_count=rng.randint(2, 8), net_id=f"grant{tag}")
+            state = Allocation.empty()
+            for step in range(6):
+                vc = VirtualChannel("S", "T", f"V{step % 2}")
+                grant, added = incremental_allocate(net, state, vc, rng.randint(1, 6))
+                assert len(grant) == len(tuple(grant)) == sum(mask.bit_count() for _, mask in grant.runs)
+                assert added == sum(lp.cost(net) for lp in grant)
+                runs += any(mask & (mask - 1) for _, mask in grant.runs)
+                empty += not grant
+                by_grant, by_tuple = apply_delta(state, grant), apply_delta(state, tuple(grant))
+                assert by_grant._masks == by_tuple._masks
+                assert by_grant.lightpaths == by_tuple.lightpaths == (*state.lightpaths, *grant)
+                for key in net.link_by_key:
+                    assert by_grant.used_on(key) == by_tuple.used_on(key)
+                assert _fresh_conn_ids(by_grant, ["x"]) == _fresh_conn_ids(by_tuple, ["x"])
+                state = by_grant
+        assert runs >= 80 and empty >= 50
+
+    def test_a_clash_before_a_wavelength_below_1_is_reported_first(self):
+        lp = LightPath("c1", VC_AB, 1, (("A", "B"),))
+        zero = LightPath("c1", VC_AB, 0, (("A", "B"),))
+        for build in (Allocation, lambda x: apply_delta(Allocation.empty(), x)):
+            with pytest.raises(ConflictError):
+                build([lp, lp, zero])
+            with pytest.raises(ValueError):
+                build([lp, zero, lp])
+
+    def test_an_unread_grant_pickles_as_its_runs(self):
+        net = two_route_net()
+        grant, _ = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 12)
+        assert [(len(hops), mask) for hops, mask in grant.runs] == [(2, 0xFF), (5, 0xF00)]
+        data = pickle.dumps(grant)
+        assert b"LightPath" not in data
+        assert pickle.loads(data) == grant and len(pickle.loads(data)) == 12
+        list(grant)
+        assert pickle.dumps(grant) == data

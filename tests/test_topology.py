@@ -126,6 +126,27 @@ class TestRouteCandidates:
         with pytest.raises(NoPathError):
             route_candidates(net, VirtualChannel("A", "C", "p"))
 
+    def test_an_unreachable_destination_is_found_before_any_path_is_walked(self):
+        # a complete 7-node component beside an isolated node: walking every
+        # simple path from N0 would read the adjacency once per path prefix
+        nodes = [f"N{i}" for i in range(7)]
+        links = [Link(a, b, 1, 1) for k, a in enumerate(nodes) for b in nodes[k + 1 :]]
+        net = make_network("iso", nodes + ["Z"], links, 1)
+        reads = []
+
+        class CountingAdjacency(dict):
+            def __getitem__(self, node):
+                reads.append(node)
+                return super().__getitem__(node)
+
+        net.__dict__["adjacency"] = CountingAdjacency(net.adjacency)
+        with pytest.raises(NoPathError):
+            route_candidates(net, VirtualChannel("N0", "Z", "p"))
+        assert sorted(reads) == nodes
+        reads.clear()
+        assert len(route_candidates(net, VirtualChannel("N0", "N1", "p"))) == 326
+        assert len(reads) > 326
+
     def test_unknown_endpoint_raises(self):
         net = mknet([("A", "B", 1, 1)])
         with pytest.raises(ValueError):
