@@ -4,8 +4,10 @@ Competing optical transport networks bid to carry point-to-point
 wavelength demand aggregated by a broker; prices fall through a stochastic
 undercutting race and the winner provisions capacity by greedy placement,
 one wavelength at a time at the cheapest free route and wavelength.  An
-exact minimum-cost routing and wavelength assignment solver, with an
-exhaustive oracle, is provided beside it but does not yet drive settlement.
+exact minimum-cost routing and wavelength assignment solver for one
+connection, with an exhaustive oracle, is provided beside it but does not
+yet drive settlement.  Placement and both solvers return a ``Grant``, and
+``apply_delta`` commits one.
 """
 
 from .cost import CostCurve, CurveSegment, marginal_cost, total_cost_curve
@@ -70,7 +72,6 @@ from .rwa import (
     validate_allocation,
 )
 from .topology import (
-    DemandRequest,
     Link,
     Network,
     VirtualChannel,

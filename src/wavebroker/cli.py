@@ -161,6 +161,9 @@ def load_scenario(path: str | Path, fallback_seed: int | None = None) -> Scenari
         net_id = _typed(net_obj, "id", loc, str, problems, default=f"net{i}")
         wl = _typed(net_obj, "wavelength_count", loc, int, problems, default=1)
         nodes = _typed(net_obj, "nodes", loc, list, problems, default=[])
+        for k, node in enumerate(nodes):
+            if not isinstance(node, str):
+                problems.append(f"{loc}.nodes[{k}]: expected str, got {type(node).__name__}")
         links = []
         for j, link_obj in enumerate(_typed(net_obj, "links", loc, list, problems, default=[]) or []):
             lloc = f"{loc}.links[{j}]"
@@ -184,7 +187,7 @@ def load_scenario(path: str | Path, fallback_seed: int | None = None) -> Scenari
         markup = _typed(net_obj, "markup", loc, float, problems, required=False, default=2.0)
         suppliers.append(
             SupplierConfig(
-                network=make_network(net_id, [str(n) for n in nodes or []], links, wl),
+                network=make_network(net_id, [n for n in nodes if isinstance(n, str)], links, wl),
                 policy=policy,
                 markup=float(markup),
             )

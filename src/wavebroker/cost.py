@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyCurveError, InfeasibleError
-from .rwa import Allocation, incremental_allocate
+from .rwa import Allocation, _hops_cost, incremental_allocate
 from .topology import Network, VirtualChannel
 
 
@@ -57,18 +57,18 @@ def total_cost_curve(net: Network, state: Allocation, vc: VirtualChannel, q_cap:
     """
     if q_cap < 1:
         raise ValueError("q_cap must be >= 1")
-    delta, _added = incremental_allocate(net, state, vc, q_cap)
-    if not delta:
+    grant, _added = incremental_allocate(net, state, vc, q_cap)
+    if not grant:
         raise EmptyCurveError(f"{vc.label}: no capacity for even one wavelength")
+    # the units of a run share its path, and so its cost
     segments: list[CurveSegment] = []
-    for q, lp in enumerate(delta, start=1):
-        mc = lp.cost(net)
+    q = 0
+    for hops, mask in grant.runs:
+        mc, q_from, q = _hops_cost(net, hops), q + 1, q + mask.bit_count()
         if segments and segments[-1].mc == mc:
-            last = segments[-1]
-            segments[-1] = CurveSegment(last.q_from, q, mc)
-        else:
-            segments.append(CurveSegment(q, q, mc))
-    return CostCurve(vc=vc, segments=tuple(segments), q_max=len(delta))
+            q_from = segments.pop().q_from
+        segments.append(CurveSegment(q_from, q, mc))
+    return CostCurve(vc=vc, segments=tuple(segments), q_max=q)
 
 
 def marginal_cost(net: Network, state: Allocation, vc: VirtualChannel) -> int:

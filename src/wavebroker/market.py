@@ -30,6 +30,7 @@ from .protocol import (
     DEFAULT_ROUND_CAP,
     Exc1,
     Exc2,
+    MAX_ROUND_CAP,
     Nack,
     Termination,
     TraceEvent,
@@ -224,6 +225,10 @@ def settle(
 SAFE_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 SAFE_ID_RULE = "must be letters, digits, '_', '-' or '.', not starting with '.'"
 
+# Trace lines join a path's node names with '-', so a node name may not hold one.
+NODE_ID = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.]*")
+NODE_ID_RULE = "must be letters, digits, '_' or '.', not starting with '.'"
+
 # A simple path costs at most the sum of its network's link unit costs, so
 # markup times that sum bounds every opening bid.  Up to 2**53 the float
 # product, and so the bid, is an exact integer.
@@ -268,6 +273,9 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
         if not SAFE_ID.fullmatch(sup.network.id):
             problems.append(f"{loc}.id: {sup.network.id!r} {SAFE_ID_RULE}")
         seen_nets.add(sup.network.id)
+        for node in sorted(sup.network.nodes):
+            if not NODE_ID.fullmatch(node):
+                problems.append(f"{loc}.nodes: {node!r} {NODE_ID_RULE}")
         violations = validate_network(sup.network)
         for v in violations:
             problems.append(f"{loc}: {v}")
@@ -312,8 +320,8 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
             problems.append(f"schedule[{k}]: unknown virtual channel {label!r}")
         if rnd < 0:
             problems.append(f"schedule[{k}]: negative round {rnd}")
-    if config.round_cap < 1:
-        problems.append(f"round_cap: {config.round_cap} must be >= 1")
+    if not 1 <= config.round_cap <= MAX_ROUND_CAP:
+        problems.append(f"round_cap: {config.round_cap} must be in 1..{MAX_ROUND_CAP}")
     return problems
 
 

@@ -45,6 +45,9 @@ SUPPLIER_TO_BROKER = "supplier->broker"
 
 DEFAULT_ROUND_CAP = 10_000
 
+# A race logs every round it runs, so the cap a scenario sets bounds its memory.
+MAX_ROUND_CAP = 1_000_000
+
 
 @dataclass(frozen=True, slots=True)
 class Reqc:

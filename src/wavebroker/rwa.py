@@ -15,22 +15,21 @@ the cheapest cell once per path, not once per unit: when the chosen path
 is the only candidate at its cost, the units after it land on that path
 until its room runs out, which is where the unit-by-unit rule puts them.
 
-All three return one result shape, ``(delta, added)``: the new lightpaths
-and their summed cost.  Greedy placement returns its delta as a ``Grant``,
-one ``(hops, wavelength mask)`` run per path the kernel picks, which
-stands for the tuple of ``LightPath``s and builds them only when read;
-the solvers return a tuple of ``LightPath``s.  Nothing is committed; the caller merges
-the delta with ``apply_delta``.
+All three place units of one connection and return one result shape,
+``(grant, added)``: a ``Grant`` of the new units, held as ``(hops,
+wavelength mask)`` runs of consecutive units on one path, which stands for
+the tuple of ``LightPath``s and builds them only when read, and their
+summed cost.  Nothing is committed; ``apply_delta`` merges the grant.
 """
 
 from __future__ import annotations
 
 from abc import abstractmethod
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, groupby
 
 from . import _kernel
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
     NoPathError,
     Violation,
 )
-from .topology import DemandRequest, Network, VirtualChannel, link_key, path_cost, route_candidates
+from .topology import Network, VirtualChannel, link_key, path_cost, route_candidates
 
 # exhaustive-oracle guard
 BRUTE_MAX_NODES = 6
@@ -152,49 +151,20 @@ class _Committed(_Lightpaths):
         return tuple(chain.from_iterable(self.grants))
 
 
-def _grants_of(lightpaths) -> Iterator[Grant]:
-    """Group lightpaths into grants that stand for exactly them, yielding each as it closes.
-
-    Consecutive lightpaths of one connection and channel form a grant;
-    within it, consecutive ones on equal hops with strictly rising
-    wavelengths form a run, so a repeated cell lands in two runs and
-    clashes when committed.  A wavelength below 1 raises ``ValueError``
-    once the grant before it has been yielded, so the commit reports an
-    earlier clash first.
-    """
-    lps: list[LightPath] = []
-    runs: list[tuple[tuple, int]] = []
-    for lp in lightpaths:
-        if lps and (lp.conn != lps[0].conn or lp.vc != lps[0].vc):
-            yield _grant(lps, runs)
-            lps, runs = [], []
-        if lp.wavelength < 1:
-            if lps:
-                yield _grant(lps, runs)
-            raise ValueError(f"{lp.conn}: wavelength {lp.wavelength} is below 1")
-        bit = 1 << (lp.wavelength - 1)
-        # bit > mask: every wavelength of the run lies below this one
-        if runs and runs[-1][0] == lp.hops and bit > runs[-1][1]:
-            runs[-1] = (runs[-1][0], runs[-1][1] | bit)
-        else:
-            runs.append((lp.hops, bit))
-        lps.append(lp)
-    if lps:
-        yield _grant(lps, runs)
-
-
-def _grant(lps: list[LightPath], runs: list) -> Grant:
-    return Grant(lps[0].conn, lps[0].vc, tuple(runs), len(lps), tuple(lps))
-
-
-def _as_grants(delta):
-    return (delta,) if type(delta) is Grant else _grants_of(delta)
+def _unit_grant(lp: LightPath) -> Grant:
+    """A one-unit grant that stands for ``lp`` itself."""
+    if lp.wavelength < 1:
+        raise ValueError(f"{lp.conn}: wavelength {lp.wavelength} is below 1")
+    return Grant(lp.conn, lp.vc, ((lp.hops, 1 << (lp.wavelength - 1)),), 1, (lp,))
 
 
 class Allocation:
     """Immutable set of lightpaths with its occupancy held as per-link bitmasks.
 
-    The lightpaths are kept as grants, in commit order.  ``lightpaths``
+    The lightpaths are kept as grants, in commit order; given
+    ``LightPath``s, it keeps each as a one-unit grant, so a repeated cell
+    clashes and a wavelength below 1 raises ``ValueError`` once every
+    earlier one is committed.  ``lightpaths``
     stands for their tuple: its length is the unit count, and iterating,
     indexing or comparing it builds the ``LightPath``s on first use.  An
     allocation pickles as its grants and index, without them.
@@ -206,9 +176,8 @@ class Allocation:
     parent's dicts with the delta only, one OR per link of each run's hops,
     so a commit costs the delta's runs, not the whole allocation.
 
-    A wavelength below 1 names no bit and raises ``ValueError``; placement
-    never makes one.  One above the network's range is kept, and
-    ``validate_allocation`` reports it.
+    Placement never makes a wavelength below 1.  One above the network's
+    range is kept, and ``validate_allocation`` reports it.
     """
 
     __slots__ = ("_grants", "_masks", "_conn_counts", "_lightpaths")
@@ -218,7 +187,7 @@ class Allocation:
         self._masks: dict[tuple[str, str], int] = {}
         self._conn_counts: dict[str, int] = {}
         self._lightpaths = None
-        self._index(_as_grants(lightpaths))
+        self._index(map(_unit_grant, lightpaths))
 
     @property
     def lightpaths(self) -> Sequence[LightPath]:
@@ -296,9 +265,9 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def apply_delta(state: Allocation, delta) -> Allocation:
-    """Merge a grant or new lightpaths into an allocation; ConflictError on any taken cell."""
-    return state._extended(_as_grants(delta))
+def apply_delta(state: Allocation, grant: Grant) -> Allocation:
+    """Merge a grant into an allocation; ConflictError on any taken cell."""
+    return state._extended((grant,))
 
 
 def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int] | None = None) -> list[Violation]:
@@ -544,47 +513,34 @@ def _flow_upper_bound(net: Network, state: Allocation, vc: VirtualChannel, need:
     return flow
 
 
-def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
-    """Shared DFS over per-unit (wavelength, path) choices.
+def _search(net, state, vc, count, *, prune: bool, reduce_symmetry: bool) -> tuple[Grant, int]:
+    """Shared DFS over per-unit (wavelength, path) choices for one connection.
 
-    Choices are explored in ascending (wavelength, path-rank) order and the
-    incumbent only improves strictly, so the first optimum found is the
-    lexicographically least one: connection order, then wavelength index,
-    then candidate-path rank.  With ``prune`` the admissible bound
-    (cheapest candidate path per unplaced unit, conflicts ignored) turns
-    the enumeration into branch and bound; with ``reduce_symmetry`` a unit
-    may only take an already-used wavelength or the single lowest fresh
-    one, which is sound because fresh wavelengths are interchangeable.
-    Returns ``(delta, added)``; raises InfeasibleError when nothing fits.
+    The units take ascending wavelengths, and choices are explored in
+    ascending (wavelength, path-rank) order with an incumbent that only
+    improves strictly, so the first optimum found is the lexicographically
+    least one: wavelength index, then candidate-path rank.  With ``prune``
+    the admissible bound (the cheapest candidate path per unplaced unit,
+    conflicts ignored) turns the enumeration into branch and bound; with
+    ``reduce_symmetry`` a unit may only take an already-used wavelength or
+    the single lowest fresh one, which is sound because fresh wavelengths
+    are interchangeable.  Returns ``(grant, added)``; raises
+    InfeasibleError when nothing fits.
     """
     W = net.wavelength_count
     _, _, caps, _ = _net_tables(net)
-    per_req = []
-    for req in requests:
-        per_req.append(_path_tables(net, req.vc))
-
-    unit_req: list[int] = []
-    for k, req in enumerate(requests):
-        unit_req.extend([k] * req.count)
-    n_units = len(unit_req)
-
-    suffix = [0] * (n_units + 1)
-    for u in range(n_units - 1, -1, -1):
-        suffix[u] = suffix[u + 1] + per_req[unit_req[u]][1][0]
-
+    hops, costs, link_lists, _alone = _path_tables(net, vc)
     masks = _link_masks(net, state)
     full = (1 << W) - 1
     # wavelengths in use anywhere, as a mask
     anchored = 0
     for mask in state._masks.values():
         anchored |= mask
-    last_w = [-1] * len(requests)
-    assignment: list[tuple[int, int]] = [(-1, -1)] * n_units
+    assignment: list[tuple[int, int]] = [(-1, -1)] * count
     best: list[tuple[int, int]] | None = None
     best_cost = 0
 
-    def wave_choices(k: int):
-        lo = last_w[k]
+    def wave_choices(lo: int):
         if reduce_symmetry:
             fresh = (~anchored & (anchored + 1)).bit_length() - 1
             ws = anchored >> (lo + 1) << (lo + 1)
@@ -600,21 +556,20 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
                 return False
         return True
 
-    def dfs(u: int, cost: int) -> None:
+    def dfs(u: int, lo: int, cost: int) -> None:
         nonlocal best, best_cost, anchored
-        if best is not None and prune and cost + suffix[u] >= best_cost:
+        remaining = count - u
+        if best is not None and prune and cost + costs[0] * remaining >= best_cost:
             return
-        if u == n_units:
+        if u == count:
             if best is None or cost < best_cost:
                 best = assignment.copy()
                 best_cost = cost
             return
-        k = unit_req[u]
-        _hops, costs, link_lists, _alone = per_req[k]
-        for w in wave_choices(k):
+        for w in wave_choices(lo):
             bit = 1 << w
             for p in range(len(costs)):
-                if best is not None and prune and cost + costs[p] + suffix[u + 1] >= best_cost:
+                if best is not None and prune and cost + costs[p] + costs[0] * (remaining - 1) >= best_cost:
                     break
                 links = link_lists[p]
                 if not fits(links, bit):
@@ -623,68 +578,58 @@ def _search(net, state, requests, conns, *, prune: bool, reduce_symmetry: bool):
                     masks[li] |= bit
                 introduced = not anchored & bit
                 anchored |= bit
-                prev = last_w[k]
-                last_w[k] = w
                 assignment[u] = (p, w)
-                dfs(u + 1, cost + costs[p])
-                last_w[k] = prev
+                dfs(u + 1, w, cost + costs[p])
                 if introduced:
                     anchored ^= bit
                 for li in links:
                     masks[li] ^= bit
 
-    dfs(0, 0)
+    dfs(0, -1, 0)
     if best is None:
         raise InfeasibleError("no joint assignment satisfies the constraints")
-    delta = []
-    for u, (p, w) in enumerate(best):
-        k = unit_req[u]
-        delta.append(LightPath(conns[k], requests[k].vc, w + 1, per_req[k][0][p]))
-    return tuple(delta), best_cost
+    # the wavelengths ascend, so consecutive units on one path form one run
+    runs = tuple((hops[p], sum(1 << w for _, w in units)) for p, units in groupby(best, key=lambda unit: unit[0]))
+    return Grant(_fresh_conn_ids(state, [vc.label])[0], vc, runs, count), best_cost
 
 
-def solve_min_cost_rwa(net: Network, state: Allocation, requests: list[DemandRequest]) -> tuple[tuple[LightPath, ...], int]:
-    """Minimum-cost placement of every requested wavelength on top of ``state``.
+def solve_min_cost_rwa(net: Network, state: Allocation, vc: VirtualChannel, count: int) -> tuple[Grant, int]:
+    """Minimum-cost placement of ``count`` wavelengths of one connection on top of ``state``.
 
-    Returns ``(delta, added)``: the new lightpaths, one block per request
-    in request order, and their summed cost.  Existing lightpaths are never
-    moved.  Deterministic: cost-equal optima are resolved by (connection
-    index, wavelength index, path rank).  Raises InfeasibleError when the
-    demands cannot all be met.
+    Returns ``(grant, added)``: the new units, wavelengths ascending, and
+    their summed cost.  Existing lightpaths are never moved.
+    Deterministic: cost-equal optima are resolved by (wavelength index,
+    path rank).  Raises InfeasibleError when the demand cannot be met.
     """
-    requests = list(requests)
-    conns = _fresh_conn_ids(state, [req.vc.label for req in requests])
-    for req in requests:
-        if req.count > net.wavelength_count:
-            raise InfeasibleError(
-                f"{req.vc.label}: {req.count} units need {req.count} distinct wavelengths, only {net.wavelength_count} exist"
-            )
-        try:
-            _path_tables(net, req.vc)
-        except NoPathError as exc:
-            raise InfeasibleError(str(exc)) from exc
-        if _flow_upper_bound(net, state, req.vc, req.count) < req.count:
-            raise InfeasibleError(f"{req.vc.label}: demand {req.count} exceeds residual capacity")
-
-    return _search(net, state, requests, conns, prune=True, reduce_symmetry=True)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if count > net.wavelength_count:
+        raise InfeasibleError(
+            f"{vc.label}: {count} units need {count} distinct wavelengths, only {net.wavelength_count} exist"
+        )
+    try:
+        _path_tables(net, vc)
+    except NoPathError as exc:
+        raise InfeasibleError(str(exc)) from exc
+    if _flow_upper_bound(net, state, vc, count) < count:
+        raise InfeasibleError(f"{vc.label}: demand {count} exceeds residual capacity")
+    return _search(net, state, vc, count, prune=True, reduce_symmetry=True)
 
 
-def brute_force_rwa(net: Network, state: Allocation, requests: list[DemandRequest]) -> tuple[tuple[LightPath, ...], int]:
+def brute_force_rwa(net: Network, state: Allocation, vc: VirtualChannel, count: int) -> tuple[Grant, int]:
     """Test oracle: exhaustive enumeration of every feasible assignment.
 
     No bounding and no wavelength-symmetry reduction; only the guard below
     keeps it tractable.  Result shape and tie-break match solve_min_cost_rwa.
     """
-    requests = list(requests)
-    total_units = sum(r.count for r in requests)
-    if len(net.nodes) > BRUTE_MAX_NODES or net.wavelength_count > BRUTE_MAX_WAVELENGTHS or total_units > BRUTE_MAX_UNITS:
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if len(net.nodes) > BRUTE_MAX_NODES or net.wavelength_count > BRUTE_MAX_WAVELENGTHS or count > BRUTE_MAX_UNITS:
         raise InstanceTooLargeError(
             f"guard is <= {BRUTE_MAX_NODES} nodes, W <= {BRUTE_MAX_WAVELENGTHS}, <= {BRUTE_MAX_UNITS} units"
         )
-    conns = _fresh_conn_ids(state, [req.vc.label for req in requests])
     try:
-        for req in requests:
-            _path_tables(net, req.vc)
+        _path_tables(net, vc)
     except NoPathError as exc:
         raise InfeasibleError(str(exc)) from exc
-    return _search(net, state, requests, conns, prune=False, reduce_symmetry=False)
+    return _search(net, state, vc, count, prune=False, reduce_symmetry=False)

@@ -108,16 +108,6 @@ class VirtualChannel:
             raise ValueError("virtual channel label must be non-empty")
 
 
-@dataclass(frozen=True)
-class DemandRequest:
-    vc: VirtualChannel
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("demand must request at least one wavelength")
-
-
 def validate_network(net: Network) -> list[Violation]:
     """Check every structural invariant; an empty list means the network is valid."""
     violations: list[Violation] = []

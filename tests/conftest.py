@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wavebroker import DemandRequest, Link, Network, VirtualChannel, make_network
+from wavebroker import Allocation, Link, Network, VirtualChannel, apply_delta, incremental_allocate, make_network
 from wavebroker.protocol import Ocl
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -58,10 +58,11 @@ def ocl_prices(trace):
 
 
 def random_guard_instance(rng: random.Random, tag: int):
-    """A random connected instance inside the exhaustive-oracle guard.
+    """A random connected single-connection instance inside the exhaustive-oracle guard.
 
-    Up to 6 nodes and 8 links, W up to 3, at most 2 connections with at
-    most 4 units in total.
+    4 to 6 nodes and up to 8 links, W up to 3, up to 2 connections already
+    placed greedily, then a channel asking for 1 to W + 1 units (at most 4).
+    Returns ``(net, state, vc, count)``.
     """
     n_nodes = rng.randint(4, 6)
     nodes = [f"N{i}" for i in range(n_nodes)]
@@ -80,16 +81,32 @@ def random_guard_instance(rng: random.Random, tag: int):
         key = (a, b) if a <= b else (b, a)
         if key not in links:
             links[key] = Link(key[0], key[1], rng.randint(1, 3), rng.randint(1, 20))
-    net = make_network(f"fuzz{tag}", nodes, links.values(), rng.randint(1, 3))
-
-    n_conns = rng.randint(1, 2)
-    budget = rng.randint(n_conns, 4)
-    requests = []
-    for c in range(n_conns):
+    W = rng.randint(1, 3)
+    net = make_network(f"fuzz{tag}", nodes, links.values(), W)
+    state = Allocation.empty()
+    for k in range(rng.randint(0, 2)):
         src, dst = rng.sample(nodes, 2)
-        d = 1 if c < n_conns - 1 else budget - (n_conns - 1)
-        requests.append(DemandRequest(VirtualChannel(src, dst, f"C{c}"), d))
-    return net, requests
+        grant, _ = incremental_allocate(net, state, VirtualChannel(src, dst, f"P{k}"), rng.randint(1, W))
+        state = apply_delta(state, grant)
+    src, dst = rng.sample(nodes, 2)
+    return net, state, VirtualChannel(src, dst, "C"), rng.randint(1, min(4, W + 1))
+
+
+def random_crossing_instance(rng: random.Random, tag: int):
+    """Routes S-X-T and S-Y-T joined by a cheap capacity-2 chord X-Y, plus up to two stub nodes.
+
+    When S-X-Y-T is the cheapest route and its end links have capacity 1,
+    the first greedy unit blocks both outer routes, so the next one pays for
+    the chord again, where an exact solve takes the two outer routes.
+    Returns ``(net, state, vc, count)`` with an empty state and 2 to W units.
+    """
+    nodes = ["S", "T", "X", "Y"] + [f"N{i}" for i in range(rng.randint(0, 2))]
+    links = [Link(a, b, rng.randint(1, 2), rng.randint(1, 20)) for a, b in (("S", "X"), ("X", "T"), ("S", "Y"), ("Y", "T"))]
+    links.append(Link("X", "Y", 2, rng.randint(1, 3)))
+    links += [Link(n, rng.choice(nodes[:4]), rng.randint(1, 2), rng.randint(1, 20)) for n in nodes[4:]]
+    W = rng.randint(2, 3)
+    net = make_network(f"cross{tag}", nodes, links, W)
+    return net, Allocation.empty(), VirtualChannel("S", "T", "C"), rng.randint(2, W)
 
 
 def random_parallel_routes_net(rng: random.Random, tag: int, max_routes=3, max_len=2, guard=True):

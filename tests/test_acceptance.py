@@ -10,7 +10,6 @@ from contextlib import contextmanager
 from wavebroker import (
     Allocation,
     CurveSegment,
-    DemandRequest,
     EmptyCurveError,
     InfeasibleError,
     LinearDemand,
@@ -20,6 +19,7 @@ from wavebroker import (
     UndercutPolicy,
     VirtualChannel,
     brute_force_rwa,
+    incremental_allocate,
     run_competition,
     run_sweep,
     settle,
@@ -31,7 +31,7 @@ from wavebroker import (
 from wavebroker.cli import load_scenario, main
 from wavebroker.protocol import Ocl
 
-from conftest import mknet, ocl_prices, probed_mcs, random_guard_instance, scenario_path
+from conftest import mknet, ocl_prices, probed_mcs, random_crossing_instance, random_guard_instance, scenario_path
 
 DUEL_POLICY = UndercutPolicy(50, 100)
 
@@ -52,26 +52,34 @@ def duel_supplier(sid, unit_cost):
 
 
 def test_criterion_1_oracle_equivalence():
-    with criterion("oracle equivalence: exact solver == exhaustive enumeration, 220 instances"):
+    with criterion("oracle equivalence: exact solver == exhaustive enumeration, 220 single-connection instances"):
         rng = random.Random(808)
-        agreements = feasible = 0
+        agreements = feasible = on_state = beats_greedy = 0
         for tag in range(220):
-            net, requests = random_guard_instance(rng, 10_000 + tag)
+            # every fourth instance is a crossing, where greedy placement can overpay
+            make = random_crossing_instance if tag % 4 == 3 else random_guard_instance
+            net, state, vc, count = make(rng, 10_000 + tag)
             try:
-                expected = brute_force_rwa(net, Allocation.empty(), requests)
+                expected, cost = brute_force_rwa(net, state, vc, count)
             except InfeasibleError:
                 try:
-                    solve_min_cost_rwa(net, Allocation.empty(), requests)
+                    solve_min_cost_rwa(net, state, vc, count)
                 except InfeasibleError:
                     agreements += 1
                     continue
                 raise AssertionError(f"solver found a solution the oracle says cannot exist: {net.id}")
-            _delta, got = solve_min_cost_rwa(net, Allocation.empty(), requests)
-            assert got == expected[1], f"{net.id}: {got} != {expected[1]}"
+            grant, got = solve_min_cost_rwa(net, state, vc, count)
+            assert got == cost, f"{net.id}: {got} != {cost}"
+            # cost-equal optima resolve alike: wavelength index, then path rank
+            assert tuple(grant) == tuple(expected), net.id
+            greedy, greedy_cost = incremental_allocate(net, state, vc, count)
+            assert len(greedy) < count or greedy_cost >= got, net.id
+            beats_greedy += len(greedy) == count and greedy_cost > got
+            on_state += bool(state.lightpaths)
             agreements += 1
             feasible += 1
         assert agreements == 220
-        assert feasible >= 80
+        assert feasible >= 80 and on_state >= 20 and beats_greedy >= 1
 
 
 def test_criterion_2_two_route_curve_structure():
@@ -86,7 +94,7 @@ def test_criterion_2_two_route_curve_structure():
         assert curve.segments[1] == CurveSegment(9, 16, curve.segments[1].mc)
         assert curve.segments[0].mc < curve.segments[1].mc
         try:
-            solve_min_cost_rwa(net, Allocation.empty(), [DemandRequest(vc, 17)])
+            solve_min_cost_rwa(net, Allocation.empty(), vc, 17)
             raise AssertionError("17 wavelengths must not fit on two capacity-8 routes")
         except InfeasibleError:
             pass

@@ -13,6 +13,7 @@ from wavebroker.cli import (
     load_scenario,
     main,
 )
+from wavebroker.protocol import MAX_ROUND_CAP
 from wavebroker.topology import MAX_ROUTE_NODES, MAX_ROUTE_PATHS, MAX_WAVELENGTH_COUNT
 
 from conftest import scenario_path
@@ -428,3 +429,59 @@ class TestValidateCommand:
             assert main([command, str(p), *options]) == EXIT_CONFIG
             assert capsys.readouterr().err == want
         assert not (tmp_path / "run").exists() and not (tmp_path / "curve").exists()
+
+    @staticmethod
+    def assert_config_error_everywhere(tmp_path, capsys, doc, want):
+        """``validate``, ``run`` and ``curve`` all refuse ``doc`` with exit 3, saying ``want``, and write nothing."""
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for command, *options in (
+            ["validate"],
+            ["run", "--out", str(tmp_path / "run"), "--traces"],
+            ["curve", "--vc", "VC1", "--out", str(tmp_path / "curve")],
+        ):
+            assert main([command, str(p), *options]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert want in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists() and not (tmp_path / "curve").exists()
+
+    @pytest.mark.parametrize("value", ["S\nx=1\tfoo", "T-U", ".S", "S/x", ""])
+    def test_unsafe_node_names_are_config_errors(self, tmp_path, capsys, value):
+        # '-' joins the nodes of a trace path, and a line break would split a trace event
+        doc = duel_doc()
+        for net in doc["networks"]:
+            net["nodes"] = [value if n == "S" else n for n in net["nodes"]]
+            for link in net["links"]:
+                link["a"], link["b"] = (value if end == "S" else end for end in (link["a"], link["b"]))
+        doc["virtual_channels"][0]["src"] = value
+        rule = "must be letters, digits, '_' or '.', not starting with '.'"
+        self.assert_config_error_everywhere(tmp_path, capsys, doc, f"config error: networks[1].nodes: {value!r} {rule}")
+
+    def test_safe_node_names_run(self, tmp_path):
+        doc = duel_doc()
+        for net in doc["networks"]:
+            net["nodes"] = ["_S.1" if n == "S" else n for n in net["nodes"]]
+            for link in net["links"]:
+                link["a"], link["b"] = ("_S.1" if end == "S" else end for end in (link["a"], link["b"]))
+        doc["virtual_channels"][0]["src"] = "_S.1"
+        p = tmp_path / "dotted.json"
+        p.write_text(json.dumps(doc))
+        assert main(["run", str(p), "--out", str(tmp_path / "out"), "--traces"]) == EXIT_OK
+
+    @pytest.mark.parametrize("value", [1, None, ["S"]])
+    def test_a_node_that_is_not_a_string_is_a_config_error(self, tmp_path, capsys, value):
+        doc = duel_doc()
+        doc["networks"][0]["nodes"][1] = value
+        want = f"config error: networks[0].nodes[1]: expected str, got {type(value).__name__}"
+        self.assert_config_error_everywhere(tmp_path, capsys, doc, want)
+
+    def test_round_cap_above_the_bound_is_a_config_error(self, tmp_path, capsys):
+        doc = duel_doc()
+        for cap in (MAX_ROUND_CAP + 1, 10**18):
+            doc["round_cap"] = cap
+            self.assert_config_error_everywhere(tmp_path, capsys, doc, f"config error: round_cap: {cap} must be in 1..{MAX_ROUND_CAP}")
+        doc["round_cap"] = MAX_ROUND_CAP
+        p = tmp_path / "capped.json"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == EXIT_OK

@@ -5,7 +5,6 @@ import pytest
 from wavebroker import (
     Allocation,
     CurveSegment,
-    DemandRequest,
     EmptyCurveError,
     InfeasibleError,
     VirtualChannel,
@@ -91,7 +90,7 @@ class TestTotalCost:
             except EmptyCurveError:
                 continue
             q = min(curve.q_max, 4)
-            _delta, exact = brute_force_rwa(net, Allocation.empty(), [DemandRequest(vc, q)])
+            _delta, exact = brute_force_rwa(net, Allocation.empty(), vc, q)
             assert curve.total_cost(q) == exact
             checked += 1
         assert checked >= 15

@@ -30,7 +30,7 @@ from wavebroker import (
     validate_allocation,
     validate_trace,
 )
-from wavebroker.cli import load_scenario
+from wavebroker.cli import load_scenario, main
 from wavebroker.market import SWEEP_RUNS_PER_WORKER
 from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
 
@@ -302,6 +302,16 @@ class TestRunScenario:
             assert pickle.dumps(state) == unread[nid]
             copy = pickle.loads(unread[nid])
             assert copy.lightpaths == state.lightpaths and copy._masks == state._masks
+
+    def test_a_curve_builds_no_lightpath(self, monkeypatch, tmp_path):
+        built = []
+        init = LightPath.__init__
+        monkeypatch.setattr(LightPath, "__init__", lambda lp, *args: built.append(lp) or init(lp, *args))
+        args = ["curve", scenario_path("two_route_costcurve"), "--vc", "VC1", "--qmax", "20", "--out", str(tmp_path)]
+        assert main(args) == 0
+        # each segment spans a run of units on one path: 8 at 125, then 8 at 170
+        assert (tmp_path / "curve_canwest.csv").read_text() == "vc,q_from,q_to,mc_minor_units\nVC1,1,8,125\nVC1,9,16,170\n"
+        assert built == []
 
     def test_auction_records_carry_band_diagnostics(self):
         report = run_scenario(duel_config(schedule_len=2))

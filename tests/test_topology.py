@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavebroker import (
-    DemandRequest,
     Link,
     NetworkTooLargeError,
     NoPathError,
@@ -75,10 +74,6 @@ class TestDomainTypes:
     def test_vc_rejects_empty_label(self):
         with pytest.raises(ValueError):
             VirtualChannel("A", "B", "")
-
-    def test_demand_rejects_zero(self):
-        with pytest.raises(ValueError):
-            DemandRequest(VirtualChannel("A", "B", "VC1"), 0)
 
 
 class TestRouteCandidates:
