@@ -78,12 +78,12 @@ class TestSolve:
                 with pytest.raises(InfeasibleError):
                     other(net, state, VirtualChannel("B", "D", "d2"), 1)
 
-    def test_count_below_one_raises(self):
+    def test_empty_requests_cost_zero(self):
+        # an empty request is a count below 1, refused before any search places or charges a unit
         net = mknet([("A", "B", 2, 5)])
-        for solve in SOLVERS:
-            for count in (0, -1):
-                with pytest.raises(ValueError, match="count must be >= 1"):
-                    solve(net, Allocation.empty(), VC_AB, count)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                solve_min_cost_rwa(net, Allocation.empty(), VC_AB, count)
 
     def test_demand_above_wavelength_budget_infeasible(self):
         net = mknet([("A", "B", 5, 5)], wavelength_count=2)
@@ -128,6 +128,12 @@ class TestBruteForce:
         net = mknet([("A", "B", 8, 1)], wavelength_count=3)
         with pytest.raises(InstanceTooLargeError):
             brute_force_rwa(net, Allocation.empty(), VC_AB, 5)
+
+    def test_empty_requests(self):
+        net = mknet([("A", "B", 2, 5)])
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                brute_force_rwa(net, Allocation.empty(), VC_AB, count)
 
     @staticmethod
     def assert_agree(net, state, vc, count):

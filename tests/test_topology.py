@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavebroker import (
+    Allocation,
     Link,
     NetworkTooLargeError,
     NoPathError,
     VirtualChannel,
+    brute_force_rwa,
+    incremental_allocate,
     make_network,
     path_cost,
     route_candidates,
+    solve_min_cost_rwa,
     validate_network,
 )
 
@@ -74,6 +78,14 @@ class TestDomainTypes:
     def test_vc_rejects_empty_label(self):
         with pytest.raises(ValueError):
             VirtualChannel("A", "B", "")
+
+    def test_demand_rejects_zero(self):
+        # a channel's demand is the count passed to a placement call; every entry point refuses 0
+        net = mknet([("A", "B", 2, 5)])
+        vc = VirtualChannel("A", "B", "VC1")
+        for place in (incremental_allocate, solve_min_cost_rwa, brute_force_rwa):
+            with pytest.raises(ValueError, match="count must be >= 1"):
+                place(net, Allocation.empty(), vc, 0)
 
 
 class TestRouteCandidates:
