@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyCurveError, InfeasibleError
-from .rwa import Allocation, _hops_cost, incremental_allocate
+from .rwa import Allocation, _hops_cost, incremental_allocate, next_unit_cost
 from .topology import Network, VirtualChannel
 
 
@@ -74,12 +74,13 @@ def total_cost_curve(net: Network, state: Allocation, vc: VirtualChannel, q_cap:
 def marginal_cost(net: Network, state: Allocation, vc: VirtualChannel) -> int:
     """Cost of the next single wavelength on this channel given current state.
 
+    One kernel call against the state's link masks (``rwa.next_unit_cost``).
     Raises InfeasibleError when no capacity remains.
     """
-    delta, added = incremental_allocate(net, state, vc, 1)
-    if not delta:
+    mc = next_unit_cost(net, state, vc)
+    if mc is None:
         raise InfeasibleError(f"{vc.label}: no capacity for one more wavelength")
-    return added
+    return mc
 
 
 def curve_csv_rows(curve: CostCurve) -> list[tuple[str, int, int, int]]:

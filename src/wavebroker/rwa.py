@@ -20,6 +20,8 @@ All three place units of one connection and return one result shape,
 wavelength mask)`` runs of consecutive units on one path, which stands for
 the tuple of ``LightPath``s and builds them only when read, and their
 summed cost.  Nothing is committed; ``apply_delta`` merges the grant.
+Placement reads a state's link masks in place, and a marginal-cost probe,
+``next_unit_cost``, is one kernel call against them.
 """
 
 from __future__ import annotations
@@ -176,17 +178,23 @@ class Allocation:
     parent's dicts with the delta only, one OR per link of each run's hops,
     so a commit costs the delta's runs, not the whole allocation.
 
+    Placement reads an unpickled view of the masks: a list in one
+    network's link order, built on the first read under it (``_link_masks``)
+    and shared after that.  A commit copies the parent's list and ORs into
+    it by link index; a hop outside the view's network drops the view.
+
     Placement never makes a wavelength below 1.  One above the network's
     range is kept, and ``validate_allocation`` reports it.
     """
 
-    __slots__ = ("_grants", "_masks", "_conn_counts", "_lightpaths")
+    __slots__ = ("_grants", "_masks", "_conn_counts", "_lightpaths", "_view")
 
     def __init__(self, lightpaths=()):
         self._grants: tuple[Grant, ...] = ()
         self._masks: dict[tuple[str, str], int] = {}
         self._conn_counts: dict[str, int] = {}
         self._lightpaths = None
+        self._view = None
         self._index(map(_unit_grant, lightpaths))
 
     @property
@@ -199,6 +207,8 @@ class Allocation:
     def _index(self, grants) -> None:
         """Add the grants' cells, one OR per link for each run; ConflictError on a taken cell."""
         masks, conn_counts = self._masks, self._conn_counts
+        view = self._view
+        _, index, by_index = view or (None, None, None)
         kept = []
         for grant in grants:
             if not grant._count:
@@ -211,7 +221,13 @@ class Allocation:
                     clash = mask & bits
                     if clash:
                         raise ConflictError(f"cell {key} w={(clash & -clash).bit_length()} carries two lightpaths")
-                    masks[key] = mask | bits
+                    masks[key] = mask = mask | bits
+                    if view is not None:
+                        i = index.get(key)
+                        if i is None:
+                            view = self._view = None
+                        else:
+                            by_index[i] = mask
             conn_counts[grant.conn] = conn_counts.get(grant.conn, 0) + grant._count
             kept.append(grant)
         self._grants += tuple(kept)
@@ -222,6 +238,8 @@ class Allocation:
         child._masks = dict(self._masks)
         child._conn_counts = dict(self._conn_counts)
         child._lightpaths = None
+        view = self._view
+        child._view = None if view is None else (view[0], view[1], view[2].copy())
         child._index(grants)
         return child
 
@@ -230,7 +248,7 @@ class Allocation:
 
     def __setstate__(self, state):
         self._grants, self._masks, self._conn_counts = state
-        self._lightpaths = None
+        self._lightpaths = self._view = None
 
     @staticmethod
     def empty() -> "Allocation":
@@ -376,13 +394,17 @@ def _path_tables(net: Network, vc: VirtualChannel):
 
 
 def _link_masks(net: Network, state: Allocation) -> list[int]:
-    """Mutable copy of the state's link masks, by link index.
+    """The state's link masks by link index of ``net``: its view, not a copy.
 
     The masks are the whole occupancy: a link is full when its popcount
-    reaches its capacity.
+    reaches its capacity.  The list is built on the first read under
+    ``net`` and shared after that, so a caller that writes copies it first.
     """
-    keys, _, _, _ = _net_tables(net)
-    return [state._masks.get(k, 0) for k in keys]
+    keys, index, _, _ = _net_tables(net)
+    view = state._view
+    if view is None or view[0] is not keys:
+        view = state._view = (keys, index, [state._masks.get(k, 0) for k in keys])
+    return view[2]
 
 
 def _fresh_conn_ids(state: Allocation, labels) -> list[str]:
@@ -402,6 +424,17 @@ def _fresh_conn_ids(state: Allocation, labels) -> list[str]:
 
 # -- greedy placement, a path at a time ---------------------------------------
 
+def next_unit_cost(net: Network, state: Allocation, vc: VirtualChannel) -> int | None:
+    """What greedy placement of one more unit adds, or None when nothing fits: one kernel call."""
+    try:
+        _, costs, link_lists, _ = _path_tables(net, vc)
+    except NoPathError:
+        return None
+    caps = _net_tables(net)[2]
+    p, _ = _kernel.cheapest_placement(link_lists, costs, _link_masks(net, state), caps, (1 << net.wavelength_count) - 1)
+    return costs[p] if p >= 0 else None
+
+
 def incremental_allocate(
     net: Network,
     state: Allocation,
@@ -419,7 +452,9 @@ def incremental_allocate(
 
     The kernel is asked once per path rather than once per unit.  Placing
     a unit only sets mask bits and clears ``allowed`` bits, so a path that
-    lost to the kernel's pick never becomes feasible again.  When the pick
+    lost to the kernel's pick never becomes feasible again.  The state's
+    view is copied before the first write that a later kernel call reads,
+    so a grant that one pick completes copies nothing.  When the pick
     is the only candidate at its cost, every cheaper path has lost for
     good and every dearer one loses while it fits, so the next units go on
     it, at its lowest free allowed wavelengths, until its room (the least
@@ -435,7 +470,7 @@ def incremental_allocate(
     except NoPathError:
         return Grant(conn, vc, (), 0), 0
     _, _, caps, _ = _net_tables(net)
-    masks = _link_masks(net, state)
+    shared = masks = _link_masks(net, state)
     allowed = (1 << net.wavelength_count) - 1
 
     runs = []
@@ -461,12 +496,16 @@ def incremental_allocate(
                 free ^= low
                 take |= low
                 n += 1
-        for li in links:
-            masks[li] |= take
-        allowed &= ~take
         runs.append((hops[p], take))
         placed += n
         added += costs[p] * n
+        if placed == count:
+            break
+        if masks is shared:
+            masks = masks.copy()
+        for li in links:
+            masks[li] |= take
+        allowed &= ~take
     return Grant(conn, vc, tuple(runs), placed), added
 
 
@@ -530,7 +569,7 @@ def _search(net, state, vc, count, *, prune: bool, reduce_symmetry: bool) -> tup
     W = net.wavelength_count
     _, _, caps, _ = _net_tables(net)
     hops, costs, link_lists, _alone = _path_tables(net, vc)
-    masks = _link_masks(net, state)
+    masks = _link_masks(net, state).copy()
     full = (1 << W) - 1
     # wavelengths in use anywhere, as a mask
     anchored = 0

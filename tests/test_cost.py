@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from wavebroker import (
     total_cost_curve,
 )
 from wavebroker.cost import curve_csv_rows
+from wavebroker.topology import Link, link_key, make_network
 
 from conftest import mknet, random_parallel_routes_net, two_route_net, VC_SEA_BOS
 
@@ -127,6 +129,54 @@ class TestMarginalCost:
             assert marginal_cost(net, Allocation.empty(), vc) == curve.segments[0].mc
             checked += 1
         assert checked >= 15
+
+
+def random_probe_chain(rng, tag):
+    """A small network with tight links and an isolated node ``ISO``, and every state of a chain of greedy commits on it."""
+    nodes = [f"N{i}" for i in range(rng.randint(3, 6))]
+    W = rng.randint(1, 6)
+    keys = {link_key(nodes[rng.randrange(i)], nodes[i]) for i in range(1, len(nodes))}
+    keys |= {link_key(*rng.sample(nodes, 2)) for _ in range(rng.randint(0, 2 * len(nodes)))}
+    links = [Link(a, b, rng.randint(0, W), rng.randint(1, 9)) for a, b in sorted(keys)]
+    net = make_network(f"probe{tag}", nodes + ["ISO"], links, W)
+    states = [Allocation.empty()]
+    for k in range(rng.randint(1, 8)):
+        src, dst = rng.sample(nodes, 2)
+        grant, _ = incremental_allocate(net, states[-1], VirtualChannel(src, dst, f"P{k % 2}"), rng.randint(1, W))
+        states.append(apply_delta(states[-1], grant))
+    return net, states
+
+
+class TestProbeIsGreedyPlacement:
+    def test_marginal_cost_is_the_added_cost_of_one_greedy_unit(self):
+        rng = random.Random(4141)
+        priced = full = cut_off = 0
+        for tag in range(150):
+            net, states = random_probe_chain(rng, tag)
+            nodes = sorted(net.nodes)
+            for state in states:
+                # as committed, rebuilt from its lightpaths, and unpickled
+                for form in (state, Allocation(state.lightpaths), pickle.loads(pickle.dumps(state))):
+                    vc = VirtualChannel(*rng.sample(nodes, 2), "V")
+                    # probe first, so an unread form is probed before placement reads it
+                    try:
+                        mc = marginal_cost(net, form, vc)
+                    except InfeasibleError:
+                        mc = None
+                    grant, added = incremental_allocate(net, form, vc, 1)
+                    if not grant:
+                        assert mc is None
+                        with pytest.raises(EmptyCurveError):
+                            total_cost_curve(net, form, vc, rng.randint(1, 4))
+                        if "ISO" in (vc.src, vc.dst):
+                            cut_off += 1
+                        else:
+                            full += 1
+                        continue
+                    assert mc == added == total_cost_curve(net, form, vc, rng.randint(1, 4)).mc_at(1)
+                    priced += 1
+        # capacity binds on many probes, and many reach the isolated node
+        assert priced >= 500 and full >= 500 and cut_off >= 500
 
 
 class TestMonotonicity:

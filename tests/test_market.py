@@ -33,6 +33,7 @@ from wavebroker import (
 from wavebroker.cli import load_scenario, main
 from wavebroker.market import SWEEP_RUNS_PER_WORKER
 from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
+from wavebroker.rwa import _link_masks
 
 from conftest import mknet, probed_mcs, scenario_path
 
@@ -180,6 +181,16 @@ class TestSettle:
         assert result.allocation_delta == ()
         assert [type(ev.message) for ev in result.events] == [Exc1, Nack]
         assert result.events[0].message.d == 0
+
+    def test_settlement_leaves_the_winners_masks_as_they_were(self):
+        outcome, winner = won_outcome()
+        winner.network = mknet([("S", "T", 8, 400)], wavelength_count=8, net_id="B")
+        view = _link_masks(winner.network, winner.state)
+        # one pick completes 5 units and writes nothing; 10 units fall short and copy before writing
+        for a, granted in ((5.9, 5), (10.9, 8)):
+            result = settle(outcome, LinearDemand(a=a, b=0.001), winner, VC)
+            assert result.granted == granted
+            assert _link_masks(winner.network, winner.state) is view and view == [0]
 
     def test_settlement_extends_a_conformant_trace(self):
         outcome, winner = won_outcome()

@@ -16,14 +16,17 @@ from wavebroker import (
     brute_force_rwa,
     dump_allocation,
     incremental_allocate,
+    marginal_cost,
+    run_scenario,
     solve_min_cost_rwa,
     validate_allocation,
 )
 from wavebroker import _kernel, rwa
+from wavebroker.cli import load_scenario
 from wavebroker.rwa import _fresh_conn_ids, _link_masks, _net_tables, _path_tables
 from wavebroker.topology import Link, link_key, make_network
 
-from conftest import mknet, random_guard_instance, random_parallel_routes_net, two_route_net, VC_SEA_BOS
+from conftest import mknet, random_guard_instance, random_parallel_routes_net, scenario_path, two_route_net, VC_SEA_BOS
 
 VC_AB = VirtualChannel("A", "B", "VC1")
 SOLVERS = (solve_min_cost_rwa, brute_force_rwa)
@@ -274,7 +277,7 @@ def unit_at_a_time(net, state, vc, count):
         return (), 0
     conn = _fresh_conn_ids(state, [vc.label])[0]
     _, _, caps, _ = _net_tables(net)
-    masks = _link_masks(net, state)
+    masks = _link_masks(net, state).copy()
     allowed = (1 << net.wavelength_count) - 1
     delta = []
     added = 0
@@ -415,6 +418,106 @@ class TestApplyDelta:
             src, dst = rng.sample(nodes, 2)
             vc = VirtualChannel(src, dst, "probe")
             assert incremental_allocate(net, state, vc, 2) == incremental_allocate(net, whole, vc, 2)
+
+
+def masks_by_key(net, state):
+    """The state's masks in ``net``'s link order, read from the keyed dict."""
+    return [state._masks.get(k, 0) for k in _net_tables(net)[0]]
+
+
+class TestStateView:
+    def test_every_commit_carries_the_view_forward(self):
+        rng = random.Random(3131)
+        commits = dropped = 0
+        for tag in range(150):
+            net, state, vc, count = random_placement_case(rng, tag)
+            nodes = sorted(net.nodes)
+            assert state._view is None
+            assert _link_masks(net, state) == masks_by_key(net, state)
+            for step in range(rng.randint(1, 6)):
+                vc = VirtualChannel(*rng.sample(nodes, 2), f"V{step % 2}")
+                grant, _ = incremental_allocate(net, state, vc, rng.randint(1, 4))
+                state = apply_delta(state, grant)
+                # copied from the parent and extended, not rebuilt from the dict
+                assert state._view is not None and state._view[2] == masks_by_key(net, state)
+                commits += 1
+                dropped += not grant
+        assert commits >= 400 and dropped >= 50
+
+    def test_placement_probes_and_solvers_leave_the_view_as_it_was(self):
+        rng = random.Random(3232)
+        multi = 0
+        for tag in range(300):
+            net, state, vc, count = random_guard_instance(rng, 9000 + tag)
+            view = _link_masks(net, state)
+            before = list(view)
+            try:
+                marginal_cost(net, state, vc)
+            except InfeasibleError:
+                pass
+            grant, _ = incremental_allocate(net, state, vc, count)
+            multi += len(grant.runs) > 1
+            for solve in SOLVERS:
+                try:
+                    solve(net, state, vc, count)
+                except InfeasibleError:
+                    pass
+            assert _link_masks(net, state) is view and view == before
+        # some placements wrote between kernel picks, on their own copy
+        assert multi >= 20
+
+    def test_a_conflict_leaves_the_parent_untouched(self):
+        net = mknet([("A", "B", 3, 5), ("B", "C", 3, 5)], wavelength_count=3)
+        vc = VirtualChannel("A", "C", "x")
+        grant, _ = incremental_allocate(net, Allocation.empty(), vc, 2)
+        state = apply_delta(Allocation.empty(), grant)
+        view = _link_masks(net, state)
+        before, masks = list(view), dict(state._masks)
+        # the first run indexes cleanly into the child's view, the second clashes
+        clash = grant_of("c9", vc, ((("A", "B"),), [3]), ((("B", "C"),), [1]))
+        with pytest.raises(ConflictError):
+            apply_delta(state, clash)
+        assert _link_masks(net, state) is view and view == before == [0b11, 0b11]
+        assert state._masks == masks
+        assert marginal_cost(net, state, vc) == 10
+
+    def test_each_network_reads_its_own_masks(self):
+        line = mknet([("A", "B", 3, 5), ("B", "C", 3, 5)], wavelength_count=4, net_id="line")
+        triangle = mknet([("A", "B", 3, 5), ("A", "C", 3, 1), ("B", "C", 3, 5)], wavelength_count=4, net_id="triangle")
+        a_c, a_b = VirtualChannel("A", "C", "x"), VirtualChannel("A", "B", "y")
+        grant, _ = incremental_allocate(triangle, Allocation.empty(), a_c, 2)
+        state = apply_delta(Allocation.empty(), grant)
+        grant, _ = incremental_allocate(line, state, a_b, 3)
+        state = apply_delta(state, grant)
+        for net in (line, triangle, line, triangle):
+            assert _link_masks(net, state) == masks_by_key(net, state)
+            if net is line:
+                # A-B is full, so nothing reaches C on the line
+                with pytest.raises(InfeasibleError):
+                    marginal_cost(net, state, a_c)
+            else:
+                assert marginal_cost(net, state, a_c) == 1
+                assert marginal_cost(net, state, a_b) == 6
+
+    def test_a_hop_outside_the_views_network_drops_the_view(self):
+        net = mknet([("A", "B", 3, 5)], wavelength_count=3)
+        state = Allocation.empty()
+        _link_masks(net, state)
+        vc = VirtualChannel("A", "Z", "z")
+        for hops in ((("A", "Z"),), (("A", "B"), ("B", "Z"))):
+            child = apply_delta(state, grant_of("z1", vc, (hops, [1])))
+            assert child._view is None and state._view is not None
+            assert _link_masks(net, child) == masks_by_key(net, child) == [int(("A", "B") in hops)]
+            assert marginal_cost(net, child, VC_AB) == 5
+
+    def test_the_view_is_not_pickled(self):
+        report = run_scenario(load_scenario(scenario_path("two_route_costcurve")))
+        for state in report.final_states.values():
+            assert state._view is not None
+            data = pickle.dumps(state)
+            copy = pickle.loads(data)
+            assert copy._view is None and pickle.dumps(copy) == data
+            assert b"_view" not in data
 
 
 class TestValidator:
