@@ -16,6 +16,7 @@ import os
 import re
 import statistics
 import sys
+from json.encoder import encode_basestring_ascii
 from json.scanner import NUMBER_RE
 from pathlib import Path
 
@@ -239,13 +240,31 @@ def load_scenario(path: str | Path, fallback_seed: int | None = None) -> Scenari
 
 # -- output writers ---------------------------------------------------------------
 
-def _write_text(path: Path, text: str) -> None:
+def _write_files(directory: Path | str, files) -> list[str]:
+    """Write each ``(name, text)`` of the iterable ``files`` into ``directory``.
+
+    The directory is made, if missing, before the first file.  Each text
+    is written as its UTF-8 bytes, with no newline translation.  Returns
+    the paths written; any OSError becomes an OutputError naming the file
+    that could not be written.
+    """
+    written: list[str] = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        for name, text in files:
+            path = os.path.join(directory, name)
+            if not written:
+                os.makedirs(directory, exist_ok=True)
+            data = text.encode()
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                while data:
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
+            written.append(path)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return written
 
 
 def ledger_csv(report: Report) -> str:
@@ -286,6 +305,59 @@ def series_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _float_text(value: float) -> str:
+    """A float as ``json.dumps`` writes it: NaN and infinities as JavaScript constants."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# What json.dumps writes for each scalar type; bool is not int here, as types match exactly.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_scalar = _SCALAR_TEXT.get
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, for the types a report holds.
+
+    Those are dicts with str keys, lists, str, int, float, bool and None;
+    any other type raises TypeError.  ``pad`` is the line break and indent
+    at the depth of ``value``.  Unlike ``json.dumps`` with an indent, which
+    runs the stdlib's pure-Python encoder, this makes one call per
+    container and one table lookup per scalar.
+    """
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            f"{encode_basestring_ascii(k)}: {text(v) if (text := _scalar(type(v))) else _json_text(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [text(v) if (text := _scalar(type(v))) else _json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    text = _scalar(kind)
+    if text is None:
+        raise TypeError(f"report values cannot be of type {kind.__name__}")
+    return text(value)
+
+
 def report_json(report: Report) -> str:
     networks = {}
     for nid in report.network_ids:
@@ -318,26 +390,22 @@ def report_json(report: Report) -> str:
         "auctions": [vars(rec) for rec in report.records],
         "series": series_rows(report),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def write_report_files(report: Report, out_dir: Path, emit_traces: bool = False) -> list[Path]:
-    written = []
-    for name, text in (
-        ("ledger.csv", ledger_csv(report)),
-        ("series.csv", series_csv(report)),
-        ("report.json", report_json(report)),
-    ):
-        path = out_dir / name
-        _write_text(path, text)
-        written.append(path)
+    written = _write_files(
+        out_dir,
+        [("ledger.csv", ledger_csv(report)), ("series.csv", series_csv(report)), ("report.json", report_json(report))],
+    )
     if emit_traces:
-        for i, trace in enumerate(report.traces):
-            vc = report.records[i].vc
-            path = out_dir / "traces" / f"trace_{i:04d}_{vc}.log"
-            _write_text(path, "\n".join(trace.lines()) + "\n")
-            written.append(path)
-    return written
+        traces = (
+            (f"trace_{i:04d}_{rec.vc}.log", "\n".join(trace.lines()) + "\n")
+            for i, (trace, rec) in enumerate(zip(report.traces, report.records))
+        )
+        written += _write_files(os.path.join(out_dir, "traces"), traces)
+    # callers stat what was written, so hand back Paths
+    return [Path(p) for p in written]
 
 
 def sweep_summary_csv(profits: dict[str, list[float]], wins: dict[str, int]) -> str:
@@ -381,7 +449,7 @@ def _cmd_run(args) -> int:
             for nid in rep.network_ids:
                 profits.setdefault(nid, []).append(float(rep.ledger.totals(nid).profit))
                 wins[nid] = wins.get(nid, 0) + sum(rec.winner == nid for rec in rep.records)
-        _write_text(out_dir / "sweep_summary.csv", sweep_summary_csv(profits, wins))
+        _write_files(out_dir, [("sweep_summary.csv", sweep_summary_csv(profits, wins))])
         print(f"{config.id}: {args.sweep} runs -> {out_dir}/sweep_summary.csv")
     else:
         report = run_scenario(config)
@@ -406,8 +474,9 @@ def _cmd_curve(args) -> int:
         lines = ["vc,q_from,q_to,mc_minor_units"]
         for vc, q_from, q_to, mc in curve_csv_rows(curve):
             lines.append(f"{vc},{q_from},{q_to},{mc}")
-        path = out_dir / f"curve_{sup.network.id}.csv"
-        _write_text(path, "\n".join(lines) + "\n")
+        name = f"curve_{sup.network.id}.csv"
+        _write_files(out_dir, [(name, "\n".join(lines) + "\n")])
+        path = out_dir / name
         print(f"{sup.network.id}: q_max={curve.q_max} -> {path}")
     return EXIT_OK
 

@@ -17,7 +17,9 @@ pairs and the offset where each round's bids start.  A round's
 announcements follow from that, as each carries the previous round's
 lowest bid.  ``CompetitionTrace`` builds the race's events from the log
 when they are first read, so a run whose traces nobody reads builds no
-per-message objects, and a trace not yet read pickles as its log.
+per-message objects, and a trace not yet read pickles as its log.  Its
+trace lines come from the log as well, one f-string per announcement and
+bid, so writing a trace builds no events and keeps the log.
 
 The caller hands in each supplier's next-unit marginal cost, which sets
 its opening bid and its floor; the race itself never probes placement.
@@ -154,22 +156,39 @@ class RaceLog(NamedTuple):
     starts: list[int]
     bids: list[int]
 
+    def _rounds(self):
+        """(round, announced price, offset of its first bid, offset past its last bid) per round."""
+        bids, starts = self.bids, self.starts
+        price = self.opening_min
+        for rnd, start, end in zip(count(2), starts, starts[1:] + [len(bids)]):
+            yield rnd, price, start, end
+            if end > start:
+                price = min(bids[start + 1 : end : 2])
+
     def events(self) -> list[TraceEvent]:
         # tuple.__new__ returns what the TraceEvent constructor does, without
         # its Python-level frame
         x, y, ids = self.x, self.y, self.ids
         bids, new_event = self.bids, tuple.__new__
-        ends = self.starts[1:] + [len(bids)]
-        price = self.opening_min
         events: list[TraceEvent] = []
-        for rnd, start, end in zip(count(2), self.starts, ends):
+        for rnd, price, start, end in self._rounds():
             ocl = Ocl(x, y, price)
             events += [new_event(TraceEvent, (rnd, BROKER_TO_SUPPLIER, sid, ocl)) for sid in ids]
             for j in range(start, end, 2):
                 events.append(new_event(TraceEvent, (rnd, SUPPLIER_TO_BROKER, ids[bids[j]], Offp(bids[j + 1], x, y))))
-            if end > start:
-                price = min(bids[start + 1 : end : 2])
         return events
+
+    def lines(self) -> list[str]:
+        """``format_event`` of each of ``events()``, written straight from the log."""
+        ids, bids = self.ids, self.bids
+        xy = f"x={self.x},y={self.y}"
+        lines: list[str] = []
+        for rnd, price, start, end in self._rounds():
+            announce, ocl = f"{rnd}\t{BROKER_TO_SUPPLIER}\t", f"\tocl\t{xy},p={price}"
+            lines += [announce + sid + ocl for sid in ids]
+            bid = f"{rnd}\t{SUPPLIER_TO_BROKER}\t"
+            lines += [f"{bid}{ids[i]}\toffp\tp={p},{xy}" for i, p in zip(bids[start:end:2], bids[start + 1 : end : 2])]
+        return lines
 
 
 class CompetitionTrace:
@@ -179,7 +198,9 @@ class CompetitionTrace:
     instead hands over the opening block and the race as a ``RaceLog``, to
     which settlement adds a tail of events.  The race's events are built on
     the first read of ``events`` and then replace the log, so a trace that
-    was never read pickles as its log.  Two traces are equal when their
+    was never read pickles as its log.  ``lines()`` formats the opening
+    block and the tail event by event and the race from its log, building
+    no race events and keeping the log.  Two traces are equal when their
     events are.
     """
 
@@ -208,7 +229,10 @@ class CompetitionTrace:
         return CompetitionTrace._of_race(self._head, self._race, self._tail + tail)
 
     def lines(self) -> list[str]:
-        return [format_event(ev) for ev in self.events]
+        """``format_event`` of each event; a race not yet read is formatted from its log and kept."""
+        if self._race is None:
+            return [format_event(ev) for ev in self._head]
+        return [*map(format_event, self._head), *self._race.lines(), *map(format_event, self._tail)]
 
     def __eq__(self, other):
         if not isinstance(other, CompetitionTrace):

@@ -393,14 +393,15 @@ def _path_tables(net: Network, vc: VirtualChannel):
     return hops, costs, link_lists, alone
 
 
-def _link_masks(net: Network, state: Allocation) -> list[int]:
+def _link_masks(net: Network, state: Allocation, tables=None) -> list[int]:
     """The state's link masks by link index of ``net``: its view, not a copy.
 
     The masks are the whole occupancy: a link is full when its popcount
     reaches its capacity.  The list is built on the first read under
     ``net`` and shared after that, so a caller that writes copies it first.
+    A caller that holds ``_net_tables(net)`` passes it as ``tables``.
     """
-    keys, index, _, _ = _net_tables(net)
+    keys, index, _, _ = tables or _net_tables(net)
     view = state._view
     if view is None or view[0] is not keys:
         view = state._view = (keys, index, [state._masks.get(k, 0) for k in keys])
@@ -430,8 +431,9 @@ def next_unit_cost(net: Network, state: Allocation, vc: VirtualChannel) -> int |
         _, costs, link_lists, _ = _path_tables(net, vc)
     except NoPathError:
         return None
-    caps = _net_tables(net)[2]
-    p, _ = _kernel.cheapest_placement(link_lists, costs, _link_masks(net, state), caps, (1 << net.wavelength_count) - 1)
+    tables = _net_tables(net)
+    masks = _link_masks(net, state, tables)
+    p, _ = _kernel.cheapest_placement(link_lists, costs, masks, tables[2], (1 << net.wavelength_count) - 1)
     return costs[p] if p >= 0 else None
 
 
@@ -469,8 +471,9 @@ def incremental_allocate(
         hops, costs, link_lists, alone = _path_tables(net, vc)
     except NoPathError:
         return Grant(conn, vc, (), 0), 0
-    _, _, caps, _ = _net_tables(net)
-    shared = masks = _link_masks(net, state)
+    tables = _net_tables(net)
+    caps = tables[2]
+    shared = masks = _link_masks(net, state, tables)
     allowed = (1 << net.wavelength_count) - 1
 
     runs = []

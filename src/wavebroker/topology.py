@@ -101,6 +101,19 @@ class VirtualChannel:
     dst: str
     label: str
 
+    # Keys the route-table lru_cache beside the network; hash the fields once, as Network does.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.src, self.dst, self.label))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def __post_init__(self):
         if self.src == self.dst:
             raise ValueError(f"virtual channel {self.label!r} has identical endpoints")

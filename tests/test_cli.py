@@ -12,6 +12,7 @@ from wavebroker.cli import (
     build_parser,
     load_scenario,
     main,
+    write_report_files,
 )
 from wavebroker.protocol import MAX_ROUND_CAP
 from wavebroker.topology import MAX_ROUTE_NODES, MAX_ROUTE_PATHS, MAX_WAVELENGTH_COUNT
@@ -308,6 +309,24 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and "Traceback" not in err
         assert blocker.read_text() == "keep me"
+
+    def test_a_file_where_traces_go_is_a_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "traces").write_text("keep me")
+        assert main(["run", scenario_path("duel"), "--out", str(out), "--traces"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out / 'traces' / 'trace_0000_'}") and "Traceback" not in err
+        assert (out / "traces").read_text() == "keep me"
+        assert sorted(p.name for p in out.iterdir()) == ["ledger.csv", "report.json", "series.csv", "traces"]
+
+    def test_written_files_are_returned_as_paths(self, tmp_path):
+        report = market.run_scenario(load_scenario(scenario_path("three_channels")))
+        written = write_report_files(report, tmp_path, emit_traces=True)
+        assert all(isinstance(p, Path) for p in written)
+        assert written[:3] == [tmp_path / "ledger.csv", tmp_path / "series.csv", tmp_path / "report.json"]
+        assert len(written) == 3 + len(report.traces) > 3
+        assert set(written) == {p for p in tmp_path.rglob("*") if p.is_file()}
 
 
 class TestCurveCommand:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ sys.path.insert(0, str(HERE))
 from conftest import scenario_path  # noqa: E402
 from wavebroker.cli import load_scenario, main  # noqa: E402
 from wavebroker.market import run_scenario  # noqa: E402
-from wavebroker.protocol import Offp  # noqa: E402
+from wavebroker.protocol import Offp, format_event  # noqa: E402
 
 GOLDEN = HERE / "golden" / "digests.json"
 SHIPPED = ("duel", "three_channels", "two_route_costcurve")
@@ -35,9 +36,9 @@ CASES.update({f"sweep{SWEEP_RUNS}/{name}": [scenario_path(name), "--sweep", str(
 CASES["run/six_way_race"] = [str(HERE / "golden" / "six_way_race.json"), "--traces"]
 
 
-def digests(case: str, out: Path) -> dict[str, str]:
-    """sha256 of every file one case writes, keyed by its path under ``out``."""
-    assert main(["run", CASES[case][0], "--out", str(out), *CASES[case][1:]]) == 0
+def digests(case: str, out: Path, *extra: str) -> dict[str, str]:
+    """sha256 of every file one case writes, with ``extra`` options, keyed by its path under ``out``."""
+    assert main(["run", CASES[case][0], "--out", str(out), *CASES[case][1:], *extra]) == 0
     return {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.rglob("*"))
@@ -65,6 +66,23 @@ def test_six_way_race_has_rounds_with_tied_cutters():
                 bids.setdefault(ev.round, []).append(ev.message.p)
         tied_rounds += sum(1 for prices in bids.values() if prices.count(min(prices)) >= 2)
     assert tied_rounds > 0
+
+
+def test_six_way_race_lines_come_from_the_log_unchanged():
+    """Settled traces with tied cutters: lines from the log equal the formatted events, and keep the log."""
+    report = run_scenario(load_scenario(CASES["run/six_way_race"][0]))
+    for trace in report.traces:
+        unread = pickle.dumps(trace)
+        lines = trace.lines()
+        assert pickle.dumps(trace) == unread
+        assert lines == [format_event(ev) for ev in trace.events]
+
+
+def test_parallel_sweep_writes_the_serial_golden(tmp_path):
+    """Runs that come back from sweep workers are written byte for byte as serial ones."""
+    case = f"sweep{SWEEP_RUNS}/duel"
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[case]
+    assert digests(case, tmp_path / "out", "--workers", "2") == want
 
 
 if __name__ == "__main__":

@@ -249,6 +249,29 @@ class TestTraceFormat:
         assert lazy == eager.settled(tail) == CompetitionTrace(trace.events + tail)
         assert hash(lazy) == hash(CompetitionTrace(trace.events + tail))
 
+    def test_lines_are_the_same_from_the_log_and_from_the_events(self):
+        suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
+        mcs = probed_mcs(VC, suppliers)
+        tail = (
+            TraceEvent(99, SUPPLIER_TO_BROKER, "S0", Exc1(2, 310, "S", "T")),
+            TraceEvent(99, BROKER_TO_SUPPLIER, "S0", Ack("S", "T", 2)),
+        )
+
+        def unread():
+            return run_competition(VC, suppliers, random.Random(5), mcs).trace
+
+        events = unread().events
+        want = [format_event(ev) for ev in events]
+        settled = [*want, *map(format_event, tail)]
+        assert len(want) > 40
+        assert unread().lines() == want
+        assert CompetitionTrace(events).lines() == want
+        assert unread().settled(tail).lines() == settled
+        assert CompetitionTrace(events).settled(tail).lines() == settled
+        read = unread().settled(tail)
+        assert read.events == CompetitionTrace(events + tail).events
+        assert read.lines() == settled
+
     def test_every_announcement_of_a_round_has_the_same_price(self):
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
         outcome = run_competition(VC, suppliers, random.Random(5), probed_mcs(VC, suppliers))
@@ -349,10 +372,15 @@ def race_result(race, suppliers, seed, **kwargs):
     except RoundCapExceededError as exc:
         return ("round cap", str(exc), rng.getstate())
     trace = out.trace
-    copy = pickle.loads(pickle.dumps(trace))
+    unread = pickle.dumps(trace)
+    lines = trace.lines()
+    # lines come from the log: the trace builds no events and still pickles as its log
+    assert pickle.dumps(trace) == unread
+    copy = pickle.loads(unread)
     assert CompetitionTrace(trace.events) == trace
-    assert copy.events == trace.events and copy.lines() == trace.lines()
-    return (trace.events, trace.lines(), out.winner, out.final_price, out.rounds, out.termination, rng.getstate())
+    assert lines == [format_event(ev) for ev in trace.events] == trace.lines()
+    assert copy.events == trace.events and copy.lines() == lines
+    return (trace.events, lines, out.winner, out.final_price, out.rounds, out.termination, rng.getstate())
 
 
 class TestRaceMatchesReference:

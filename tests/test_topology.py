@@ -71,6 +71,19 @@ class TestDomainTypes:
         assert "_hash" not in vars(clone)
         assert clone == net and hash(clone) == hash(net)
 
+    def test_vc_hash_is_cached_and_not_pickled(self):
+        vc = VirtualChannel("A", "B", "VC1")
+        # what the frozen dataclass's own __hash__ returns, and its equality
+        assert hash(vc) == hash(("A", "B", "VC1")) == hash(VirtualChannel("A", "B", "VC1"))
+        assert "_hash" in vars(vc)
+        assert vc == VirtualChannel("A", "B", "VC1")
+        assert vc != VirtualChannel("B", "A", "VC1") and vc != VirtualChannel("A", "B", "VC2")
+        assert {vc: 1}[VirtualChannel("A", "B", "VC1")] == 1
+        assert repr(vc) == "VirtualChannel(src='A', dst='B', label='VC1')"
+        clone = pickle.loads(pickle.dumps(vc))
+        assert "_hash" not in vars(clone)
+        assert clone == vc and hash(clone) == hash(vc)
+
     def test_vc_rejects_equal_endpoints(self):
         with pytest.raises(ValueError):
             VirtualChannel("A", "A", "VC1")
