@@ -7,7 +7,8 @@ one wavelength at a time at the cheapest free route and wavelength.  An
 exact minimum-cost routing and wavelength assignment solver for one
 connection, with an exhaustive oracle, is provided beside it but does not
 yet drive settlement.  Placement and both solvers return a ``Grant``, and
-``apply_delta`` commits one.
+``apply_delta(net, state, grant)`` commits one into an ``Allocation``:
+its grants plus one list of link masks, which placement reads in place.
 """
 
 from .cost import CostCurve, CurveSegment, marginal_cost, total_cost_curve

@@ -125,7 +125,7 @@ class SupplierAgent:
             return None
 
     def commit(self, delta) -> None:
-        self.state = apply_delta(self.state, delta)
+        self.state = apply_delta(self.network, self.state, delta)
 
     def __repr__(self):
         return f"SupplierAgent({self.id!r})"

@@ -293,6 +293,8 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
                 f"{loc}: markup {sup.markup} times the summed link unit_cost {total_cost} exceeds 2**53,"
                 " so opening bids would not be exact integers"
             )
+    if not config.channels:
+        problems.append("virtual_channels: at least one virtual channel is required")
     labels: set[str] = set()
     for j, ch in enumerate(config.channels):
         loc = f"virtual_channels[{j}]"

@@ -19,9 +19,10 @@ All three place units of one connection and return one result shape,
 ``(grant, added)``: a ``Grant`` of the new units, held as ``(hops,
 wavelength mask)`` runs of consecutive units on one path, which stands for
 the tuple of ``LightPath``s and builds them only when read, and their
-summed cost.  Nothing is committed; ``apply_delta`` merges the grant.
-Placement reads a state's link masks in place, and a marginal-cost probe,
-``next_unit_cost``, is one kernel call against them.
+summed cost.  Nothing is committed; ``apply_delta(net, state, grant)``
+merges the grant into a new state, which keeps one list of link masks.
+Placement reads that list in place, and a marginal-cost probe,
+``next_unit_cost``, is one kernel call against it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, groupby
+from operator import itemgetter
 
 from . import _kernel
 from .errors import (
@@ -153,49 +155,51 @@ class _Committed(_Lightpaths):
         return tuple(chain.from_iterable(self.grants))
 
 
-def _unit_grant(lp: LightPath) -> Grant:
-    """A one-unit grant that stands for ``lp`` itself."""
-    if lp.wavelength < 1:
-        raise ValueError(f"{lp.conn}: wavelength {lp.wavelength} is below 1")
-    return Grant(lp.conn, lp.vc, ((lp.hops, 1 << (lp.wavelength - 1)),), 1, (lp,))
-
-
 class Allocation:
-    """Immutable set of lightpaths with its occupancy held as per-link bitmasks.
+    """Immutable set of lightpaths: its grants, plus one list of link masks.
 
-    The lightpaths are kept as grants, in commit order; given
-    ``LightPath``s, it keeps each as a one-unit grant, so a repeated cell
-    clashes and a wavelength below 1 raises ``ValueError`` once every
-    earlier one is committed.  ``lightpaths``
-    stands for their tuple: its length is the unit count, and iterating,
-    indexing or comparing it builds the ``LightPath``s on first use.  An
-    allocation pickles as its grants and index, without them.
+    The grants, in commit order, are the only source of truth.
+    ``lightpaths`` stands for the tuple of their units: its length is the
+    unit count, and iterating, indexing or comparing it builds the
+    ``LightPath``s on first use.  Per connection, a lightpath count, from
+    which fresh connection ids are named.  It pickles as grants and counts.
 
-    Per link, a wavelength bitmask (bit ``w-1`` set = wavelength ``w``
-    taken) is the only occupancy state: a link's used count is its
-    popcount.  Per connection, a lightpath count, from which fresh
-    connection ids are named.  ``apply_delta`` extends copies of the
-    parent's dicts with the delta only, one OR per link of each run's hops,
-    so a commit costs the delta's runs, not the whole allocation.
+    Occupancy is a list of per-link wavelength bitmasks (bit ``w-1`` set =
+    wavelength ``w`` taken; a link's used count is its popcount) in the
+    link order of the network the state was committed under: ``_keys`` is
+    that network's link-key tuple, ``_masks`` the list.  ``apply_delta``
+    makes both, and nothing writes them afterwards.  A state that no commit
+    made (``Allocation()``, ``Allocation(lightpaths)`` or an unpickled one)
+    has none; ``_link_masks`` builds its list from the grants per read.
 
-    Placement reads an unpickled view of the masks: a list in one
-    network's link order, built on the first read under it (``_link_masks``)
-    and shared after that.  A commit copies the parent's list and ORs into
-    it by link index; a hop outside the view's network drops the view.
-
-    Placement never makes a wavelength below 1.  One above the network's
-    range is kept, and ``validate_allocation`` reports it.
+    Given ``LightPath``s, it keeps each as a one-unit grant; a repeated cell
+    raises ``ConflictError`` and a wavelength below 1 ``ValueError``,
+    whichever comes first.  Placement never makes a wavelength below 1.
+    One above the network's range is kept, and ``validate_allocation``
+    reports it.
     """
 
-    __slots__ = ("_grants", "_masks", "_conn_counts", "_lightpaths", "_view")
+    __slots__ = ("_grants", "_conn_counts", "_keys", "_masks", "_lightpaths")
 
     def __init__(self, lightpaths=()):
-        self._grants: tuple[Grant, ...] = ()
-        self._masks: dict[tuple[str, str], int] = {}
-        self._conn_counts: dict[str, int] = {}
+        grants, conn_counts, cells = [], {}, set()
+        for lp in lightpaths:
+            if lp.wavelength < 1:
+                raise ValueError(f"{lp.conn}: wavelength {lp.wavelength} is below 1")
+            # hop by hop, so a route that crosses one link twice clashes with itself
+            for u, v in lp.hops:
+                cell = (link_key(u, v), lp.wavelength)
+                if cell in cells:
+                    raise ConflictError(f"cell {cell[0]} w={lp.wavelength} carries two lightpaths")
+                cells.add(cell)
+            conn_counts[lp.conn] = conn_counts.get(lp.conn, 0) + 1
+            grants.append(Grant(lp.conn, lp.vc, ((lp.hops, 1 << (lp.wavelength - 1)),), 1, (lp,)))
+        self._init(tuple(grants), conn_counts)
+
+    def _init(self, grants, conn_counts, keys=None, masks=None) -> "Allocation":
+        self._grants, self._conn_counts, self._keys, self._masks = grants, conn_counts, keys, masks
         self._lightpaths = None
-        self._view = None
-        self._index(map(_unit_grant, lightpaths))
+        return self
 
     @property
     def lightpaths(self) -> Sequence[LightPath]:
@@ -204,58 +208,15 @@ class Allocation:
             view = self._lightpaths = _Committed(self._grants)
         return view
 
-    def _index(self, grants) -> None:
-        """Add the grants' cells, one OR per link for each run; ConflictError on a taken cell."""
-        masks, conn_counts = self._masks, self._conn_counts
-        view = self._view
-        _, index, by_index = view or (None, None, None)
-        kept = []
-        for grant in grants:
-            if not grant._count:
-                continue
-            for hops, bits in grant.runs:
-                # hop by hop, so a route that crosses one link twice clashes with itself
-                for u, v in hops:
-                    key = link_key(u, v)
-                    mask = masks.get(key, 0)
-                    clash = mask & bits
-                    if clash:
-                        raise ConflictError(f"cell {key} w={(clash & -clash).bit_length()} carries two lightpaths")
-                    masks[key] = mask = mask | bits
-                    if view is not None:
-                        i = index.get(key)
-                        if i is None:
-                            view = self._view = None
-                        else:
-                            by_index[i] = mask
-            conn_counts[grant.conn] = conn_counts.get(grant.conn, 0) + grant._count
-            kept.append(grant)
-        self._grants += tuple(kept)
-
-    def _extended(self, grants) -> "Allocation":
-        child = object.__new__(Allocation)
-        child._grants = self._grants
-        child._masks = dict(self._masks)
-        child._conn_counts = dict(self._conn_counts)
-        child._lightpaths = None
-        view = self._view
-        child._view = None if view is None else (view[0], view[1], view[2].copy())
-        child._index(grants)
-        return child
-
     def __getstate__(self):
-        return self._grants, self._masks, self._conn_counts
+        return self._grants, self._conn_counts
 
     def __setstate__(self, state):
-        self._grants, self._masks, self._conn_counts = state
-        self._lightpaths = self._view = None
+        self._init(*state)
 
     @staticmethod
     def empty() -> "Allocation":
         return Allocation()
-
-    def used_on(self, link_key: tuple[str, str]) -> int:
-        return self._masks.get(link_key, 0).bit_count()
 
     def total_cost(self, net: Network) -> int:
         """Summed cost of every lightpath: per run, its hops' cost times its unit count."""
@@ -283,9 +244,31 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def apply_delta(state: Allocation, grant: Grant) -> Allocation:
-    """Merge a grant into an allocation; ConflictError on any taken cell."""
-    return state._extended((grant,))
+def apply_delta(net: Network, state: Allocation, grant: Grant) -> Allocation:
+    """Merge a grant into an allocation: a new state whose masks are kept for ``net``.
+
+    The parent's masks under ``net`` are copied and each run is ORed in by
+    link index, hop by hop, so a route that crosses one link twice clashes
+    with itself.  Raises ConflictError on a taken cell and ValueError on a
+    hop that is not a link of ``net``.  An empty grant returns ``state``.
+    """
+    if not grant._count:
+        return state
+    keys, index, _, _ = tables = _net_tables(net)
+    masks = _link_masks(net, state, tables).copy()
+    for hops, bits in grant.runs:
+        for hop in hops:
+            i = index.get(hop)
+            if i is None:
+                raise ValueError(f"{grant.conn}: no link {link_key(*hop)} in network {net.id!r}")
+            mask = masks[i]
+            clash = mask & bits
+            if clash:
+                raise ConflictError(f"cell {keys[i]} w={(clash & -clash).bit_length()} carries two lightpaths")
+            masks[i] = mask | bits
+    conn_counts = dict(state._conn_counts)
+    conn_counts[grant.conn] = conn_counts.get(grant.conn, 0) + grant._count
+    return object.__new__(Allocation)._init(state._grants + (grant,), conn_counts, keys, masks)
 
 
 def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int] | None = None) -> list[Violation]:
@@ -362,7 +345,7 @@ def dump_allocation(net: Network, alloc: Allocation) -> list[str]:
             if tail is None:
                 tail = memo[hops] = f"path={'-'.join(_hops_nodes(hops))} cost={_hops_cost(net, hops)}"
             rows.extend((grant.vc.label, grant.conn, b + 1, tail) for b in _bits(mask))
-    rows.sort(key=lambda row: row[:3])
+    rows.sort(key=itemgetter(0, 1, 2))
     return [f"{label} w={w} {tail}" for label, _conn, w, tail in rows]
 
 
@@ -370,11 +353,12 @@ def dump_allocation(net: Network, alloc: Allocation) -> list[str]:
 
 @lru_cache(maxsize=512)
 def _net_tables(net: Network):
-    keys = sorted(net.link_by_key)
-    index = {k: i for i, k in enumerate(keys)}
-    caps = tuple(min(net.link_by_key[k].capacity, net.wavelength_count) for k in keys)
+    """Sorted link keys, each hop's link index in either direction, capacities."""
+    keys = tuple(sorted(net.link_by_key))
     # one (u, v) tuple per link direction, shared by every hop tuple of the network
     pairs = {hop: hop for k in keys for hop in (k, k[::-1])}
+    index = {hop: i for i, k in enumerate(keys) for hop in (k, k[::-1])}
+    caps = tuple(min(net.link_by_key[k].capacity, net.wavelength_count) for k in keys)
     return keys, index, caps, pairs
 
 
@@ -386,7 +370,7 @@ def _path_tables(net: Network, vc: VirtualChannel):
     paths = route_candidates(net, vc)
     costs = tuple(path_cost(net, p) for p in paths)
     hops = tuple(tuple(pairs[hop] for hop in zip(p, p[1:])) for p in paths)
-    link_lists = tuple(tuple(index[link_key(u, v)] for u, v in h) for h in hops)
+    link_lists = tuple(tuple(index[hop] for hop in h) for h in hops)
     # costs ascend, so a tie can only be with a neighbour
     padded = (None,) + costs + (None,)
     alone = tuple(padded[i] != c != padded[i + 2] for i, c in enumerate(costs))
@@ -394,33 +378,34 @@ def _path_tables(net: Network, vc: VirtualChannel):
 
 
 def _link_masks(net: Network, state: Allocation, tables=None) -> list[int]:
-    """The state's link masks by link index of ``net``: its view, not a copy.
+    """The state's link masks by link index of ``net``, which no reader writes.
 
     The masks are the whole occupancy: a link is full when its popcount
-    reaches its capacity.  The list is built on the first read under
-    ``net`` and shared after that, so a caller that writes copies it first.
-    A caller that holds ``_net_tables(net)`` passes it as ``tables``.
+    reaches its capacity.  A state committed under ``net`` gives its own
+    list, so a caller that writes copies it first; any other state gives a
+    list built from its grants, counting only hops on ``net``'s links.  A
+    caller that holds ``_net_tables(net)`` passes it as ``tables``.
     """
     keys, index, _, _ = tables or _net_tables(net)
-    view = state._view
-    if view is None or view[0] is not keys:
-        view = state._view = (keys, index, [state._masks.get(k, 0) for k in keys])
-    return view[2]
+    if state._keys is keys:
+        return state._masks
+    masks = [0] * len(keys)
+    for grant in state._grants:
+        for hops, bits in grant.runs:
+            for hop in hops:
+                i = index.get(hop)
+                if i is not None:
+                    masks[i] |= bits
+    return masks
 
 
-def _fresh_conn_ids(state: Allocation, labels) -> list[str]:
-    """One unused ``label#n`` id per label, with ``n`` strictly increasing.
-
-    Distinct ``n`` keep the new ids apart, so only the state's ids are checked.
-    """
-    ids = []
-    n = len(state._conn_counts) + 1
-    for label in labels:
-        while f"{label}#{n}" in state._conn_counts:
-            n += 1
-        ids.append(f"{label}#{n}")
+def _fresh_conn_id(state: Allocation, label: str) -> str:
+    """An unused ``label#n`` id, with ``n`` from the state's connection count up."""
+    counts = state._conn_counts
+    n = len(counts) + 1
+    while f"{label}#{n}" in counts:
         n += 1
-    return ids
+    return f"{label}#{n}"
 
 
 # -- greedy placement, a path at a time ---------------------------------------
@@ -455,7 +440,7 @@ def incremental_allocate(
     The kernel is asked once per path rather than once per unit.  Placing
     a unit only sets mask bits and clears ``allowed`` bits, so a path that
     lost to the kernel's pick never becomes feasible again.  The state's
-    view is copied before the first write that a later kernel call reads,
+    masks are copied before the first write that a later kernel call reads,
     so a grant that one pick completes copies nothing.  When the pick
     is the only candidate at its cost, every cheaper path has lost for
     good and every dearer one loses while it fits, so the next units go on
@@ -466,7 +451,7 @@ def incremental_allocate(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    conn = _fresh_conn_ids(state, [vc.label])[0]
+    conn = _fresh_conn_id(state, vc.label)
     try:
         hops, costs, link_lists, alone = _path_tables(net, vc)
     except NoPathError:
@@ -520,13 +505,14 @@ def _flow_upper_bound(net: Network, state: Allocation, vc: VirtualChannel, need:
     Ignores wavelength layering, so it only proves infeasibility, never
     feasibility.  Early-exits once ``need`` units are proven possible.
     """
+    keys, _, caps, _ = tables = _net_tables(net)
     residual: dict[str, dict[str, int]] = {n: {} for n in net.nodes}
-    for key, link in net.link_by_key.items():
-        free = min(link.capacity, net.wavelength_count) - state.used_on(key)
-        if free <= 0 or link.a == link.b:
+    for (a, b), cap, mask in zip(keys, caps, _link_masks(net, state, tables)):
+        free = cap - mask.bit_count()
+        if free <= 0 or a == b:
             continue
-        residual[key[0]][key[1]] = free
-        residual[key[1]][key[0]] = free
+        residual[a][b] = free
+        residual[b][a] = free
     flow = 0
     while flow < need:
         parent = {vc.src: vc.src}
@@ -574,9 +560,9 @@ def _search(net, state, vc, count, *, prune: bool, reduce_symmetry: bool) -> tup
     hops, costs, link_lists, _alone = _path_tables(net, vc)
     masks = _link_masks(net, state).copy()
     full = (1 << W) - 1
-    # wavelengths in use anywhere, as a mask
+    # wavelengths in use on any link of the network, as a mask
     anchored = 0
-    for mask in state._masks.values():
+    for mask in masks:
         anchored |= mask
     assignment: list[tuple[int, int]] = [(-1, -1)] * count
     best: list[tuple[int, int]] | None = None
@@ -632,7 +618,7 @@ def _search(net, state, vc, count, *, prune: bool, reduce_symmetry: bool) -> tup
         raise InfeasibleError("no joint assignment satisfies the constraints")
     # the wavelengths ascend, so consecutive units on one path form one run
     runs = tuple((hops[p], sum(1 << w for _, w in units)) for p, units in groupby(best, key=lambda unit: unit[0]))
-    return Grant(_fresh_conn_ids(state, [vc.label])[0], vc, runs, count), best_cost
+    return Grant(_fresh_conn_id(state, vc.label), vc, runs, count), best_cost
 
 
 def solve_min_cost_rwa(net: Network, state: Allocation, vc: VirtualChannel, count: int) -> tuple[Grant, int]:

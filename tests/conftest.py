@@ -87,7 +87,7 @@ def random_guard_instance(rng: random.Random, tag: int):
     for k in range(rng.randint(0, 2)):
         src, dst = rng.sample(nodes, 2)
         grant, _ = incremental_allocate(net, state, VirtualChannel(src, dst, f"P{k}"), rng.randint(1, W))
-        state = apply_delta(state, grant)
+        state = apply_delta(net, state, grant)
     src, dst = rng.sample(nodes, 2)
     return net, state, VirtualChannel(src, dst, "C"), rng.randint(1, min(4, W + 1))
 

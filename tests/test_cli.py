@@ -449,6 +449,17 @@ class TestValidateCommand:
             assert capsys.readouterr().err == want
         assert not (tmp_path / "run").exists() and not (tmp_path / "curve").exists()
 
+    @pytest.mark.parametrize("options", [["validate"], ["run"], ["run", "--sweep", "2"]], ids=["validate", "run", "sweep"])
+    def test_a_scenario_without_channels_is_a_config_error(self, tmp_path, capsys, options):
+        doc = duel_doc()
+        doc["virtual_channels"], doc["schedule"] = [], []
+        p = tmp_path / "no_channels.json"
+        p.write_text(json.dumps(doc))
+        out = ["--out", str(tmp_path / "out")] if options[0] == "run" else []
+        assert main([options[0], str(p), *options[1:], *out]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: virtual_channels: at least one virtual channel is required\n"
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def assert_config_error_everywhere(tmp_path, capsys, doc, want):
         """``validate``, ``run`` and ``curve`` all refuse ``doc`` with exit 3, saying ``want``, and write nothing."""

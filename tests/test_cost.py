@@ -42,7 +42,7 @@ class TestCurveStructure:
         net = mknet([("A", "B", 1, 5)])
         vc = VirtualChannel("A", "B", "x")
         delta, _ = incremental_allocate(net, Allocation.empty(), vc, 1)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         with pytest.raises(EmptyCurveError):
             total_cost_curve(net, state, vc, 5)
 
@@ -106,14 +106,14 @@ class TestMarginalCost:
     def test_after_cheap_route_fills(self):
         net = two_route_net()
         delta, _ = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 8)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         assert marginal_cost(net, state, VC_SEA_BOS) == 170
 
     def test_saturated_is_infeasible(self):
         net = mknet([("A", "B", 1, 5)])
         vc = VirtualChannel("A", "B", "x")
         delta, _ = incremental_allocate(net, Allocation.empty(), vc, 1)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         with pytest.raises(InfeasibleError):
             marginal_cost(net, state, vc)
 
@@ -143,7 +143,7 @@ def random_probe_chain(rng, tag):
     for k in range(rng.randint(1, 8)):
         src, dst = rng.sample(nodes, 2)
         grant, _ = incremental_allocate(net, states[-1], VirtualChannel(src, dst, f"P{k % 2}"), rng.randint(1, W))
-        states.append(apply_delta(states[-1], grant))
+        states.append(apply_delta(net, states[-1], grant))
     return net, states
 
 

@@ -8,7 +8,7 @@ binding but stops calling through it.
 import importlib.util
 from pathlib import Path
 
-from wavebroker import cli, rwa
+from wavebroker import LightPath, cli, rwa
 
 REPO = Path(__file__).resolve().parents[1]
 LAYERS = REPO / "perfbench" / "layers.py"
@@ -48,3 +48,19 @@ def test_every_traced_layer_is_called_in_a_traced_run(tmp_path):
     idle = [name for name, n in calls.items() if n <= 0 and name != "rwa.solve_min_cost_rwa.calls"]
     assert calls and idle == []
     assert metrics["game.decide_bid.cut_ratio"] > 0
+
+
+def test_a_traced_run_builds_no_lightpath(tmp_path, monkeypatch):
+    # the tracer counts a commit's units through len(), which must not build them
+    built = []
+    init = LightPath.__init__
+    monkeypatch.setattr(LightPath, "__init__", lambda lp, *args: built.append(lp) or init(lp, *args))
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["run", str(REPO / "tests" / "golden" / "six_way_race.json"), "--out", str(tmp_path), "--traces"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.metrics()["rwa.apply_delta.lightpaths_indexed"] > 0
+    assert built == []

@@ -9,6 +9,7 @@ from wavebroker import (
     ChannelConfig,
     ConfigError,
     ConstantElasticityDemand,
+    Grant,
     InvalidOutcomeError,
     LightPath,
     LinearDemand,
@@ -184,13 +185,15 @@ class TestSettle:
 
     def test_settlement_leaves_the_winners_masks_as_they_were(self):
         outcome, winner = won_outcome()
-        winner.network = mknet([("S", "T", 8, 400)], wavelength_count=8, net_id="B")
-        view = _link_masks(winner.network, winner.state)
+        winner.network = mknet([("S", "T", 8, 400), ("X", "Y", 1, 1)], wavelength_count=8, net_id="B")
+        # a unit off the channel's route, so the state keeps a mask list
+        winner.commit(Grant("X#1", VirtualChannel("X", "Y", "XY"), (((("X", "Y"),), 1),), 1))
+        state, kept = winner.state, winner.state._masks
         # one pick completes 5 units and writes nothing; 10 units fall short and copy before writing
         for a, granted in ((5.9, 5), (10.9, 8)):
             result = settle(outcome, LinearDemand(a=a, b=0.001), winner, VC)
             assert result.granted == granted
-            assert _link_masks(winner.network, winner.state) is view and view == [0]
+            assert winner.state is state and _link_masks(winner.network, state) is kept and kept == [0, 1]
 
     def test_settlement_extends_a_conformant_trace(self):
         outcome, winner = won_outcome()
@@ -312,7 +315,8 @@ class TestRunScenario:
             # a read state still pickles as its grants, and comes back equal
             assert pickle.dumps(state) == unread[nid]
             copy = pickle.loads(unread[nid])
-            assert copy.lightpaths == state.lightpaths and copy._masks == state._masks
+            assert copy.lightpaths == state.lightpaths and copy._masks is None
+            assert _link_masks(report.networks[nid], copy) == state._masks
 
     def test_a_curve_builds_no_lightpath(self, monkeypatch, tmp_path):
         built = []

@@ -1,4 +1,5 @@
 import pickle
+import pickletools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from wavebroker import (
 )
 from wavebroker import _kernel, rwa
 from wavebroker.cli import load_scenario
-from wavebroker.rwa import _fresh_conn_ids, _link_masks, _net_tables, _path_tables
+from wavebroker.rwa import _fresh_conn_id, _link_masks, _net_tables, _path_tables
 from wavebroker.topology import Link, link_key, make_network
 
 from conftest import mknet, random_guard_instance, random_parallel_routes_net, scenario_path, two_route_net, VC_SEA_BOS
@@ -36,6 +37,22 @@ def grant_of(conn, vc, *runs):
     """A grant from ``(hops, wavelengths)`` runs."""
     runs = tuple((hops, sum(1 << (w - 1) for w in ws)) for hops, ws in runs)
     return Grant(conn, vc, runs, sum(mask.bit_count() for _, mask in runs))
+
+
+def used_on(net, state, key):
+    """Wavelengths taken on link ``key``, read from the state's masks under ``net``."""
+    return _link_masks(net, state)[_net_tables(net)[1][key]].bit_count()
+
+
+def recounted_masks(net, state):
+    """``net``'s link masks recounted from the state's lightpaths, in link-index order."""
+    masks = dict.fromkeys(_net_tables(net)[0], 0)
+    for lp in state.lightpaths:
+        for u, v in lp.hops:
+            key = link_key(u, v)
+            if key in masks:
+                masks[key] |= 1 << (lp.wavelength - 1)
+    return list(masks.values())
 
 
 def route1_count(delta):
@@ -76,7 +93,7 @@ class TestSolve:
         for solve in SOLVERS:
             first, added = solve(net, Allocation.empty(), VirtualChannel("A", "C", "d1"), 1)
             assert added == 2 and [lp.nodes() for lp in first] == [("A", "B", "C")]
-            state = apply_delta(Allocation.empty(), first)
+            state = apply_delta(net, Allocation.empty(), first)
             for other in SOLVERS:
                 with pytest.raises(InfeasibleError):
                     other(net, state, VirtualChannel("B", "D", "d2"), 1)
@@ -96,9 +113,9 @@ class TestSolve:
     def test_existing_lightpaths_never_move(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=3)
         delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 2)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         extra, added = solve_min_cost_rwa(net, state, VC_AB, 1)
-        merged = apply_delta(state, extra)
+        merged = apply_delta(net, state, extra)
         assert set(state.lightpaths) <= set(merged.lightpaths)
         assert merged.total_cost(net) == 15  # three units on the same 5-cost link
         assert added == 5
@@ -172,7 +189,7 @@ class TestBruteForce:
             grant, _ = incremental_allocate(net, state, vc, count)
             if not grant:
                 continue
-            checked += self.assert_agree(net, apply_delta(state, grant), vc, count)
+            checked += self.assert_agree(net, apply_delta(net, state, grant), vc, count)
         assert checked >= 10
 
     def test_solver_monotone_in_count(self):
@@ -203,7 +220,7 @@ class TestIncremental:
     def test_overflow_moves_to_next_cheapest_route(self):
         net = two_route_net()
         delta, _ = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 8)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         extra, added = incremental_allocate(net, state, VC_SEA_BOS, 1)
         assert extra[0].nodes() == ("SEA", "POR", "SLC", "KC", "CHI", "BOS")
         assert added == 170
@@ -211,7 +228,7 @@ class TestIncremental:
     def test_saturated_reports_zero_placed(self):
         net = mknet([("A", "B", 1, 5)])
         delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 1)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         assert incremental_allocate(net, state, VC_AB, 1) == ((), 0)
 
     def test_partial_exhaustion_carries_delta(self):
@@ -275,7 +292,7 @@ def unit_at_a_time(net, state, vc, count):
         hops, costs, link_lists, _alone = _path_tables(net, vc)
     except NoPathError:
         return (), 0
-    conn = _fresh_conn_ids(state, [vc.label])[0]
+    conn = _fresh_conn_id(state, vc.label)
     _, _, caps, _ = _net_tables(net)
     masks = _link_masks(net, state).copy()
     allowed = (1 << net.wavelength_count) - 1
@@ -372,27 +389,25 @@ class TestApplyDelta:
     def test_apply_then_conflict(self):
         net = mknet([("A", "B", 2, 5)])
         delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 1)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         assert len(state.lightpaths) == 1
         with pytest.raises(ConflictError):
-            apply_delta(state, delta)
+            apply_delta(net, state, delta)
 
     def test_empty_delta_is_identity(self):
         net = mknet([("A", "B", 2, 5)])
         delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 2)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         empty, added = incremental_allocate(net, state, VC_AB, 1)
         assert (len(empty), added) == (0, 0)
-        child = apply_delta(state, empty)
-        assert child.lightpaths == state.lightpaths and child._masks == state._masks
-        assert child._conn_counts == state._conn_counts
+        assert apply_delta(net, state, empty) is state
 
     @staticmethod
     def assert_same_index(net, state, whole):
         assert state.lightpaths == whole.lightpaths
         for key in net.link_by_key:
             recount = sum(link_key(u, v) == key for lp in state.lightpaths for u, v in lp.hops)
-            assert state.used_on(key) == whole.used_on(key) == recount
+            assert used_on(net, state, key) == used_on(net, whole, key) == recount
         # the next placement on an already used label gets the same cells and connection id
         nodes = sorted(net.nodes)
         vc = VirtualChannel(nodes[0], nodes[-1], "V0")
@@ -408,7 +423,7 @@ class TestApplyDelta:
                 src, dst = rng.sample(nodes, 2)
                 vc = VirtualChannel(src, dst, f"V{step % 2}")
                 delta, _ = incremental_allocate(net, chain[-1], vc, rng.randint(1, 3))
-                chain.append(apply_delta(chain[-1], delta))
+                chain.append(apply_delta(net, chain[-1], delta))
             # every state of the chain, parents included, still indexes its own lightpaths
             for state in chain:
                 self.assert_same_index(net, state, Allocation(state.lightpaths))
@@ -420,37 +435,42 @@ class TestApplyDelta:
             assert incremental_allocate(net, state, vc, 2) == incremental_allocate(net, whole, vc, 2)
 
 
-def masks_by_key(net, state):
-    """The state's masks in ``net``'s link order, read from the keyed dict."""
-    return [state._masks.get(k, 0) for k in _net_tables(net)[0]]
-
-
 class TestStateView:
+    """A committed state keeps one list of link masks for its network, and nothing writes it."""
+
     def test_every_commit_carries_the_view_forward(self):
         rng = random.Random(3131)
-        commits = dropped = 0
+        commits = empty = 0
         for tag in range(150):
             net, state, vc, count = random_placement_case(rng, tag)
             nodes = sorted(net.nodes)
-            assert state._view is None
-            assert _link_masks(net, state) == masks_by_key(net, state)
+            keys = _net_tables(net)[0]
             for step in range(rng.randint(1, 6)):
                 vc = VirtualChannel(*rng.sample(nodes, 2), f"V{step % 2}")
                 grant, _ = incremental_allocate(net, state, vc, rng.randint(1, 4))
-                state = apply_delta(state, grant)
-                # copied from the parent and extended, not rebuilt from the dict
-                assert state._view is not None and state._view[2] == masks_by_key(net, state)
-                commits += 1
-                dropped += not grant
-        assert commits >= 400 and dropped >= 50
+                kept = state._masks
+                before = None if kept is None else list(kept)
+                child = apply_delta(net, state, grant)
+                if grant:
+                    # copied from the parent's masks and extended, equal to a rebuild from the lightpaths
+                    assert child._keys is keys and child._masks is not kept
+                    assert child._masks == recounted_masks(net, child) == _link_masks(net, Allocation(child.lightpaths))
+                    commits += 1
+                else:
+                    assert child is state
+                    empty += 1
+                assert state._masks is kept and (kept is None or kept == before)
+                state = child
+        assert commits >= 200 and empty >= 50
 
     def test_placement_probes_and_solvers_leave_the_view_as_it_was(self):
         rng = random.Random(3232)
-        multi = 0
+        multi = bound = 0
         for tag in range(300):
             net, state, vc, count = random_guard_instance(rng, 9000 + tag)
-            view = _link_masks(net, state)
-            before = list(view)
+            keys, kept = state._keys, state._masks
+            before = None if kept is None else list(kept)
+            bound += kept is not None
             try:
                 marginal_cost(net, state, vc)
             except InfeasibleError:
@@ -462,23 +482,22 @@ class TestStateView:
                     solve(net, state, vc, count)
                 except InfeasibleError:
                     pass
-            assert _link_masks(net, state) is view and view == before
+            assert state._keys is keys and state._masks is kept and (kept is None or kept == before)
+            assert _link_masks(net, state) == recounted_masks(net, state)
         # some placements wrote between kernel picks, on their own copy
-        assert multi >= 20
+        assert multi >= 20 and bound >= 100
 
     def test_a_conflict_leaves_the_parent_untouched(self):
         net = mknet([("A", "B", 3, 5), ("B", "C", 3, 5)], wavelength_count=3)
         vc = VirtualChannel("A", "C", "x")
         grant, _ = incremental_allocate(net, Allocation.empty(), vc, 2)
-        state = apply_delta(Allocation.empty(), grant)
-        view = _link_masks(net, state)
-        before, masks = list(view), dict(state._masks)
-        # the first run indexes cleanly into the child's view, the second clashes
+        state = apply_delta(net, Allocation.empty(), grant)
+        kept = state._masks
+        # the first run is ORed cleanly into the child's copy, the second clashes
         clash = grant_of("c9", vc, ((("A", "B"),), [3]), ((("B", "C"),), [1]))
         with pytest.raises(ConflictError):
-            apply_delta(state, clash)
-        assert _link_masks(net, state) is view and view == before == [0b11, 0b11]
-        assert state._masks == masks
+            apply_delta(net, state, clash)
+        assert _link_masks(net, state) is kept and kept == [0b11, 0b11]
         assert marginal_cost(net, state, vc) == 10
 
     def test_each_network_reads_its_own_masks(self):
@@ -486,38 +505,73 @@ class TestStateView:
         triangle = mknet([("A", "B", 3, 5), ("A", "C", 3, 1), ("B", "C", 3, 5)], wavelength_count=4, net_id="triangle")
         a_c, a_b = VirtualChannel("A", "C", "x"), VirtualChannel("A", "B", "y")
         grant, _ = incremental_allocate(triangle, Allocation.empty(), a_c, 2)
-        state = apply_delta(Allocation.empty(), grant)
+        state = apply_delta(triangle, Allocation.empty(), grant)
         grant, _ = incremental_allocate(line, state, a_b, 3)
-        state = apply_delta(state, grant)
+        state = apply_delta(line, state, grant)
+        kept = state._masks
+        assert state._keys is _net_tables(line)[0] and kept == [0b111, 0]
         for net in (line, triangle, line, triangle):
-            assert _link_masks(net, state) == masks_by_key(net, state)
+            assert _link_masks(net, state) == recounted_masks(net, state)
             if net is line:
                 # A-B is full, so nothing reaches C on the line
                 with pytest.raises(InfeasibleError):
                     marginal_cost(net, state, a_c)
             else:
+                # built from the grants for this read, and not kept
+                assert _link_masks(net, state) is not _link_masks(net, state)
                 assert marginal_cost(net, state, a_c) == 1
                 assert marginal_cost(net, state, a_b) == 6
+        assert state._keys is _net_tables(line)[0] and state._masks is kept and kept == [0b111, 0]
 
-    def test_a_hop_outside_the_views_network_drops_the_view(self):
+    def test_a_hop_outside_the_network_is_refused(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=3)
-        state = Allocation.empty()
-        _link_masks(net, state)
+        state = apply_delta(net, Allocation.empty(), grant_of("c1", VC_AB, ((("A", "B"),), [2])))
         vc = VirtualChannel("A", "Z", "z")
-        for hops in ((("A", "Z"),), (("A", "B"), ("B", "Z"))):
-            child = apply_delta(state, grant_of("z1", vc, (hops, [1])))
-            assert child._view is None and state._view is not None
-            assert _link_masks(net, child) == masks_by_key(net, child) == [int(("A", "B") in hops)]
-            assert marginal_cost(net, child, VC_AB) == 5
+        for hops, missing in (((("A", "Z"),), "A', 'Z"), ((("A", "B"), ("B", "Z")), "B', 'Z")):
+            with pytest.raises(ValueError, match=f"z1: no link \\('{missing}'\\) in network 'net'"):
+                apply_delta(net, state, grant_of("z1", vc, (hops, [1])))
+            assert state._masks == [0b10] and len(state.lightpaths) == 1
+        assert marginal_cost(net, state, VC_AB) == 5
+
+    def test_unbound_states_place_cost_and_dump_like_committed_ones(self):
+        rng = random.Random(3333)
+        checked = 0
+        for tag in range(60):
+            net, state, vc, count = random_guard_instance(rng, 9500 + tag)
+            if state._masks is None:
+                continue
+            grant, added = incremental_allocate(net, state, vc, count)
+            for other in (pickle.loads(pickle.dumps(state)), Allocation(state.lightpaths)):
+                assert other._keys is None and other._masks is None
+                assert _link_masks(net, other) == state._masks
+                assert rwa.next_unit_cost(net, other, vc) == rwa.next_unit_cost(net, state, vc)
+                assert incremental_allocate(net, other, vc, count) == (grant, added)
+                for solve in SOLVERS:
+                    try:
+                        want = solve(net, state, vc, count)
+                    except InfeasibleError:
+                        with pytest.raises(InfeasibleError):
+                            solve(net, other, vc, count)
+                    else:
+                        assert solve(net, other, vc, count) == want
+                assert other.total_cost(net) == state.total_cost(net)
+                assert dump_allocation(net, other) == dump_allocation(net, state)
+                child, ref = apply_delta(net, other, grant), apply_delta(net, state, grant)
+                assert child.lightpaths == ref.lightpaths and _link_masks(net, child) == _link_masks(net, ref)
+                assert other._masks is None
+            checked += 1
+        assert checked >= 30
 
     def test_the_view_is_not_pickled(self):
         report = run_scenario(load_scenario(scenario_path("two_route_costcurve")))
-        for state in report.final_states.values():
-            assert state._view is not None
+        for nid, state in report.final_states.items():
+            assert state._masks is not None
             data = pickle.dumps(state)
+            # grants and connection counts only: the masks are the one list in a state
+            assert "EMPTY_LIST" not in {op.name for op, _, _ in pickletools.genops(data)}
             copy = pickle.loads(data)
-            assert copy._view is None and pickle.dumps(copy) == data
-            assert b"_view" not in data
+            assert copy._keys is None and copy._masks is None and pickle.dumps(copy) == data
+            assert _link_masks(report.networks[nid], copy) == state._masks
 
 
 class TestValidator:
@@ -530,7 +584,7 @@ class TestValidator:
                 grant, _ = solve_min_cost_rwa(net, state, vc, count)
             except InfeasibleError:
                 continue
-            assert validate_allocation(net, apply_delta(state, grant), {grant.conn: count}) == []
+            assert validate_allocation(net, apply_delta(net, state, grant), {grant.conn: count}) == []
             checked += 1
         assert checked >= 10
 
@@ -581,16 +635,16 @@ class TestValidator:
         high = LightPath("c1", VC_AB, 4, (("A", "B"),))
         state = Allocation([high])
         assert state.lightpaths == (high,)
-        assert state.used_on(("A", "B")) == 1
+        assert used_on(net, state, ("A", "B")) == 1
         assert [v.code for v in validate_allocation(net, state)] == ["wavelength-range"]
         with pytest.raises(ConflictError):
-            apply_delta(state, grant_of("c2", VC_AB, ((("B", "A"),), [4])))
+            apply_delta(net, state, grant_of("c2", VC_AB, ((("B", "A"),), [4])))
         # placement takes only wavelengths 1..W, and W+1 still counts against capacity 3
         delta, _ = incremental_allocate(net, state, VC_AB, 2)
         assert [lp.wavelength for lp in delta] == [1, 2]
         exact, _ = solve_min_cost_rwa(net, state, VC_AB, 2)
         assert sorted(lp.wavelength for lp in exact) == [1, 2]
-        assert incremental_allocate(net, apply_delta(state, delta), VC_AB, 1) == ((), 0)
+        assert incremental_allocate(net, apply_delta(net, state, delta), VC_AB, 1) == ((), 0)
 
     def test_verdict_comes_from_lightpaths_not_the_index(self):
         net = mknet([("A", "B", 2, 5), ("A", "C", 2, 5), ("C", "B", 2, 5)], wavelength_count=3)
@@ -600,9 +654,10 @@ class TestValidator:
                 LightPath("c1", VC_AB, 2, (("A", "B"),)),
             ]
         )
+        keys = _net_tables(net)[0]
         clean._conn_counts["c1"] = 5
         clean._conn_counts["ghost"] = 1
-        clean._masks[("A", "B")] = 0b111
+        clean._keys, clean._masks = keys, [0b111, 0b111, 0b111]
         assert validate_allocation(net, clean, demands={"c1": 2}) == []
         shared = Allocation(
             [
@@ -611,7 +666,7 @@ class TestValidator:
             ]
         )
         shared._conn_counts["c1"] = 1
-        shared._masks.clear()
+        shared._keys, shared._masks = keys, [0, 0, 0]
         vios = validate_allocation(net, shared, demands={"c1": 2})
         assert [v.code for v in vios] == ["demand-count"]
         assert "share a wavelength" in vios[0].detail
@@ -623,34 +678,37 @@ class TestValidator:
         assert "demand-count" in {v.code for v in vios}
 
     def test_grouped_commit_clash_inside_one_path_run(self):
+        net = mknet([("A", "B", 4, 1), ("B", "C", 4, 1)], wavelength_count=4)
         hops = (("A", "B"), ("B", "C"))
         vc = VirtualChannel("A", "C", "x")
         with pytest.raises(ConflictError, match="w=2"):
-            apply_delta(Allocation.empty(), grant_of("c1", vc, (hops, [1, 2, 3]), (hops, [2])))
+            apply_delta(net, Allocation.empty(), grant_of("c1", vc, (hops, [1, 2, 3]), (hops, [2])))
         with pytest.raises(ConflictError):
             Allocation([LightPath("c1", vc, w, hops) for w in (1, 2, 3, 2)])
         # a hop tuple that crosses one link twice clashes with itself
         with pytest.raises(ConflictError):
-            apply_delta(Allocation.empty(), grant_of("c1", vc, ((("A", "B"), ("B", "A")), [1])))
+            apply_delta(net, Allocation.empty(), grant_of("c1", vc, ((("A", "B"), ("B", "A")), [1])))
 
     def test_grouped_commit_clash_across_two_paths(self):
+        net = mknet([("A", "B", 4, 1), ("B", "C", 4, 1), ("A", "D", 4, 1), ("D", "B", 4, 1)], wavelength_count=4)
         vc = VirtualChannel("A", "C", "x")
         upper, lower = (("A", "B"), ("B", "C")), (("A", "D"), ("D", "B"), ("B", "C"))
-        state = apply_delta(Allocation.empty(), grant_of("c1", vc, (upper, [1, 2]), (lower, [3, 4])))
-        assert state.used_on(("B", "C")) == 4 and state.used_on(("A", "D")) == 2
+        state = apply_delta(net, Allocation.empty(), grant_of("c1", vc, (upper, [1, 2]), (lower, [3, 4])))
+        assert used_on(net, state, ("B", "C")) == 4 and used_on(net, state, ("A", "D")) == 2
         with pytest.raises(ConflictError, match=r"w=2"):
-            apply_delta(Allocation.empty(), grant_of("c1", vc, (upper, [1, 2]), (lower, [2, 3])))
+            apply_delta(net, Allocation.empty(), grant_of("c1", vc, (upper, [1, 2]), (lower, [2, 3])))
 
     def test_grouped_commit_clash_against_the_state(self):
+        net = mknet([("A", "B", 4, 1), ("B", "C", 4, 1)], wavelength_count=4)
         vc = VirtualChannel("A", "C", "x")
-        state = apply_delta(Allocation.empty(), grant_of("c0", vc, ((("B", "C"),), [3])))
+        state = apply_delta(net, Allocation.empty(), grant_of("c0", vc, ((("B", "C"),), [3])))
         hops = (("A", "B"), ("B", "C"))
         with pytest.raises(ConflictError, match=r"cell \('B', 'C'\) w=3"):
-            apply_delta(state, grant_of("c1", vc, (hops, [1, 2, 3, 4])))
+            apply_delta(net, state, grant_of("c1", vc, (hops, [1, 2, 3, 4])))
         # the parent is untouched and the same run without the taken wavelength commits
-        assert state.used_on(("A", "B")) == 0 and state.used_on(("B", "C")) == 1
-        child = apply_delta(state, grant_of("c1", vc, (hops, [1, 2, 4])))
-        assert child.used_on(("A", "B")) == 3 and child.used_on(("B", "C")) == 4
+        assert used_on(net, state, ("A", "B")) == 0 and used_on(net, state, ("B", "C")) == 1
+        child = apply_delta(net, state, grant_of("c1", vc, (hops, [1, 2, 4])))
+        assert used_on(net, child, ("A", "B")) == 3 and used_on(net, child, ("B", "C")) == 4
 
     def test_cell_conflicts_rejected_at_construction(self):
         with pytest.raises(ConflictError):
@@ -666,7 +724,7 @@ class TestDump:
     def test_dump_format(self):
         net = mknet([("A", "B", 2, 5)])
         delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 2)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         assert dump_allocation(net, state) == [
             "VC1 w=1 path=A-B cost=5",
             "VC1 w=2 path=A-B cost=5",
@@ -675,7 +733,7 @@ class TestDump:
     def test_costs_are_read_once_per_hop_tuple(self, monkeypatch):
         net = two_route_net()
         delta, added = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 12)
-        state = apply_delta(Allocation.empty(), delta)
+        state = apply_delta(net, Allocation.empty(), delta)
         real = rwa._hops_cost
         calls = []
         monkeypatch.setattr(rwa, "_hops_cost", lambda n, hops: calls.append(hops) or real(n, hops))
@@ -688,6 +746,25 @@ class TestDump:
         assert lines[-1] == "VC1 w=12 path=SEA-POR-SLC-KC-CHI-BOS cost=170"
 
 
+    def test_a_shared_wavelength_keeps_lightpath_order(self):
+        # an invalid state built from lightpaths: two units of c1 on wavelength 2
+        net = mknet([("A", "B", 3, 5), ("A", "C", 3, 1), ("C", "B", 3, 1)], wavelength_count=3)
+        state = Allocation(
+            [
+                LightPath("c1", VC_AB, 2, (("A", "C"), ("C", "B"))),
+                LightPath("c1", VC_AB, 1, (("A", "C"), ("C", "B"))),
+                LightPath("c1", VC_AB, 2, (("A", "B"),)),
+                LightPath("c0", VC_AB, 3, (("A", "B"),)),
+            ]
+        )
+        assert dump_allocation(net, state) == [
+            "VC1 w=3 path=A-B cost=5",
+            "VC1 w=1 path=A-C-B cost=2",
+            "VC1 w=2 path=A-C-B cost=2",
+            "VC1 w=2 path=A-B cost=5",
+        ]
+
+
 class TestGrant:
     # three channels over a 4-node ring with a chord; each has two routes
     ROUTES = {
@@ -695,6 +772,7 @@ class TestGrant:
         "c2": (VirtualChannel("B", "D", "V2"), ((("B", "C"), ("C", "D")), (("B", "A"), ("A", "D")))),
         "c3": (VirtualChannel("A", "C", "V1"), ((("A", "C"),), (("A", "B"), ("B", "C")))),
     }
+    RING = mknet([(a, b, 6, 1) for a, b in ("AB", "BC", "CD", "AD", "AC")], wavelength_count=6)
 
     def random_lightpaths(self, rng, n):
         """Up to ``n`` lightpaths on distinct cells, in random order, some on equal but not identical hops."""
@@ -726,7 +804,7 @@ class TestGrant:
             assert len(state.lightpaths) == len(lps)
             assert all(got is lp for got, lp in zip(state.lightpaths, lps))
             for key in {link_key(u, v) for lp in lps for u, v in lp.hops}:
-                assert state.used_on(key) == sum(link_key(u, v) == key for lp in lps for u, v in lp.hops)
+                assert used_on(self.RING, state, key) == sum(link_key(u, v) == key for lp in lps for u, v in lp.hops)
             assert state._conn_counts == {c: sum(lp.conn == c for lp in lps) for c in {lp.conn for lp in lps}}
             # repeating any one of them, anywhere after it, takes a cell twice
             i = rng.randrange(len(lps))
@@ -753,12 +831,12 @@ class TestGrant:
                 assert added == sum(lp.cost(net) for lp in grant)
                 runs += any(mask & (mask - 1) for _, mask in grant.runs)
                 empty += not grant
-                by_grant, by_tuple = apply_delta(state, grant), Allocation((*state.lightpaths, *grant))
-                assert by_grant._masks == by_tuple._masks
+                by_grant, by_tuple = apply_delta(net, state, grant), Allocation((*state.lightpaths, *grant))
+                assert by_tuple._masks is None and _link_masks(net, by_grant) == _link_masks(net, by_tuple)
                 assert by_grant.lightpaths == by_tuple.lightpaths == (*state.lightpaths, *grant)
                 for key in net.link_by_key:
-                    assert by_grant.used_on(key) == by_tuple.used_on(key)
-                assert _fresh_conn_ids(by_grant, ["x"]) == _fresh_conn_ids(by_tuple, ["x"])
+                    assert used_on(net, by_grant, key) == used_on(net, by_tuple, key)
+                assert _fresh_conn_id(by_grant, "x") == _fresh_conn_id(by_tuple, "x")
                 state = by_grant
         assert runs >= 80 and empty >= 50
 
