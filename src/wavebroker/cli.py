@@ -470,7 +470,7 @@ def _cmd_curve(args) -> int:
         raise ConfigError("--qmax: probe depth must be >= 1")
     out_dir = Path(args.out)
     for sup in wanted:
-        curve = total_cost_curve(sup.network, Allocation.empty(), channel.vc, args.qmax)
+        curve = total_cost_curve(sup.network, Allocation.empty(sup.network), channel.vc, args.qmax)
         lines = ["vc,q_from,q_to,mc_minor_units"]
         for vc, q_from, q_to, mc in curve_csv_rows(curve):
             lines.append(f"{vc},{q_from},{q_to},{mc}")

@@ -11,13 +11,19 @@ The step is ``random.Random.randint(l_min, l_max)`` written out on
 CPython 3.11's ``_randbelow`` loop, so the step has the same value and
 leaves the generator in the same state, without the three Python-level
 frames (``randint``, ``randrange``, ``_randbelow``) it goes through.
+
+A race asks ``decide_bid`` once per round and supplier other than the
+leader, so what does not change within a race is set up before it: the policy's step
+constants ``(l_min, width, bits)`` (``UndercutPolicy.step``) and the
+generator's bound ``getrandbits``.  A ``Bid`` is a one-field named tuple,
+built with ``tuple.__new__`` so that making one runs no Python frame.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .cost import marginal_cost
 from .errors import DegenerateMarketError, InfeasibleError
@@ -36,17 +42,24 @@ class UndercutPolicy:
         if not 0 < self.l_min <= self.l_max:
             raise ValueError(f"need 0 < l_min <= l_max, got [{self.l_min}, {self.l_max}]")
 
+    def step(self) -> tuple[int, int, int]:
+        """``(l_min, width, bits)``: the constants ``decide_bid`` draws a step from."""
+        width = self.l_max - self.l_min + 1
+        return self.l_min, width, width.bit_length()
 
-@dataclass(frozen=True, slots=True)
-class Bid:
+
+class Bid(NamedTuple):
     price: int
+
+
+_new_bid = tuple.__new__
 
 
 def decide_bid(
     current_min: int,
     own_next_unit_mc: int,
-    policy: UndercutPolicy,
-    rng: random.Random,
+    step: tuple[int, int, int],
+    getrandbits: Callable[[int], int],
 ) -> Bid | None:
     """Undercut the standing minimum, or return None to sit out this round.
 
@@ -55,18 +68,17 @@ def decide_bid(
     valid bid.  The current leader is never asked: it would pass and draw
     nothing, so the race skips it.
 
-    The step is drawn inline, as the module docstring describes, because
-    the race makes this call once per supplier and round.
+    ``step`` is the policy's ``UndercutPolicy.step()`` and ``getrandbits``
+    the generator's bound method; the step is drawn inline from them, as
+    the module docstring describes.
     """
-    l_min = policy.l_min
-    width = policy.l_max - l_min + 1
-    bits = width.bit_length()
-    r = rng.getrandbits(bits)
+    l_min, width, bits = step
+    r = getrandbits(bits)
     while r >= width:
-        r = rng.getrandbits(bits)
+        r = getrandbits(bits)
     candidate = current_min - l_min - r
     if candidate >= own_next_unit_mc:
-        return Bid(candidate)
+        return _new_bid(Bid, (candidate,))
     return None
 
 
@@ -113,7 +125,7 @@ class SupplierAgent:
             raise ValueError("markup below 1 would open below marginal cost")
         self.id = agent_id
         self.network = network
-        self.state = state if state is not None else Allocation.empty()
+        self.state = state if state is not None else Allocation.empty(network)
         self.policy = policy
         self.markup = markup
 

@@ -375,7 +375,7 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     seed = config.seed if seed_override is None else seed_override
     rng = random.Random(seed)
     agents = [
-        SupplierAgent(sc.network.id, sc.network, Allocation.empty(), sc.policy, sc.markup)
+        SupplierAgent(sc.network.id, sc.network, Allocation.empty(sc.network), sc.policy, sc.markup)
         for sc in config.suppliers
     ]
     channels = {ch.vc.label: ch for ch in config.channels}

@@ -24,9 +24,12 @@ bid, so writing a trace builds no events and keeps the log.
 The caller hands in each supplier's next-unit marginal cost, which sets
 its opening bid and its floor; the race itself never probes placement.
 Each round asks every active supplier but the leader for a decision
-through ``game.decide_bid``, which returns None for a pass; the leader
-would pass and draw nothing, so it is skipped without a call.  The round
-minimum and its tied cutters are tracked as the bids arrive.
+through ``game.decide_bid``, which returns a ``Bid`` named tuple or None
+for a pass; the leader would pass and draw nothing, so it is skipped
+without a call.  Each bidder's step constants (``UndercutPolicy.step``)
+are set once per race, and every ask draws through the generator's bound
+``getrandbits``.  The round minimum and its tied cutters are tracked as
+the bids arrive.
 """
 
 from __future__ import annotations
@@ -311,7 +314,9 @@ def run_competition(
     # bids are logged; the trace builds the events when they are read.
     race = RaceLog(x, y, tuple(s.id for s in active), current_min, [], [])
     starts, log = race.starts, race.bids
-    bidders = [(i, mcs[s.id], s.policy) for i, s in enumerate(active)]
+    # Step constants and the bound draw are set once per race, not per ask.
+    bidders = [(i, mcs[s.id], s.policy.step()) for i, s in enumerate(active)]
+    getrandbits = rng.getrandbits
     prev_contested = False
     rnd = 1
     while True:
@@ -323,10 +328,10 @@ def run_competition(
         # The cutters' lowest price and the first to reach it; ``tied``
         # lists all who reached it once two have.
         round_min = first_at_min = tied = None
-        for i, mc, policy in bidders:
+        for i, mc, step in bidders:
             if i == leader:
                 continue
-            decision = decide_bid(current_min, mc, policy, rng)
+            decision = decide_bid(current_min, mc, step, getrandbits)
             if decision is None:
                 continue
             price = decision.price

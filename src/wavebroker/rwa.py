@@ -168,9 +168,10 @@ class Allocation:
     wavelength ``w`` taken; a link's used count is its popcount) in the
     link order of the network the state was committed under: ``_keys`` is
     that network's link-key tuple, ``_masks`` the list.  ``apply_delta``
-    makes both, and nothing writes them afterwards.  A state that no commit
-    made (``Allocation()``, ``Allocation(lightpaths)`` or an unpickled one)
-    has none; ``_link_masks`` builds its list from the grants per read.
+    makes both, and nothing writes them afterwards; ``Allocation.empty(net)``
+    starts with an all-zero list for ``net``.  Any other state
+    (``Allocation()``, ``Allocation(lightpaths)`` or an unpickled one) has
+    none; ``_link_masks`` builds its list from the grants per read.
 
     Given ``LightPath``s, it keeps each as a one-unit grant; a repeated cell
     raises ``ConflictError`` and a wavelength below 1 ``ValueError``,
@@ -215,8 +216,10 @@ class Allocation:
         self._init(*state)
 
     @staticmethod
-    def empty() -> "Allocation":
-        return Allocation()
+    def empty(net: Network) -> "Allocation":
+        """No grants, with an all-zero mask list kept for ``net``."""
+        keys = _net_tables(net)[0]
+        return object.__new__(Allocation)._init((), {}, keys, [0] * len(keys))
 
     def total_cost(self, net: Network) -> int:
         """Summed cost of every lightpath: per run, its hops' cost times its unit count."""

@@ -83,7 +83,7 @@ def random_guard_instance(rng: random.Random, tag: int):
             links[key] = Link(key[0], key[1], rng.randint(1, 3), rng.randint(1, 20))
     W = rng.randint(1, 3)
     net = make_network(f"fuzz{tag}", nodes, links.values(), W)
-    state = Allocation.empty()
+    state = Allocation()
     for k in range(rng.randint(0, 2)):
         src, dst = rng.sample(nodes, 2)
         grant, _ = incremental_allocate(net, state, VirtualChannel(src, dst, f"P{k}"), rng.randint(1, W))
@@ -106,7 +106,7 @@ def random_crossing_instance(rng: random.Random, tag: int):
     links += [Link(n, rng.choice(nodes[:4]), rng.randint(1, 2), rng.randint(1, 20)) for n in nodes[4:]]
     W = rng.randint(2, 3)
     net = make_network(f"cross{tag}", nodes, links, W)
-    return net, Allocation.empty(), VirtualChannel("S", "T", "C"), rng.randint(2, W)
+    return net, Allocation(), VirtualChannel("S", "T", "C"), rng.randint(2, W)
 
 
 def random_parallel_routes_net(rng: random.Random, tag: int, max_routes=3, max_len=2, guard=True):

@@ -48,7 +48,7 @@ def criterion(name):
 
 def duel_supplier(sid, unit_cost):
     net = mknet([("S", "T", 16, unit_cost)], wavelength_count=16, net_id=sid)
-    return SupplierAgent(sid, net, Allocation.empty(), DUEL_POLICY, 2.0)
+    return SupplierAgent(sid, net, Allocation(), DUEL_POLICY, 2.0)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -87,14 +87,14 @@ def test_criterion_2_two_route_curve_structure():
         config = load_scenario(scenario_path("two_route_costcurve"))
         net = config.suppliers[0].network
         vc = config.channels[0].vc
-        curve = total_cost_curve(net, Allocation.empty(), vc, 20)
+        curve = total_cost_curve(net, Allocation(), vc, 20)
         assert curve.q_max == 16
         assert len(curve.segments) == 2
         assert curve.segments[0] == CurveSegment(1, 8, curve.segments[0].mc)
         assert curve.segments[1] == CurveSegment(9, 16, curve.segments[1].mc)
         assert curve.segments[0].mc < curve.segments[1].mc
         try:
-            solve_min_cost_rwa(net, Allocation.empty(), vc, 17)
+            solve_min_cost_rwa(net, Allocation(), vc, 17)
             raise AssertionError("17 wavelengths must not fit on two capacity-8 routes")
         except InfeasibleError:
             pass
@@ -159,7 +159,7 @@ def test_criterion_5_allocation_invariant_fuzz():
             else:
                 df = ConstantElasticityDemand(a=rng.randint(200, 4000), eps=0.8 + rng.random())
             agents = [
-                SupplierAgent(net.id, net, Allocation.empty(), DUEL_POLICY, 1.5 + rng.random())
+                SupplierAgent(net.id, net, Allocation(), DUEL_POLICY, 1.5 + rng.random())
                 for net in nets
             ]
             expected_counts = {net.id: {} for net in nets}
@@ -193,7 +193,7 @@ def test_criterion_6_trace_conformance():
                     SupplierAgent(
                         f"S{i}",
                         net,
-                        Allocation.empty(),
+                        Allocation(),
                         UndercutPolicy(lo, lo + rng.randint(0, 100)),
                         1.0 + rng.random() * 2.5,
                     )
@@ -261,7 +261,7 @@ def test_criterion_9_mc_monotonicity():
             net = mknet(list(links.values()), wavelength_count=rng.randint(2, 8), net_id=f"m{tag}")
             vc = VirtualChannel(nodes[0], nodes[-1], "VC1")
             try:
-                curve = total_cost_curve(net, Allocation.empty(), vc, 12)
+                curve = total_cost_curve(net, Allocation(), vc, 12)
             except EmptyCurveError:
                 continue
             mcs = [seg.mc for seg in curve.segments]

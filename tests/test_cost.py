@@ -24,7 +24,7 @@ from conftest import mknet, random_parallel_routes_net, two_route_net, VC_SEA_BO
 class TestCurveStructure:
     def test_two_route_curve_has_two_segments(self):
         net = two_route_net()
-        curve = total_cost_curve(net, Allocation.empty(), VC_SEA_BOS, 20)
+        curve = total_cost_curve(net, Allocation(), VC_SEA_BOS, 20)
         assert curve.segments == (
             CurveSegment(1, 8, 125),
             CurveSegment(9, 16, 170),
@@ -34,39 +34,39 @@ class TestCurveStructure:
 
     def test_single_link_single_segment(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=5)
-        curve = total_cost_curve(net, Allocation.empty(), VirtualChannel("A", "B", "x"), 10)
+        curve = total_cost_curve(net, Allocation(), VirtualChannel("A", "B", "x"), 10)
         assert curve.segments == (CurveSegment(1, 3, 5),)
         assert curve.q_max == 3
 
     def test_saturated_network_has_no_curve(self):
         net = mknet([("A", "B", 1, 5)])
         vc = VirtualChannel("A", "B", "x")
-        delta, _ = incremental_allocate(net, Allocation.empty(), vc, 1)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, _ = incremental_allocate(net, Allocation(), vc, 1)
+        state = apply_delta(net, Allocation(), delta)
         with pytest.raises(EmptyCurveError):
             total_cost_curve(net, state, vc, 5)
 
     def test_q_cap_truncates_probe(self):
         net = two_route_net()
-        curve = total_cost_curve(net, Allocation.empty(), VC_SEA_BOS, 5)
+        curve = total_cost_curve(net, Allocation(), VC_SEA_BOS, 5)
         assert curve.segments == (CurveSegment(1, 5, 125),)
         assert curve.q_max == 5
 
     def test_bad_q_cap(self):
         net = mknet([("A", "B", 1, 5)])
         with pytest.raises(ValueError):
-            total_cost_curve(net, Allocation.empty(), VirtualChannel("A", "B", "x"), 0)
+            total_cost_curve(net, Allocation(), VirtualChannel("A", "B", "x"), 0)
 
 
 class TestTotalCost:
     def test_tc_zero_is_zero(self):
         net = two_route_net()
-        curve = total_cost_curve(net, Allocation.empty(), VC_SEA_BOS, 20)
+        curve = total_cost_curve(net, Allocation(), VC_SEA_BOS, 20)
         assert curve.total_cost(0) == 0
 
     def test_tc_is_cumulative_and_piecewise_linear(self):
         net = two_route_net()
-        curve = total_cost_curve(net, Allocation.empty(), VC_SEA_BOS, 20)
+        curve = total_cost_curve(net, Allocation(), VC_SEA_BOS, 20)
         assert curve.total_cost(8) == 8 * 125
         assert curve.total_cost(9) == 8 * 125 + 170
         assert curve.total_cost(16) == 8 * 125 + 8 * 170
@@ -75,7 +75,7 @@ class TestTotalCost:
 
     def test_out_of_range_queries_raise(self):
         net = mknet([("A", "B", 1, 5)])
-        curve = total_cost_curve(net, Allocation.empty(), VirtualChannel("A", "B", "x"), 5)
+        curve = total_cost_curve(net, Allocation(), VirtualChannel("A", "B", "x"), 5)
         with pytest.raises(ValueError):
             curve.total_cost(2)
         with pytest.raises(ValueError):
@@ -88,11 +88,11 @@ class TestTotalCost:
             net = random_parallel_routes_net(rng, 500 + tag)
             vc = VirtualChannel("S", "T", "p")
             try:
-                curve = total_cost_curve(net, Allocation.empty(), vc, 4)
+                curve = total_cost_curve(net, Allocation(), vc, 4)
             except EmptyCurveError:
                 continue
             q = min(curve.q_max, 4)
-            _delta, exact = brute_force_rwa(net, Allocation.empty(), vc, q)
+            _delta, exact = brute_force_rwa(net, Allocation(), vc, q)
             assert curve.total_cost(q) == exact
             checked += 1
         assert checked >= 15
@@ -101,19 +101,19 @@ class TestTotalCost:
 class TestMarginalCost:
     def test_single_link(self):
         net = mknet([("A", "B", 2, 5)])
-        assert marginal_cost(net, Allocation.empty(), VirtualChannel("A", "B", "x")) == 5
+        assert marginal_cost(net, Allocation(), VirtualChannel("A", "B", "x")) == 5
 
     def test_after_cheap_route_fills(self):
         net = two_route_net()
-        delta, _ = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 8)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, _ = incremental_allocate(net, Allocation(), VC_SEA_BOS, 8)
+        state = apply_delta(net, Allocation(), delta)
         assert marginal_cost(net, state, VC_SEA_BOS) == 170
 
     def test_saturated_is_infeasible(self):
         net = mknet([("A", "B", 1, 5)])
         vc = VirtualChannel("A", "B", "x")
-        delta, _ = incremental_allocate(net, Allocation.empty(), vc, 1)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, _ = incremental_allocate(net, Allocation(), vc, 1)
+        state = apply_delta(net, Allocation(), delta)
         with pytest.raises(InfeasibleError):
             marginal_cost(net, state, vc)
 
@@ -123,10 +123,10 @@ class TestMarginalCost:
             net = random_parallel_routes_net(rng, 900 + tag, max_routes=3, max_len=3, guard=False)
             vc = VirtualChannel("S", "T", "p")
             try:
-                curve = total_cost_curve(net, Allocation.empty(), vc, 6)
+                curve = total_cost_curve(net, Allocation(), vc, 6)
             except EmptyCurveError:
                 continue
-            assert marginal_cost(net, Allocation.empty(), vc) == curve.segments[0].mc
+            assert marginal_cost(net, Allocation(), vc) == curve.segments[0].mc
             checked += 1
         assert checked >= 15
 
@@ -139,7 +139,7 @@ def random_probe_chain(rng, tag):
     keys |= {link_key(*rng.sample(nodes, 2)) for _ in range(rng.randint(0, 2 * len(nodes)))}
     links = [Link(a, b, rng.randint(0, W), rng.randint(1, 9)) for a, b in sorted(keys)]
     net = make_network(f"probe{tag}", nodes + ["ISO"], links, W)
-    states = [Allocation.empty()]
+    states = [Allocation()]
     for k in range(rng.randint(1, 8)):
         src, dst = rng.sample(nodes, 2)
         grant, _ = incremental_allocate(net, states[-1], VirtualChannel(src, dst, f"P{k % 2}"), rng.randint(1, W))
@@ -199,7 +199,7 @@ class TestMonotonicity:
             net = mknet(list(links.values()), wavelength_count=rng.randint(1, 6), net_id=f"mono{tag}")
             vc = VirtualChannel(nodes[0], nodes[-1], "p")
             try:
-                curve = total_cost_curve(net, Allocation.empty(), vc, 10)
+                curve = total_cost_curve(net, Allocation(), vc, 10)
             except EmptyCurveError:
                 continue
             mcs = [seg.mc for seg in curve.segments]
@@ -215,5 +215,5 @@ class TestMonotonicity:
 
 def test_curve_csv_rows():
     net = two_route_net()
-    curve = total_cost_curve(net, Allocation.empty(), VC_SEA_BOS, 20)
+    curve = total_cost_curve(net, Allocation(), VC_SEA_BOS, 20)
     assert curve_csv_rows(curve) == [("VC1", 1, 8, 125), ("VC1", 9, 16, 170)]

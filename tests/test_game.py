@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from conftest import mknet
 
 def sample_undercut(policy, rng):
     """The step ``decide_bid`` cuts by, read off a bid that cannot fall below its cost."""
-    return -decide_bid(0, -policy.l_max, policy, rng).price
+    return -decide_bid(0, -policy.l_max, policy.step(), rng.getrandbits).price
 
 
 class TestSampleUndercut:
@@ -50,23 +51,23 @@ class TestSampleUndercut:
 class TestDecideBid:
     def test_forced_bid(self):
         rng = random.Random(5)
-        decision = decide_bid(1_000, 500, UndercutPolicy(100, 100), rng)
+        decision = decide_bid(1_000, 500, UndercutPolicy(100, 100).step(), rng.getrandbits)
         assert decision == Bid(900)
 
     def test_pass_when_cut_would_cross_own_cost(self):
         rng = random.Random(6)
-        decision = decide_bid(550, 500, UndercutPolicy(100, 100), rng)
+        decision = decide_bid(550, 500, UndercutPolicy(100, 100).step(), rng.getrandbits)
         assert decision is None
 
     def test_landing_exactly_on_own_cost_is_a_bid(self):
         rng = random.Random(7)
-        decision = decide_bid(600, 500, UndercutPolicy(100, 100), rng)
+        decision = decide_bid(600, 500, UndercutPolicy(100, 100).step(), rng.getrandbits)
         assert decision == Bid(500)
 
     def test_non_leader_consumes_exactly_one_draw(self):
         policy = UndercutPolicy(50, 100)
         a, b = random.Random(8), random.Random(8)
-        decide_bid(1_000, 10, policy, a)
+        decide_bid(1_000, 10, policy.step(), a.getrandbits)
         sample_undercut(policy, b)
         assert a.getstate() == b.getstate()
 
@@ -79,10 +80,43 @@ class TestDecideBid:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_never_bids_below_own_marginal_cost(self, current, mc, lo, span, seed):
-        decision = decide_bid(current, mc, UndercutPolicy(lo, lo + span), random.Random(seed))
+        decision = decide_bid(current, mc, UndercutPolicy(lo, lo + span).step(), random.Random(seed).getrandbits)
         if isinstance(decision, Bid):
             assert decision.price >= mc
             assert decision.price < current
+
+
+class TestBid:
+    def bid(self):
+        return decide_bid(1_000, 500, UndercutPolicy(100, 100).step(), random.Random(5).getrandbits)
+
+    def test_a_bid_is_a_one_field_named_tuple(self):
+        bid = self.bid()
+        assert type(bid) is Bid and type(bid).__name__ == "Bid"
+        assert Bid._fields == ("price",) and bid.price == 900
+
+    def test_bids_compare_by_value(self):
+        assert self.bid() == Bid(900) == Bid(price=900)
+        assert self.bid() != Bid(899)
+        assert hash(self.bid()) == hash(Bid(900))
+
+    def test_pickle_round_trip(self):
+        copy = pickle.loads(pickle.dumps(self.bid()))
+        assert type(copy) is Bid and copy == Bid(900) and copy.price == 900
+
+    def test_a_bid_is_immutable(self):
+        bid = self.bid()
+        with pytest.raises(AttributeError):
+            bid.price = 1
+        with pytest.raises(TypeError):
+            bid[0] = 1
+
+
+class TestStep:
+    def test_step_constants(self):
+        assert UndercutPolicy(3, 10).step() == (3, 8, 4)
+        assert UndercutPolicy(5, 5).step() == (5, 1, 1)
+        assert UndercutPolicy(1, 2**32).step() == (1, 2**32, 33)
 
 
 class TestDrawMatchesRandint:
@@ -98,7 +132,7 @@ class TestDrawMatchesRandint:
             policy = UndercutPolicy(l_min, l_min + width - 1)
             race, ref = random.Random(seed), random.Random(seed)
             for _ in range(4):
-                decision = decide_bid(policy.l_max, 0, policy, race)
+                decision = decide_bid(policy.l_max, 0, policy.step(), race.getrandbits)
                 assert policy.l_max - decision.price == ref.randint(policy.l_min, policy.l_max)
             assert sample_undercut(policy, race) == ref.randint(policy.l_min, policy.l_max)
             assert race.getstate() == ref.getstate()

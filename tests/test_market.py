@@ -34,6 +34,7 @@ from wavebroker import (
 from wavebroker.cli import load_scenario, main
 from wavebroker.market import SWEEP_RUNS_PER_WORKER
 from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
+from wavebroker import rwa
 from wavebroker.rwa import _link_masks
 
 from conftest import mknet, probed_mcs, scenario_path
@@ -44,7 +45,7 @@ POLICY = UndercutPolicy(50, 100)
 
 def supplier(sid, unit_cost, capacity=1000, wavelengths=1000):
     net = mknet([("S", "T", capacity, unit_cost)], wavelength_count=wavelengths, net_id=sid)
-    return SupplierAgent(sid, net, Allocation.empty(), POLICY, 2.0)
+    return SupplierAgent(sid, net, Allocation(), POLICY, 2.0)
 
 
 def won_outcome(mc_a=600, mc_b=400, seed=17):
@@ -246,6 +247,32 @@ class TestProfitLedger:
 
 
 class TestRunScenario:
+    def test_a_fresh_run_rebuilds_no_mask_list(self, monkeypatch):
+        """Every supplier starts on an empty state bound to its network, so even
+        the probes before its first win read a kept list."""
+        reads = {"kept": 0, "rebuilt": 0, "rebuilt grant-less": 0}
+        link_masks = rwa._link_masks
+
+        def counted(net, state, tables=None):
+            masks = link_masks(net, state, tables)
+            if masks is state._masks:
+                reads["kept"] += 1
+            else:
+                reads["rebuilt grant-less" if not state._grants else "rebuilt"] += 1
+            return masks
+
+        monkeypatch.setattr(rwa, "_link_masks", counted)
+        for name in ("duel", "three_channels", "two_route_costcurve"):
+            run_scenario(load_scenario(scenario_path(name)))
+        assert reads["kept"] > 0 and reads["rebuilt"] == reads["rebuilt grant-less"] == 0
+
+    def test_an_agents_empty_state_is_bound_to_its_network(self):
+        net = mknet([("S", "T", 4, 10), ("T", "U", 4, 10)], wavelength_count=4, net_id="A")
+        state = SupplierAgent("a", net).state
+        assert state.lightpaths == () and _link_masks(net, state) is state._masks == [0, 0]
+        assert pickle.dumps(state) == pickle.dumps(Allocation()) and pickle.loads(pickle.dumps(state))._masks is None
+        assert state.__getstate__() == ((), {})
+
     def test_dominant_network_takes_all_profit(self):
         report = run_scenario(duel_config(schedule_len=1))
         assert report.ledger.totals("netB").profit > 0

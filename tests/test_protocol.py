@@ -18,7 +18,7 @@ from wavebroker import (
     run_competition,
     validate_trace,
 )
-from wavebroker import game
+from wavebroker import game, protocol
 from wavebroker.game import round_half_up
 from wavebroker.protocol import (
     _WIRE_NAMES,
@@ -43,7 +43,7 @@ POLICY = UndercutPolicy(50, 100)
 
 def supplier(sid, unit_cost, capacity=1000, policy=POLICY, markup=2.0, wavelengths=1000):
     net = mknet([("S", "T", capacity, unit_cost)], wavelength_count=wavelengths, net_id=sid)
-    return SupplierAgent(sid, net, Allocation.empty(), policy, markup)
+    return SupplierAgent(sid, net, Allocation(), policy, markup)
 
 
 def duel(seed, mc_a=600, mc_b=400):
@@ -414,3 +414,80 @@ class TestRaceMatchesReference:
         assert out.rounds > 2
         got = (out.trace.events, out.winner, out.final_price, out.rounds, rng.getstate())
         assert got == (want[0], *want[2:5], want[6])
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_rejection_heavy_step_widths(self, k):
+        """Steps of width 2**k + 1 reject almost half of their draws."""
+        width = 2**k + 1
+        rng = random.Random(k)
+        for trial in range(12):
+            suppliers = []
+            for i in range(rng.randint(2, 6)):
+                lo = rng.randint(1, 3)
+                policy = UndercutPolicy(lo, lo + width - 1)
+                suppliers.append(supplier(f"S{i}", rng.randint(10, 14) * width, policy=policy))
+            want = race_result(reference_race, suppliers, trial)
+            assert want[4] > 3
+            assert race_result(run_competition, suppliers, trial) == want, trial
+
+    @pytest.mark.parametrize("width", [2**32, 2**32 + 1])
+    def test_steps_wider_than_one_word(self, width):
+        """A step of more than 32 bits takes two words per draw, beside bidders drawing one."""
+        rng = random.Random(width)
+        for trial in range(20):
+            suppliers = []
+            for i in range(rng.randint(2, 6)):
+                lo = rng.randint(1, 6)
+                policy = UndercutPolicy(lo, lo + (width if i % 3 else 5) - 1)
+                suppliers.append(supplier(f"S{i}", rng.randint(10, 14) * width, policy=policy))
+            want = race_result(reference_race, suppliers, trial)
+            assert want[4] > 2
+            assert race_result(run_competition, suppliers, trial) == want, trial
+
+    @pytest.mark.parametrize("cut", [1, 2, 5])
+    def test_equal_unit_steps_tie_every_round(self, cut):
+        """Equal costs and equal one-value steps: every non-leader cuts to the same price each round."""
+        for n in range(3, 7):
+            suppliers = [supplier(f"S{i}", 60, policy=UndercutPolicy(cut, cut)) for i in range(n)]
+            for seed in range(6):
+                want = race_result(reference_race, suppliers, seed)
+                assert race_result(run_competition, suppliers, seed) == want, (n, seed)
+                bids: dict[int, list[int]] = {}
+                for ev in want[0]:
+                    if ev.round > 1 and isinstance(ev.message, Offp):
+                        bids.setdefault(ev.round, []).append(ev.message.p)
+                assert len(bids) == want[4] - 2 > 10
+                assert all(len(prices) == n - 1 and len(set(prices)) == 1 for prices in bids.values())
+
+
+class TestPerAsk:
+    """The race asks ``protocol.decide_bid`` once per round and non-leader
+    active supplier, and each ``Bid`` it gets back is one logged bid."""
+
+    def test_one_call_per_round_and_non_leader(self, monkeypatch):
+        suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
+        suppliers.insert(2, supplier("dry", 100, capacity=0))
+        mcs = probed_mcs(VC, suppliers)
+        active_mcs = sorted(mc for mc in mcs.values() if mc is not None)
+        asks, decide = [], protocol.decide_bid
+
+        def counted(current_min, own_next_unit_mc, *args):
+            decision = decide(current_min, own_next_unit_mc, *args)
+            asks.append((current_min, own_next_unit_mc, decision))
+            return decision
+
+        monkeypatch.setattr(protocol, "decide_bid", counted)
+        out = run_competition(VC, suppliers, random.Random(11), mcs)
+        logged = len(out.trace._race.bids) // 2
+        assert out.rounds > 5
+        assert len(asks) == (out.rounds - 1) * (len(active_mcs) - 1)
+        assert sum(type(d).__name__ == "Bid" for _, _, d in asks) == logged > 0
+        # each round asks every active supplier but the one leader, at the announced price
+        per_round = len(active_mcs) - 1
+        for rnd, price in enumerate(ocl_prices(out.trace)):
+            round_asks = asks[rnd * per_round : (rnd + 1) * per_round]
+            assert {current for current, _, _ in round_asks} == {price}
+            asked = sorted(mc for _, mc, _ in round_asks)
+            assert len(set(active_mcs) - set(asked)) == 1 and set(asked) <= set(active_mcs)
+        bids = [ev.message.p for ev in out.trace.events if ev.round > 1 and isinstance(ev.message, Offp)]
+        assert [d.price for _, _, d in asks if d is not None] == bids

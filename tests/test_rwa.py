@@ -66,14 +66,14 @@ def route2_count(delta):
 class TestSolve:
     def test_single_link_forced_placement(self):
         net = mknet([("A", "B", 2, 5)])
-        delta, added = solve_min_cost_rwa(net, Allocation.empty(), VC_AB, 1)
+        delta, added = solve_min_cost_rwa(net, Allocation(), VC_AB, 1)
         assert added == 5
         assert len(delta) == 1
         assert delta[0].wavelength == 1  # tie-break takes the lowest index
 
     def test_two_route_overflow_split(self):
         net = two_route_net()
-        delta, added = solve_min_cost_rwa(net, Allocation.empty(), VC_SEA_BOS, 9)
+        delta, added = solve_min_cost_rwa(net, Allocation(), VC_SEA_BOS, 9)
         assert route1_count(delta) == 8
         assert route2_count(delta) == 1
         # consecutive units on one path share a run
@@ -82,18 +82,18 @@ class TestSolve:
 
     def test_two_route_capacity_ceiling(self):
         net = two_route_net()
-        _delta, added = solve_min_cost_rwa(net, Allocation.empty(), VC_SEA_BOS, 16)
+        _delta, added = solve_min_cost_rwa(net, Allocation(), VC_SEA_BOS, 16)
         assert added == 8 * 125 + 8 * 170
         with pytest.raises(InfeasibleError):
-            solve_min_cost_rwa(net, Allocation.empty(), VC_SEA_BOS, 17)
+            solve_min_cost_rwa(net, Allocation(), VC_SEA_BOS, 17)
 
     def test_crossing_demands_infeasible_confirmed_by_oracle(self):
         # ring A-B-C-D with W=1: once one diagonal is placed, the other cannot be
         net = mknet([("A", "B", 1, 1), ("B", "C", 1, 1), ("C", "D", 1, 1), ("D", "A", 1, 1)], wavelength_count=1)
         for solve in SOLVERS:
-            first, added = solve(net, Allocation.empty(), VirtualChannel("A", "C", "d1"), 1)
+            first, added = solve(net, Allocation(), VirtualChannel("A", "C", "d1"), 1)
             assert added == 2 and [lp.nodes() for lp in first] == [("A", "B", "C")]
-            state = apply_delta(net, Allocation.empty(), first)
+            state = apply_delta(net, Allocation(), first)
             for other in SOLVERS:
                 with pytest.raises(InfeasibleError):
                     other(net, state, VirtualChannel("B", "D", "d2"), 1)
@@ -103,17 +103,17 @@ class TestSolve:
         net = mknet([("A", "B", 2, 5)])
         for count in (0, -1):
             with pytest.raises(ValueError, match="count must be >= 1"):
-                solve_min_cost_rwa(net, Allocation.empty(), VC_AB, count)
+                solve_min_cost_rwa(net, Allocation(), VC_AB, count)
 
     def test_demand_above_wavelength_budget_infeasible(self):
         net = mknet([("A", "B", 5, 5)], wavelength_count=2)
         with pytest.raises(InfeasibleError, match="3 units need 3 distinct wavelengths"):
-            solve_min_cost_rwa(net, Allocation.empty(), VC_AB, 3)
+            solve_min_cost_rwa(net, Allocation(), VC_AB, 3)
 
     def test_existing_lightpaths_never_move(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=3)
-        delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 2)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, _ = incremental_allocate(net, Allocation(), VC_AB, 2)
+        state = apply_delta(net, Allocation(), delta)
         extra, added = solve_min_cost_rwa(net, state, VC_AB, 1)
         merged = apply_delta(net, state, extra)
         assert set(state.lightpaths) <= set(merged.lightpaths)
@@ -123,16 +123,16 @@ class TestSolve:
     def test_disconnected_vc_infeasible(self):
         net = mknet([("A", "B", 1, 1), ("C", "D", 1, 1)])
         with pytest.raises(InfeasibleError):
-            solve_min_cost_rwa(net, Allocation.empty(), VirtualChannel("A", "C", "x"), 1)
+            solve_min_cost_rwa(net, Allocation(), VirtualChannel("A", "C", "x"), 1)
 
     def test_deterministic_under_link_permutation(self):
         base = [("A", "B", 1, 10), ("A", "C", 2, 1), ("C", "B", 1, 2), ("A", "D", 1, 4), ("D", "B", 2, 4)]
-        ref_delta, ref_cost = solve_min_cost_rwa(mknet(base, 3), Allocation.empty(), VC_AB, 2)
+        ref_delta, ref_cost = solve_min_cost_rwa(mknet(base, 3), Allocation(), VC_AB, 2)
         rng = random.Random(5)
         for _ in range(5):
             shuffled = base[:]
             rng.shuffle(shuffled)
-            delta, added = solve_min_cost_rwa(mknet(shuffled, 3), Allocation.empty(), VC_AB, 2)
+            delta, added = solve_min_cost_rwa(mknet(shuffled, 3), Allocation(), VC_AB, 2)
             assert added == ref_cost
             assert tuple(delta) == tuple(ref_delta)
 
@@ -142,18 +142,18 @@ class TestBruteForce:
         links = [(f"N{i}", f"N{i+1}", 1, 1) for i in range(6)]
         net = mknet(links, wavelength_count=1)
         with pytest.raises(InstanceTooLargeError):
-            brute_force_rwa(net, Allocation.empty(), VirtualChannel("N0", "N6", "x"), 1)
+            brute_force_rwa(net, Allocation(), VirtualChannel("N0", "N6", "x"), 1)
 
     def test_guard_rejects_large_demand(self):
         net = mknet([("A", "B", 8, 1)], wavelength_count=3)
         with pytest.raises(InstanceTooLargeError):
-            brute_force_rwa(net, Allocation.empty(), VC_AB, 5)
+            brute_force_rwa(net, Allocation(), VC_AB, 5)
 
     def test_empty_requests(self):
         net = mknet([("A", "B", 2, 5)])
         for count in (0, -1):
             with pytest.raises(ValueError, match="count must be >= 1"):
-                brute_force_rwa(net, Allocation.empty(), VC_AB, count)
+                brute_force_rwa(net, Allocation(), VC_AB, count)
 
     @staticmethod
     def assert_agree(net, state, vc, count):
@@ -213,43 +213,43 @@ class TestBruteForce:
 class TestIncremental:
     def test_two_units_on_single_link(self):
         net = mknet([("A", "B", 2, 5)])
-        delta, added = incremental_allocate(net, Allocation.empty(), VC_AB, 2)
+        delta, added = incremental_allocate(net, Allocation(), VC_AB, 2)
         assert added == 10
         assert [lp.wavelength for lp in delta] == [1, 2]
 
     def test_overflow_moves_to_next_cheapest_route(self):
         net = two_route_net()
-        delta, _ = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 8)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, _ = incremental_allocate(net, Allocation(), VC_SEA_BOS, 8)
+        state = apply_delta(net, Allocation(), delta)
         extra, added = incremental_allocate(net, state, VC_SEA_BOS, 1)
         assert extra[0].nodes() == ("SEA", "POR", "SLC", "KC", "CHI", "BOS")
         assert added == 170
 
     def test_saturated_reports_zero_placed(self):
         net = mknet([("A", "B", 1, 5)])
-        delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 1)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, _ = incremental_allocate(net, Allocation(), VC_AB, 1)
+        state = apply_delta(net, Allocation(), delta)
         assert incremental_allocate(net, state, VC_AB, 1) == ((), 0)
 
     def test_partial_exhaustion_carries_delta(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=5)
-        delta, added = incremental_allocate(net, Allocation.empty(), VC_AB, 5)
+        delta, added = incremental_allocate(net, Allocation(), VC_AB, 5)
         assert len(delta) == 3
         assert added == 15
 
     def test_disconnected_endpoints_place_nothing(self):
         net = mknet([("A", "B", 1, 1), ("C", "D", 1, 1)])
-        assert incremental_allocate(net, Allocation.empty(), VirtualChannel("A", "C", "x"), 2) == ((), 0)
+        assert incremental_allocate(net, Allocation(), VirtualChannel("A", "C", "x"), 2) == ((), 0)
 
     def test_count_must_be_positive(self):
         net = mknet([("A", "B", 1, 5)])
         with pytest.raises(ValueError):
-            incremental_allocate(net, Allocation.empty(), VC_AB, 0)
+            incremental_allocate(net, Allocation(), VC_AB, 0)
 
     def test_units_take_distinct_wavelengths_even_on_disjoint_routes(self):
         # two node-disjoint routes, one unit each; wavelength indices must differ
         net = mknet([("A", "B", 1, 5), ("A", "C", 1, 6), ("C", "B", 1, 6)], wavelength_count=4)
-        delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 2)
+        delta, _ = incremental_allocate(net, Allocation(), VC_AB, 2)
         assert len({lp.wavelength for lp in delta}) == 2
 
     def test_greedy_matches_exact_on_parallel_route_instances(self):
@@ -259,12 +259,12 @@ class TestIncremental:
             net = random_parallel_routes_net(rng, tag)
             vc = VirtualChannel("S", "T", "p")
             q = rng.randint(1, min(4, net.wavelength_count))
-            delta, added = incremental_allocate(net, Allocation.empty(), vc, q)
+            delta, added = incremental_allocate(net, Allocation(), vc, q)
             if len(delta) < q:
                 with pytest.raises(InfeasibleError):
-                    brute_force_rwa(net, Allocation.empty(), vc, q)
+                    brute_force_rwa(net, Allocation(), vc, q)
                 continue
-            _exact_delta, exact = brute_force_rwa(net, Allocation.empty(), vc, q)
+            _exact_delta, exact = brute_force_rwa(net, Allocation(), vc, q)
             assert added == exact
             checked += 1
         assert checked >= 15
@@ -277,11 +277,11 @@ class TestIncremental:
             wavelength_count=2,
         )
         vc = VirtualChannel("S", "T", "p")
-        delta, added = incremental_allocate(net, Allocation.empty(), vc, 2)
+        delta, added = incremental_allocate(net, Allocation(), vc, 2)
         assert len(delta) == 1
         assert delta[0].cost(net) == added == 3
         for solve in SOLVERS:
-            exact_grant, exact = solve(net, Allocation.empty(), vc, 2)
+            exact_grant, exact = solve(net, Allocation(), vc, 2)
             assert exact == 22
             assert [(lp.nodes(), lp.wavelength) for lp in exact_grant] == [(("S", "X", "T"), 1), (("S", "Y", "T"), 2)]
 
@@ -331,7 +331,7 @@ def random_placement_case(rng, tag):
         [Link(a, b, rng.randint(0, W + 1), rng.choice(cost_pool)) for a, b in links],
         W,
     )
-    state = Allocation.empty()
+    state = Allocation()
     for k in range(rng.randint(0, 4)):
         src, dst = rng.sample(nodes, 2)
         delta, _ = unit_at_a_time(net, state, VirtualChannel(src, dst, f"P{k % 2}"), rng.randint(1, W))
@@ -378,7 +378,7 @@ class TestPathAtATime:
     def test_a_lone_path_fills_to_its_room(self):
         # the direct link is the only cost-5 path; it takes units up to its capacity of 3
         net = mknet([("A", "B", 3, 5), ("A", "C", 4, 4), ("C", "B", 4, 4)], wavelength_count=6)
-        delta, added = incremental_allocate(net, Allocation.empty(), VC_AB, 5)
+        delta, added = incremental_allocate(net, Allocation(), VC_AB, 5)
         assert [(lp.nodes(), lp.wavelength) for lp in delta] == [
             (("A", "B"), 1), (("A", "B"), 2), (("A", "B"), 3), (("A", "C", "B"), 4), (("A", "C", "B"), 5)
         ]
@@ -388,16 +388,16 @@ class TestPathAtATime:
 class TestApplyDelta:
     def test_apply_then_conflict(self):
         net = mknet([("A", "B", 2, 5)])
-        delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 1)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, _ = incremental_allocate(net, Allocation(), VC_AB, 1)
+        state = apply_delta(net, Allocation(), delta)
         assert len(state.lightpaths) == 1
         with pytest.raises(ConflictError):
             apply_delta(net, state, delta)
 
     def test_empty_delta_is_identity(self):
         net = mknet([("A", "B", 2, 5)])
-        delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 2)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, _ = incremental_allocate(net, Allocation(), VC_AB, 2)
+        state = apply_delta(net, Allocation(), delta)
         empty, added = incremental_allocate(net, state, VC_AB, 1)
         assert (len(empty), added) == (0, 0)
         assert apply_delta(net, state, empty) is state
@@ -418,7 +418,7 @@ class TestApplyDelta:
         for tag in range(40):
             net, *_ = random_guard_instance(rng, 5000 + tag)
             nodes = sorted(net.nodes)
-            chain = [Allocation.empty()]
+            chain = [Allocation()]
             for step in range(rng.randint(1, 6)):
                 src, dst = rng.sample(nodes, 2)
                 vc = VirtualChannel(src, dst, f"V{step % 2}")
@@ -490,8 +490,8 @@ class TestStateView:
     def test_a_conflict_leaves_the_parent_untouched(self):
         net = mknet([("A", "B", 3, 5), ("B", "C", 3, 5)], wavelength_count=3)
         vc = VirtualChannel("A", "C", "x")
-        grant, _ = incremental_allocate(net, Allocation.empty(), vc, 2)
-        state = apply_delta(net, Allocation.empty(), grant)
+        grant, _ = incremental_allocate(net, Allocation(), vc, 2)
+        state = apply_delta(net, Allocation(), grant)
         kept = state._masks
         # the first run is ORed cleanly into the child's copy, the second clashes
         clash = grant_of("c9", vc, ((("A", "B"),), [3]), ((("B", "C"),), [1]))
@@ -504,8 +504,8 @@ class TestStateView:
         line = mknet([("A", "B", 3, 5), ("B", "C", 3, 5)], wavelength_count=4, net_id="line")
         triangle = mknet([("A", "B", 3, 5), ("A", "C", 3, 1), ("B", "C", 3, 5)], wavelength_count=4, net_id="triangle")
         a_c, a_b = VirtualChannel("A", "C", "x"), VirtualChannel("A", "B", "y")
-        grant, _ = incremental_allocate(triangle, Allocation.empty(), a_c, 2)
-        state = apply_delta(triangle, Allocation.empty(), grant)
+        grant, _ = incremental_allocate(triangle, Allocation(), a_c, 2)
+        state = apply_delta(triangle, Allocation(), grant)
         grant, _ = incremental_allocate(line, state, a_b, 3)
         state = apply_delta(line, state, grant)
         kept = state._masks
@@ -525,7 +525,7 @@ class TestStateView:
 
     def test_a_hop_outside_the_network_is_refused(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=3)
-        state = apply_delta(net, Allocation.empty(), grant_of("c1", VC_AB, ((("A", "B"),), [2])))
+        state = apply_delta(net, Allocation(), grant_of("c1", VC_AB, ((("A", "B"),), [2])))
         vc = VirtualChannel("A", "Z", "z")
         for hops, missing in (((("A", "Z"),), "A', 'Z"), ((("A", "B"), ("B", "Z")), "B', 'Z")):
             with pytest.raises(ValueError, match=f"z1: no link \\('{missing}'\\) in network 'net'"):
@@ -682,26 +682,26 @@ class TestValidator:
         hops = (("A", "B"), ("B", "C"))
         vc = VirtualChannel("A", "C", "x")
         with pytest.raises(ConflictError, match="w=2"):
-            apply_delta(net, Allocation.empty(), grant_of("c1", vc, (hops, [1, 2, 3]), (hops, [2])))
+            apply_delta(net, Allocation(), grant_of("c1", vc, (hops, [1, 2, 3]), (hops, [2])))
         with pytest.raises(ConflictError):
             Allocation([LightPath("c1", vc, w, hops) for w in (1, 2, 3, 2)])
         # a hop tuple that crosses one link twice clashes with itself
         with pytest.raises(ConflictError):
-            apply_delta(net, Allocation.empty(), grant_of("c1", vc, ((("A", "B"), ("B", "A")), [1])))
+            apply_delta(net, Allocation(), grant_of("c1", vc, ((("A", "B"), ("B", "A")), [1])))
 
     def test_grouped_commit_clash_across_two_paths(self):
         net = mknet([("A", "B", 4, 1), ("B", "C", 4, 1), ("A", "D", 4, 1), ("D", "B", 4, 1)], wavelength_count=4)
         vc = VirtualChannel("A", "C", "x")
         upper, lower = (("A", "B"), ("B", "C")), (("A", "D"), ("D", "B"), ("B", "C"))
-        state = apply_delta(net, Allocation.empty(), grant_of("c1", vc, (upper, [1, 2]), (lower, [3, 4])))
+        state = apply_delta(net, Allocation(), grant_of("c1", vc, (upper, [1, 2]), (lower, [3, 4])))
         assert used_on(net, state, ("B", "C")) == 4 and used_on(net, state, ("A", "D")) == 2
         with pytest.raises(ConflictError, match=r"w=2"):
-            apply_delta(net, Allocation.empty(), grant_of("c1", vc, (upper, [1, 2]), (lower, [2, 3])))
+            apply_delta(net, Allocation(), grant_of("c1", vc, (upper, [1, 2]), (lower, [2, 3])))
 
     def test_grouped_commit_clash_against_the_state(self):
         net = mknet([("A", "B", 4, 1), ("B", "C", 4, 1)], wavelength_count=4)
         vc = VirtualChannel("A", "C", "x")
-        state = apply_delta(net, Allocation.empty(), grant_of("c0", vc, ((("B", "C"),), [3])))
+        state = apply_delta(net, Allocation(), grant_of("c0", vc, ((("B", "C"),), [3])))
         hops = (("A", "B"), ("B", "C"))
         with pytest.raises(ConflictError, match=r"cell \('B', 'C'\) w=3"):
             apply_delta(net, state, grant_of("c1", vc, (hops, [1, 2, 3, 4])))
@@ -723,8 +723,8 @@ class TestValidator:
 class TestDump:
     def test_dump_format(self):
         net = mknet([("A", "B", 2, 5)])
-        delta, _ = incremental_allocate(net, Allocation.empty(), VC_AB, 2)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, _ = incremental_allocate(net, Allocation(), VC_AB, 2)
+        state = apply_delta(net, Allocation(), delta)
         assert dump_allocation(net, state) == [
             "VC1 w=1 path=A-B cost=5",
             "VC1 w=2 path=A-B cost=5",
@@ -732,8 +732,8 @@ class TestDump:
 
     def test_costs_are_read_once_per_hop_tuple(self, monkeypatch):
         net = two_route_net()
-        delta, added = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 12)
-        state = apply_delta(net, Allocation.empty(), delta)
+        delta, added = incremental_allocate(net, Allocation(), VC_SEA_BOS, 12)
+        state = apply_delta(net, Allocation(), delta)
         real = rwa._hops_cost
         calls = []
         monkeypatch.setattr(rwa, "_hops_cost", lambda n, hops: calls.append(hops) or real(n, hops))
@@ -823,7 +823,7 @@ class TestGrant:
                 cap, cost = rng.randint(1, 6), rng.randint(1, 9)
                 links += [("S", f"M{m}", cap, cost), (f"M{m}", "T", cap, cost)]
             net = mknet(links, wavelength_count=rng.randint(2, 8), net_id=f"grant{tag}")
-            state = Allocation.empty()
+            state = Allocation()
             for step in range(6):
                 vc = VirtualChannel("S", "T", f"V{step % 2}")
                 grant, added = incremental_allocate(net, state, vc, rng.randint(1, 6))
@@ -850,7 +850,7 @@ class TestGrant:
 
     def test_an_unread_grant_pickles_as_its_runs(self):
         net = two_route_net()
-        grant, _ = incremental_allocate(net, Allocation.empty(), VC_SEA_BOS, 12)
+        grant, _ = incremental_allocate(net, Allocation(), VC_SEA_BOS, 12)
         assert [(len(hops), mask) for hops, mask in grant.runs] == [(2, 0xFF), (5, 0xF00)]
         data = pickle.dumps(grant)
         assert b"LightPath" not in data

@@ -98,7 +98,7 @@ class TestDomainTypes:
         vc = VirtualChannel("A", "B", "VC1")
         for place in (incremental_allocate, solve_min_cost_rwa, brute_force_rwa):
             with pytest.raises(ValueError, match="count must be >= 1"):
-                place(net, Allocation.empty(), vc, 0)
+                place(net, Allocation(), vc, 0)
 
 
 class TestRouteCandidates:
