@@ -12,11 +12,16 @@ CPython 3.11's ``_randbelow`` loop, so the step has the same value and
 leaves the generator in the same state, without the three Python-level
 frames (``randint``, ``randrange``, ``_randbelow``) it goes through.
 
-A race asks ``decide_bid`` once per round and supplier other than the
-leader, so what does not change within a race is set up before it: the policy's step
+``decide_bid`` is one ask: the rule a supplier other than the leader
+applies once per round.  The race in ``protocol.run_competition`` writes
+the same rule out inline, so that an ask costs no Python-level call;
+``decide_bid`` stays as the one-ask rule for callers, and as the binding
+through which the benchmark's tracer counts the game layer.  What does
+not change within a race is set up before it: the policy's step
 constants ``(l_min, width, bits)`` (``UndercutPolicy.step``) and the
-generator's bound ``getrandbits``.  A ``Bid`` is a one-field named tuple,
-built with ``tuple.__new__`` so that making one runs no Python frame.
+generator's bound ``getrandbits``.  A ``Bid`` is a one-field named
+tuple, built with ``tuple.__new__`` so that making one runs no Python
+frame.
 """
 
 from __future__ import annotations
@@ -43,7 +48,11 @@ class UndercutPolicy:
             raise ValueError(f"need 0 < l_min <= l_max, got [{self.l_min}, {self.l_max}]")
 
     def step(self) -> tuple[int, int, int]:
-        """``(l_min, width, bits)``: the constants ``decide_bid`` draws a step from."""
+        """``(l_min, width, bits)``: the constants a step is drawn from.
+
+        The race sets them once per bidder and draws inline from them;
+        ``decide_bid`` takes them for a single ask.
+        """
         width = self.l_max - self.l_min + 1
         return self.l_min, width, width.bit_length()
 

@@ -329,7 +329,11 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
 
 @dataclass(frozen=True)
 class AuctionRecord:
-    """One scheduled request: who won at what price, and the settlement result."""
+    """One scheduled request: who won at what price, and the settlement result.
+
+    ``asks``, ``bids``, ``passes`` and ``most_cutters`` (the most bids in
+    one round) count the race's work; they are 0 when no race ran.
+    """
 
     index: int
     request_round: int
@@ -338,6 +342,10 @@ class AuctionRecord:
     winner: str | None
     final_price: int | None
     rounds: int
+    asks: int
+    bids: int
+    passes: int
+    most_cutters: int
     demand: int | None
     granted: int
     revenue: int
@@ -410,6 +418,10 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
             termination = outcome.termination
             demand, granted, revenue, cost = None, 0, 0, 0
 
+        asks = bids = passes = most_cutters = 0
+        if outcome.race is not None:
+            asks, bids, passes, most_cutters = outcome.race.counts()
+
         within = None
         band_low = band_high = ref = None
         if bound is not None:
@@ -427,6 +439,10 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
                 winner=outcome.winner,
                 final_price=outcome.final_price,
                 rounds=outcome.rounds,
+                asks=asks,
+                bids=bids,
+                passes=passes,
+                most_cutters=most_cutters,
                 demand=demand,
                 granted=granted,
                 revenue=revenue,

@@ -23,13 +23,15 @@ bid, so writing a trace builds no events and keeps the log.
 
 The caller hands in each supplier's next-unit marginal cost, which sets
 its opening bid and its floor; the race itself never probes placement.
-Each round asks every active supplier but the leader for a decision
-through ``game.decide_bid``, which returns a ``Bid`` named tuple or None
-for a pass; the leader would pass and draw nothing, so it is skipped
-without a call.  Each bidder's step constants (``UndercutPolicy.step``)
-are set once per race, and every ask draws through the generator's bound
-``getrandbits``.  The round minimum and its tied cutters are tracked as
-the bids arrive.
+Each round asks every active supplier but the leader, which would pass
+and draw nothing, so it is skipped.  The ask is written out in the race
+loop, with no call per ask: draw the step through the generator's bound
+``getrandbits`` from the bidder's step constants (``UndercutPolicy.step``,
+set once per race), and pass if the price falls below the supplier's
+marginal cost.  ``game.decide_bid`` is that same rule as a function, kept
+for callers that want one ask and for the benchmark's tracer.  The round
+minimum and its tied cutters are tracked as the bids arrive, and
+``RaceLog.counts`` derives the race's asks, bids and passes afterwards.
 """
 
 from __future__ import annotations
@@ -39,10 +41,12 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
+from operator import sub
 from typing import NamedTuple
 
 from .errors import RoundCapExceededError, Violation
-from .game import SupplierAgent, decide_bid, round_half_up
+from .game import SupplierAgent, round_half_up
+from .game import decide_bid  # noqa: F401 -- the race inlines it; perfbench/layers.py traces the game layer by this name
 from .topology import VirtualChannel
 
 BROKER_TO_SUPPLIER = "broker->supplier"
@@ -168,6 +172,17 @@ class RaceLog(NamedTuple):
             if end > start:
                 price = min(bids[start + 1 : end : 2])
 
+    def counts(self) -> tuple[int, int, int, int]:
+        """(asks, bids, passes, most cutters in one round) of this race.
+
+        Each round asks every bidder but the leader once, and each cutter
+        logs two entries, so the counts follow from the log alone.
+        """
+        starts, logged = self.starts, len(self.bids)
+        asks = len(starts) * (len(self.ids) - 1)
+        bids = logged // 2
+        return asks, bids, asks - bids, max(map(sub, starts[1:] + [logged], starts)) // 2
+
     def events(self) -> list[TraceEvent]:
         # tuple.__new__ returns what the TraceEvent constructor does, without
         # its Python-level frame
@@ -262,6 +277,8 @@ class CompetitionOutcome:
     rounds: int
     trace: CompetitionTrace
     termination: Termination
+    # the bidding rounds, None when the auction ended at the opening bids
+    race: RaceLog | None = None
 
 
 def run_competition(
@@ -315,7 +332,7 @@ def run_competition(
     race = RaceLog(x, y, tuple(s.id for s in active), current_min, [], [])
     starts, log = race.starts, race.bids
     # Step constants and the bound draw are set once per race, not per ask.
-    bidders = [(i, mcs[s.id], s.policy.step()) for i, s in enumerate(active)]
+    bidders = [(i, mcs[s.id], *s.policy.step()) for i, s in enumerate(active)]
     getrandbits = rng.getrandbits
     prev_contested = False
     rnd = 1
@@ -328,13 +345,16 @@ def run_competition(
         # The cutters' lowest price and the first to reach it; ``tied``
         # lists all who reached it once two have.
         round_min = first_at_min = tied = None
-        for i, mc, step in bidders:
+        for i, mc, l_min, width, bits in bidders:
             if i == leader:
                 continue
-            decision = decide_bid(current_min, mc, step, getrandbits)
-            if decision is None:
+            # the ask of game.decide_bid, inline: draw the step, pass below MC
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            price = current_min - l_min - r
+            if price < mc:
                 continue
-            price = decision.price
             log += (i, price)
             if round_min is None or price < round_min:
                 round_min, first_at_min, tied = price, i, None
@@ -352,7 +372,7 @@ def run_competition(
         leader = first_at_min if tied is None else rng.choice(tied)
         current_min = round_min
         prev_contested = logged > 2
-    return CompetitionOutcome(active[winner].id, final, rnd, CompetitionTrace._of_race(head, race), Termination.WON)
+    return CompetitionOutcome(active[winner].id, final, rnd, CompetitionTrace._of_race(head, race), Termination.WON, race)
 
 
 def validate_trace(trace: CompetitionTrace) -> list[Violation]:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -460,34 +461,81 @@ class TestRaceMatchesReference:
                 assert all(len(prices) == n - 1 and len(set(prices)) == 1 for prices in bids.values())
 
 
-class TestPerAsk:
-    """The race asks ``protocol.decide_bid`` once per round and non-leader
-    active supplier, and each ``Bid`` it gets back is one logged bid."""
+class DrawRecorder(random.Random):
+    """A generator that records each ``getrandbits`` draw as (bits, value)."""
 
-    def test_one_call_per_round_and_non_leader(self, monkeypatch):
-        suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.draws.append((k, value))
+        return value
+
+
+class TestPerAsk:
+    """The race asks every active supplier but the leader once per round,
+    each ask takes one accepted step draw, and the race's counts say so."""
+
+    # width 9 draws 4 bits and rejects 9..15; a tie pick among at most 4 cutters draws 3 bits or fewer
+    POLICY = UndercutPolicy(1, 9)
+
+    def test_one_accepted_draw_per_round_and_non_leader(self):
+        suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=self.POLICY) for i in range(5)]
         suppliers.insert(2, supplier("dry", 100, capacity=0))
         mcs = probed_mcs(VC, suppliers)
-        active_mcs = sorted(mc for mc in mcs.values() if mc is not None)
-        asks, decide = [], protocol.decide_bid
-
-        def counted(current_min, own_next_unit_mc, *args):
-            decision = decide(current_min, own_next_unit_mc, *args)
-            asks.append((current_min, own_next_unit_mc, decision))
-            return decision
-
-        monkeypatch.setattr(protocol, "decide_bid", counted)
-        out = run_competition(VC, suppliers, random.Random(11), mcs)
-        logged = len(out.trace._race.bids) // 2
+        rng = DrawRecorder(11)
+        out = run_competition(VC, suppliers, rng, mcs)
+        asks, bids, passes, most_cutters = out.race.counts()
+        active = [s.id for s in suppliers if mcs[s.id] is not None]
         assert out.rounds > 5
-        assert len(asks) == (out.rounds - 1) * (len(active_mcs) - 1)
-        assert sum(type(d).__name__ == "Bid" for _, _, d in asks) == logged > 0
-        # each round asks every active supplier but the one leader, at the announced price
-        per_round = len(active_mcs) - 1
-        for rnd, price in enumerate(ocl_prices(out.trace)):
-            round_asks = asks[rnd * per_round : (rnd + 1) * per_round]
-            assert {current for current, _, _ in round_asks} == {price}
-            asked = sorted(mc for _, mc, _ in round_asks)
-            assert len(set(active_mcs) - set(asked)) == 1 and set(asked) <= set(active_mcs)
-        bids = [ev.message.p for ev in out.trace.events if ev.round > 1 and isinstance(ev.message, Offp)]
-        assert [d.price for _, _, d in asks if d is not None] == bids
+        assert asks == (out.rounds - 1) * (len(active) - 1)
+        l_min, width, bits = self.POLICY.step()
+        accepted = [r for k, r in rng.draws if k == bits and r < width]
+        assert len(accepted) == asks
+
+        offers: dict[int, list[tuple[str, int]]] = {}
+        for ev in out.trace.events:
+            if ev.round > 1 and isinstance(ev.message, Offp):
+                offers.setdefault(ev.round, []).append((ev.supplier_id, ev.message.p))
+        assert bids == len(out.race.bids) // 2 == sum(map(len, offers.values())) > 0
+        assert passes == asks - bids
+        assert most_cutters == max(map(len, offers.values()))
+        # the dry supplier is never asked, never bids and draws nothing
+        assert "dry" not in out.race.ids
+        assert all(sid != "dry" for round_offers in offers.values() for sid, _ in round_offers)
+
+        # each round takes its own share of the draws: those of the suppliers
+        # but one leader, in order, give the round's bids at the announced price
+        per_round = len(active) - 1
+        for k, price in enumerate(ocl_prices(out.trace)):
+            draws = accepted[k * per_round : (k + 1) * per_round]
+
+            def bids_if_led_by(leader):
+                askers = [sid for sid in active if sid != leader]
+                return [(sid, price - l_min - r) for sid, r in zip(askers, draws) if price - l_min - r >= mcs[sid]]
+
+            assert offers.get(k + 2, []) in [bids_if_led_by(leader) for leader in active], k + 2
+
+
+class TestFoldedAsk:
+    def test_a_long_race_makes_fewer_python_calls_than_asks(self):
+        """The race asks inline, so its Python-level calls do not grow with its asks."""
+        suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(6)]
+        mcs = probed_mcs(VC, suppliers)
+        rng = random.Random(5)
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            out = run_competition(VC, suppliers, rng, mcs)
+        finally:
+            sys.setprofile(None)
+        asks = (out.rounds - 1) * (len(suppliers) - 1)
+        assert out.rounds > 50
+        assert 0 < calls < asks
