@@ -33,7 +33,7 @@ from .market import (
     profit_percentages,
     run_scenario,
     run_sweep,
-    validate_scenario,
+    scenario_problems,
 )
 from .protocol import DEFAULT_ROUND_CAP
 from .rwa import Allocation, dump_allocation
@@ -232,7 +232,7 @@ def load_scenario(path: str | Path, fallback_seed: int | None = None) -> Scenari
         round_cap=round_cap,
         reject_partial=bool(reject_partial),
     )
-    problems.extend(validate_scenario(config))
+    problems.extend(scenario_problems(config))
     if problems:
         raise ConfigError(problems)
     return config

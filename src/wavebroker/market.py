@@ -14,6 +14,7 @@ import math
 import os
 import random
 import re
+import weakref
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -327,6 +328,27 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     return problems
 
 
+# Each config object that passed ``validate_scenario``, by id and held
+# weakly.  Configs are frozen all the way down, so one that passed once
+# passes again.
+_VALID_CONFIGS: weakref.WeakValueDictionary[int, ScenarioConfig] = weakref.WeakValueDictionary()
+
+
+def scenario_problems(config: ScenarioConfig) -> list[str]:
+    """``validate_scenario(config)``, run once per config object that passes.
+
+    Loading a config and running it, or running it again and again, so
+    validates it once.  A config with problems is never remembered: it is
+    validated, and its problems returned, on every call.
+    """
+    if _VALID_CONFIGS.get(id(config)) is config:
+        return []
+    problems = validate_scenario(config)
+    if not problems:
+        _VALID_CONFIGS[id(config)] = config
+    return problems
+
+
 @dataclass(frozen=True)
 class AuctionRecord:
     """One scheduled request: who won at what price, and the settlement result.
@@ -377,7 +399,7 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     competitors' marginal costs at auction start, so the band can be
     checked from the report alone.
     """
-    problems = validate_scenario(config)
+    problems = scenario_problems(config)
     if problems:
         raise ConfigError(problems)
     seed = config.seed if seed_override is None else seed_override

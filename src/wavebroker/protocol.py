@@ -11,27 +11,34 @@ grant/deny messages are exchanged at settlement, after the price is final.
 
 Every message is recorded.  A trace event is a named tuple (round,
 direction, supplier_id, message) and messages are frozen, slotted
-dataclasses that compare by value.  The race, where nearly all messages
-are sent, records only its bids: a ``RaceLog`` of (bidder index, price)
-pairs and the offset where each round's bids start.  A round's
-announcements follow from that, as each carries the previous round's
-lowest bid.  ``CompetitionTrace`` builds the race's events from the log
-when they are first read, so a run whose traces nobody reads builds no
-per-message objects, and a trace not yet read pickles as its log.  Its
-trace lines come from the log as well, one f-string per announcement and
-bid, so writing a trace builds no events and keeps the log.
+dataclasses that compare by value.  A competition, though, records no
+per-message objects.  Its opening block is an ``OpeningLog``: the
+supplier ids and each one's opening price, or None where it declined at
+the gate.  The race, where nearly all messages are sent, records only
+its bids: a ``RaceLog`` of (bidder index, price) pairs and the offset
+where each round's bids start.  A round's announcements follow from
+that, as each carries the previous round's lowest bid.
+``CompetitionTrace`` builds the events from the logs when they are
+first read, so a run whose traces nobody reads builds no per-message
+objects, and a trace not yet read pickles as its logs.  Its trace lines
+come from the logs as well, one f-string per message, so writing a
+trace builds no events and keeps the logs.
 
 The caller hands in each supplier's next-unit marginal cost, which sets
 its opening bid and its floor; the race itself never probes placement.
 Each round asks every active supplier but the leader, which would pass
-and draw nothing, so it is skipped.  The ask is written out in the race
-loop, with no call per ask: draw the step through the generator's bound
-``getrandbits`` from the bidder's step constants (``UndercutPolicy.step``,
-set once per race), and pass if the price falls below the supplier's
-marginal cost.  ``game.decide_bid`` is that same rule as a function, kept
-for callers that want one ask and for the benchmark's tracer.  The round
-minimum and its tied cutters are tracked as the bids arrive, and
-``RaceLog.counts`` derives the race's asks, bids and passes afterwards.
+and draw nothing, from an asker list built once per race for each
+possible leader.  The ask is written out in the race loop, with no call
+per ask: draw the step through the generator's bound ``getrandbits``
+from the bidder's step constants (``UndercutPolicy.step``, set once per
+race), and pass if the price falls below the supplier's marginal cost.
+``game.decide_bid`` is that same rule as a function, kept for callers
+that want one ask and for the benchmark's tracer.  The round minimum
+and its tied cutters are tracked as the bids arrive, and a tie is
+broken by ``rng.choice``'s draw written out: CPython's ``_randbelow``
+loop on ``getrandbits``, as with the step, so a round makes no
+Python-level call.  ``RaceLog.counts`` derives the race's asks, bids
+and passes afterwards.
 """
 
 from __future__ import annotations
@@ -209,48 +216,90 @@ class RaceLog(NamedTuple):
         return lines
 
 
+class OpeningLog(NamedTuple):
+    """The opening block of one competition, without per-message objects.
+
+    ``ids`` lists every supplier asked, in order; ``prices`` holds each
+    one's opening price, or None where it declined at the gate.  The
+    block is one request broadcast to every supplier, then one answer from
+    each: an offer at its opening price or a gate exception.
+    """
+
+    x: str
+    y: str
+    ids: tuple[str, ...]
+    prices: list[int | None]
+
+    def events(self) -> list[TraceEvent]:
+        x, y, ids, prices, new_event = self.x, self.y, self.ids, self.prices, tuple.__new__
+        reqc = Reqc(x, y)
+        events = [new_event(TraceEvent, (1, BROKER_TO_SUPPLIER, sid, reqc)) for sid in ids]
+        declined = Exc1(0, 0, x, y) if None in prices else None
+        events += [
+            new_event(TraceEvent, (1, SUPPLIER_TO_BROKER, sid, declined if p is None else Offp(p, x, y)))
+            for sid, p in zip(ids, prices)
+        ]
+        return events
+
+    def lines(self) -> list[str]:
+        """``format_event`` of each of ``events()``, written straight from the log."""
+        xy = f"x={self.x},y={self.y}"
+        ask, reqc = f"1\t{BROKER_TO_SUPPLIER}\t", f"\treqc\t{xy}"
+        answer, declined = f"1\t{SUPPLIER_TO_BROKER}\t", f"\texc_1\td=0,p=0,{xy}"
+        lines = [ask + sid + reqc for sid in self.ids]
+        lines += [
+            answer + sid + declined if p is None else f"{answer}{sid}\toffp\tp={p},{xy}"
+            for sid, p in zip(self.ids, self.prices)
+        ]
+        return lines
+
+
 class CompetitionTrace:
     """Every message of one competition, in the order sent.
 
     ``CompetitionTrace(events)`` holds the given events.  ``run_competition``
-    instead hands over the opening block and the race as a ``RaceLog``, to
-    which settlement adds a tail of events.  The race's events are built on
-    the first read of ``events`` and then replace the log, so a trace that
-    was never read pickles as its log.  ``lines()`` formats the opening
-    block and the tail event by event and the race from its log, building
-    no race events and keeping the log.  Two traces are equal when their
-    events are.
+    instead hands over logs: an ``OpeningLog`` and, when bidding rounds
+    ran, a ``RaceLog``, to which settlement adds a tail of events.  The
+    events are built from the logs on the first read of ``events`` and
+    then replace them, so a trace that was never read pickles as its
+    logs.  ``lines()`` formats the opening block and the race from their
+    logs and the tail event by event, building no events and keeping the
+    logs.  Two traces are equal when their events are.
     """
 
-    __slots__ = ("_head", "_race", "_tail")
+    __slots__ = ("_events", "_opening", "_race", "_tail")
 
     def __init__(self, events):
-        self._head, self._race, self._tail = tuple(events), None, ()
+        self._events, self._opening, self._race, self._tail = tuple(events), None, None, ()
 
     @classmethod
-    def _of_race(cls, head: tuple[TraceEvent, ...], race: RaceLog, tail: tuple[TraceEvent, ...] = ()) -> CompetitionTrace:
+    def _logged(
+        cls, opening: OpeningLog, race: RaceLog | None = None, tail: tuple[TraceEvent, ...] = ()
+    ) -> CompetitionTrace:
         trace = cls.__new__(cls)
-        trace._head, trace._race, trace._tail = head, race, tail
+        trace._events, trace._opening, trace._race, trace._tail = None, opening, race, tail
         return trace
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
-        if self._race is not None:
-            self._head = (*self._head, *self._race.events(), *self._tail)
-            self._race, self._tail = None, ()
-        return self._head
+        if self._opening is not None:
+            race = () if self._race is None else self._race.events()
+            self._events = (*self._opening.events(), *race, *self._tail)
+            self._opening, self._race, self._tail = None, None, ()
+        return self._events
 
     def settled(self, tail: tuple[TraceEvent, ...]) -> CompetitionTrace:
-        """This trace followed by the settlement messages ``tail``, without building the race's events."""
-        if self._race is None:
-            return CompetitionTrace(self._head + tail)
-        return CompetitionTrace._of_race(self._head, self._race, self._tail + tail)
+        """This trace followed by the settlement messages ``tail``, without building its events."""
+        if self._opening is None:
+            return CompetitionTrace(self._events + tail)
+        return CompetitionTrace._logged(self._opening, self._race, self._tail + tail)
 
     def lines(self) -> list[str]:
-        """``format_event`` of each event; a race not yet read is formatted from its log and kept."""
-        if self._race is None:
-            return [format_event(ev) for ev in self._head]
-        return [*map(format_event, self._head), *self._race.lines(), *map(format_event, self._tail)]
+        """``format_event`` of each event; logs not yet read are formatted as they stand and kept."""
+        if self._opening is None:
+            return [format_event(ev) for ev in self._events]
+        race = [] if self._race is None else self._race.lines()
+        return [*self._opening.lines(), *race, *map(format_event, self._tail)]
 
     def __eq__(self, other):
         if not isinstance(other, CompetitionTrace):
@@ -302,52 +351,41 @@ def run_competition(
         raise ValueError("round_cap must be >= 1")
 
     x, y = vc.src, vc.dst
-    reqc = Reqc(x, y)
-    events = [TraceEvent(1, BROKER_TO_SUPPLIER, s.id, reqc) for s in suppliers]
-
-    bids: dict[str, int] = {}
-    for s in suppliers:
-        mc = mcs[s.id]
-        if mc is None:
-            events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Exc1(0, 0, x, y)))
-            continue
-        opening = round_half_up(s.markup * mc)
-        bids[s.id] = opening
-        events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Offp(opening, x, y)))
-
-    head = tuple(events)
-    active = [s for s in suppliers if s.id in bids]
+    ids = tuple(s.id for s in suppliers)
+    prices = [None if mcs[sid] is None else round_half_up(s.markup * mcs[sid]) for sid, s in zip(ids, suppliers)]
+    # The opening block is logged; the trace builds its events when they are read.
+    opening = OpeningLog(x, y, ids, prices)
+    # Bidders, the leader among them, are indexes into ``active``, which
+    # holds indexes into ``suppliers``.
+    active = [i for i, p in enumerate(prices) if p is not None]
     if not active:
-        return CompetitionOutcome(None, None, 1, CompetitionTrace(head), Termination.ALL_DECLINED)
+        return CompetitionOutcome(None, None, 1, CompetitionTrace._logged(opening), Termination.ALL_DECLINED)
 
-    current_min = min(bids.values())
-    tied = [i for i, s in enumerate(active) if bids[s.id] == current_min]
+    current_min = min([prices[i] for i in active])
+    tied = [k for k, i in enumerate(active) if prices[i] == current_min]
     leader = tied[0] if len(tied) == 1 else rng.choice(tied)
 
     if len(active) == 1:
-        return CompetitionOutcome(active[leader].id, current_min, 1, CompetitionTrace(head), Termination.WON)
+        return CompetitionOutcome(ids[active[leader]], current_min, 1, CompetitionTrace._logged(opening), Termination.WON)
 
-    # Bidders, the leader among them, are indexes into ``active``.  Only the
-    # bids are logged; the trace builds the events when they are read.
-    race = RaceLog(x, y, tuple(s.id for s in active), current_min, [], [])
+    # Of the race, only the bids are logged.
+    race = RaceLog(x, y, tuple([ids[i] for i in active]), current_min, [], [])
     starts, log = race.starts, race.bids
-    # Step constants and the bound draw are set once per race, not per ask.
-    bidders = [(i, mcs[s.id], *s.policy.step()) for i, s in enumerate(active)]
+    add = log.append
+    # Step constants, the bound draw and one asker list per possible
+    # leader (every bidder but it) are set once per race, not per round.
+    bidders = [(k, mcs[ids[i]], *suppliers[i].policy.step()) for k, i in enumerate(active)]
+    askers = [bidders[:k] + bidders[k + 1 :] for k in range(len(bidders))]
     getrandbits = rng.getrandbits
     prev_contested = False
-    rnd = 1
-    while True:
-        rnd += 1
-        if rnd > round_cap:
-            raise RoundCapExceededError(f"no resting price after {round_cap} rounds")
+    for rnd in range(2, round_cap + 1):
         start = len(log)
         starts.append(start)
         # The cutters' lowest price and the first to reach it; ``tied``
-        # lists all who reached it once two have.
-        round_min = first_at_min = tied = None
-        for i, mc, l_min, width, bits in bidders:
-            if i == leader:
-                continue
+        # lists all who reached it once two have.  Every bid is below the
+        # announced price, so it is where the round minimum starts.
+        round_min, tied = current_min, None
+        for i, mc, l_min, width, bits in askers[leader]:
             # the ask of game.decide_bid, inline: draw the step, pass below MC
             r = getrandbits(bits)
             while r >= width:
@@ -355,8 +393,9 @@ def run_competition(
             price = current_min - l_min - r
             if price < mc:
                 continue
-            log += (i, price)
-            if round_min is None or price < round_min:
+            add(i)
+            add(price)
+            if price < round_min:
                 round_min, first_at_min, tied = price, i, None
             elif price == round_min:
                 if tied is None:
@@ -369,10 +408,23 @@ def run_competition(
         if logged == 2 and prev_contested:
             winner, final = first_at_min, round_min
             break
-        leader = first_at_min if tied is None else rng.choice(tied)
+        if tied is None:
+            leader = first_at_min
+        else:
+            # rng.choice(tied), written out: CPython's _randbelow loop
+            n = len(tied)
+            k = n.bit_length()
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            leader = tied[r]
         current_min = round_min
         prev_contested = logged > 2
-    return CompetitionOutcome(active[winner].id, final, rnd, CompetitionTrace._of_race(head, race), Termination.WON, race)
+    else:
+        raise RoundCapExceededError(f"no resting price after {round_cap} rounds")
+    return CompetitionOutcome(
+        race.ids[winner], final, rnd, CompetitionTrace._logged(opening, race), Termination.WON, race
+    )
 
 
 def validate_trace(trace: CompetitionTrace) -> list[Violation]:

@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import pickle
 import random
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -34,7 +37,7 @@ from wavebroker import (
 from wavebroker.cli import load_scenario, main
 from wavebroker.market import SWEEP_RUNS_PER_WORKER
 from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
-from wavebroker import rwa
+from wavebroker import market, rwa
 from wavebroker.rwa import _link_masks
 
 from conftest import mknet, probed_mcs, scenario_path
@@ -406,3 +409,56 @@ class TestSweep:
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(duel_config(schedule_len=1), 2, workers=0)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The configs ``market.validate_scenario`` is called with, in order."""
+    calls = []
+    validate = market.validate_scenario
+
+    def counted(config):
+        calls.append(config)
+        return validate(config)
+
+    monkeypatch.setattr(market, "validate_scenario", counted)
+    return calls
+
+
+class TestValidateOnce:
+    def test_load_and_run_validate_once(self, validations, tmp_path):
+        config = load_scenario(scenario_path("duel"))
+        run_scenario(config)
+        run_scenario(config, seed_override=7)
+        assert validations == [config]
+        assert main(["run", scenario_path("duel"), "--out", str(tmp_path)]) == 0
+        assert len(validations) == 2
+
+    def test_a_serial_sweep_validates_once(self, validations):
+        config = duel_config(schedule_len=1)
+        assert len(list(run_sweep(config, 5))) == 5
+        assert validations == [config]
+
+    def test_configs_are_told_apart_by_identity(self, validations):
+        first, second = duel_config(schedule_len=1), duel_config(schedule_len=1)
+        assert first == second
+        for config in (first, second, first, second):
+            run_scenario(config)
+        assert validations == [first, second]
+
+    def test_an_invalid_config_raises_on_every_call(self, validations):
+        bad = dataclasses.replace(duel_config(), schedule=((1, "NOPE"),))
+        for _ in range(3):
+            with pytest.raises(ConfigError):
+                run_scenario(bad)
+        with pytest.raises(ConfigError):
+            next(run_sweep(bad, 2))
+        assert validations == [bad] * 4
+
+    def test_a_validated_config_is_not_kept_alive(self):
+        config = duel_config(schedule_len=1)
+        run_scenario(config)
+        ref = weakref.ref(config)
+        del config
+        gc.collect()
+        assert ref() is None

@@ -200,6 +200,52 @@ class TestValidateTraceViolations:
         assert "illegal-settlement" in {v.code for v in vios}
 
 
+SETTLEMENT_TAILS = {
+    "exc_2,nack": (
+        TraceEvent(3, BROKER_TO_SUPPLIER, "S1", Exc2("S", "T", 610)),
+        TraceEvent(3, BROKER_TO_SUPPLIER, "S1", Nack("S", "T")),
+    ),
+    "exc_1,ack": (
+        TraceEvent(3, SUPPLIER_TO_BROKER, "S1", Exc1(2, 610, "S", "T")),
+        TraceEvent(3, BROKER_TO_SUPPLIER, "S1", Ack("S", "T", 2)),
+    ),
+    "exc_1,nack": (
+        TraceEvent(3, SUPPLIER_TO_BROKER, "S1", Exc1(0, 610, "S", "T")),
+        TraceEvent(3, BROKER_TO_SUPPLIER, "S1", Nack("S", "T")),
+    ),
+    "ack": (TraceEvent(3, BROKER_TO_SUPPLIER, "S1", Ack("S", "T", 4)),),
+}
+
+
+def competitions_of_every_shape():
+    """(name, a function returning a fresh unread trace, settlement tail) per trace shape.
+
+    Every supplier declining at the gate; one capable supplier winning in
+    round 1; and a race, each of the last two with no tail and with every
+    legal settlement tail.
+    """
+    declined = [supplier(f"S{i}", 300, capacity=0) for i in range(3)]
+    lone = [supplier("S0", 300, capacity=0), supplier("S1", 305), supplier("S2", 290, capacity=0)]
+    race = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(4)]
+    race.insert(1, supplier("dry", 100, capacity=0))
+
+    def unread(suppliers, raced):
+        mcs = probed_mcs(VC, suppliers)
+
+        def trace():
+            out = run_competition(VC, suppliers, random.Random(5), mcs)
+            assert (out.race is not None) == raced == (out.rounds > 1)
+            return out.trace
+
+        return trace
+
+    yield "all declined", unread(declined, False), ()
+    for name, suppliers, raced in (("won at the opening", lone, False), ("race", race, True)):
+        yield name, unread(suppliers, raced), ()
+        for tail_name, tail in SETTLEMENT_TAILS.items():
+            yield f"{name}, {tail_name}", unread(suppliers, raced), tail
+
+
 class TestTraceFormat:
     def test_line_format_is_stable(self):
         ev = TraceEvent(3, SUPPLIER_TO_BROKER, "netB", Offp(725, "S", "T"))
@@ -250,6 +296,20 @@ class TestTraceFormat:
         assert lazy == eager.settled(tail) == CompetitionTrace(trace.events + tail)
         assert hash(lazy) == hash(CompetitionTrace(trace.events + tail))
 
+        # races that never run, and every settlement tail, pickle as their logs too
+        for name, unread_trace, tail in competitions_of_every_shape():
+            events = unread_trace().events
+            want = CompetitionTrace(events + tail)
+            lazy = unread_trace().settled(tail)
+            logged = pickle.dumps(lazy)
+            assert len(logged) < len(pickle.dumps(want)), name
+            assert lazy == CompetitionTrace(events).settled(tail) == want, name
+            assert hash(lazy) == hash(want), name
+            back = pickle.loads(logged)
+            assert back.lines() == want.lines() and pickle.dumps(back) == logged, name
+            assert back == want and hash(back) == hash(want), name
+            assert pickle.loads(pickle.dumps(want)).events == want.events == back.events, name
+
     def test_lines_are_the_same_from_the_log_and_from_the_events(self):
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
         mcs = probed_mcs(VC, suppliers)
@@ -272,6 +332,16 @@ class TestTraceFormat:
         read = unread().settled(tail)
         assert read.events == CompetitionTrace(events + tail).events
         assert read.lines() == settled
+
+        for name, unread_trace, tail in competitions_of_every_shape():
+            events = unread_trace().events
+            want = [format_event(ev) for ev in (*events, *tail)]
+            lazy = unread_trace().settled(tail)
+            assert lazy.lines() == want == CompetitionTrace(events + tail).lines(), name
+            # formatting keeps the logs: the events are built on the first read
+            assert pickle.dumps(lazy) == pickle.dumps(unread_trace().settled(tail)), name
+            assert lazy.events == events + tail and lazy.lines() == want, name
+            assert lazy == CompetitionTrace(events + tail) and hash(lazy) == hash(CompetitionTrace(events + tail)), name
 
     def test_every_announcement_of_a_round_has_the_same_price(self):
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(5)]
@@ -519,23 +589,48 @@ class TestPerAsk:
             assert offers.get(k + 2, []) in [bids_if_led_by(leader) for leader in active], k + 2
 
 
+def profiled_calls(run):
+    """(``run()``, the Python-level calls it made)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        out = run()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
 class TestFoldedAsk:
     def test_a_long_race_makes_fewer_python_calls_than_asks(self):
         """The race asks inline, so its Python-level calls do not grow with its asks."""
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(6)]
         mcs = probed_mcs(VC, suppliers)
         rng = random.Random(5)
-        calls = 0
-
-        def profile(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        sys.setprofile(profile)
-        try:
-            out = run_competition(VC, suppliers, rng, mcs)
-        finally:
-            sys.setprofile(None)
+        out, calls = profiled_calls(lambda: run_competition(VC, suppliers, rng, mcs))
         asks = (out.rounds - 1) * (len(suppliers) - 1)
         assert out.rounds > 50
         assert 0 < calls < asks
+
+    def test_no_python_call_per_round(self):
+        """Ties are broken inline as well, so a race ten times longer makes the same Python-level calls."""
+        calls, rounds, tied_rounds = {}, {}, {}
+        for base in (300, 3000):
+            suppliers = [supplier(f"S{i}", base + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(6)]
+            mcs = probed_mcs(VC, suppliers)
+            rng = random.Random(5)
+            out, calls[base] = profiled_calls(lambda: run_competition(VC, suppliers, rng, mcs))
+            rounds[base] = out.rounds
+            log = out.race
+            bounds = zip(log.starts, log.starts[1:] + [len(log.bids)])
+            round_prices = [log.bids[start + 1 : end : 2] for start, end in bounds]
+            # the rounds in which two or more cutters reached the round minimum
+            tied_rounds[base] = sum(p.count(min(p)) > 1 for p in round_prices if p)
+        assert rounds == {300: 101, 3000: 1043}
+        # the long race ties in many more rounds, and each tie is broken without a call
+        assert tied_rounds[3000] > tied_rounds[300] > 10
+        assert calls[300] == calls[3000] > 0
