@@ -8,7 +8,6 @@ timestamps, sorted keys, fixed number formatting, LF newlines.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -129,11 +128,15 @@ def _parse_demand(obj, loc, problems):
         return None
 
 
-def load_scenario(path: str | Path, fallback_seed: int | None = None) -> ScenarioConfig:
+def load_scenario(
+    path: str | Path, fallback_seed: int | None = None, seed_override: int | None = None
+) -> ScenarioConfig:
     """Parse and fully validate a scenario file.
 
-    Raises ParseError for unreadable files or broken JSON, ConfigError with
-    field-precise locations for every config invariant violation.
+    The config's seed is ``seed_override`` if given, else the file's, else
+    ``fallback_seed``.  Raises ParseError for unreadable files or broken
+    JSON, ConfigError with field-precise locations for every config
+    invariant violation.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -146,7 +149,9 @@ def load_scenario(path: str | Path, fallback_seed: int | None = None) -> Scenari
     problems: list[str] = []
     scenario_id = _typed(root, "id", "$", str, problems, required=False, default=Path(path).stem)
     seed = _typed(root, "seed", "$", int, problems, required=False)
-    if seed is None:
+    if seed_override is not None:
+        seed = seed_override
+    elif seed is None:
         if fallback_seed is None:
             problems.append("seed: required (set it in the file, via --seed, or via SIM_SEED)")
         seed = fallback_seed
@@ -386,8 +391,7 @@ def report_json(report: Report) -> str:
         "scenario": report.scenario_id,
         "seed": report.seed,
         "networks": networks,
-        # every AuctionRecord field is a scalar, so its field dict is what asdict would copy
-        "auctions": [vars(rec) for rec in report.records],
+        "auctions": [rec._asdict() for rec in report.records],
         "series": series_rows(report),
     }
     return _json_text(doc) + "\n"
@@ -432,9 +436,8 @@ def _env_seed() -> int | None:
 
 def _cmd_run(args) -> int:
     """Run a scenario (or a sweep of seeded instances) and write its reports."""
-    config = load_scenario(args.scenario, fallback_seed=_env_seed())
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    # the seed is set as the file is loaded, so the config that runs is the one validated
+    config = load_scenario(args.scenario, fallback_seed=_env_seed(), seed_override=args.seed)
     if args.workers < 1:
         raise ConfigError("--workers: count must be >= 1")
     out_dir = Path(args.out)

@@ -16,17 +16,15 @@ frames (``randint``, ``randrange``, ``_randbelow``) it goes through.
 applies once per round.  The race in ``protocol.run_competition`` writes
 the same rule out inline, so that an ask costs no Python-level call;
 ``decide_bid`` stays as the one-ask rule for callers, and as the binding
-through which the benchmark's tracer counts the game layer.  What does
-not change within a race is set up before it: the policy's step
-constants ``(l_min, width, bits)`` (``UndercutPolicy.step``) and the
-generator's bound ``getrandbits``.  A ``Bid`` is a one-field named
-tuple, built with ``tuple.__new__`` so that making one runs no Python
+through which the benchmark's tracer counts the game layer.  The step
+constants ``(l_min, width, bits)`` are ``UndercutPolicy.step``, set once
+when the policy is made.  A ``Bid`` and an ``EquilibriumBound`` are named
+tuples, built with ``tuple.__new__`` so that making one runs no Python
 frame.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -38,7 +36,11 @@ from .topology import Network, VirtualChannel
 
 @dataclass(frozen=True)
 class UndercutPolicy:
-    """Inclusive bounds, in minor units, for the random undercutting step."""
+    """Inclusive bounds, in minor units, for the random undercutting step.
+
+    ``step`` is ``(l_min, width, bits)``, the constants a step is drawn
+    from, set once when the policy is made.
+    """
 
     l_min: int
     l_max: int
@@ -46,22 +48,17 @@ class UndercutPolicy:
     def __post_init__(self):
         if not 0 < self.l_min <= self.l_max:
             raise ValueError(f"need 0 < l_min <= l_max, got [{self.l_min}, {self.l_max}]")
-
-    def step(self) -> tuple[int, int, int]:
-        """``(l_min, width, bits)``: the constants a step is drawn from.
-
-        The race sets them once per bidder and draws inline from them;
-        ``decide_bid`` takes them for a single ask.
-        """
         width = self.l_max - self.l_min + 1
-        return self.l_min, width, width.bit_length()
+        object.__setattr__(self, "step", (self.l_min, width, width.bit_length()))
 
 
 class Bid(NamedTuple):
     price: int
 
 
-_new_bid = tuple.__new__
+# ``_new(NamedTupleType, values)`` returns what the type's constructor does,
+# without its Python-level frame.
+_new = tuple.__new__
 
 
 def decide_bid(
@@ -77,7 +74,7 @@ def decide_bid(
     valid bid.  The current leader is never asked: it would pass and draw
     nothing, so the race skips it.
 
-    ``step`` is the policy's ``UndercutPolicy.step()`` and ``getrandbits``
+    ``step`` is the policy's ``UndercutPolicy.step`` and ``getrandbits``
     the generator's bound method; the step is drawn inline from them, as
     the module docstring describes.
     """
@@ -87,12 +84,11 @@ def decide_bid(
         r = getrandbits(bits)
     candidate = current_min - l_min - r
     if candidate >= own_next_unit_mc:
-        return _new_bid(Bid, (candidate,))
+        return _new(Bid, (candidate,))
     return None
 
 
-@dataclass(frozen=True)
-class EquilibriumBound:
+class EquilibriumBound(NamedTuple):
     """Predicted resting point of a race: runner-up MC plus/minus the step band."""
 
     reference_mc: int
@@ -107,16 +103,9 @@ def equilibrium_bounds(mc_list: list[int], policies: list[UndercutPolicy]) -> Eq
     """Band the final price is expected to land in, from costs and policies alone."""
     if len(mc_list) < 2 or len(policies) < 2:
         raise DegenerateMarketError("equilibrium bounds need at least two competitors")
-    reference = sorted(mc_list)[1]
-    return EquilibriumBound(
-        reference_mc=reference,
-        e_min=min(p.l_min for p in policies),
-        e_max=max(p.l_max for p in policies),
+    return _new(
+        EquilibriumBound, (sorted(mc_list)[1], min([p.l_min for p in policies]), max([p.l_max for p in policies]))
     )
-
-
-def round_half_up(x: float) -> int:
-    return math.floor(x + 0.5)
 
 
 class SupplierAgent:

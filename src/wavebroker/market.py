@@ -4,7 +4,9 @@ The broker aggregates its customers into a price-demand function per
 virtual channel, evaluated once at the final auction price.  Settlement
 turns an auction outcome into allocation deltas, ledger entries, and the
 grant/deny message tail; a scenario is a scheduled sequence of such
-competitions against live allocation state.
+competitions against live allocation state.  A request's records,
+``SettlementResult`` and ``AuctionRecord``, are named tuples built with
+``tuple.__new__``, so making one runs no Python frame.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
 
 from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, NoPathError, UnknownNetworkError
-from .game import SupplierAgent, UndercutPolicy, equilibrium_bounds
+from .game import SupplierAgent, UndercutPolicy, _new, equilibrium_bounds
 from .protocol import (
     BROKER_TO_SUPPLIER,
     SUPPLIER_TO_BROKER,
@@ -108,12 +111,11 @@ class ProfitLedger:
     def __init__(self):
         self._entries: dict[tuple[str, str], LedgerEntry] = {}
 
-    def ensure(self, network_id: str, vc_label: str) -> None:
-        self._entries.setdefault((network_id, vc_label), LedgerEntry())
+    def ensure(self, network_id: str, vc_label: str) -> LedgerEntry:
+        return self._entries.setdefault((network_id, vc_label), LedgerEntry())
 
     def record(self, network_id: str, vc_label: str, revenue: int, cost: int, sold: int) -> None:
-        self.ensure(network_id, vc_label)
-        entry = self._entries[(network_id, vc_label)]
+        entry = self.ensure(network_id, vc_label)
         entry.revenue += revenue
         entry.cost += cost
         entry.wavelengths_sold += sold
@@ -168,8 +170,7 @@ def profit_percentages(ledger: ProfitLedger, network_id: str) -> dict[str, float
 
 # -- settlement ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SettlementResult:
+class SettlementResult(NamedTuple):
     termination: Termination
     demand: int
     granted: int
@@ -203,21 +204,21 @@ def settle(
     demand = broker_demand(df, price)
     if demand == 0:
         events = (
-            TraceEvent(rnd, BROKER_TO_SUPPLIER, wid, Exc2(x, y, price)),
-            TraceEvent(rnd, BROKER_TO_SUPPLIER, wid, Nack(x, y)),
+            _new(TraceEvent, (rnd, BROKER_TO_SUPPLIER, wid, Exc2(x, y, price))),
+            _new(TraceEvent, (rnd, BROKER_TO_SUPPLIER, wid, Nack(x, y))),
         )
-        return SettlementResult(Termination.BROKER_REJECTED, 0, 0, 0, 0, (), events)
+        return _new(SettlementResult, (Termination.BROKER_REJECTED, 0, 0, 0, 0, (), events))
 
     delta, added = incremental_allocate(winner_agent.network, winner_agent.state, vc, demand)
     fit = len(delta)
     events = ()
     if fit < demand:
-        events = (TraceEvent(rnd, SUPPLIER_TO_BROKER, wid, Exc1(fit, price, x, y)),)
+        events = (_new(TraceEvent, (rnd, SUPPLIER_TO_BROKER, wid, Exc1(fit, price, x, y))),)
         if fit == 0 or reject_partial:
-            events += (TraceEvent(rnd, BROKER_TO_SUPPLIER, wid, Nack(x, y)),)
-            return SettlementResult(Termination.WON, demand, 0, 0, 0, (), events)
-    events += (TraceEvent(rnd, BROKER_TO_SUPPLIER, wid, Ack(x, y, fit)),)
-    return SettlementResult(Termination.WON, demand, fit, price * fit, added, delta, events)
+            events += (_new(TraceEvent, (rnd, BROKER_TO_SUPPLIER, wid, Nack(x, y))),)
+            return _new(SettlementResult, (Termination.WON, demand, 0, 0, 0, (), events))
+    events += (_new(TraceEvent, (rnd, BROKER_TO_SUPPLIER, wid, Ack(x, y, fit))),)
+    return _new(SettlementResult, (Termination.WON, demand, fit, price * fit, added, delta, events))
 
 
 # -- scenario ------------------------------------------------------------------
@@ -349,8 +350,7 @@ def scenario_problems(config: ScenarioConfig) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class AuctionRecord:
+class AuctionRecord(NamedTuple):
     """One scheduled request: who won at what price, and the settlement result.
 
     ``asks``, ``bids``, ``passes`` and ``most_cutters`` (the most bids in
@@ -376,6 +376,10 @@ class AuctionRecord:
     band_low: int | None
     band_high: int | None
     within_band: bool | None
+
+
+# ``Termination.value`` of each member, read without the enum's property
+_TERMINATION_TEXT = {t: t.value for t in Termination}
 
 
 @dataclass
@@ -409,72 +413,50 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         for sc in config.suppliers
     ]
     channels = {ch.vc.label: ch for ch in config.channels}
+    by_id = {agent.id: agent for agent in agents}
     ledger = ProfitLedger()
-    for agent in agents:
-        for ch in config.channels:
-            ledger.ensure(agent.id, ch.vc.label)
+    # each request adds to its winner's entry for the channel
+    entries = {(agent.id, label): ledger.ensure(agent.id, label) for agent in agents for label in channels}
 
     records: list[AuctionRecord] = []
     traces: list[CompetitionTrace] = []
     for index, (request_round, label) in enumerate(config.schedule):
         ch = channels[label]
-        mcs = {agent.id: agent.next_unit_mc(ch.vc) for agent in agents}
-        priced = [(agent, mcs[agent.id]) for agent in agents if mcs[agent.id] is not None]
-        bound = None
-        if len(priced) >= 2:
-            bound = equilibrium_bounds([mc for _, mc in priced], [a.policy for a, _ in priced])
+        vc = ch.vc
+        mcs = {agent.id: agent.next_unit_mc(vc) for agent in agents}
+        priced = [agent for agent in agents if mcs[agent.id] is not None]
 
-        outcome = run_competition(ch.vc, agents, rng, mcs, config.round_cap)
-        if outcome.termination is Termination.WON:
-            winner = next(a for a in agents if a.id == outcome.winner)
-            result = settle(outcome, ch.demand, winner, ch.vc, reject_partial=config.reject_partial)
-            if result.allocation_delta:
-                winner.commit(result.allocation_delta)
-            ledger.record(winner.id, label, result.revenue, result.cost, result.granted)
-            trace = outcome.trace.settled(result.events)
-            termination = result.termination
-            demand: int | None = result.demand
-            granted, revenue, cost = result.granted, result.revenue, result.cost
+        outcome = run_competition(vc, agents, rng, mcs, config.round_cap)
+        winner_id, final_price, rounds, trace, termination, race = outcome
+        if termination is Termination.WON:
+            winner = by_id[winner_id]
+            result = settle(outcome, ch.demand, winner, vc, config.reject_partial)
+            termination, demand, granted, revenue, cost, delta, events = result
+            if delta:
+                winner.commit(delta)
+            entry = entries[winner_id, label]
+            entry.revenue += revenue
+            entry.cost += cost
+            entry.wavelengths_sold += granted
+            trace = trace.settled(events)
         else:
-            trace = outcome.trace
-            termination = outcome.termination
             demand, granted, revenue, cost = None, 0, 0, 0
 
         asks = bids = passes = most_cutters = 0
-        if outcome.race is not None:
-            asks, bids, passes, most_cutters = outcome.race.counts()
+        if race is not None:
+            asks, bids, passes, most_cutters = race.counts()
 
-        within = None
-        band_low = band_high = ref = None
-        if bound is not None:
-            band_low, band_high = bound.interval()
+        ref = band_low = band_high = within = None
+        if len(priced) >= 2:
+            bound = equilibrium_bounds([mcs[a.id] for a in priced], [a.policy for a in priced])
             ref = bound.reference_mc
-            if outcome.final_price is not None:
-                within = band_low <= outcome.final_price <= band_high
+            band_low, band_high = bound.interval()
+            if final_price is not None:
+                within = band_low <= final_price <= band_high
 
-        records.append(
-            AuctionRecord(
-                index=index,
-                request_round=request_round,
-                vc=label,
-                termination=termination.value,
-                winner=outcome.winner,
-                final_price=outcome.final_price,
-                rounds=outcome.rounds,
-                asks=asks,
-                bids=bids,
-                passes=passes,
-                most_cutters=most_cutters,
-                demand=demand,
-                granted=granted,
-                revenue=revenue,
-                cost=cost,
-                reference_mc=ref,
-                band_low=band_low,
-                band_high=band_high,
-                within_band=within,
-            )
-        )
+        record = (index, request_round, label, _TERMINATION_TEXT[termination], winner_id, final_price, rounds,
+                  asks, bids, passes, most_cutters, demand, granted, revenue, cost, ref, band_low, band_high, within)
+        records.append(_new(AuctionRecord, record))
         traces.append(trace)
 
     return Report(

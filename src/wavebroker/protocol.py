@@ -25,20 +25,22 @@ come from the logs as well, one f-string per message, so writing a
 trace builds no events and keeps the logs.
 
 The caller hands in each supplier's next-unit marginal cost, which sets
-its opening bid and its floor; the race itself never probes placement.
-Each round asks every active supplier but the leader, which would pass
-and draw nothing, from an asker list built once per race for each
-possible leader.  The ask is written out in the race loop, with no call
-per ask: draw the step through the generator's bound ``getrandbits``
-from the bidder's step constants (``UndercutPolicy.step``, set once per
-race), and pass if the price falls below the supplier's marginal cost.
-``game.decide_bid`` is that same rule as a function, kept for callers
-that want one ask and for the benchmark's tracer.  The round minimum
-and its tied cutters are tracked as the bids arrive, and a tie is
-broken by ``rng.choice``'s draw written out: CPython's ``_randbelow``
-loop on ``getrandbits``, as with the step, so a round makes no
-Python-level call.  ``RaceLog.counts`` derives the race's asks, bids
-and passes afterwards.
+its opening bid (markup times MC, rounded half up) and its floor; the
+race itself never probes placement, and its set-up makes no call per
+supplier.  Each round asks every active supplier but the leader, which
+would pass and draw nothing, from an asker list built once per race for
+each possible leader.  The ask is written out in the race loop, with no
+call per ask: draw the step through the generator's bound
+``getrandbits`` from the bidder's step constants (``UndercutPolicy.step``,
+set once per policy), and pass if the price falls below the supplier's
+marginal cost.  ``game.decide_bid`` is that same rule as a function,
+kept for callers that want one ask and for the benchmark's tracer.  The
+round minimum and its tied cutters are tracked as the bids arrive, and a
+tie is broken by ``rng.choice``'s draw written out: CPython's
+``_randbelow`` loop on ``getrandbits``, as with the step, so a round
+makes no Python-level call.  ``RaceLog.counts`` derives the race's asks,
+bids and passes afterwards.  The logs and the ``CompetitionOutcome`` are
+named tuples made with ``tuple.__new__``, which runs no Python frame.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
+from math import floor
 from operator import sub
 from typing import NamedTuple
 
 from .errors import RoundCapExceededError, Violation
-from .game import SupplierAgent, round_half_up
+from .game import SupplierAgent, _new
 from .game import decide_bid  # noqa: F401 -- the race inlines it; perfbench/layers.py traces the game layer by this name
 from .topology import VirtualChannel
 
@@ -191,16 +194,13 @@ class RaceLog(NamedTuple):
         return asks, bids, asks - bids, max(map(sub, starts[1:] + [logged], starts)) // 2
 
     def events(self) -> list[TraceEvent]:
-        # tuple.__new__ returns what the TraceEvent constructor does, without
-        # its Python-level frame
-        x, y, ids = self.x, self.y, self.ids
-        bids, new_event = self.bids, tuple.__new__
+        x, y, ids, bids = self.x, self.y, self.ids, self.bids
         events: list[TraceEvent] = []
         for rnd, price, start, end in self._rounds():
             ocl = Ocl(x, y, price)
-            events += [new_event(TraceEvent, (rnd, BROKER_TO_SUPPLIER, sid, ocl)) for sid in ids]
+            events += [_new(TraceEvent, (rnd, BROKER_TO_SUPPLIER, sid, ocl)) for sid in ids]
             for j in range(start, end, 2):
-                events.append(new_event(TraceEvent, (rnd, SUPPLIER_TO_BROKER, ids[bids[j]], Offp(bids[j + 1], x, y))))
+                events.append(_new(TraceEvent, (rnd, SUPPLIER_TO_BROKER, ids[bids[j]], Offp(bids[j + 1], x, y))))
         return events
 
     def lines(self) -> list[str]:
@@ -231,12 +231,12 @@ class OpeningLog(NamedTuple):
     prices: list[int | None]
 
     def events(self) -> list[TraceEvent]:
-        x, y, ids, prices, new_event = self.x, self.y, self.ids, self.prices, tuple.__new__
+        x, y, ids, prices = self.x, self.y, self.ids, self.prices
         reqc = Reqc(x, y)
-        events = [new_event(TraceEvent, (1, BROKER_TO_SUPPLIER, sid, reqc)) for sid in ids]
+        events = [_new(TraceEvent, (1, BROKER_TO_SUPPLIER, sid, reqc)) for sid in ids]
         declined = Exc1(0, 0, x, y) if None in prices else None
         events += [
-            new_event(TraceEvent, (1, SUPPLIER_TO_BROKER, sid, declined if p is None else Offp(p, x, y)))
+            _new(TraceEvent, (1, SUPPLIER_TO_BROKER, sid, declined if p is None else Offp(p, x, y)))
             for sid, p in zip(ids, prices)
         ]
         return events
@@ -319,8 +319,7 @@ class Termination(str, Enum):
     BROKER_REJECTED = "broker_rejected"
 
 
-@dataclass(frozen=True)
-class CompetitionOutcome:
+class CompetitionOutcome(NamedTuple):
     winner: str | None
     final_price: int | None
     rounds: int
@@ -351,30 +350,38 @@ def run_competition(
         raise ValueError("round_cap must be >= 1")
 
     x, y = vc.src, vc.dst
-    ids = tuple(s.id for s in suppliers)
-    prices = [None if mcs[sid] is None else round_half_up(s.markup * mcs[sid]) for sid, s in zip(ids, suppliers)]
+    ids = tuple([s.id for s in suppliers])
+    # markup times MC, rounded half up
+    prices = [None if (mc := mcs[sid]) is None else floor(s.markup * mc + 0.5) for sid, s in zip(ids, suppliers)]
     # The opening block is logged; the trace builds its events when they are read.
-    opening = OpeningLog(x, y, ids, prices)
+    opening = _new(OpeningLog, (x, y, ids, prices))
     # Bidders, the leader among them, are indexes into ``active``, which
     # holds indexes into ``suppliers``.
-    active = [i for i, p in enumerate(prices) if p is not None]
-    if not active:
-        return CompetitionOutcome(None, None, 1, CompetitionTrace._logged(opening), Termination.ALL_DECLINED)
-
-    current_min = min([prices[i] for i in active])
-    tied = [k for k, i in enumerate(active) if prices[i] == current_min]
-    leader = tied[0] if len(tied) == 1 else rng.choice(tied)
+    if None in prices:
+        active = [i for i, p in enumerate(prices) if p is not None]
+        if not active:
+            trace = CompetitionTrace._logged(opening)
+            return _new(CompetitionOutcome, (None, None, 1, trace, Termination.ALL_DECLINED, None))
+        bidder_ids = tuple([ids[i] for i in active])
+        opening_bids = [prices[i] for i in active]
+    else:
+        active, bidder_ids, opening_bids = range(len(ids)), ids, prices
+    current_min = min(opening_bids)
+    leader = opening_bids.index(current_min)
+    if opening_bids.count(current_min) > 1:
+        leader = rng.choice([k for k, p in enumerate(opening_bids) if p == current_min])
 
     if len(active) == 1:
-        return CompetitionOutcome(ids[active[leader]], current_min, 1, CompetitionTrace._logged(opening), Termination.WON)
+        trace = CompetitionTrace._logged(opening)
+        return _new(CompetitionOutcome, (bidder_ids[0], current_min, 1, trace, Termination.WON, None))
 
     # Of the race, only the bids are logged.
-    race = RaceLog(x, y, tuple([ids[i] for i in active]), current_min, [], [])
+    race = _new(RaceLog, (x, y, bidder_ids, current_min, [], []))
     starts, log = race.starts, race.bids
     add = log.append
     # Step constants, the bound draw and one asker list per possible
     # leader (every bidder but it) are set once per race, not per round.
-    bidders = [(k, mcs[ids[i]], *suppliers[i].policy.step()) for k, i in enumerate(active)]
+    bidders = [(k, mcs[ids[i]], *suppliers[i].policy.step) for k, i in enumerate(active)]
     askers = [bidders[:k] + bidders[k + 1 :] for k in range(len(bidders))]
     getrandbits = rng.getrandbits
     prev_contested = False
@@ -422,9 +429,8 @@ def run_competition(
         prev_contested = logged > 2
     else:
         raise RoundCapExceededError(f"no resting price after {round_cap} rounds")
-    return CompetitionOutcome(
-        race.ids[winner], final, rnd, CompetitionTrace._logged(opening, race), Termination.WON, race
-    )
+    trace = CompetitionTrace._logged(opening, race)
+    return _new(CompetitionOutcome, (bidder_ids[winner], final, rnd, trace, Termination.WON, race))
 
 
 def validate_trace(trace: CompetitionTrace) -> list[Violation]:

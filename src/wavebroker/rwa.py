@@ -43,7 +43,7 @@ from .errors import (
     NoPathError,
     Violation,
 )
-from .topology import Network, VirtualChannel, link_key, path_cost, route_candidates
+from .topology import Network, VirtualChannel, link_key, route_candidates
 
 # exhaustive-oracle guard
 BRUTE_MAX_NODES = 6
@@ -371,7 +371,7 @@ def _path_tables(net: Network, vc: VirtualChannel):
     and whether it is the only candidate at its cost."""
     _, index, _, pairs = _net_tables(net)
     paths = route_candidates(net, vc)
-    costs = tuple(path_cost(net, p) for p in paths)
+    costs = paths.costs
     hops = tuple(tuple(pairs[hop] for hop in zip(p, p[1:])) for p in paths)
     link_lists = tuple(tuple(index[hop] for hop in h) for h in hops)
     # costs ascend, so a tie can only be with a neighbour
@@ -447,10 +447,11 @@ def incremental_allocate(
     so a grant that one pick completes copies nothing.  When the pick
     is the only candidate at its cost, every cheaper path has lost for
     good and every dearer one loses while it fits, so the next units go on
-    it, at its lowest free allowed wavelengths, until its room (the least
-    ``cap - popcount`` over its links) or its free wavelengths run out:
-    the cells the unit-by-unit rule would choose, in the same order.  A
-    pick that ties another path's cost places one unit.
+    it, at its lowest free allowed wavelengths, taken a block of
+    consecutive ones at a time, until its room (the least ``cap -
+    popcount`` over its links) or its free wavelengths run out: the cells
+    the unit-by-unit rule would choose, in the same order.  A pick that
+    ties another path's cost places one unit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -480,13 +481,16 @@ def incremental_allocate(
                 mask = masks[li]
                 taken |= mask
                 room = min(room, caps[li] - mask.bit_count())
-            # the kernel took the lowest free bit; the next ones follow it up
-            free = allowed & ~taken & ~take
+            # each block is the run of free bits from the lowest (the kernel's pick first),
+            # cut at the room left: of two runs from one bit, the shorter is the smaller
+            free = allowed & ~taken
+            take = n = 0
             while free and n < room:
                 low = free & -free
-                free ^= low
-                take |= low
-                n += 1
+                block = min(free & ~(free + low), low * ((1 << (room - n)) - 1))
+                free ^= block
+                take |= block
+                n += block.bit_count()
         runs.append((hops[p], take))
         placed += n
         added += costs[p] * n

@@ -154,11 +154,16 @@ def path_cost(net: Network, path: Path) -> int:
     return sum(net.link_by_key[link_key(u, v)].unit_cost for u, v in zip(path, path[1:]))
 
 
-def route_candidates(net: Network, vc: VirtualChannel) -> list[Path]:
+class Routes(list):
+    """Candidate paths, cheapest first; ``costs`` holds each one's ``path_cost``, in the same order."""
+
+
+def route_candidates(net: Network, vc: VirtualChannel) -> Routes:
     """All simple paths from vc.src to vc.dst, cheapest first.
 
     Ordering is total and insertion-independent: ascending per-wavelength
     path cost, ties broken lexicographically by the node-label sequence.
+    Each path's cost is summed once, for the sort, and kept in ``costs``.
     Raises NoPathError when the endpoints are disconnected, and
     NetworkTooLargeError beyond MAX_ROUTE_NODES nodes or, as soon as the
     walk finds one more, beyond MAX_ROUTE_PATHS paths.
@@ -206,5 +211,8 @@ def route_candidates(net: Network, vc: VirtualChannel) -> list[Path]:
         walk(vc.src)
     finally:
         del walk  # it refers to itself; unbinding it frees the paths without a GC pass
-    found.sort(key=lambda p: (path_cost(net, p), p))
-    return found
+    # paths are distinct, so the sort never compares beyond them
+    costs, paths = zip(*sorted([(path_cost(net, p), p) for p in found]))
+    routes = Routes(paths)
+    routes.costs = costs
+    return routes

@@ -256,6 +256,15 @@ class TestRunCommand:
         assert main(["run", str(p), "--out", str(tmp_path / "o3"), "--seed", "5"]) == EXIT_OK
         assert json.loads((tmp_path / "o3" / "report.json").read_text())["seed"] == 5
 
+    def test_seed_option_fills_missing_file_seed(self, tmp_path, monkeypatch):
+        doc = json.loads(open(scenario_path("duel")).read())
+        del doc["seed"]
+        p = tmp_path / "noseed.json"
+        p.write_text(json.dumps(doc))
+        monkeypatch.delenv("SIM_SEED", raising=False)
+        assert main(["run", str(p), "--out", str(tmp_path / "o"), "--seed", "5"]) == EXIT_OK
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["seed"] == 5
+
     def test_sweep_writes_summary_and_run_dirs(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["run", scenario_path("duel"), "--out", str(out), "--sweep", "5"]) == EXIT_OK

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 
@@ -19,7 +20,7 @@ from conftest import mknet
 
 def sample_undercut(policy, rng):
     """The step ``decide_bid`` cuts by, read off a bid that cannot fall below its cost."""
-    return -decide_bid(0, -policy.l_max, policy.step(), rng.getrandbits).price
+    return -decide_bid(0, -policy.l_max, policy.step, rng.getrandbits).price
 
 
 class TestSampleUndercut:
@@ -51,23 +52,23 @@ class TestSampleUndercut:
 class TestDecideBid:
     def test_forced_bid(self):
         rng = random.Random(5)
-        decision = decide_bid(1_000, 500, UndercutPolicy(100, 100).step(), rng.getrandbits)
+        decision = decide_bid(1_000, 500, UndercutPolicy(100, 100).step, rng.getrandbits)
         assert decision == Bid(900)
 
     def test_pass_when_cut_would_cross_own_cost(self):
         rng = random.Random(6)
-        decision = decide_bid(550, 500, UndercutPolicy(100, 100).step(), rng.getrandbits)
+        decision = decide_bid(550, 500, UndercutPolicy(100, 100).step, rng.getrandbits)
         assert decision is None
 
     def test_landing_exactly_on_own_cost_is_a_bid(self):
         rng = random.Random(7)
-        decision = decide_bid(600, 500, UndercutPolicy(100, 100).step(), rng.getrandbits)
+        decision = decide_bid(600, 500, UndercutPolicy(100, 100).step, rng.getrandbits)
         assert decision == Bid(500)
 
     def test_non_leader_consumes_exactly_one_draw(self):
         policy = UndercutPolicy(50, 100)
         a, b = random.Random(8), random.Random(8)
-        decide_bid(1_000, 10, policy.step(), a.getrandbits)
+        decide_bid(1_000, 10, policy.step, a.getrandbits)
         sample_undercut(policy, b)
         assert a.getstate() == b.getstate()
 
@@ -80,7 +81,7 @@ class TestDecideBid:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_never_bids_below_own_marginal_cost(self, current, mc, lo, span, seed):
-        decision = decide_bid(current, mc, UndercutPolicy(lo, lo + span).step(), random.Random(seed).getrandbits)
+        decision = decide_bid(current, mc, UndercutPolicy(lo, lo + span).step, random.Random(seed).getrandbits)
         if isinstance(decision, Bid):
             assert decision.price >= mc
             assert decision.price < current
@@ -88,7 +89,7 @@ class TestDecideBid:
 
 class TestBid:
     def bid(self):
-        return decide_bid(1_000, 500, UndercutPolicy(100, 100).step(), random.Random(5).getrandbits)
+        return decide_bid(1_000, 500, UndercutPolicy(100, 100).step, random.Random(5).getrandbits)
 
     def test_a_bid_is_a_one_field_named_tuple(self):
         bid = self.bid()
@@ -114,9 +115,17 @@ class TestBid:
 
 class TestStep:
     def test_step_constants(self):
-        assert UndercutPolicy(3, 10).step() == (3, 8, 4)
-        assert UndercutPolicy(5, 5).step() == (5, 1, 1)
-        assert UndercutPolicy(1, 2**32).step() == (1, 2**32, 33)
+        assert UndercutPolicy(3, 10).step == (3, 8, 4)
+        assert UndercutPolicy(5, 5).step == (5, 1, 1)
+        assert UndercutPolicy(1, 2**32).step == (1, 2**32, 33)
+
+    def test_step_follows_the_bounds_through_replace_and_pickle(self):
+        policy = UndercutPolicy(3, 10)
+        assert dataclasses.replace(policy, l_max=5).step == (3, 3, 2)
+        copy = pickle.loads(pickle.dumps(policy))
+        assert copy == policy and copy.step == (3, 8, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.step = (1, 1, 1)
 
 
 class TestDrawMatchesRandint:
@@ -132,7 +141,7 @@ class TestDrawMatchesRandint:
             policy = UndercutPolicy(l_min, l_min + width - 1)
             race, ref = random.Random(seed), random.Random(seed)
             for _ in range(4):
-                decision = decide_bid(policy.l_max, 0, policy.step(), race.getrandbits)
+                decision = decide_bid(policy.l_max, 0, policy.step, race.getrandbits)
                 assert policy.l_max - decision.price == ref.randint(policy.l_min, policy.l_max)
             assert sample_undercut(policy, race) == ref.randint(policy.l_min, policy.l_max)
             assert race.getstate() == ref.getstate()

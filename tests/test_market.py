@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import pickle
 import random
 import weakref
@@ -10,14 +11,17 @@ import pytest
 from wavebroker import (
     Allocation,
     ChannelConfig,
+    CompetitionOutcome,
     ConfigError,
     ConstantElasticityDemand,
+    EquilibriumBound,
     Grant,
     InvalidOutcomeError,
     LightPath,
     LinearDemand,
     ProfitLedger,
     ScenarioConfig,
+    SettlementResult,
     SupplierAgent,
     SupplierConfig,
     Termination,
@@ -26,6 +30,7 @@ from wavebroker import (
     VirtualChannel,
     broker_demand,
     child_seed,
+    equilibrium_bounds,
     profit_percentages,
     run_competition,
     run_scenario,
@@ -35,7 +40,7 @@ from wavebroker import (
     validate_trace,
 )
 from wavebroker.cli import load_scenario, main
-from wavebroker.market import SWEEP_RUNS_PER_WORKER
+from wavebroker.market import SWEEP_RUNS_PER_WORKER, AuctionRecord
 from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
 from wavebroker import market, rwa
 from wavebroker.rwa import _link_masks
@@ -411,6 +416,53 @@ class TestSweep:
             run_sweep(duel_config(schedule_len=1), 2, workers=0)
 
 
+def record_samples():
+    """One of each record type, from a duel's race, its settlement and a short run."""
+    outcome, winner = won_outcome()
+    return {
+        CompetitionOutcome: outcome,
+        SettlementResult: settle(outcome, LinearDemand(a=40, b=0.05), winner, VC),
+        EquilibriumBound: equilibrium_bounds([400, 600], [POLICY, POLICY]),
+        AuctionRecord: run_scenario(duel_config(schedule_len=1)).records[0],
+    }
+
+
+RECORD_FIELDS = {
+    CompetitionOutcome: ("winner", "final_price", "rounds", "trace", "termination", "race"),
+    SettlementResult: ("termination", "demand", "granted", "revenue", "cost", "allocation_delta", "events"),
+    EquilibriumBound: ("reference_mc", "e_min", "e_max"),
+    AuctionRecord: (
+        "index", "request_round", "vc", "termination", "winner", "final_price", "rounds", "asks", "bids",
+        "passes", "most_cutters", "demand", "granted", "revenue", "cost", "reference_mc", "band_low",
+        "band_high", "within_band",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(RECORD_FIELDS), ids=lambda kind: kind.__name__)
+class TestRecords:
+    """The per-request records are named tuples: fixed fields, read-only, picklable."""
+
+    def test_fields_keep_their_names_and_order(self, kind):
+        record = record_samples()[kind]
+        assert type(record) is kind
+        assert kind._fields == RECORD_FIELDS[kind]
+        assert tuple(record) == tuple(getattr(record, name) for name in RECORD_FIELDS[kind])
+
+    def test_attribute_assignment_is_refused(self, kind):
+        record = record_samples()[kind]
+        for name in RECORD_FIELDS[kind]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_pickle_round_trip(self, kind):
+        record = record_samples()[kind]
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is kind and copy == record
+
+
 @pytest.fixture
 def validations(monkeypatch):
     """The configs ``market.validate_scenario`` is called with, in order."""
@@ -433,6 +485,19 @@ class TestValidateOnce:
         assert validations == [config]
         assert main(["run", scenario_path("duel"), "--out", str(tmp_path)]) == 0
         assert len(validations) == 2
+
+    def test_a_seed_override_validates_once(self, validations, tmp_path):
+        out = tmp_path / "one"
+        assert main(["run", scenario_path("duel"), "--out", str(out), "--seed", "5"]) == 0
+        assert len(validations) == 1
+        assert json.loads((out / "report.json").read_text())["seed"] == 5
+
+    def test_a_seeded_sweep_validates_once(self, validations, tmp_path):
+        out = tmp_path / "sweep"
+        assert main(["run", scenario_path("duel"), "--out", str(out), "--seed", "5", "--sweep", "3"]) == 0
+        assert len(validations) == 1
+        seeds = [json.loads((out / f"run_{i:05d}" / "report.json").read_text())["seed"] for i in range(3)]
+        assert seeds == [child_seed(5, i) for i in range(3)]
 
     def test_a_serial_sweep_validates_once(self, validations):
         config = duel_config(schedule_len=1)

@@ -9,18 +9,22 @@ import pytest
 from wavebroker import (
     Allocation,
     Bid,
+    ChannelConfig,
     CompetitionOutcome,
     CompetitionTrace,
+    LinearDemand,
     RoundCapExceededError,
+    ScenarioConfig,
     SupplierAgent,
+    SupplierConfig,
     Termination,
     UndercutPolicy,
     VirtualChannel,
     run_competition,
+    run_scenario,
     validate_trace,
 )
 from wavebroker import game, protocol
-from wavebroker.game import round_half_up
 from wavebroker.protocol import (
     _WIRE_NAMES,
     BROKER_TO_SUPPLIER,
@@ -35,6 +39,7 @@ from wavebroker.protocol import (
     TraceEvent,
     format_event,
 )
+from wavebroker.topology import Link, make_network
 
 from conftest import mknet, ocl_prices, probed_mcs
 
@@ -363,6 +368,10 @@ def reference_decide(current_min, own_next_unit_mc, is_leader, policy, rng):
     return Bid(candidate) if candidate >= own_next_unit_mc else None
 
 
+def round_half_up(x):
+    return math.floor(x + 0.5)
+
+
 def reference_race(vc, suppliers, rng, mcs, round_cap=10_000):
     """The race loop as first written: one decision per active supplier and
     round, the leader's included, and the round minimum found afterwards."""
@@ -561,7 +570,7 @@ class TestPerAsk:
         active = [s.id for s in suppliers if mcs[s.id] is not None]
         assert out.rounds > 5
         assert asks == (out.rounds - 1) * (len(active) - 1)
-        l_min, width, bits = self.POLICY.step()
+        l_min, width, bits = self.POLICY.step
         accepted = [r for k, r in rng.draws if k == bits and r < width]
         assert len(accepted) == asks
 
@@ -634,3 +643,38 @@ class TestFoldedAsk:
         # the long race ties in many more rounds, and each tie is broken without a call
         assert tied_rounds[3000] > tied_rounds[300] > 10
         assert calls[300] == calls[3000] > 0
+
+
+def capacity_bound_config():
+    """Three suppliers whose two routes hold 10 units a link, and a channel that asks 3-6 units at a time.
+
+    Their capacity binds: the twelve requests end in races, shortfalls and
+    a supplier that declines at the gate.
+    """
+    def network(i, cost):
+        links = [Link("S", "T", 10, cost), Link("S", "M", 10, cost // 2 + 50), Link("M", "T", 10, cost // 2 + 50)]
+        return make_network(f"net{i}", ["S", "M", "T"], links, 16)
+
+    policy = UndercutPolicy(5, 20)
+    suppliers = tuple(SupplierConfig(network(i, cost), policy, 2.0) for i, cost in enumerate((400, 450, 500)))
+    channels = (ChannelConfig(VC, LinearDemand(a=9, b=0.005)),)
+    return ScenarioConfig("budget", 7, suppliers, channels, tuple((r, "VC1") for r in range(12)))
+
+
+class TestRequestBudget:
+    # Python-level calls of one run of capacity_bound_config(): 771 when
+    # this was set, about 64 per request, of which 13 hash a network or a
+    # channel to look up its route tables.
+    BUDGET = 800
+
+    def test_a_run_stays_within_its_call_budget(self):
+        config = capacity_bound_config()
+        run_scenario(config)  # validates the config and fills the route tables
+        report, calls = profiled_calls(lambda: run_scenario(config))
+        records = report.records
+        # the run covers races, full grants, shortfalls and a gate decline
+        assert sum(rec.rounds > 1 for rec in records) >= 8
+        assert any(0 < rec.granted < rec.demand for rec in records)
+        assert any(rec.granted == rec.demand for rec in records)
+        assert any("\texc_1\td=0," in line for trace in report.traces for line in trace.lines())
+        assert calls <= self.BUDGET

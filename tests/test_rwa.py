@@ -22,9 +22,9 @@ from wavebroker import (
     solve_min_cost_rwa,
     validate_allocation,
 )
-from wavebroker import _kernel, rwa
+from wavebroker import _kernel, rwa, topology
 from wavebroker.cli import load_scenario
-from wavebroker.rwa import _fresh_conn_id, _link_masks, _net_tables, _path_tables
+from wavebroker.rwa import _fresh_conn_id, _hops_nodes, _link_masks, _net_tables, _path_tables
 from wavebroker.topology import Link, link_key, make_network
 
 from conftest import mknet, random_guard_instance, random_parallel_routes_net, scenario_path, two_route_net, VC_SEA_BOS
@@ -375,6 +375,28 @@ class TestPathAtATime:
         assert costs == (5, 6, 6, 8)
         assert alone == (True, False, False, True)
 
+    def test_each_candidate_cost_is_summed_once(self, monkeypatch):
+        summed = []
+        real = topology.path_cost
+
+        def counted(net, path):
+            summed.append(path)
+            return real(net, path)
+
+        monkeypatch.setattr(topology, "path_cost", counted)
+        monkeypatch.setattr(rwa, "path_cost", counted, raising=False)
+        rng = random.Random(9)
+        nodes = "ABCDEF"
+        links = [Link(a, b, 4, rng.choice((1, 2, 3))) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
+        net = make_network("cost-once", nodes, links, 4)
+        all_hops, costs, _links, _alone = _path_tables(net, VC_AB)
+        paths = [_hops_nodes(hops) for hops in all_hops]
+        assert len(paths) == 65
+        assert sorted(summed) == sorted(paths)
+        # cheapest first, ties by node labels, each with its own cost
+        assert costs == tuple(real(net, p) for p in paths)
+        assert list(zip(costs, paths)) == sorted(zip(costs, paths))
+
     def test_a_lone_path_fills_to_its_room(self):
         # the direct link is the only cost-5 path; it takes units up to its capacity of 3
         net = mknet([("A", "B", 3, 5), ("A", "C", 4, 4), ("C", "B", 4, 4)], wavelength_count=6)
@@ -383,6 +405,41 @@ class TestPathAtATime:
             (("A", "B"), 1), (("A", "B"), 2), (("A", "B"), 3), (("A", "C", "B"), 4), (("A", "C", "B"), 5)
         ]
         assert added == 3 * 5 + 2 * 8
+
+
+    def test_fragmented_masks_with_room_ending_mid_block(self):
+        """Wide ranges with scattered prior units: runs of free wavelengths, cut short by a link's room."""
+        rng = random.Random(4242)
+        # path costs 3, 4 and 6: each path is alone at its cost, so each pick fills a run
+        links = [("A", "B", 3), ("A", "C", 2), ("C", "B", 2), ("A", "D", 3), ("D", "B", 3)]
+        mid_block = multi_block = 0
+        for tag in range(300):
+            W = rng.randint(12, 70)
+            net = make_network(f"frag{tag}", "ABCD", [Link(a, b, rng.randint(2, W), c) for a, b, c in links], W)
+            state = Allocation(
+                LightPath(f"old#{i}", VirtualChannel(a, b, "old"), w, ((a, b),))
+                for i, (a, b, _) in enumerate(links)
+                for w in rng.sample(range(1, W + 1), rng.randint(0, W // 3))
+            )
+            count = rng.randint(2, W)
+            delta, added = incremental_allocate(net, state, VC_AB, count)
+            assert (delta, added) == unit_at_a_time(net, state, VC_AB, count)
+            if not delta:
+                continue
+            # a run with a gap in its mask spans more than one block of free wavelengths
+            multi_block += any(mask & (mask + (mask & -mask)) for _, mask in delta.runs)
+            # did the first run stop at its path's room, with the next wavelength up still free?
+            hops, take = delta.runs[0]
+            all_hops, _costs, link_lists, _alone = _path_tables(net, VC_AB)
+            path = all_hops.index(hops)
+            masks, caps = _link_masks(net, state), _net_tables(net)[2]
+            room = min(caps[li] - masks[li].bit_count() for li in link_lists[path])
+            taken = 0
+            for li in link_lists[path]:
+                taken |= masks[li]
+            if take.bit_count() == room < count and take.bit_length() < W and not taken >> take.bit_length() & 1:
+                mid_block += 1
+        assert mid_block >= 100 and multi_block >= 100
 
 
 class TestApplyDelta:
