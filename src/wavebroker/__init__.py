@@ -6,9 +6,12 @@ undercutting race and the winner provisions capacity by greedy placement,
 one wavelength at a time at the cheapest free route and wavelength.  An
 exact minimum-cost routing and wavelength assignment solver for one
 connection, with an exhaustive oracle, is provided beside it but does not
-yet drive settlement.  Placement and both solvers return a ``Grant``, and
-``apply_delta(net, state, grant)`` commits one into an ``Allocation``:
-its grants plus one list of link masks, which placement reads in place.
+yet drive settlement.  Placement and both solvers return a ``Grant``, a
+record of ``(hops, wavelength mask)`` runs whose ``len()`` is its unit
+count, and ``apply_delta(net, state, grant)`` commits one into an
+``Allocation``: its grants plus one list of link masks, which placement
+reads in place.  A ``ScenarioConfig`` is valid by construction: making
+one with any problem raises ``ConfigError``.
 """
 
 from .cost import CostCurve, CurveSegment, marginal_cost, total_cost_curve

@@ -32,7 +32,6 @@ from .market import (
     profit_percentages,
     run_scenario,
     run_sweep,
-    scenario_problems,
 )
 from .protocol import DEFAULT_ROUND_CAP
 from .rwa import Allocation, dump_allocation
@@ -228,16 +227,18 @@ def load_scenario(
         vc_label = _typed(item, "vc", loc, str, problems, default="?")
         schedule.append((rnd, vc_label))
 
-    config = ScenarioConfig(
-        id=scenario_id,
-        seed=seed if seed is not None else 0,
-        suppliers=tuple(suppliers),
-        channels=tuple(channels),
-        schedule=tuple(schedule),
-        round_cap=round_cap,
-        reject_partial=bool(reject_partial),
-    )
-    problems.extend(scenario_problems(config))
+    try:
+        config = ScenarioConfig(
+            id=scenario_id,
+            seed=seed if seed is not None else 0,
+            suppliers=tuple(suppliers),
+            channels=tuple(channels),
+            schedule=tuple(schedule),
+            round_cap=round_cap,
+            reject_partial=bool(reject_partial),
+        )
+    except ConfigError as exc:
+        problems.extend(exc.problems)
     if problems:
         raise ConfigError(problems)
     return config

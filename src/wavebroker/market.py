@@ -6,7 +6,9 @@ turns an auction outcome into allocation deltas, ledger entries, and the
 grant/deny message tail; a scenario is a scheduled sequence of such
 competitions against live allocation state.  A request's records,
 ``SettlementResult`` and ``AuctionRecord``, are named tuples built with
-``tuple.__new__``, so making one runs no Python frame.
+``tuple.__new__``, so making one runs no Python frame.  A
+``ScenarioConfig`` checks itself with ``validate_scenario`` when it is
+made, so ``run_scenario`` and sweep workers take it as valid.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 import os
 import random
 import re
-import weakref
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -252,6 +253,8 @@ class ChannelConfig:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A valid scenario: making one with any problem raises ``ConfigError``."""
+
     id: str
     seed: int
     suppliers: tuple[SupplierConfig, ...]
@@ -259,6 +262,11 @@ class ScenarioConfig:
     schedule: tuple[tuple[int, str], ...]
     round_cap: int = DEFAULT_ROUND_CAP
     reject_partial: bool = False
+
+    def __post_init__(self):
+        problems = validate_scenario(self)
+        if problems:
+            raise ConfigError(problems)
 
 
 def validate_scenario(config: ScenarioConfig) -> list[str]:
@@ -329,27 +337,6 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
     return problems
 
 
-# Each config object that passed ``validate_scenario``, by id and held
-# weakly.  Configs are frozen all the way down, so one that passed once
-# passes again.
-_VALID_CONFIGS: weakref.WeakValueDictionary[int, ScenarioConfig] = weakref.WeakValueDictionary()
-
-
-def scenario_problems(config: ScenarioConfig) -> list[str]:
-    """``validate_scenario(config)``, run once per config object that passes.
-
-    Loading a config and running it, or running it again and again, so
-    validates it once.  A config with problems is never remembered: it is
-    validated, and its problems returned, on every call.
-    """
-    if _VALID_CONFIGS.get(id(config)) is config:
-        return []
-    problems = validate_scenario(config)
-    if not problems:
-        _VALID_CONFIGS[id(config)] = config
-    return problems
-
-
 class AuctionRecord(NamedTuple):
     """One scheduled request: who won at what price, and the settlement result.
 
@@ -403,9 +390,6 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     competitors' marginal costs at auction start, so the band can be
     checked from the report alone.
     """
-    problems = scenario_problems(config)
-    if problems:
-        raise ConfigError(problems)
     seed = config.seed if seed_override is None else seed_override
     rng = random.Random(seed)
     agents = [

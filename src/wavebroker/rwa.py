@@ -17,19 +17,17 @@ until its room runs out, which is where the unit-by-unit rule puts them.
 
 All three place units of one connection and return one result shape,
 ``(grant, added)``: a ``Grant`` of the new units, held as ``(hops,
-wavelength mask)`` runs of consecutive units on one path, which stands for
-the tuple of ``LightPath``s and builds them only when read, and their
-summed cost.  Nothing is committed; ``apply_delta(net, state, grant)``
-merges the grant into a new state, which keeps one list of link masks.
-Placement reads that list in place, and a marginal-cost probe,
-``next_unit_cost``, is one kernel call against it.
+wavelength mask)`` runs of consecutive units on one path, and their summed
+cost.  A grant's ``len()`` is its unit count, and ``grant.lightpaths()``
+builds its ``LightPath``s.  Nothing is committed; ``apply_delta(net,
+state, grant)`` merges the grant into a new state, which keeps one list of
+link masks.  Placement reads that list in place, and a marginal-cost
+probe, ``next_unit_cost``, is one kernel call against it.
 """
 
 from __future__ import annotations
 
-from abc import abstractmethod
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, groupby
@@ -75,94 +73,63 @@ def _hops_cost(net: Network, hops) -> int:
     return sum(net.link_by_key[link_key(u, v)].unit_cost for u, v in hops)
 
 
-class _Lightpaths(Sequence):
-    """A tuple of lightpaths held in a compact form.
-
-    Its length is read without building anything; iterating, indexing or
-    comparing it behaves like the tuple, which is built on first use.
-    """
-
-    __slots__ = ("_count", "_built")
-
-    @abstractmethod
-    def _build(self) -> tuple[LightPath, ...]:
-        """The lightpaths, in order."""
-
-    def _tuple(self) -> tuple[LightPath, ...]:
-        lps = self._built
-        if lps is None:
-            lps = self._built = self._build()
-        return lps
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self):
-        return iter(self._tuple())
-
-    def __getitem__(self, i):
-        return self._tuple()[i]
-
-    def __eq__(self, other):
-        if isinstance(other, _Lightpaths):
-            other = other._tuple()
-        return self._tuple() == other
-
-    def __hash__(self):
-        return hash(self._tuple())
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self._tuple()!r})"
-
-
-class Grant(_Lightpaths):
+# Not frozen, since a frozen slotted dataclass pickles as a list of its fields; hashed by value all the same.
+@dataclass(slots=True, unsafe_hash=True)
+class Grant:
     """The units one placement grants one connection, kept as ``(hops, mask)`` runs.
 
     A run is a hop tuple and a wavelength bitmask (bit ``w-1`` set =
     wavelength ``w``).  Runs keep placement order, and within a run the
-    wavelengths ascend.  A grant stands for the tuple of ``LightPath``s in
-    that order, and pickles as its runs.
+    wavelengths ascend.  ``len()`` is the unit count; ``lightpaths()``
+    builds the units, in that order.
     """
 
-    __slots__ = ("conn", "vc", "runs")
+    conn: str
+    vc: VirtualChannel
+    runs: tuple
+    count: int
 
-    def __init__(self, conn: str, vc: VirtualChannel, runs: tuple, count: int, built=None):
-        self.conn = conn
-        self.vc = vc
-        self.runs = runs
-        self._count = count
-        self._built = built
+    def __len__(self) -> int:
+        return self.count
 
-    def _build(self) -> tuple[LightPath, ...]:
+    def lightpaths(self) -> tuple[LightPath, ...]:
         conn, vc = self.conn, self.vc
         return tuple(LightPath(conn, vc, b + 1, hops) for hops, mask in self.runs for b in _bits(mask))
 
-    def __reduce__(self):
-        return Grant, (self.conn, self.vc, self.runs, self._count)
 
+class _LightpathView:
+    """An allocation's lightpaths: its grants' units in commit order.
 
-class _Committed(_Lightpaths):
-    """An allocation's lightpaths: its grants' units in commit order."""
+    Its length is a count; iterating, indexing, slicing or comparing it
+    builds them, and it compares as their tuple.
+    """
 
-    __slots__ = ("grants",)
+    __slots__ = ("_grants",)
 
     def __init__(self, grants: tuple[Grant, ...]):
-        self.grants = grants
-        self._count = sum(map(len, grants))
-        self._built = None
+        self._grants = grants
 
-    def _build(self) -> tuple[LightPath, ...]:
-        return tuple(chain.from_iterable(self.grants))
+    def __len__(self) -> int:
+        return sum(map(len, self._grants))
+
+    def __iter__(self):
+        return chain.from_iterable(grant.lightpaths() for grant in self._grants)
+
+    def __getitem__(self, i):
+        return tuple(self)[i]
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _LightpathView) else other)
 
 
 class Allocation:
     """Immutable set of lightpaths: its grants, plus one list of link masks.
 
     The grants, in commit order, are the only source of truth.
-    ``lightpaths`` stands for the tuple of their units: its length is the
-    unit count, and iterating, indexing or comparing it builds the
-    ``LightPath``s on first use.  Per connection, a lightpath count, from
-    which fresh connection ids are named.  It pickles as grants and counts.
+    ``lightpaths`` is a view of their units: its length is the unit count,
+    and iterating, indexing, slicing or comparing it builds the
+    ``LightPath``s.  Per connection, a lightpath count, from which fresh
+    connection ids are named.  It pickles as grants and counts.
 
     Occupancy is a list of per-link wavelength bitmasks (bit ``w-1`` set =
     wavelength ``w`` taken; a link's used count is its popcount) in the
@@ -173,14 +140,15 @@ class Allocation:
     (``Allocation()``, ``Allocation(lightpaths)`` or an unpickled one) has
     none; ``_link_masks`` builds its list from the grants per read.
 
-    Given ``LightPath``s, it keeps each as a one-unit grant; a repeated cell
+    Given ``LightPath``s, it keeps each as a one-unit grant, so reading
+    them back gives equal ``LightPath``s, not the same ones; a repeated cell
     raises ``ConflictError`` and a wavelength below 1 ``ValueError``,
     whichever comes first.  Placement never makes a wavelength below 1.
     One above the network's range is kept, and ``validate_allocation``
     reports it.
     """
 
-    __slots__ = ("_grants", "_conn_counts", "_keys", "_masks", "_lightpaths")
+    __slots__ = ("_grants", "_conn_counts", "_keys", "_masks")
 
     def __init__(self, lightpaths=()):
         grants, conn_counts, cells = [], {}, set()
@@ -194,20 +162,16 @@ class Allocation:
                     raise ConflictError(f"cell {cell[0]} w={lp.wavelength} carries two lightpaths")
                 cells.add(cell)
             conn_counts[lp.conn] = conn_counts.get(lp.conn, 0) + 1
-            grants.append(Grant(lp.conn, lp.vc, ((lp.hops, 1 << (lp.wavelength - 1)),), 1, (lp,)))
+            grants.append(Grant(lp.conn, lp.vc, ((lp.hops, 1 << (lp.wavelength - 1)),), 1))
         self._init(tuple(grants), conn_counts)
 
     def _init(self, grants, conn_counts, keys=None, masks=None) -> "Allocation":
         self._grants, self._conn_counts, self._keys, self._masks = grants, conn_counts, keys, masks
-        self._lightpaths = None
         return self
 
     @property
-    def lightpaths(self) -> Sequence[LightPath]:
-        view = self._lightpaths
-        if view is None:
-            view = self._lightpaths = _Committed(self._grants)
-        return view
+    def lightpaths(self) -> _LightpathView:
+        return _LightpathView(self._grants)
 
     def __getstate__(self):
         return self._grants, self._conn_counts
@@ -255,7 +219,7 @@ def apply_delta(net: Network, state: Allocation, grant: Grant) -> Allocation:
     with itself.  Raises ConflictError on a taken cell and ValueError on a
     hop that is not a link of ``net``.  An empty grant returns ``state``.
     """
-    if not grant._count:
+    if not grant.count:
         return state
     keys, index, _, _ = tables = _net_tables(net)
     masks = _link_masks(net, state, tables).copy()
@@ -270,7 +234,7 @@ def apply_delta(net: Network, state: Allocation, grant: Grant) -> Allocation:
                 raise ConflictError(f"cell {keys[i]} w={(clash & -clash).bit_length()} carries two lightpaths")
             masks[i] = mask | bits
     conn_counts = dict(state._conn_counts)
-    conn_counts[grant.conn] = conn_counts.get(grant.conn, 0) + grant._count
+    conn_counts[grant.conn] = conn_counts.get(grant.conn, 0) + grant.count
     return object.__new__(Allocation)._init(state._grants + (grant,), conn_counts, keys, masks)
 
 
@@ -438,7 +402,7 @@ def incremental_allocate(
     placed units in placement order, one run per kernel pick, and their
     summed cost.  The grant is shorter than ``count`` when capacity runs
     out, and empty when the endpoints are not connected or nothing fits.
-    No ``LightPath`` is built until the grant is read.
+    No ``LightPath`` is built.
 
     The kernel is asked once per path rather than once per unit.  Placing
     a unit only sets mask bits and clears ``allowed`` bits, so a path that

@@ -187,9 +187,19 @@ def route_candidates(net: Network, vc: VirtualChannel) -> Routes:
     if vc.dst not in seen:
         raise NoPathError(f"{vc.src} and {vc.dst} are disconnected in network {net.id!r}")
 
+    # A node that dst cannot reach without passing src lies on no simple
+    # path, so the walk treats it as already on the path and never enters it.
+    reach = {vc.src, vc.dst}
+    todo = [vc.dst]
+    while todo:
+        for nxt in adjacency[todo.pop()]:
+            if nxt not in reach:
+                reach.add(nxt)
+                todo.append(nxt)
+
     found: list[Path] = []
     stack = [vc.src]
-    on_path = {vc.src}
+    on_path = {vc.src} | (net.nodes - reach)
 
     def walk(node: str) -> None:
         for nxt in adjacency[node]:

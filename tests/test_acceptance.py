@@ -71,7 +71,7 @@ def test_criterion_1_oracle_equivalence():
             grant, got = solve_min_cost_rwa(net, state, vc, count)
             assert got == cost, f"{net.id}: {got} != {cost}"
             # cost-equal optima resolve alike: wavelength index, then path rank
-            assert tuple(grant) == tuple(expected), net.id
+            assert grant.lightpaths() == expected.lightpaths(), net.id
             greedy, greedy_cost = incremental_allocate(net, state, vc, count)
             assert len(greedy) < count or greedy_cost >= got, net.id
             beats_greedy += len(greedy) == count and greedy_cost > got
@@ -172,7 +172,7 @@ def test_criterion_5_allocation_invariant_fuzz():
                 result = settle(outcome, df, winner, vc)
                 if result.allocation_delta:
                     winner.commit(result.allocation_delta)
-                    expected_counts[winner.id][result.allocation_delta[0].conn] = result.granted
+                    expected_counts[winner.id][result.allocation_delta.conn] = result.granted
                 violations = validate_allocation(winner.network, winner.state, expected_counts[winner.id])
                 assert violations == [], f"scenario {scenario_tag}: {violations}"
         assert steps >= 10_000

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import json
+import multiprocessing
+import os
 import pickle
 import random
 import weakref
@@ -324,12 +326,11 @@ class TestRunScenario:
                 assert rec.revenue == rec.final_price * rec.granted
 
     def test_config_validation_failures_raise(self):
-        bad = duel_config()
-        bad = ScenarioConfig(
-            bad.id, bad.seed, bad.suppliers, bad.channels, ((1, "NOPE"),), bad.round_cap, bad.reject_partial
-        )
-        with pytest.raises(ConfigError):
-            run_scenario(bad)
+        good = duel_config()
+        with pytest.raises(ConfigError, match=r"schedule\[0\]: unknown virtual channel 'NOPE'"):
+            ScenarioConfig(
+                good.id, good.seed, good.suppliers, good.channels, ((1, "NOPE"),), good.round_cap, good.reject_partial
+            )
 
     def test_a_run_builds_no_lightpath_until_its_states_are_read(self, monkeypatch):
         built = []
@@ -512,13 +513,42 @@ class TestValidateOnce:
         assert validations == [first, second]
 
     def test_an_invalid_config_raises_on_every_call(self, validations):
-        bad = dataclasses.replace(duel_config(), schedule=((1, "NOPE"),))
+        good = duel_config()
         for _ in range(3):
-            with pytest.raises(ConfigError):
-                run_scenario(bad)
-        with pytest.raises(ConfigError):
-            next(run_sweep(bad, 2))
-        assert validations == [bad] * 4
+            with pytest.raises(ConfigError, match="unknown virtual channel 'NOPE'"):
+                dataclasses.replace(good, schedule=((1, "NOPE"),))
+        assert validations[0] is good and len(validations) == 4
+        assert all(bad.schedule == ((1, "NOPE"),) for bad in validations[1:])
+
+    def test_an_unpickled_config_is_not_validated_again(self, validations):
+        config = duel_config(schedule_len=2)
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and copy is not config
+        made = len(validations)
+        run_scenario(copy)
+        assert len(validations) == made
+
+    def test_a_two_worker_sweep_validates_once(self, monkeypatch, tmp_path):
+        # forked workers inherit both wrappers; each appends its process id to a file
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("only forked workers inherit the counting wrappers")
+
+        def logged(fn, log):
+            def call(*args):
+                with open(log, "a", encoding="utf-8") as f:
+                    f.write(f"{os.getpid()}\n")
+                return fn(*args)
+
+            return call
+
+        validated, settled = tmp_path / "validated", tmp_path / "settled"
+        monkeypatch.setattr(market, "validate_scenario", logged(market.validate_scenario, validated))
+        monkeypatch.setattr(market, "settle", logged(market.settle, settled))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        args = ["run", scenario_path("three_channels"), "--out", str(tmp_path / "out"), "--sweep", "20", "--workers", "2"]
+        assert main(args) == 0
+        assert str(os.getpid()) not in settled.read_text(encoding="utf-8").split()
+        assert validated.read_text(encoding="utf-8").split() == [str(os.getpid())]
 
     def test_a_validated_config_is_not_kept_alive(self):
         config = duel_config(schedule_len=1)

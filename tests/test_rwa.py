@@ -56,11 +56,11 @@ def recounted_masks(net, state):
 
 
 def route1_count(delta):
-    return sum(1 for lp in delta if lp.nodes() == ("SEA", "DEN", "BOS"))
+    return sum(1 for lp in delta.lightpaths() if lp.nodes() == ("SEA", "DEN", "BOS"))
 
 
 def route2_count(delta):
-    return sum(1 for lp in delta if lp.nodes() == ("SEA", "POR", "SLC", "KC", "CHI", "BOS"))
+    return sum(1 for lp in delta.lightpaths() if lp.nodes() == ("SEA", "POR", "SLC", "KC", "CHI", "BOS"))
 
 
 class TestSolve:
@@ -69,7 +69,7 @@ class TestSolve:
         delta, added = solve_min_cost_rwa(net, Allocation(), VC_AB, 1)
         assert added == 5
         assert len(delta) == 1
-        assert delta[0].wavelength == 1  # tie-break takes the lowest index
+        assert delta.lightpaths()[0].wavelength == 1  # tie-break takes the lowest index
 
     def test_two_route_overflow_split(self):
         net = two_route_net()
@@ -92,7 +92,7 @@ class TestSolve:
         net = mknet([("A", "B", 1, 1), ("B", "C", 1, 1), ("C", "D", 1, 1), ("D", "A", 1, 1)], wavelength_count=1)
         for solve in SOLVERS:
             first, added = solve(net, Allocation(), VirtualChannel("A", "C", "d1"), 1)
-            assert added == 2 and [lp.nodes() for lp in first] == [("A", "B", "C")]
+            assert added == 2 and [lp.nodes() for lp in first.lightpaths()] == [("A", "B", "C")]
             state = apply_delta(net, Allocation(), first)
             for other in SOLVERS:
                 with pytest.raises(InfeasibleError):
@@ -134,7 +134,7 @@ class TestSolve:
             rng.shuffle(shuffled)
             delta, added = solve_min_cost_rwa(mknet(shuffled, 3), Allocation(), VC_AB, 2)
             assert added == ref_cost
-            assert tuple(delta) == tuple(ref_delta)
+            assert delta.lightpaths() == ref_delta.lightpaths()
 
 
 class TestBruteForce:
@@ -166,8 +166,9 @@ class TestBruteForce:
             return False
         grant, added = solve_min_cost_rwa(net, state, vc, count)
         assert added == expected[1]
-        assert tuple(grant) == tuple(expected[0])  # identical tie-breaks
-        assert [lp.wavelength for lp in grant] == sorted({lp.wavelength for lp in grant})
+        lightpaths = grant.lightpaths()
+        assert lightpaths == expected[0].lightpaths()  # identical tie-breaks
+        assert [lp.wavelength for lp in lightpaths] == sorted({lp.wavelength for lp in lightpaths})
         return True
 
     def test_oracle_equivalence_randomized(self):
@@ -215,21 +216,22 @@ class TestIncremental:
         net = mknet([("A", "B", 2, 5)])
         delta, added = incremental_allocate(net, Allocation(), VC_AB, 2)
         assert added == 10
-        assert [lp.wavelength for lp in delta] == [1, 2]
+        assert [lp.wavelength for lp in delta.lightpaths()] == [1, 2]
 
     def test_overflow_moves_to_next_cheapest_route(self):
         net = two_route_net()
         delta, _ = incremental_allocate(net, Allocation(), VC_SEA_BOS, 8)
         state = apply_delta(net, Allocation(), delta)
         extra, added = incremental_allocate(net, state, VC_SEA_BOS, 1)
-        assert extra[0].nodes() == ("SEA", "POR", "SLC", "KC", "CHI", "BOS")
+        assert extra.lightpaths()[0].nodes() == ("SEA", "POR", "SLC", "KC", "CHI", "BOS")
         assert added == 170
 
     def test_saturated_reports_zero_placed(self):
         net = mknet([("A", "B", 1, 5)])
         delta, _ = incremental_allocate(net, Allocation(), VC_AB, 1)
         state = apply_delta(net, Allocation(), delta)
-        assert incremental_allocate(net, state, VC_AB, 1) == ((), 0)
+        extra, added = incremental_allocate(net, state, VC_AB, 1)
+        assert (extra.lightpaths(), added) == ((), 0)
 
     def test_partial_exhaustion_carries_delta(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=5)
@@ -239,7 +241,8 @@ class TestIncremental:
 
     def test_disconnected_endpoints_place_nothing(self):
         net = mknet([("A", "B", 1, 1), ("C", "D", 1, 1)])
-        assert incremental_allocate(net, Allocation(), VirtualChannel("A", "C", "x"), 2) == ((), 0)
+        delta, added = incremental_allocate(net, Allocation(), VirtualChannel("A", "C", "x"), 2)
+        assert (delta.lightpaths(), added) == ((), 0)
 
     def test_count_must_be_positive(self):
         net = mknet([("A", "B", 1, 5)])
@@ -250,7 +253,7 @@ class TestIncremental:
         # two node-disjoint routes, one unit each; wavelength indices must differ
         net = mknet([("A", "B", 1, 5), ("A", "C", 1, 6), ("C", "B", 1, 6)], wavelength_count=4)
         delta, _ = incremental_allocate(net, Allocation(), VC_AB, 2)
-        assert len({lp.wavelength for lp in delta}) == 2
+        assert len({lp.wavelength for lp in delta.lightpaths()}) == 2
 
     def test_greedy_matches_exact_on_parallel_route_instances(self):
         rng = random.Random(9)
@@ -279,11 +282,11 @@ class TestIncremental:
         vc = VirtualChannel("S", "T", "p")
         delta, added = incremental_allocate(net, Allocation(), vc, 2)
         assert len(delta) == 1
-        assert delta[0].cost(net) == added == 3
+        assert delta.lightpaths()[0].cost(net) == added == 3
         for solve in SOLVERS:
             exact_grant, exact = solve(net, Allocation(), vc, 2)
             assert exact == 22
-            assert [(lp.nodes(), lp.wavelength) for lp in exact_grant] == [(("S", "X", "T"), 1), (("S", "Y", "T"), 2)]
+            assert [(lp.nodes(), lp.wavelength) for lp in exact_grant.lightpaths()] == [(("S", "X", "T"), 1), (("S", "Y", "T"), 2)]
 
 
 def unit_at_a_time(net, state, vc, count):
@@ -347,14 +350,15 @@ class TestPathAtATime:
         for tag in range(600):
             net, state, vc, count = random_placement_case(rng, tag)
             delta, added = incremental_allocate(net, state, vc, count)
+            lightpaths = delta.lightpaths()
             ref_delta, ref_added = unit_at_a_time(net, state, vc, count)
             # same order, connection, wavelengths and hop tuples (the cached objects themselves)
-            assert delta == ref_delta
-            assert all(a.hops is b.hops for a, b in zip(delta, ref_delta))
+            assert lightpaths == ref_delta
+            assert all(a.hops is b.hops for a, b in zip(lightpaths, ref_delta))
             assert added == ref_added
             if len(delta) < count:
                 short += 1
-            if any(a.hops is b.hops for a, b in zip(delta, delta[1:])):
+            if any(a.hops is b.hops for a, b in zip(lightpaths, lightpaths[1:])):
                 runs += 1
             try:
                 _hops, costs, _links, alone = _path_tables(net, vc)
@@ -401,7 +405,7 @@ class TestPathAtATime:
         # the direct link is the only cost-5 path; it takes units up to its capacity of 3
         net = mknet([("A", "B", 3, 5), ("A", "C", 4, 4), ("C", "B", 4, 4)], wavelength_count=6)
         delta, added = incremental_allocate(net, Allocation(), VC_AB, 5)
-        assert [(lp.nodes(), lp.wavelength) for lp in delta] == [
+        assert [(lp.nodes(), lp.wavelength) for lp in delta.lightpaths()] == [
             (("A", "B"), 1), (("A", "B"), 2), (("A", "B"), 3), (("A", "C", "B"), 4), (("A", "C", "B"), 5)
         ]
         assert added == 3 * 5 + 2 * 8
@@ -423,7 +427,7 @@ class TestPathAtATime:
             )
             count = rng.randint(2, W)
             delta, added = incremental_allocate(net, state, VC_AB, count)
-            assert (delta, added) == unit_at_a_time(net, state, VC_AB, count)
+            assert (delta.lightpaths(), added) == unit_at_a_time(net, state, VC_AB, count)
             if not delta:
                 continue
             # a run with a gap in its mask spans more than one block of free wavelengths
@@ -698,10 +702,11 @@ class TestValidator:
             apply_delta(net, state, grant_of("c2", VC_AB, ((("B", "A"),), [4])))
         # placement takes only wavelengths 1..W, and W+1 still counts against capacity 3
         delta, _ = incremental_allocate(net, state, VC_AB, 2)
-        assert [lp.wavelength for lp in delta] == [1, 2]
+        assert [lp.wavelength for lp in delta.lightpaths()] == [1, 2]
         exact, _ = solve_min_cost_rwa(net, state, VC_AB, 2)
-        assert sorted(lp.wavelength for lp in exact) == [1, 2]
-        assert incremental_allocate(net, apply_delta(net, state, delta), VC_AB, 1) == ((), 0)
+        assert sorted(lp.wavelength for lp in exact.lightpaths()) == [1, 2]
+        extra, added = incremental_allocate(net, apply_delta(net, state, delta), VC_AB, 1)
+        assert (extra.lightpaths(), added) == ((), 0)
 
     def test_verdict_comes_from_lightpaths_not_the_index(self):
         net = mknet([("A", "B", 2, 5), ("A", "C", 2, 5), ("C", "B", 2, 5)], wavelength_count=3)
@@ -859,7 +864,7 @@ class TestGrant:
             # a copy rebuilds them from the grants' runs alone
             assert pickle.loads(pickle.dumps(state)).lightpaths == tuple(lps)
             assert len(state.lightpaths) == len(lps)
-            assert all(got is lp for got, lp in zip(state.lightpaths, lps))
+            assert [state.lightpaths[i] for i in range(len(lps))] == lps
             for key in {link_key(u, v) for lp in lps for u, v in lp.hops}:
                 assert used_on(self.RING, state, key) == sum(link_key(u, v) == key for lp in lps for u, v in lp.hops)
             assert state._conn_counts == {c: sum(lp.conn == c for lp in lps) for c in {lp.conn for lp in lps}}
@@ -884,13 +889,14 @@ class TestGrant:
             for step in range(6):
                 vc = VirtualChannel("S", "T", f"V{step % 2}")
                 grant, added = incremental_allocate(net, state, vc, rng.randint(1, 6))
-                assert len(grant) == len(tuple(grant)) == sum(mask.bit_count() for _, mask in grant.runs)
-                assert added == sum(lp.cost(net) for lp in grant)
+                lightpaths = grant.lightpaths()
+                assert len(grant) == len(lightpaths) == sum(mask.bit_count() for _, mask in grant.runs)
+                assert added == sum(lp.cost(net) for lp in lightpaths)
                 runs += any(mask & (mask - 1) for _, mask in grant.runs)
                 empty += not grant
-                by_grant, by_tuple = apply_delta(net, state, grant), Allocation((*state.lightpaths, *grant))
+                by_grant, by_tuple = apply_delta(net, state, grant), Allocation((*state.lightpaths, *lightpaths))
                 assert by_tuple._masks is None and _link_masks(net, by_grant) == _link_masks(net, by_tuple)
-                assert by_grant.lightpaths == by_tuple.lightpaths == (*state.lightpaths, *grant)
+                assert by_grant.lightpaths == by_tuple.lightpaths == (*state.lightpaths, *lightpaths)
                 for key in net.link_by_key:
                     assert used_on(net, by_grant, key) == used_on(net, by_tuple, key)
                 assert _fresh_conn_id(by_grant, "x") == _fresh_conn_id(by_tuple, "x")
@@ -912,5 +918,5 @@ class TestGrant:
         data = pickle.dumps(grant)
         assert b"LightPath" not in data
         assert pickle.loads(data) == grant and len(pickle.loads(data)) == 12
-        list(grant)
+        grant.lightpaths()
         assert pickle.dumps(grant) == data

@@ -101,6 +101,19 @@ class TestDomainTypes:
                 place(net, Allocation(), vc, 0)
 
 
+def counted_reads(net):
+    """Make ``net``'s adjacency record each node read; returns the list of reads."""
+    reads = []
+
+    class CountingAdjacency(dict):
+        def __getitem__(self, node):
+            reads.append(node)
+            return super().__getitem__(node)
+
+    net.__dict__["adjacency"] = CountingAdjacency(net.adjacency)
+    return reads
+
+
 class TestRouteCandidates:
     def test_single_link(self):
         net = mknet([("A", "B", 2, 5)])
@@ -152,20 +165,25 @@ class TestRouteCandidates:
         nodes = [f"N{i}" for i in range(7)]
         links = [Link(a, b, 1, 1) for k, a in enumerate(nodes) for b in nodes[k + 1 :]]
         net = make_network("iso", nodes + ["Z"], links, 1)
-        reads = []
-
-        class CountingAdjacency(dict):
-            def __getitem__(self, node):
-                reads.append(node)
-                return super().__getitem__(node)
-
-        net.__dict__["adjacency"] = CountingAdjacency(net.adjacency)
+        reads = counted_reads(net)
         with pytest.raises(NoPathError):
             route_candidates(net, VirtualChannel("N0", "Z", "p"))
         assert sorted(reads) == nodes
         reads.clear()
         assert len(route_candidates(net, VirtualChannel("N0", "N1", "p"))) == 326
         assert len(reads) > 326
+
+    def test_nodes_behind_a_cut_vertex_at_src_are_never_walked(self):
+        # S-D, with S also in a complete 8-node component: one path, but a
+        # walk into the component would read the adjacency once per simple
+        # path prefix from S (over 13,000 of them)
+        clique = ["S"] + [f"N{i}" for i in range(7)]
+        links = [Link(a, b, 1, 1) for k, a in enumerate(clique) for b in clique[k + 1 :]]
+        net = make_network("cut", clique + ["D"], links + [Link("S", "D", 1, 1)], 1)
+        reads = counted_reads(net)
+        assert route_candidates(net, VirtualChannel("S", "D", "p")) == [("S", "D")]
+        # S is read by the reachability search and by the walk, D by the search from D
+        assert sorted(reads) == ["D", "S", "S"]
 
     def test_unknown_endpoint_raises(self):
         net = mknet([("A", "B", 1, 1)])
