@@ -74,7 +74,7 @@ def total_cost_curve(net: Network, state: Allocation, vc: VirtualChannel, q_cap:
 def marginal_cost(net: Network, state: Allocation, vc: VirtualChannel) -> int:
     """Cost of the next single wavelength on this channel given current state.
 
-    One kernel call against the state's link masks (``rwa.next_unit_cost``).
+    At most one kernel call against the state's link masks (``rwa.next_unit_cost``).
     Raises InfeasibleError when no capacity remains.
     """
     mc = next_unit_cost(net, state, vc)

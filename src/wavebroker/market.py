@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
-from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, NoPathError, UnknownNetworkError
+from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, UnknownNetworkError
 from .game import SupplierAgent, UndercutPolicy, _new, equilibrium_bounds
 from .protocol import (
     BROKER_TO_SUPPLIER,
@@ -41,7 +41,7 @@ from .protocol import (
     TraceEvent,
     run_competition,
 )
-from .rwa import Allocation, Grant, _path_tables, incremental_allocate
+from .rwa import Allocation, Grant, _route, incremental_allocate
 from .topology import MAX_ROUTE_NODES, Network, VirtualChannel, validate_network
 
 
@@ -317,14 +317,12 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
             for end in (ch.vc.src, ch.vc.dst):
                 if end not in sup.network.nodes:
                     problems.append(f"{loc}: endpoint {end!r} missing from networks[{i}] ({sup.network.id!r})")
-    # the path tables built here are the ones placement reads later
+    # the route entries made here, a channel without a route included, are the ones placement reads later
     for i, net in routable:
         for j, ch in enumerate(config.channels):
             if ch.vc.src in net.nodes and ch.vc.dst in net.nodes:
                 try:
-                    _path_tables(net, ch.vc)
-                except NoPathError:
-                    pass
+                    _route(net, ch.vc)
                 except NetworkTooLargeError as exc:
                     problems.append(f"networks[{i}]: virtual_channels[{j}] ({ch.vc.label!r}): {exc}")
     for k, (rnd, label) in enumerate(config.schedule):

@@ -22,7 +22,14 @@ cost.  A grant's ``len()`` is its unit count, and ``grant.lightpaths()``
 builds its ``LightPath``s.  Nothing is committed; ``apply_delta(net,
 state, grant)`` merges the grant into a new state, which keeps one list of
 link masks.  Placement reads that list in place, and a marginal-cost
-probe, ``next_unit_cost``, is one kernel call against it.
+probe, ``next_unit_cost``, is at most one kernel call against it.
+
+Placement finds its tables on the network object: its link tables, and
+per channel object its route tables, are kept in the network's
+``__dict__`` and found by value only once per object.  A channel's entry
+also keeps the kernel's last pick on a state's own mask list, so a probe
+of a state that has not changed, and the winner's settlement after its
+probe, do not ask the kernel again.
 """
 
 from __future__ import annotations
@@ -73,7 +80,8 @@ def _hops_cost(net: Network, hops) -> int:
     return sum(net.link_by_key[link_key(u, v)].unit_cost for u, v in hops)
 
 
-# Not frozen, since a frozen slotted dataclass pickles as a list of its fields; hashed by value all the same.
+# Not frozen, since a frozen slotted dataclass pickles as a list of its fields; hashed by value all the same,
+# and pickled as its constructor's arguments.
 @dataclass(slots=True, unsafe_hash=True)
 class Grant:
     """The units one placement grants one connection, kept as ``(hops, mask)`` runs.
@@ -91,6 +99,10 @@ class Grant:
 
     def __len__(self) -> int:
         return self.count
+
+    def __reduce__(self):
+        # its fields as arguments, not the default {slot name: value} dict
+        return Grant, (self.conn, self.vc, self.runs, self.count)
 
     def lightpaths(self) -> tuple[LightPath, ...]:
         conn, vc = self.conn, self.vc
@@ -303,23 +315,46 @@ def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int]
 
 
 def dump_allocation(net: Network, alloc: Allocation) -> list[str]:
-    """One line per lightpath in the stable trace/debug format."""
+    """One line per lightpath in the stable trace/debug format.
+
+    Lines are ordered by (channel label, connection, wavelength), and equal
+    keys keep commit order.  Grants are sorted by (label, connection), and
+    only the rows of one connection by wavelength.
+    """
     memo: dict[tuple, str] = {}
-    rows = []
-    for grant in alloc._grants:
-        for hops, mask in grant.runs:
-            tail = memo.get(hops)
-            if tail is None:
-                tail = memo[hops] = f"path={'-'.join(_hops_nodes(hops))} cost={_hops_cost(net, hops)}"
-            rows.extend((grant.vc.label, grant.conn, b + 1, tail) for b in _bits(mask))
-    rows.sort(key=itemgetter(0, 1, 2))
-    return [f"{label} w={w} {tail}" for label, _conn, w, tail in rows]
+    lines: list[str] = []
+    for (label, _conn), grants in groupby(sorted(alloc._grants, key=_label_conn), key=_label_conn):
+        rows = []
+        for grant in grants:
+            for hops, mask in grant.runs:
+                tail = memo.get(hops)
+                if tail is None:
+                    tail = memo[hops] = f"path={'-'.join(_hops_nodes(hops))} cost={_hops_cost(net, hops)}"
+                rows.extend((b + 1, tail) for b in _bits(mask))
+        rows.sort(key=itemgetter(0))
+        lines.extend([f"{label} w={w} {tail}" for w, tail in rows])
+    return lines
 
 
-# -- compiled lookup tables ---------------------------------------------------
+def _label_conn(grant: Grant) -> tuple[str, str]:
+    return grant.vc.label, grant.conn
+
+
+# -- placement tables, kept on the network object ------------------------------
+#
+# A network object keeps its link tables in its ``__dict__`` under
+# ``_net_tables``, and one ``_Route`` per channel object under ``_routes``,
+# as it keeps ``_hash`` and ``link_by_key``; its pickle drops both.  The
+# value-keyed caches below are read once per network object, and once per
+# (network object, channel object), so equal networks loaded afresh share
+# their tables without a lookup by value on every call.
+
+# Channel entries one network object keeps; beyond this the oldest goes.
+ROUTES_PER_NETWORK = 2048
+
 
 @lru_cache(maxsize=512)
-def _net_tables(net: Network):
+def _tables_by_value(net: Network):
     """Sorted link keys, each hop's link index in either direction, capacities."""
     keys = tuple(sorted(net.link_by_key))
     # one (u, v) tuple per link direction, shared by every hop tuple of the network
@@ -329,10 +364,19 @@ def _net_tables(net: Network):
     return keys, index, caps, pairs
 
 
+def _net_tables(net: Network):
+    """``(keys, index, caps, pairs)`` of ``_tables_by_value``, kept on ``net``."""
+    tables = net.__dict__.get("_net_tables")
+    if tables is None:
+        tables = net.__dict__["_net_tables"] = _tables_by_value(net)
+    return tables
+
+
 @lru_cache(maxsize=2048)
 def _path_tables(net: Network, vc: VirtualChannel):
     """Per candidate path, cheapest first: its hop tuple, its cost, its link indexes
-    and whether it is the only candidate at its cost."""
+    and whether it is the only candidate at its cost.  Keyed by value, and read
+    through ``_route``; a ``NoPathError`` is raised, not cached."""
     _, index, _, pairs = _net_tables(net)
     paths = route_candidates(net, vc)
     costs = paths.costs
@@ -342,6 +386,62 @@ def _path_tables(net: Network, vc: VirtualChannel):
     padded = (None,) + costs + (None,)
     alone = tuple(padded[i] != c != padded[i + 2] for i, c in enumerate(costs))
     return hops, costs, link_lists, alone
+
+
+class _Route:
+    """One channel's placement tables on one network object, and its last kernel pick.
+
+    ``hops``, ``costs``, ``link_lists`` and ``alone`` are ``_path_tables``';
+    ``tables`` is ``_net_tables(net)`` and ``full`` the mask of every
+    wavelength.  When no route joins the channel's ends,
+    ``error`` is the ``NoPathError`` and the path tables are empty.
+
+    ``pick`` is the kernel's ``(path, wavelength)`` answer on the mask list
+    ``masks`` with every wavelength allowed.  It is kept only for a state's
+    own list, which nothing writes after ``apply_delta`` or
+    ``Allocation.empty`` makes it, so the same list gives the same pick.
+    """
+
+    __slots__ = ("vc", "tables", "full", "hops", "costs", "link_lists", "alone", "error", "masks", "pick")
+
+    def __init__(self, net: Network, vc: VirtualChannel):
+        self.vc, self.tables, self.full = vc, _net_tables(net), (1 << net.wavelength_count) - 1
+        self.error = self.masks = self.pick = None
+        try:
+            self.hops, self.costs, self.link_lists, self.alone = _path_tables(net, vc)
+        except NoPathError as exc:
+            self.hops = self.costs = self.link_lists = self.alone = ()
+            self.error = exc.with_traceback(None)
+
+    def ask(self, state: Allocation, masks: list[int]) -> tuple[int, int]:
+        """The kernel's pick on ``masks``, ``state``'s link masks, with every wavelength
+        allowed; kept when ``masks`` is the state's own list.  A caller that holds the
+        kept pick (``masks is route.masks``) reads ``route.pick`` instead."""
+        pick = _kernel.cheapest_placement(self.link_lists, self.costs, masks, self.tables[2], self.full)
+        if masks is state._masks:
+            self.masks, self.pick = masks, pick
+        return pick
+
+
+def _route(net: Network, vc: VirtualChannel) -> _Route:
+    """``vc``'s entry on the network object ``net``, made on first use.
+
+    Entries are keyed by the channel object's id and hold the channel, so
+    an id is not reused while its entry is kept.  A channel with no route
+    keeps its ``NoPathError``; a ``NetworkTooLargeError`` is raised and not
+    kept.  ``next_unit_cost`` and ``incremental_allocate`` read the map
+    inline and call this only when the entry is missing.
+    """
+    routes = net.__dict__.get("_routes")
+    if routes is None:
+        routes = net.__dict__["_routes"] = {}
+    route = routes.get(id(vc))
+    if route is None:
+        route = _Route(net, vc)
+        if len(routes) >= ROUTES_PER_NETWORK:
+            del routes[next(iter(routes))]
+        routes[id(vc)] = route
+    return route
 
 
 def _link_masks(net: Network, state: Allocation, tables=None) -> list[int]:
@@ -378,15 +478,20 @@ def _fresh_conn_id(state: Allocation, label: str) -> str:
 # -- greedy placement, a path at a time ---------------------------------------
 
 def next_unit_cost(net: Network, state: Allocation, vc: VirtualChannel) -> int | None:
-    """What greedy placement of one more unit adds, or None when nothing fits: one kernel call."""
+    """What greedy placement of one more unit adds, or None when nothing fits.
+
+    One kernel call, or none when the channel's entry keeps the pick on
+    this state's own masks.
+    """
     try:
-        _, costs, link_lists, _ = _path_tables(net, vc)
-    except NoPathError:
+        route = net.__dict__["_routes"][id(vc)]
+    except KeyError:
+        route = _route(net, vc)
+    if route.error is not None:
         return None
-    tables = _net_tables(net)
-    masks = _link_masks(net, state, tables)
-    p, _ = _kernel.cheapest_placement(link_lists, costs, masks, tables[2], (1 << net.wavelength_count) - 1)
-    return costs[p] if p >= 0 else None
+    masks = _link_masks(net, state, route.tables)
+    p, _ = route.pick if masks is route.masks else route.ask(state, masks)
+    return route.costs[p] if p >= 0 else None
 
 
 def incremental_allocate(
@@ -404,7 +509,8 @@ def incremental_allocate(
     out, and empty when the endpoints are not connected or nothing fits.
     No ``LightPath`` is built.
 
-    The kernel is asked once per path rather than once per unit.  Placing
+    The kernel is asked once per path rather than once per unit, and the
+    first pick is the one a probe of this state kept, if any.  Placing
     a unit only sets mask bits and clears ``allowed`` bits, so a path that
     lost to the kernel's pick never becomes feasible again.  The state's
     masks are copied before the first write that a later kernel call reads,
@@ -421,20 +527,19 @@ def incremental_allocate(
         raise ValueError("count must be >= 1")
     conn = _fresh_conn_id(state, vc.label)
     try:
-        hops, costs, link_lists, alone = _path_tables(net, vc)
-    except NoPathError:
+        route = net.__dict__["_routes"][id(vc)]
+    except KeyError:
+        route = _route(net, vc)
+    if route.error is not None:
         return Grant(conn, vc, (), 0), 0
-    tables = _net_tables(net)
-    caps = tables[2]
-    shared = masks = _link_masks(net, state, tables)
-    allowed = (1 << net.wavelength_count) - 1
+    hops, costs, link_lists, alone, allowed = route.hops, route.costs, route.link_lists, route.alone, route.full
+    caps = route.tables[2]
+    shared = masks = _link_masks(net, state, route.tables)
+    p, w0 = route.pick if masks is route.masks else route.ask(state, masks)
 
     runs = []
     placed = added = 0
-    while placed < count:
-        p, w0 = _kernel.cheapest_placement(link_lists, costs, masks, caps, allowed)
-        if p < 0:
-            break
+    while p >= 0:
         links = link_lists[p]
         room = count - placed
         take = 1 << w0
@@ -465,6 +570,7 @@ def incremental_allocate(
         for li in links:
             masks[li] |= take
         allowed &= ~take
+        p, w0 = _kernel.cheapest_placement(link_lists, costs, masks, caps, allowed)
     return Grant(conn, vc, tuple(runs), placed), added
 
 
@@ -527,9 +633,9 @@ def _search(net, state, vc, count, *, prune: bool, reduce_symmetry: bool) -> tup
     InfeasibleError when nothing fits.
     """
     W = net.wavelength_count
-    _, _, caps, _ = _net_tables(net)
-    hops, costs, link_lists, _alone = _path_tables(net, vc)
-    masks = _link_masks(net, state).copy()
+    route = _route(net, vc)
+    hops, costs, link_lists, caps = route.hops, route.costs, route.link_lists, route.tables[2]
+    masks = _link_masks(net, state, route.tables).copy()
     full = (1 << W) - 1
     # wavelengths in use on any link of the network, as a mask
     anchored = 0
@@ -606,10 +712,9 @@ def solve_min_cost_rwa(net: Network, state: Allocation, vc: VirtualChannel, coun
         raise InfeasibleError(
             f"{vc.label}: {count} units need {count} distinct wavelengths, only {net.wavelength_count} exist"
         )
-    try:
-        _path_tables(net, vc)
-    except NoPathError as exc:
-        raise InfeasibleError(str(exc)) from exc
+    error = _route(net, vc).error
+    if error is not None:
+        raise InfeasibleError(str(error)) from error
     if _flow_upper_bound(net, state, vc, count) < count:
         raise InfeasibleError(f"{vc.label}: demand {count} exceeds residual capacity")
     return _search(net, state, vc, count, prune=True, reduce_symmetry=True)
@@ -627,8 +732,7 @@ def brute_force_rwa(net: Network, state: Allocation, vc: VirtualChannel, count: 
         raise InstanceTooLargeError(
             f"guard is <= {BRUTE_MAX_NODES} nodes, W <= {BRUTE_MAX_WAVELENGTHS}, <= {BRUTE_MAX_UNITS} units"
         )
-    try:
-        _path_tables(net, vc)
-    except NoPathError as exc:
-        raise InfeasibleError(str(exc)) from exc
+    error = _route(net, vc).error
+    if error is not None:
+        raise InfeasibleError(str(error)) from error
     return _search(net, state, vc, count, prune=False, reduce_symmetry=False)

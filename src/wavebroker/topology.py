@@ -2,7 +2,11 @@
 
 Link capacity bounds how many wavelengths the fiber may carry at once and
 ``unit_cost`` is the price of lighting one wavelength on it.  Networks are
-plain values; nothing here mutates after construction.
+plain values; nothing here mutates after construction.  A network object
+does keep what is derived from it in its ``__dict__``: its hash, its link
+and adjacency maps, and the placement tables ``rwa`` keeps there
+(``_net_tables``, and ``_routes`` per channel).  Equality ignores them,
+and a pickle drops the hash and the placement tables.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ class Network:
     links: tuple[Link, ...]
     wavelength_count: int
 
-    # The routing tables are lru_caches keyed by the network, so it is hashed
-    # on every placement; hash the fields (as the dataclass would) only once.
+    # rwa finds its tables by value once per network object, through
+    # lru_caches keyed by the network; hash the fields (as the dataclass
+    # would) only once.
     @cached_property
     def _hash(self) -> int:
         return hash((self.id, self.nodes, self.links, self.wavelength_count))
@@ -60,9 +65,11 @@ class Network:
         return self._hash
 
     def __getstate__(self):
-        # str hashes differ between processes, so a pickled copy rehashes
+        # str hashes differ between processes, so a pickled copy rehashes;
+        # rwa's placement tables are kept here too, and rebuilt on first use
         state = dict(self.__dict__)
-        state.pop("_hash", None)
+        for name in ("_hash", "_net_tables", "_routes"):
+            state.pop(name, None)
         return state
 
     @cached_property
@@ -101,7 +108,7 @@ class VirtualChannel:
     dst: str
     label: str
 
-    # Keys the route-table lru_cache beside the network; hash the fields once, as Network does.
+    # Keys the route-table lru_cache beside the network, once per (network, channel) object; hash the fields once, as Network does.
     @cached_property
     def _hash(self) -> int:
         return hash((self.src, self.dst, self.label))

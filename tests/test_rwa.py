@@ -6,12 +6,17 @@ import pytest
 
 from wavebroker import (
     Allocation,
+    ChannelConfig,
     ConflictError,
     Grant,
     InfeasibleError,
     InstanceTooLargeError,
     LightPath,
+    LinearDemand,
     NoPathError,
+    ScenarioConfig,
+    SupplierConfig,
+    UndercutPolicy,
     VirtualChannel,
     apply_delta,
     brute_force_rwa,
@@ -22,7 +27,7 @@ from wavebroker import (
     solve_min_cost_rwa,
     validate_allocation,
 )
-from wavebroker import _kernel, rwa, topology
+from wavebroker import _kernel, cli, rwa, topology
 from wavebroker.cli import load_scenario
 from wavebroker.rwa import _fresh_conn_id, _hops_nodes, _link_masks, _net_tables, _path_tables
 from wavebroker.topology import Link, link_key, make_network
@@ -635,6 +640,174 @@ class TestStateView:
             assert _link_masks(report.networks[nid], copy) == state._masks
 
 
+# the kernel itself, for references that must not be counted with placement's calls
+KERNEL = _kernel.cheapest_placement
+
+
+def reference_greedy(net, state, vc, count):
+    """Greedy placement one kernel call per unit, on tables built from ``route_candidates``
+    and masks recounted from the state's lightpaths: nothing kept on a network or state is read.
+
+    Returns the units as ``(path nodes, wavelength)`` in placement order, and their summed cost.
+    """
+    keys = sorted(net.link_by_key)
+    index = {key: i for i, key in enumerate(keys)}
+    try:
+        paths = topology.route_candidates(net, vc)
+    except NoPathError:
+        return [], 0
+    link_lists = [[index[link_key(u, v)] for u, v in zip(p, p[1:])] for p in paths]
+    caps = [min(net.link_by_key[key].capacity, net.wavelength_count) for key in keys]
+    masks = [0] * len(keys)
+    for lp in state.lightpaths:
+        for u, v in lp.hops:
+            if link_key(u, v) in index:
+                masks[index[link_key(u, v)]] |= 1 << (lp.wavelength - 1)
+    allowed = (1 << net.wavelength_count) - 1
+    units, added = [], 0
+    for _ in range(count):
+        p, w0 = KERNEL(link_lists, paths.costs, masks, caps, allowed)
+        if p < 0:
+            break
+        for li in link_lists[p]:
+            masks[li] |= 1 << w0
+        allowed &= ~(1 << w0)
+        units.append((paths[p], w0 + 1))
+        added += paths.costs[p]
+    return units, added
+
+
+class TestKeptTables:
+    """A network object keeps its tables and, per channel, its last kernel pick on a state's own masks."""
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        calls = []
+        monkeypatch.setattr(_kernel, "cheapest_placement", lambda *args: calls.append(1) or KERNEL(*args))
+        return calls
+
+    def test_probes_and_settlements_match_the_kernel_over_commit_chains(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
+        rng = random.Random(4141)
+        reused = settled_on_pick = shared = unbound = 0
+        for tag in range(120):
+            net, state, _vc, _count = random_placement_case(rng, 7000 + tag)
+            # equal to net, but another object with its own tables and picks
+            twin = make_network(net.id, net.nodes, net.links, net.wavelength_count)
+            assert twin == net and twin is not net
+            nodes = sorted(net.nodes)
+            channels = [VirtualChannel(*rng.sample(nodes, 2), f"V{k}") for k in range(3)]
+            states = [Allocation.empty(net), Allocation(), state]
+            for _ in range(10):
+                # a parent is probed again after its children were
+                parent, vc, on = rng.choice(states), rng.choice(channels), rng.choice((net, twin))
+                kept = parent._keys is _net_tables(on)[0]
+                units, added = reference_greedy(on, parent, vc, 1)
+                for probe in range(2):
+                    before = len(calls)
+                    assert rwa.next_unit_cost(on, parent, vc) == (added if units else None)
+                    if probe:
+                        assert len(calls) - before == (not kept)
+                        reused += kept
+                count = rng.randint(1, on.wavelength_count + 1)
+                before = len(calls)
+                copy = pickle.loads(pickle.dumps(parent))
+                want = incremental_allocate(on, copy, vc, count)
+                asked = len(calls) - before
+                before = len(calls)
+                grant, added = incremental_allocate(on, parent, vc, count)
+                # the settlement starts from the probe's pick
+                assert len(calls) - before == asked - kept
+                settled_on_pick += kept
+                assert (grant, added) == want
+                assert ([(lp.nodes(), lp.wavelength) for lp in grant.lightpaths()], added) == reference_greedy(on, parent, vc, count)
+                if not grant:
+                    continue
+                child = apply_delta(on, parent, grant)
+                states += [child, pickle.loads(pickle.dumps(child)), Allocation(child.lightpaths)]
+                unbound += 2
+                # the same grant committed to another state that it fits
+                other = rng.choice(states)
+                try:
+                    states.append(apply_delta(rng.choice((net, twin)), other, grant))
+                    shared += 1
+                except ConflictError:
+                    pass
+        assert reused >= 350 and settled_on_pick >= 350 and shared >= 200 and unbound >= 1000
+
+    def test_a_channel_without_a_route_is_routed_once(self, monkeypatch):
+        routed = []
+        route_candidates = rwa.route_candidates
+        monkeypatch.setattr(rwa, "route_candidates", lambda net, vc: routed.append(net.id) or route_candidates(net, vc))
+        vc = VirtualChannel("S", "T", "VC1")
+        a = mknet([("S", "T", 40, 10)], wavelength_count=40, net_id="netA")
+        # netB holds both ends of the channel, and no route joins them
+        b = make_network("netB", ["S", "T", "U"], [Link("S", "U", 4, 1)], 4)
+        policy = UndercutPolicy(1, 2)
+        config = ScenarioConfig(
+            "noroute",
+            3,
+            (SupplierConfig(a, policy, 2.0), SupplierConfig(b, policy, 2.0)),
+            (ChannelConfig(vc, LinearDemand(a=3, b=0.01)),),
+            tuple((r, "VC1") for r in range(10)),
+        )
+        report = run_scenario(config)
+        assert {rec.winner for rec in report.records} == {"netA"}
+        state = report.final_states["netB"]
+        for _ in range(10):
+            assert rwa.next_unit_cost(b, state, vc) is None
+            assert incremental_allocate(b, state, vc, 2) == (Grant("VC1#1", vc, (), 0), 0)
+            with pytest.raises(InfeasibleError, match="disconnected"):
+                solve_min_cost_rwa(b, state, vc, 1)
+        assert routed.count("netB") == 1
+
+    def test_a_pickled_network_carries_no_tables(self):
+        net = two_route_net("pickled")
+        assert marginal_cost(net, Allocation.empty(net), VC_SEA_BOS) == 125
+        assert {"_hash", "_net_tables", "_routes"} <= set(vars(net))
+        data = pickle.dumps(net)
+        assert b"_net_tables" not in data and b"_routes" not in data and b"_hash" not in data
+        copy = pickle.loads(data)
+        assert copy == net and not {"_hash", "_net_tables", "_routes"} & set(vars(copy))
+        assert marginal_cost(copy, Allocation.empty(copy), VC_SEA_BOS) == 125
+
+    def test_the_channel_map_stays_capped(self):
+        net = mknet([("A", "B", 2, 5)], net_id="capped")
+        state = Allocation.empty(net)
+        channels = [VirtualChannel("A", "B", f"c{i}") for i in range(3000)]
+        for vc in channels:
+            assert rwa.next_unit_cost(net, state, vc) == 5
+        routes = vars(net)["_routes"]
+        # the newest entries are the ones kept
+        assert len(routes) == rwa.ROUTES_PER_NETWORK
+        assert [route.vc for route in routes.values()] == channels[-rwa.ROUTES_PER_NETWORK :]
+
+    def test_a_shipped_run_compares_no_network_once_loaded(self, tmp_path, monkeypatch):
+        compared = []
+        loaded = [False]
+        for cls in (topology.Network, Link):
+            def counted(a, b, eq=cls.__eq__, name=cls.__name__):
+                if loaded[0]:
+                    compared.append(name)
+                return eq(a, b)
+
+            monkeypatch.setattr(cls, "__eq__", counted)
+        load = cli.load_scenario
+
+        def load_then_count(*args, **kwargs):
+            config = load(*args, **kwargs)
+            loaded[0] = True
+            return config
+
+        monkeypatch.setattr(cli, "load_scenario", load_then_count)
+        # the second pass loads networks equal to tables the first one built
+        for k in range(2):
+            for name in ("duel", "three_channels", "two_route_costcurve"):
+                loaded[0] = False
+                assert cli.main(["run", scenario_path(name), "--out", str(tmp_path / f"{name}{k}"), "--traces"]) == 0
+        assert compared == []
+
+
 class TestValidator:
     def test_solver_output_is_clean(self):
         rng = random.Random(55)
@@ -910,6 +1083,30 @@ class TestGrant:
             Allocation([lp, lp, zero])
         with pytest.raises(ValueError):
             Allocation([lp, zero, lp])
+
+    def test_a_grant_pickles_as_its_fields(self, monkeypatch):
+        report = run_scenario(load_scenario(scenario_path("three_channels")))
+        states = list(report.final_states.values())
+        grants = [grant for state in states for grant in state._grants]
+        assert len(grants) >= 10
+        for grant in grants:
+            data = pickle.dumps(grant)
+            copy = pickle.loads(data)
+            assert copy == grant and copy.runs == grant.runs and len(copy) == len(grant)
+            # made from its arguments, with no {slot name: value} dict
+            assert b"runs" not in data and b"count" not in data
+        compact = len(pickle.dumps(states))
+        monkeypatch.delattr(Grant, "__reduce__")
+        assert b"runs" in pickle.dumps(grants[0])
+        assert compact < 0.9 * len(pickle.dumps(states))
+
+    def test_the_dump_orders_rows_by_label_connection_and_wavelength(self):
+        rng = random.Random(4343)
+        for _ in range(200):
+            lps = self.random_lightpaths(rng, rng.randint(1, 12))
+            rows = sorted([(lp.vc.label, lp.conn, lp.wavelength, i, lp) for i, lp in enumerate(lps)], key=lambda row: row[:4])
+            want = [f"{label} w={w} path={'-'.join(lp.nodes())} cost={lp.cost(self.RING)}" for label, _, w, _, lp in rows]
+            assert dump_allocation(self.RING, Allocation(lps)) == want
 
     def test_an_unread_grant_pickles_as_its_runs(self):
         net = two_route_net()
