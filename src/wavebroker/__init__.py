@@ -57,6 +57,7 @@ from .market import (
     settle,
 )
 from .protocol import (
+    Bidders,
     CompetitionOutcome,
     CompetitionTrace,
     Termination,

@@ -100,7 +100,14 @@ class EquilibriumBound(NamedTuple):
 
 
 def equilibrium_bounds(mc_list: list[int], policies: list[UndercutPolicy]) -> EquilibriumBound:
-    """Band the final price is expected to land in, from costs and policies alone."""
+    """Band the final price is expected to land in, from costs and policies alone.
+
+    The band is centred on the runner-up (second-lowest) marginal cost,
+    and its half-width is the largest ``l_max`` among the given policies;
+    ``e_min``, the smallest ``l_min``, is only reported.  This is the
+    band's one definition: ``market.run_scenario`` computes the same
+    figures from constants it builds once per run.
+    """
     if len(mc_list) < 2 or len(policies) < 2:
         raise DegenerateMarketError("equilibrium bounds need at least two competitors")
     return _new(

@@ -25,11 +25,12 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
 from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, UnknownNetworkError
-from .game import SupplierAgent, UndercutPolicy, _new, equilibrium_bounds
+from .game import SupplierAgent, UndercutPolicy, _new
 from .protocol import (
     BROKER_TO_SUPPLIER,
     SUPPLIER_TO_BROKER,
     Ack,
+    Bidders,
     CompetitionOutcome,
     CompetitionTrace,
     DEFAULT_ROUND_CAP,
@@ -383,10 +384,14 @@ class Report:
 def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Report:
     """Execute the request schedule in order against live allocation state.
 
-    Each request runs one competition plus settlement.  Every auction
-    record carries the equilibrium-band prediction computed from the
-    competitors' marginal costs at auction start, so the band can be
-    checked from the report alone.
+    Each request probes every supplier's next-unit marginal cost, then
+    runs one competition plus settlement.  Every auction record carries
+    the equilibrium-band prediction of ``game.equilibrium_bounds`` over
+    the suppliers priced at auction start, so the band can be checked
+    from the report alone.  What only the suppliers determine is built
+    once per run: the race's ``Bidders`` table and each supplier's
+    largest step, so a request pays for its probes, its race, its
+    settlement and the band's runner-up cost.
     """
     seed = config.seed if seed_override is None else seed_override
     rng = random.Random(seed)
@@ -394,6 +399,10 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         SupplierAgent(sc.network.id, sc.network, Allocation.empty(sc.network), sc.policy, sc.markup)
         for sc in config.suppliers
     ]
+    # what only the suppliers set: the race's bidding table and the band's largest step
+    bidders = Bidders(agents)
+    l_maxes = [agent.policy.l_max for agent in agents]
+    run_l_max = max(l_maxes)
     channels = {ch.vc.label: ch for ch in config.channels}
     by_id = {agent.id: agent for agent in agents}
     ledger = ProfitLedger()
@@ -405,10 +414,9 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     for index, (request_round, label) in enumerate(config.schedule):
         ch = channels[label]
         vc = ch.vc
-        mcs = {agent.id: agent.next_unit_mc(vc) for agent in agents}
-        priced = [agent for agent in agents if mcs[agent.id] is not None]
+        mcs = [agent.next_unit_mc(vc) for agent in agents]
 
-        outcome = run_competition(vc, agents, rng, mcs, config.round_cap)
+        outcome = run_competition(vc, bidders, rng, mcs, config.round_cap)
         winner_id, final_price, rounds, trace, termination, race = outcome
         if termination is Termination.WON:
             winner = by_id[winner_id]
@@ -428,11 +436,15 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         if race is not None:
             asks, bids, passes, most_cutters = race.counts()
 
+        # game.equilibrium_bounds' band over the priced suppliers
+        priced, e_max = mcs, run_l_max
+        if None in mcs:
+            priced = [mc for mc in mcs if mc is not None]
+            e_max = max([l_max for l_max, mc in zip(l_maxes, mcs) if mc is not None], default=None)
         ref = band_low = band_high = within = None
         if len(priced) >= 2:
-            bound = equilibrium_bounds([mcs[a.id] for a in priced], [a.policy for a in priced])
-            ref = bound.reference_mc
-            band_low, band_high = bound.interval()
+            ref = sorted(priced)[1]
+            band_low, band_high = ref - e_max, ref + e_max
             if final_price is not None:
                 within = band_low <= final_price <= band_high
 

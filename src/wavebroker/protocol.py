@@ -24,29 +24,36 @@ objects, and a trace not yet read pickles as its logs.  Its trace lines
 come from the logs as well, one f-string per message, so writing a
 trace builds no events and keeps the logs.
 
-The caller hands in each supplier's next-unit marginal cost, which sets
-its opening bid (markup times MC, rounded half up) and its floor; the
-race itself never probes placement, and its set-up makes no call per
-supplier.  Each round asks every active supplier but the leader, which
-would pass and draw nothing, from an asker list built once per race for
-each possible leader.  The ask is written out in the race loop, with no
-call per ask: draw the step through the generator's bound
-``getrandbits`` from the bidder's step constants (``UndercutPolicy.step``,
-set once per policy), and pass if the price falls below the supplier's
-marginal cost.  ``game.decide_bid`` is that same rule as a function,
-kept for callers that want one ask and for the benchmark's tracer.  The
-round minimum and its tied cutters are tracked as the bids arrive, and a
-tie is broken by ``rng.choice``'s draw written out: CPython's
-``_randbelow`` loop on ``getrandbits``, as with the step, so a round
-makes no Python-level call.  ``RaceLog.counts`` derives the race's asks,
-bids and passes afterwards.  The logs and the ``CompetitionOutcome`` are
-named tuples made with ``tuple.__new__``, which runs no Python frame.
+What only the suppliers determine is built once per run, in a
+``Bidders`` table: their ids and markups, one row ``[index, mc, l_min,
+width, bits]`` per supplier, its step constants being
+``UndercutPolicy.step``, and for each possible leader the rows of every
+other supplier.  Per request, the caller hands in each supplier's
+next-unit marginal cost, which sets its opening bid (markup times MC,
+rounded half up) and its floor; the race itself never probes placement.
+A race in which every supplier is priced writes the costs into the
+table's rows and asks from its asker lists; a race in which some decline
+at the gate builds rows and asker lists for the priced ones.  Each round
+asks every active supplier but the leader, which would pass and draw
+nothing, from the leader's asker list.  The ask is written out in the
+race loop, with no call per ask: draw the step through the generator's
+bound ``getrandbits`` from the bidder's step constants, and pass if the
+price falls below the supplier's marginal cost.  ``game.decide_bid`` is
+that same rule as a function, kept for callers that want one ask and for
+the benchmark's tracer.  The round minimum and its tied cutters are
+tracked as the bids arrive, and a tie is broken by ``rng.choice``'s draw
+written out: CPython's ``_randbelow`` loop on ``getrandbits``, as with
+the step, so a round makes no Python-level call.  ``RaceLog.counts``
+derives the race's asks, bids and passes afterwards.  The logs and the
+``CompetitionOutcome`` are named tuples made with ``tuple.__new__``,
+which runs no Python frame.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import count
@@ -329,34 +336,67 @@ class CompetitionOutcome(NamedTuple):
     race: RaceLog | None = None
 
 
+class Bidders:
+    """The bidding table of one run's suppliers, built once and read by every race.
+
+    ``ids`` and ``markups`` hold each supplier's id and markup.  ``rows``
+    holds one ``[index, mc, l_min, width, bits]`` list per supplier, the
+    last three being its ``UndercutPolicy.step``; a race in which every
+    supplier is priced writes the request's marginal costs into the
+    ``mc`` slots.  ``askers[k]`` lists the rows of every supplier but
+    ``k``: the askers of a round that ``k`` leads.
+    """
+
+    __slots__ = ("ids", "markups", "rows", "askers")
+
+    def __init__(self, suppliers):
+        self.ids = tuple([s.id for s in suppliers])
+        self.markups = [s.markup for s in suppliers]
+        self.rows = [[k, None, *s.policy.step] for k, s in enumerate(suppliers)]
+        self.askers = _askers(self.rows)
+
+
+def _askers(rows: list) -> list[list]:
+    """Per possible leader, the rows of every bidder but it."""
+    return [rows[:k] + rows[k + 1 :] for k in range(len(rows))]
+
+
 def run_competition(
     vc: VirtualChannel,
-    suppliers: list[SupplierAgent],
+    suppliers: Bidders | Sequence[SupplierAgent],
     rng: random.Random,
-    mcs: dict[str, int | None],
+    mcs: list[int | None],
     round_cap: int = DEFAULT_ROUND_CAP,
 ) -> CompetitionOutcome:
     """Run one undercutting auction to completion and record every message.
 
-    ``mcs`` maps every supplier id to its next-unit marginal cost, None for
-    a supplier with no capacity for even a single wavelength, which
-    declines at the gate and drops out.  Opening-bid ties pick the
-    provisional leader uniformly at random from the tied set; the same
-    rule applies when several cutters land on the round minimum.
+    ``suppliers`` is a ``Bidders`` table, or a sequence of suppliers from
+    which one is built.  ``mcs`` lists each supplier's next-unit marginal
+    cost in the same order, None for a supplier with no capacity for even
+    a single wavelength, which declines at the gate and drops out.  When
+    every supplier is priced, the race writes the costs into the table's
+    rows and asks from its asker lists; otherwise it builds rows and asker
+    lists for the priced ones.  Opening-bid ties pick the provisional
+    leader uniformly at random from the tied set; the same rule applies
+    when several cutters land on the round minimum.
     """
-    if not suppliers:
+    table = suppliers if isinstance(suppliers, Bidders) else Bidders(suppliers)
+    ids = table.ids
+    if not ids:
         raise ValueError("a competition needs at least one supplier")
     if round_cap < 1:
         raise ValueError("round_cap must be >= 1")
+    if len(mcs) != len(ids):
+        raise ValueError(f"{len(mcs)} marginal costs for {len(ids)} suppliers")
 
     x, y = vc.src, vc.dst
-    ids = tuple([s.id for s in suppliers])
     # markup times MC, rounded half up
-    prices = [None if (mc := mcs[sid]) is None else floor(s.markup * mc + 0.5) for sid, s in zip(ids, suppliers)]
+    prices = [None if mc is None else floor(markup * mc + 0.5) for markup, mc in zip(table.markups, mcs)]
     # The opening block is logged; the trace builds its events when they are read.
     opening = _new(OpeningLog, (x, y, ids, prices))
     # Bidders, the leader among them, are indexes into ``active``, which
-    # holds indexes into ``suppliers``.
+    # holds indexes into ``ids``; None when every supplier is priced.
+    active = None
     if None in prices:
         active = [i for i, p in enumerate(prices) if p is not None]
         if not active:
@@ -365,13 +405,13 @@ def run_competition(
         bidder_ids = tuple([ids[i] for i in active])
         opening_bids = [prices[i] for i in active]
     else:
-        active, bidder_ids, opening_bids = range(len(ids)), ids, prices
+        bidder_ids, opening_bids = ids, prices
     current_min = min(opening_bids)
     leader = opening_bids.index(current_min)
     if opening_bids.count(current_min) > 1:
         leader = rng.choice([k for k, p in enumerate(opening_bids) if p == current_min])
 
-    if len(active) == 1:
+    if len(opening_bids) == 1:
         trace = CompetitionTrace._logged(opening)
         return _new(CompetitionOutcome, (bidder_ids[0], current_min, 1, trace, Termination.WON, None))
 
@@ -379,10 +419,16 @@ def run_competition(
     race = _new(RaceLog, (x, y, bidder_ids, current_min, [], []))
     starts, log = race.starts, race.bids
     add = log.append
-    # Step constants, the bound draw and one asker list per possible
-    # leader (every bidder but it) are set once per race, not per round.
-    bidders = [(k, mcs[ids[i]], *suppliers[i].policy.step) for k, i in enumerate(active)]
-    askers = [bidders[:k] + bidders[k + 1 :] for k in range(len(bidders))]
+    # Each bidder's row holds its MC and step constants, and each round
+    # asks from the asker list of its leader: the table's own when every
+    # supplier is priced, else lists built for this race's bidders.
+    if active is None:
+        for row, mc in zip(table.rows, mcs):
+            row[1] = mc
+        askers = table.askers
+    else:
+        rows = table.rows
+        askers = _askers([(k, mcs[i], *rows[i][2:]) for k, i in enumerate(active)])
     getrandbits = rng.getrandbits
     prev_contested = False
     for rnd in range(2, round_cap + 1):

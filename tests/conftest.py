@@ -44,8 +44,8 @@ VC_SEA_BOS = VirtualChannel("SEA", "BOS", "VC1")
 
 
 def probed_mcs(vc, suppliers):
-    """Each supplier's next-unit marginal cost on ``vc``, as ``run_scenario`` probes it for the race."""
-    return {s.id: s.next_unit_mc(vc) for s in suppliers}
+    """Each supplier's next-unit marginal cost on ``vc``, in order, as ``run_scenario`` probes it for the race."""
+    return [s.next_unit_mc(vc) for s in suppliers]
 
 
 def ocl_prices(trace):

@@ -1,6 +1,8 @@
+import collections
 import dataclasses
 import gc
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -369,6 +371,104 @@ class TestRunScenario:
         rec = report.records[0]
         assert rec.reference_mc == 600
         assert (rec.band_low, rec.band_high) == (500, 700)
+
+
+def random_scenario(rng: random.Random, tag: int) -> ScenarioConfig:
+    """2-4 suppliers on S-M-T triangles of capacity 0-3, asked for S-T and S-M units.
+
+    Capacity runs out within a run, so a request may see some suppliers
+    decline at the gate, every one of them, or a single one priced; one
+    market in four gives every supplier the same costs, markup and steps,
+    so their opening bids tie.  Steps are small against the prices, so
+    each race descends to the bidders' marginal costs.
+    """
+    tied = rng.random() < 0.25
+    costs, markup, policy = [rng.randint(20, 60) for _ in range(3)], rng.choice((1.5, 2.0)), UndercutPolicy(1, 3)
+    suppliers = []
+    for i in range(rng.randint(2, 4)):
+        if not tied:
+            costs, markup = [rng.randint(20, 60) for _ in range(3)], rng.choice((1.5, 2.0))
+            lo = rng.randint(1, 4)
+            policy = UndercutPolicy(lo, rng.randint(lo, 8))
+        links = [(a, b, rng.randint(0, 3), cost) for (a, b), cost in zip((("S", "T"), ("S", "M"), ("M", "T")), costs)]
+        suppliers.append(SupplierConfig(mknet(links, wavelength_count=rng.randint(2, 4), net_id=f"m{tag}n{i}"), policy, markup))
+    channels = (
+        ChannelConfig(VirtualChannel("S", "T", "ST"), LinearDemand(a=rng.uniform(1, 4), b=0.001)),
+        ChannelConfig(VirtualChannel("S", "M", "SM"), LinearDemand(a=rng.uniform(1, 3), b=0.001)),
+    )
+    schedule = tuple((r, rng.choice(("ST", "SM"))) for r in range(rng.randint(4, 10)))
+    return ScenarioConfig(f"m{tag}", rng.randrange(2**31), tuple(suppliers), channels, schedule)
+
+
+def reference_run(config: ScenarioConfig):
+    """``run_scenario``'s records and trace lines, from the public per-request calls.
+
+    Each request probes every supplier with ``next_unit_mc``, races on a
+    plain supplier list, settles and commits, and takes the band from
+    ``equilibrium_bounds``.  Also returns which kinds of request the run
+    had.
+    """
+    rng = random.Random(config.seed)
+    agents = [SupplierAgent(sc.network.id, sc.network, None, sc.policy, sc.markup) for sc in config.suppliers]
+    channels = {ch.vc.label: ch for ch in config.channels}
+    records, lines, kinds = [], [], []
+    for index, (request_round, label) in enumerate(config.schedule):
+        ch = channels[label]
+        mcs = [agent.next_unit_mc(ch.vc) for agent in agents]
+        priced = [(mc, agent) for mc, agent in zip(mcs, agents) if mc is not None]
+        openings = sorted(math.floor(agent.markup * mc + 0.5) for mc, agent in priced)
+        kinds.append(
+            "all declined" if not priced
+            else "one priced" if len(priced) == 1
+            else "some declined" if len(priced) < len(agents)
+            else "tied openings" if openings[0] == openings[1]
+            else "all priced"
+        )
+        outcome = run_competition(ch.vc, list(agents), rng, mcs, config.round_cap)
+        termination, trace = outcome.termination, outcome.trace
+        demand, granted, revenue, cost = None, 0, 0, 0
+        if termination is Termination.WON:
+            winner = next(agent for agent in agents if agent.id == outcome.winner)
+            result = settle(outcome, ch.demand, winner, ch.vc, config.reject_partial)
+            if result.allocation_delta:
+                winner.commit(result.allocation_delta)
+            termination, demand, granted, revenue, cost = result[:5]
+            trace = trace.settled(result.events)
+        counts = outcome.race.counts() if outcome.race is not None else (0, 0, 0, 0)
+        ref = low = high = within = None
+        if len(priced) >= 2:
+            bound = equilibrium_bounds([mc for mc, _ in priced], [agent.policy for _, agent in priced])
+            ref, (low, high) = bound.reference_mc, bound.interval()
+            if outcome.final_price is not None:
+                within = low <= outcome.final_price <= high
+        records.append(AuctionRecord(
+            index, request_round, label, termination.value, outcome.winner, outcome.final_price, outcome.rounds,
+            *counts, demand, granted, revenue, cost, ref, low, high, within,
+        ))
+        lines.append(trace.lines())
+    return records, lines, kinds
+
+
+class TestRunScenarioMatchesReference:
+    def test_generated_markets(self):
+        rng = random.Random(2026)
+        seen = collections.Counter()
+        declined_then_all_priced = long_races = 0
+        for tag in range(240):
+            config = random_scenario(rng, tag)
+            records, lines, kinds = reference_run(config)
+            report = run_scenario(config)
+            assert list(report.records) == records, tag
+            assert [trace.lines() for trace in report.traces] == lines, tag
+            seen.update(kinds)
+            long_races += sum(rec.rounds > 3 for rec in records)
+            declined_then_all_priced += sum(
+                a == "some declined" and b in ("all priced", "tied openings") for a, b in zip(kinds, kinds[1:])
+            )
+        # every kind of request occurs, and races on all suppliers right after one on a subset
+        assert len(seen) == 5 and min(seen.values()) >= 50, seen
+        assert declined_then_all_priced >= 30
+        assert long_races >= 500
 
 
 class TestSweep:

@@ -11,6 +11,7 @@ import pytest
 from wavebroker import (
     Allocation,
     Bid,
+    Bidders,
     ChannelConfig,
     CompetitionOutcome,
     CompetitionTrace,
@@ -94,7 +95,7 @@ class TestGateExceptions:
 
     def test_no_suppliers_is_an_error(self):
         with pytest.raises(ValueError):
-            run_competition(VC, [], random.Random(0), {})
+            run_competition(VC, [], random.Random(0), [])
 
 
 class TestMultiSupplier:
@@ -381,8 +382,9 @@ def reference_race(vc, suppliers, rng, mcs, round_cap=10_000):
     reqc = Reqc(x, y)
     events = [TraceEvent(1, BROKER_TO_SUPPLIER, s.id, reqc) for s in suppliers]
     bids = {}
+    mc_of = dict(zip([s.id for s in suppliers], mcs))
     for s in suppliers:
-        mc = mcs[s.id]
+        mc = mc_of[s.id]
         if mc is None:
             events.append(TraceEvent(1, SUPPLIER_TO_BROKER, s.id, Exc1(0, 0, x, y)))
             continue
@@ -406,7 +408,7 @@ def reference_race(vc, suppliers, rng, mcs, round_cap=10_000):
         events += [TraceEvent(rnd, BROKER_TO_SUPPLIER, s.id, ocl) for s in active]
         cutters = []
         for s in active:
-            decision = reference_decide(current_min, mcs[s.id], s is leader, s.policy, rng)
+            decision = reference_decide(current_min, mc_of[s.id], s is leader, s.policy, rng)
             if isinstance(decision, Bid):
                 events.append(TraceEvent(rnd, SUPPLIER_TO_BROKER, s.id, Offp(decision.price, x, y)))
                 cutters.append((s, decision.price))
@@ -542,6 +544,48 @@ class TestRaceMatchesReference:
                 assert all(len(prices) == n - 1 and len(set(prices)) == 1 for prices in bids.values())
 
 
+class TestBidders:
+    """A bidding table built once races as the plain supplier list it was built from."""
+
+    def test_a_reused_table_races_as_a_fresh_list(self):
+        rng = random.Random(77)
+        for trial in range(80):
+            tied = trial % 3 == 0
+            suppliers = random_market(rng, tied)
+            table = Bidders(suppliers)
+            # one table across races whose costs change, some with gate declines or ties
+            for race_no in range(6):
+                base = rng.randint(100, 130)
+                mcs = [
+                    None if rng.random() < 0.15 else base if tied or rng.random() < 0.3 else rng.randint(100, 130)
+                    for _ in suppliers
+                ]
+                got_rng, want_rng = random.Random(race_no), random.Random(race_no)
+                got = run_competition(VC, table, got_rng, mcs)
+                want = run_competition(VC, list(suppliers), want_rng, mcs)
+                assert got.trace.lines() == want.trace.lines(), (trial, race_no)
+                assert got == want and got_rng.getstate() == want_rng.getstate(), (trial, race_no)
+
+    def test_a_table_keeps_the_suppliers_order_and_constants(self):
+        suppliers = [supplier(f"S{i}", 100, policy=UndercutPolicy(i + 1, 2 * i + 3), markup=1.5 + i) for i in range(3)]
+        table = Bidders(suppliers)
+        assert table.ids == ("S0", "S1", "S2") and table.markups == [1.5, 2.5, 3.5]
+        assert table.rows == [[k, None, *s.policy.step] for k, s in enumerate(suppliers)]
+        # each leader's askers are the other rows themselves, which a race writes its costs into
+        assert [[row[0] for row in askers] for askers in table.askers] == [[1, 2], [0, 2], [0, 1]]
+        assert all(row is table.rows[row[0]] for askers in table.askers for row in askers)
+        run_competition(VC, table, random.Random(0), [300, 310, 320])
+        assert [row[1] for row in table.rows] == [300, 310, 320]
+
+    def test_costs_must_match_the_suppliers(self):
+        suppliers = [supplier("A", 100), supplier("B", 120)]
+        for table in (suppliers, Bidders(suppliers)):
+            with pytest.raises(ValueError, match="3 marginal costs for 2 suppliers"):
+                run_competition(VC, table, random.Random(0), [100, 120, 130])
+        with pytest.raises(ValueError, match="at least one supplier"):
+            run_competition(VC, Bidders([]), random.Random(0), [])
+
+
 class DrawRecorder(random.Random):
     """A generator that records each ``getrandbits`` draw as (bits, value)."""
 
@@ -569,7 +613,8 @@ class TestPerAsk:
         rng = DrawRecorder(11)
         out = run_competition(VC, suppliers, rng, mcs)
         asks, bids, passes, most_cutters = out.race.counts()
-        active = [s.id for s in suppliers if mcs[s.id] is not None]
+        mc_of = dict(zip([s.id for s in suppliers], mcs))
+        active = [sid for sid, mc in mc_of.items() if mc is not None]
         assert out.rounds > 5
         assert asks == (out.rounds - 1) * (len(active) - 1)
         l_min, width, bits = self.POLICY.step
@@ -595,7 +640,7 @@ class TestPerAsk:
 
             def bids_if_led_by(leader):
                 askers = [sid for sid in active if sid != leader]
-                return [(sid, price - l_min - r) for sid, r in zip(askers, draws) if price - l_min - r >= mcs[sid]]
+                return [(sid, price - l_min - r) for sid, r in zip(askers, draws) if price - l_min - r >= mc_of[sid]]
 
             assert offers.get(k + 2, []) in [bids_if_led_by(leader) for leader in active], k + 2
 
@@ -671,12 +716,14 @@ def capacity_bound_config():
 
 
 class TestRequestBudget:
-    # Python-level calls of one run of capacity_bound_config(): 604 when
-    # this was set, about 50 per request.  Placement finds its tables on
-    # the network object, so it hashes no network or channel, and a
-    # state's probe keeps its kernel pick for the next probe of that state
-    # and for the winner's settlement: 19 kernel calls when this was set.
-    BUDGET = 620
+    # Python-level calls of one run of capacity_bound_config(): 527 when
+    # this was set, about 44 per request.  The race's bidding table and the
+    # band's largest step are built once per run, so a request builds
+    # neither.  Placement finds its tables on the network object, so it
+    # hashes no network or channel, and a state's probe keeps its kernel
+    # pick for the next probe of that state and for the winner's
+    # settlement: 19 kernel calls when this was set.
+    BUDGET = 544
     HASHES = 60
     KERNEL_CALLS = 25
 
