@@ -22,7 +22,8 @@ that, as each carries the previous round's lowest bid.
 first read, so a run whose traces nobody reads builds no per-message
 objects, and a trace not yet read pickles as its logs.  Its trace lines
 come from the logs as well, one f-string per message, so writing a
-trace builds no events and keeps the logs.
+trace builds no events and keeps the logs, and ``validate_trace``
+checks the opening block and the race from their logs too.
 
 What only the suppliers determine is built once per run, in a
 ``Bidders`` table: their ids and markups, one row ``[index, mc, l_min,
@@ -479,15 +480,67 @@ def run_competition(
     return _new(CompetitionOutcome, (bidder_ids[winner], final, rnd, trace, Termination.WON, race))
 
 
-def validate_trace(trace: CompetitionTrace) -> list[Violation]:
-    """Replay a trace against the protocol rules; empty list means conformant.
+# Settlement sequences the broker may end a competition with, as message types.
+LEGAL_TAILS = frozenset({(), (Ack,), (Nack,), (Exc2, Nack), (Exc1, Ack), (Exc1, Nack)})
 
-    Checks: the trace opens with a request broadcast; every announcement
-    carries the then-standing minimum; every bid after an announcement is
-    strictly below it; grant/deny/exception messages appear only in the
-    settlement tail, in a legal order.
+
+def validate_trace(trace: CompetitionTrace) -> list[Violation]:
+    """Check a trace against the protocol rules; empty list means conformant.
+
+    Checks: the trace opens with a request broadcast, answered once per
+    supplier asked; every announcement carries the then-standing minimum;
+    every bid after an announcement is strictly below it; grant/deny/
+    exception messages appear only in the settlement tail, in a legal
+    order.
+
+    A trace that still holds its logs is checked from them and keeps
+    them: the opening block and the race build no events, and the
+    settlement tail goes through the same replay as events do.  A trace
+    made from events, or whose logs were already read, is replayed event
+    by event.
     """
-    events = trace.events
+    opening = trace._opening
+    if opening is None:
+        return _replay(trace.events)
+    if not opening.ids:
+        return [Violation("missing-reqc", "trace must open with a connection request broadcast")]
+    violations: list[Violation] = []
+    # The opening block holds one request and one answer per supplier, as they should be.
+    priced = [p for p in opening.prices if p is not None]
+    minimum = min(priced) if priced else None
+    open_round = None
+    race = trace._race
+    if race is not None:
+        ids, bids = race.ids, race.bids
+        bidders = bids[::2]
+        # a bidder index outside ``ids`` raises, as building the events does
+        if bidders and not -len(ids) <= min(bidders) <= max(bidders) < len(ids):
+            raise IndexError(f"bidder index outside the race's {len(ids)} bidders")
+        if ids:
+            low = None  # the previous round's lowest bid
+            for rnd, price, start, end in race._rounds():
+                if low is not None:
+                    minimum = low
+                if minimum is None or price != minimum:
+                    violations.append(Violation("ocl-price-mismatch", f"announced {price}, standing minimum {minimum}"))
+                low = None
+                if end > start:
+                    offers = bids[start + 1 : end : 2]
+                    if max(offers) >= price:
+                        violations += [
+                            Violation("non-undercutting-bid", f"bid {p} does not beat announced {price}")
+                            for p in offers
+                            if p >= price
+                        ]
+                    low = min(offers)
+            if race.starts:
+                # the tail may continue the last round
+                open_round = (rnd, price, low)
+    return _check_rounds_and_tail(trace._tail, violations, minimum, 1, open_round)
+
+
+def _replay(events) -> list[Violation]:
+    """``validate_trace`` of a trace held as events, replayed one by one."""
     violations: list[Violation] = []
     if not events or not isinstance(events[0].message, Reqc):
         return [Violation("missing-reqc", "trace must open with a connection request broadcast")]
@@ -502,59 +555,69 @@ def validate_trace(trace: CompetitionTrace) -> list[Violation]:
             violations.append(Violation("inconsistent-round", "request broadcast spans rounds"))
         i += 1
 
+    # The opening block ends after one answer per request, so a gate
+    # exception later in the round is checked as part of the settlement.
     current_min: int | None = None
-    while i < len(events) and events[i].round == first_round:
+    answered = min(len(events), 2 * i)
+    while i < answered and events[i].round == first_round:
         ev = events[i]
         msg = ev.message
         if isinstance(msg, Offp):
             if ev.direction != SUPPLIER_TO_BROKER:
                 violations.append(Violation("bad-direction", "price offers flow supplier to broker"))
             current_min = msg.p if current_min is None else min(current_min, msg.p)
-        elif isinstance(msg, Exc1):
-            pass  # declined at the gate
-        else:
+        elif not isinstance(msg, Exc1):  # an Exc1 here declines at the gate
             break
         i += 1
+    return _check_rounds_and_tail(events[i:], violations, current_min, first_round)
 
-    last_round = first_round
+
+def _check_rounds_and_tail(events, violations, current_min, last_round, open_round=None) -> list[Violation]:
+    """Check the events after the opening block: rounds of announcements and bids, then settlement.
+
+    ``current_min`` is the standing minimum and ``last_round`` the round
+    reached.  ``open_round`` is ``(round, announced price, lowest bid or
+    None)`` of a round that ``events`` may continue, or None.  Appends to
+    ``violations`` and returns it.
+    """
+    rnd = announced = round_min = None
+    if open_round is not None:
+        rnd, announced, round_min = open_round
     settlement: list[TraceEvent] = []
-    while i < len(events):
-        ev = events[i]
+    for ev in events:
         msg = ev.message
+        if rnd is not None:
+            if ev.round == rnd and isinstance(msg, (Ocl, Offp)):
+                if isinstance(msg, Ocl):
+                    if msg.p != announced:
+                        violations.append(Violation("ocl-price-mismatch", "announcement prices differ within a round"))
+                else:
+                    if msg.p >= announced:
+                        violations.append(Violation("non-undercutting-bid", f"bid {msg.p} does not beat announced {announced}"))
+                    if round_min is None or msg.p < round_min:
+                        round_min = msg.p
+                continue
+            # the round ended: its lowest bid is the standing minimum
+            if round_min is not None:
+                current_min = round_min
+            last_round, rnd = rnd, None
         if ev.round < last_round:
             violations.append(Violation("inconsistent-round", "round numbers must not decrease"))
         if isinstance(msg, Ocl):
             if settlement:
                 violations.append(Violation("illegal-message", "price announcement after settlement began"))
-            rnd = ev.round
-            announced = msg.p
-            if current_min is None or announced != current_min:
-                violations.append(Violation("ocl-price-mismatch", f"announced {announced}, standing minimum {current_min}"))
-            round_bids: list[int] = []
-            while i < len(events) and events[i].round == rnd and isinstance(events[i].message, (Ocl, Offp)):
-                m = events[i].message
-                if isinstance(m, Ocl):
-                    if m.p != announced:
-                        violations.append(Violation("ocl-price-mismatch", "announcement prices differ within a round"))
-                else:
-                    if m.p >= announced:
-                        violations.append(Violation("non-undercutting-bid", f"bid {m.p} does not beat announced {announced}"))
-                    round_bids.append(m.p)
-                i += 1
-            if round_bids:
-                current_min = min(round_bids)
-            last_round = rnd
+            if current_min is None or msg.p != current_min:
+                violations.append(Violation("ocl-price-mismatch", f"announced {msg.p}, standing minimum {current_min}"))
+            rnd, announced, round_min = ev.round, msg.p, None
             continue
         if isinstance(msg, (Ack, Nack, Exc1, Exc2)):
             settlement.append(ev)
         else:
             violations.append(Violation("illegal-message", f"unexpected {_WIRE_NAMES[type(msg)]} mid-auction"))
         last_round = ev.round
-        i += 1
 
     tail = tuple(type(ev.message) for ev in settlement)
-    legal_tails = {(), (Ack,), (Nack,), (Exc2, Nack), (Exc1, Ack), (Exc1, Nack)}
-    if tail not in legal_tails:
+    if tail not in LEGAL_TAILS:
         names = ",".join(_WIRE_NAMES[t] for t in tail)
         violations.append(Violation("illegal-settlement", f"settlement sequence [{names}] is not legal"))
     for ev in settlement:

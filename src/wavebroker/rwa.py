@@ -251,67 +251,114 @@ def apply_delta(net: Network, state: Allocation, grant: Grant) -> Allocation:
 
 
 def validate_allocation(net: Network, alloc: Allocation, demands: dict[str, int] | None = None) -> list[Violation]:
-    """Independent invariant check, recounted from ``alloc.lightpaths`` alone.
+    """Independent invariant check, recounted from the grants' ``(hops, mask)`` runs alone.
 
     Verifies per-hop flow balance at every node for every (connection,
     wavelength) pair, link capacity sums, one-lightpath-one-direction cell
     exclusivity, and distinct wavelengths per connection.  When ``demands``
     maps connection ids to requested counts, the per-connection lightpath
-    count is checked against it.  The allocation's own index is not read.
+    count is checked against it.  The allocation's mask list and
+    connection counts are not read, and no ``LightPath`` is built.
+
+    A run's route is checked once and its findings repeated for each of
+    its units, with the wavelength range checked per unit, so the list
+    is the one a lightpath-by-lightpath check gives, in the same order.
+    Cells, link use and each connection's wavelengths are counted a run
+    at a time, as masks and popcounts.
     """
     violations: list[Violation] = []
-    cells: dict[tuple[tuple[str, str], int], int] = {}
+    top = net.wavelength_count
+    taken: dict[tuple[str, str], int] = {}  # per link, the wavelengths seen on it
     per_link: dict[tuple[str, str], int] = {}
-    waves: dict[str, list[int]] = {}
+    waves: dict[str, list[int]] = {}  # per connection, [wavelength mask, unit count]
+    shared = False
 
-    for lp in alloc.lightpaths:
-        waves.setdefault(lp.conn, []).append(lp.wavelength)
-        if not lp.hops:
-            violations.append(Violation("path-shape", f"{lp.conn}: empty hop list"))
-            continue
-        nodes = lp.nodes()
-        if nodes[0] != lp.vc.src or nodes[-1] != lp.vc.dst:
-            violations.append(Violation("path-shape", f"{lp.conn}: route does not join {lp.vc.src}->{lp.vc.dst}"))
-        if len(set(nodes)) != len(nodes):
-            violations.append(Violation("path-shape", f"{lp.conn}: route revisits a node"))
-        for i in range(len(lp.hops) - 1):
-            if lp.hops[i][1] != lp.hops[i + 1][0]:
-                violations.append(Violation("continuity", f"{lp.conn}: hops are not contiguous"))
-                break
-        if not 1 <= lp.wavelength <= net.wavelength_count:
-            violations.append(Violation("wavelength-range", f"{lp.conn}: wavelength {lp.wavelength} outside 1..{net.wavelength_count}"))
-        # flow balance per node on this (connection, wavelength) layer
-        balance: dict[str, int] = {}
-        for u, v in lp.hops:
-            key = link_key(u, v)
-            if key not in net.link_by_key:
-                violations.append(Violation("unknown-link", f"{lp.conn}: no link {key} in network {net.id!r}"))
-            balance[u] = balance.get(u, 0) + 1
-            balance[v] = balance.get(v, 0) - 1
-            cells[(key, lp.wavelength)] = cells.get((key, lp.wavelength), 0) + 1
-            per_link[key] = per_link.get(key, 0) + 1
-        for node, net_flow in balance.items():
-            expect = 1 if node == lp.vc.src else -1 if node == lp.vc.dst else 0
-            if net_flow != expect:
-                violations.append(Violation("continuity", f"{lp.conn}: flow imbalance {net_flow:+d} at {node}"))
+    for grant in alloc._grants:
+        conn, vc = grant.conn, grant.vc
+        for hops, mask in grant.runs:
+            if not mask:
+                continue
+            units = mask.bit_count()
+            seen = waves.setdefault(conn, [0, 0])
+            seen[0] |= mask
+            seen[1] += units
+            if not hops:
+                violations += [Violation("path-shape", f"{conn}: empty hop list")] * units
+                continue
+            before, after = _route_findings(net, conn, vc, hops)
+            if before or after or mask >> top:
+                for b in _bits(mask):
+                    violations += before
+                    if b >= top:
+                        violations.append(Violation("wavelength-range", f"{conn}: wavelength {b + 1} outside 1..{top}"))
+                    violations += after
+            for u, v in hops:
+                key = link_key(u, v)
+                per_link[key] = per_link.get(key, 0) + units
+                cells = taken.get(key, 0)
+                if cells & mask:
+                    shared = True
+                taken[key] = cells | mask
 
-    for (key, w), n in cells.items():
-        if n > 1:
-            violations.append(Violation("direction-exclusivity", f"{n} lightpaths share link {key} on wavelength {w}"))
+    if shared:
+        # Recount the cells unit by unit, in the order a lightpath-by-lightpath check meets them.
+        cell_counts: dict[tuple[tuple[str, str], int], int] = {}
+        for grant in alloc._grants:
+            for hops, mask in grant.runs:
+                for b in _bits(mask):
+                    for u, v in hops:
+                        cell = (link_key(u, v), b + 1)
+                        cell_counts[cell] = cell_counts.get(cell, 0) + 1
+        for (key, w), n in cell_counts.items():
+            if n > 1:
+                violations.append(Violation("direction-exclusivity", f"{n} lightpaths share link {key} on wavelength {w}"))
     for key, n in per_link.items():
         link = net.link_by_key.get(key)
         if link is not None and n > link.capacity:
             violations.append(Violation("capacity", f"link {key} carries {n} wavelengths, capacity {link.capacity}"))
 
-    for conn, ws in waves.items():
-        if len(set(ws)) != len(ws):
+    for conn, (mask, units) in waves.items():
+        if mask.bit_count() != units:
             violations.append(Violation("demand-count", f"{conn}: units share a wavelength index"))
     if demands is not None:
         for conn, want in demands.items():
-            got = len(waves.get(conn, ()))
+            got = waves[conn][1] if conn in waves else 0
             if got != want:
                 violations.append(Violation("demand-count", f"{conn}: {got} units allocated, {want} requested"))
     return violations
+
+
+def _route_findings(net: Network, conn: str, vc: VirtualChannel, hops) -> tuple[list[Violation], list[Violation]]:
+    """What ``validate_allocation`` finds on one unit's route, before and after its wavelength check.
+
+    Before: the route's endpoints, a revisited node and the first gap
+    between hops.  After: each hop that is not a link of ``net``, and
+    each node whose flow does not balance.
+    """
+    before: list[Violation] = []
+    nodes = _hops_nodes(hops)
+    if nodes[0] != vc.src or nodes[-1] != vc.dst:
+        before.append(Violation("path-shape", f"{conn}: route does not join {vc.src}->{vc.dst}"))
+    if len(set(nodes)) != len(nodes):
+        before.append(Violation("path-shape", f"{conn}: route revisits a node"))
+    for (_, v), (u, _) in zip(hops, hops[1:]):
+        if v != u:
+            before.append(Violation("continuity", f"{conn}: hops are not contiguous"))
+            break
+    after: list[Violation] = []
+    # flow balance per node on this (connection, wavelength) layer
+    balance: dict[str, int] = {}
+    for u, v in hops:
+        key = link_key(u, v)
+        if key not in net.link_by_key:
+            after.append(Violation("unknown-link", f"{conn}: no link {key} in network {net.id!r}"))
+        balance[u] = balance.get(u, 0) + 1
+        balance[v] = balance.get(v, 0) - 1
+    for node, net_flow in balance.items():
+        expect = 1 if node == vc.src else -1 if node == vc.dst else 0
+        if net_flow != expect:
+            after.append(Violation("continuity", f"{conn}: flow imbalance {net_flow:+d} at {node}"))
+    return before, after
 
 
 def dump_allocation(net: Network, alloc: Allocation) -> list[str]:

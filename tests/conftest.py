@@ -1,16 +1,34 @@
-"""Shared builders: quick networks, shipped-scenario paths, fuzz instance generators, race helpers."""
+"""Shared builders: quick networks, shipped-scenario paths, fuzz instance generators, generated and benchmark markets, race helpers."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from wavebroker import Allocation, Link, Network, VirtualChannel, apply_delta, incremental_allocate, make_network
+from wavebroker import (
+    Allocation,
+    ChannelConfig,
+    Link,
+    LinearDemand,
+    Network,
+    ScenarioConfig,
+    SupplierConfig,
+    UndercutPolicy,
+    VirtualChannel,
+    apply_delta,
+    incremental_allocate,
+    make_network,
+)
+from wavebroker.cli import load_scenario
 from wavebroker.protocol import Ocl
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def scenario_path(name: str) -> str:
@@ -141,3 +159,46 @@ def random_parallel_routes_net(rng: random.Random, tag: int, max_routes=3, max_l
 @pytest.fixture
 def rng():
     return random.Random(20_260_808)
+
+
+def random_scenario(rng: random.Random, tag: int) -> ScenarioConfig:
+    """2-4 suppliers on S-M-T triangles of capacity 0-3, asked for S-T and S-M units.
+
+    Capacity runs out within a run, so a request may see some suppliers
+    decline at the gate, every one of them, or a single one priced; one
+    market in four gives every supplier the same costs, markup and steps,
+    so their opening bids tie.  Steps are small against the prices, so
+    each race descends to the bidders' marginal costs.
+    """
+    tied = rng.random() < 0.25
+    costs, markup, policy = [rng.randint(20, 60) for _ in range(3)], rng.choice((1.5, 2.0)), UndercutPolicy(1, 3)
+    suppliers = []
+    for i in range(rng.randint(2, 4)):
+        if not tied:
+            costs, markup = [rng.randint(20, 60) for _ in range(3)], rng.choice((1.5, 2.0))
+            lo = rng.randint(1, 4)
+            policy = UndercutPolicy(lo, rng.randint(lo, 8))
+        links = [(a, b, rng.randint(0, 3), cost) for (a, b), cost in zip((("S", "T"), ("S", "M"), ("M", "T")), costs)]
+        suppliers.append(SupplierConfig(mknet(links, wavelength_count=rng.randint(2, 4), net_id=f"m{tag}n{i}"), policy, markup))
+    channels = (
+        ChannelConfig(VirtualChannel("S", "T", "ST"), LinearDemand(a=rng.uniform(1, 4), b=0.001)),
+        ChannelConfig(VirtualChannel("S", "M", "SM"), LinearDemand(a=rng.uniform(1, 3), b=0.001)),
+    )
+    schedule = tuple((r, rng.choice(("ST", "SM"))) for r in range(rng.randint(4, 10)))
+    return ScenarioConfig(f"m{tag}", rng.randrange(2**31), tuple(suppliers), channels, schedule)
+
+
+@functools.cache
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_config(tmp_path: Path, workload: str, seed: int, index: int) -> ScenarioConfig:
+    """Generated market ``index`` of a benchmark workload seed (``stress`` or ``auction``), loaded from a file."""
+    generate = {"stress": _workloads().stress_scenario, "auction": _workloads().auction_scenario}[workload]
+    path = tmp_path / f"{workload}_{seed}_{index}.json"
+    path.write_text(json.dumps(generate(seed, index)), encoding="utf-8")
+    return load_scenario(path)

@@ -49,7 +49,7 @@ from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
 from wavebroker import market, rwa
 from wavebroker.rwa import _link_masks
 
-from conftest import mknet, probed_mcs, scenario_path
+from conftest import mknet, probed_mcs, random_scenario, scenario_path
 
 VC = VirtualChannel("S", "T", "VC1")
 POLICY = UndercutPolicy(50, 100)
@@ -371,33 +371,6 @@ class TestRunScenario:
         rec = report.records[0]
         assert rec.reference_mc == 600
         assert (rec.band_low, rec.band_high) == (500, 700)
-
-
-def random_scenario(rng: random.Random, tag: int) -> ScenarioConfig:
-    """2-4 suppliers on S-M-T triangles of capacity 0-3, asked for S-T and S-M units.
-
-    Capacity runs out within a run, so a request may see some suppliers
-    decline at the gate, every one of them, or a single one priced; one
-    market in four gives every supplier the same costs, markup and steps,
-    so their opening bids tie.  Steps are small against the prices, so
-    each race descends to the bidders' marginal costs.
-    """
-    tied = rng.random() < 0.25
-    costs, markup, policy = [rng.randint(20, 60) for _ in range(3)], rng.choice((1.5, 2.0)), UndercutPolicy(1, 3)
-    suppliers = []
-    for i in range(rng.randint(2, 4)):
-        if not tied:
-            costs, markup = [rng.randint(20, 60) for _ in range(3)], rng.choice((1.5, 2.0))
-            lo = rng.randint(1, 4)
-            policy = UndercutPolicy(lo, rng.randint(lo, 8))
-        links = [(a, b, rng.randint(0, 3), cost) for (a, b), cost in zip((("S", "T"), ("S", "M"), ("M", "T")), costs)]
-        suppliers.append(SupplierConfig(mknet(links, wavelength_count=rng.randint(2, 4), net_id=f"m{tag}n{i}"), policy, markup))
-    channels = (
-        ChannelConfig(VirtualChannel("S", "T", "ST"), LinearDemand(a=rng.uniform(1, 4), b=0.001)),
-        ChannelConfig(VirtualChannel("S", "M", "SM"), LinearDemand(a=rng.uniform(1, 3), b=0.001)),
-    )
-    schedule = tuple((r, rng.choice(("ST", "SM"))) for r in range(rng.randint(4, 10)))
-    return ScenarioConfig(f"m{tag}", rng.randrange(2**31), tuple(suppliers), channels, schedule)
 
 
 def reference_run(config: ScenarioConfig):

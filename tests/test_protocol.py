@@ -22,6 +22,7 @@ from wavebroker import (
     SupplierConfig,
     Termination,
     UndercutPolicy,
+    Violation,
     VirtualChannel,
     run_competition,
     run_scenario,
@@ -44,7 +45,7 @@ from wavebroker.protocol import (
 )
 from wavebroker.topology import Link, make_network
 
-from conftest import mknet, ocl_prices, probed_mcs
+from conftest import benchmark_config, mknet, ocl_prices, probed_mcs, random_scenario
 
 VC = VirtualChannel("S", "T", "VC1")
 POLICY = UndercutPolicy(50, 100)
@@ -206,6 +207,151 @@ class TestValidateTraceViolations:
         )
         vios = validate_trace(CompetitionTrace(extended))
         assert "illegal-settlement" in {v.code for v in vios}
+
+    def test_a_round_one_settlement_is_checked_like_a_later_one(self):
+        # one priced supplier wins at its opening bid, so settlement is sent in round 1
+        lone = [supplier("S0", 300, capacity=0), supplier("S1", 305)]
+        mcs = probed_mcs(VC, lone)
+
+        def checked(tail):
+            def logged():
+                return run_competition(VC, lone, random.Random(1), mcs).trace.settled(tail)
+
+            vios = validate_trace(logged())
+            assert vios == validate_trace(CompetitionTrace(logged().events))
+            return vios
+
+        def tail(rnd, *messages):
+            return tuple(TraceEvent(rnd, direction, "S1", msg) for direction, msg in messages)
+
+        exc1, ack, nack = Exc1(1, 610, "S", "T"), Ack("S", "T", 1), Nack("S", "T")
+        bad = ((BROKER_TO_SUPPLIER, exc1), (SUPPLIER_TO_BROKER, exc1), (BROKER_TO_SUPPLIER, ack))
+        want = [
+            Violation("illegal-settlement", "settlement sequence [exc_1,exc_1,ack] is not legal"),
+            Violation("bad-direction", "exc_1 has the wrong direction"),
+        ]
+        # an exception after the opening answers is settlement, not a gate decline, in round 1 as in round 2
+        assert checked(tail(1, *bad)) == checked(tail(2, *bad)) == want
+        assert checked(tail(1, (SUPPLIER_TO_BROKER, exc1), (BROKER_TO_SUPPLIER, ack))) == []
+        extra = checked(tail(1, (SUPPLIER_TO_BROKER, exc1), (BROKER_TO_SUPPLIER, ack), (BROKER_TO_SUPPLIER, nack)))
+        assert [v.detail for v in extra] == ["settlement sequence [exc_1,ack,nack] is not legal"]
+
+    def test_a_logged_trace_is_checked_without_building_its_events(self, monkeypatch):
+        shapes = list(competitions_of_every_shape())
+        replayed = [validate_trace(CompetitionTrace(unread_trace().settled(tail).events)) for _, unread_trace, tail in shapes]
+        assert [] in replayed
+
+        def refuse(log):
+            raise AssertionError("events built")
+
+        monkeypatch.setattr(protocol.OpeningLog, "events", refuse)
+        monkeypatch.setattr(protocol.RaceLog, "events", refuse)
+        for (name, unread_trace, tail), want in zip(shapes, replayed):
+            trace = unread_trace().settled(tail)
+            unread = pickle.dumps(trace)
+            assert validate_trace(trace) == want, name
+            assert trace._opening is not None and trace._events is None, name
+            assert pickle.dumps(trace) == unread, name
+
+
+def logged_variants(rng, trace):
+    """(name, opening, race, tail) logs: the trace's own, then altered copies.
+
+    The copies lower an opening price, raise a bid to or above the price
+    it answers, lower a bid, and append a few random events to the
+    settlement tail or put them in its place, any of which may break the
+    protocol.  Events in place of the tail may continue the race's last
+    round.
+    """
+    opening, race, tail = trace._opening, trace._race, trace._tail
+    x, y = opening.x, opening.y
+    out = [("as run", opening, race, tail)]
+    priced = [k for k, p in enumerate(opening.prices) if p is not None]
+    if priced:
+        prices = list(opening.prices)
+        prices[rng.choice(priced)] -= rng.randint(1, 5)
+        out.append(("lowered opening price", opening._replace(prices=prices), race, tail))
+    announced = None
+    if race is not None and race.bids:
+        j = rng.randrange(1, len(race.bids), 2)
+        announced = next(price for _, price, start, end in race._rounds() if start < j < end)
+        for name, price in (
+            ("bid raised to the announced price", announced),
+            ("bid raised above the announced price", announced + rng.randint(1, 50)),
+            ("bid lowered", race.bids[j] - rng.randint(1, 5)),
+        ):
+            bids = list(race.bids)
+            bids[j] = price
+            out.append((name, opening, race._replace(bids=bids), tail))
+    last = 1 if race is None else 1 + len(race.starts)  # the last round run
+    for k in range(4):
+        pool = [
+            Ack(x, y, 1), Nack(x, y), Exc1(rng.randint(0, 2), 600, x, y), Exc2(x, y, 600),
+            Offp(rng.choice((announced or 600, 1, 10_000)), x, y), Ocl(x, y, rng.choice((announced or 600, 1))), Reqc(x, y),
+        ]
+        extra = tuple(
+            TraceEvent(rng.choice((last - 1, last, last + 1)), rng.choice((BROKER_TO_SUPPLIER, SUPPLIER_TO_BROKER)), "S0", rng.choice(pool))
+            for _ in range(rng.randint(1, 3))
+        )
+        out.append(("appended tail events", opening, race, tail + extra) if k % 2 else ("replaced tail events", opening, race, extra))
+    return out
+
+
+class TestLogCheckMatchesReplay:
+    """``validate_trace`` on a trace's logs agrees with the replay of its events."""
+
+    @staticmethod
+    def assert_agrees(opening, race, tail, name):
+        logged = CompetitionTrace._logged(opening, race, tail)
+        vios = validate_trace(logged)
+        assert logged._opening is not None, name
+        assert vios == validate_trace(CompetitionTrace(CompetitionTrace._logged(opening, race, tail).events)), name
+        return vios
+
+    def test_generated_markets(self, tmp_path):
+        rng = random.Random(77)
+        configs = [random_scenario(rng, tag) for tag in range(150)]
+        configs += [benchmark_config(tmp_path, "auction", 1, k) for k in range(3)]
+        configs += [benchmark_config(tmp_path, "stress", 1, 0)]
+        seen = collections.Counter()
+        for config in configs:
+            for trace in run_scenario(config).traces:
+                opening, race = trace._opening, trace._race
+                priced = sorted(p for p in opening.prices if p is not None)
+                seen["all declined"] += not priced
+                seen["shortfall at the opening"] += race is None and any(isinstance(ev.message, Exc1) for ev in trace._tail)
+                seen["tied openings"] += len(priced) > 1 and priced[0] == priced[1]
+                seen["race"] += race is not None
+                for name, *logs in logged_variants(rng, trace):
+                    vios = self.assert_agrees(*logs, name)
+                    seen[name] += 1
+                    tail = logs[2]
+                    seen["tail continues the last round"] += bool(
+                        race and tail and tail[0].round == 1 + len(race.starts) and isinstance(tail[0].message, (Ocl, Offp))
+                    )
+                    seen[f"{name}, flagged"] += bool(vios)
+                    if name == "as run":
+                        assert vios == [], config.id
+        kinds = ("all declined", "shortfall at the opening", "tied openings", "race", "tail continues the last round")
+        assert min(seen[kind] for kind in kinds) >= 50, seen
+        altered = ("lowered opening price", "bid lowered", "appended tail events", "replaced tail events")
+        assert min(seen[f"{name}, flagged"] for name in altered) >= 100, seen
+        # raising a bid always breaks a rule; the other changes may or may not
+        for name in ("bid raised to the announced price", "bid raised above the announced price"):
+            assert seen[f"{name}, flagged"] == seen[name] >= 100
+
+    def test_a_bidder_index_past_the_bidders_raises(self):
+        suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(4)]
+        trace = run_competition(VC, suppliers, random.Random(5), probed_mcs(VC, suppliers)).trace
+        race = trace._race
+        for index in (len(race.ids), -len(race.ids) - 1):
+            bids = list(race.bids)
+            bids[-2] = index
+            broken = race._replace(bids=bids)
+            with pytest.raises(IndexError):
+                validate_trace(CompetitionTrace._logged(trace._opening, broken))
+            with pytest.raises(IndexError):
+                CompetitionTrace._logged(trace._opening, broken).events
 
 
 SETTLEMENT_TAILS = {

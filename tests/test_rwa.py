@@ -1,3 +1,4 @@
+import collections
 import pickle
 import pickletools
 import random
@@ -18,6 +19,7 @@ from wavebroker import (
     SupplierConfig,
     UndercutPolicy,
     VirtualChannel,
+    Violation,
     apply_delta,
     brute_force_rwa,
     dump_allocation,
@@ -32,7 +34,7 @@ from wavebroker.cli import load_scenario
 from wavebroker.rwa import _fresh_conn_id, _hops_nodes, _link_masks, _net_tables, _path_tables
 from wavebroker.topology import Link, link_key, make_network
 
-from conftest import mknet, random_guard_instance, random_parallel_routes_net, scenario_path, two_route_net, VC_SEA_BOS
+from conftest import benchmark_config, mknet, random_guard_instance, random_parallel_routes_net, scenario_path, two_route_net, VC_SEA_BOS
 
 VC_AB = VirtualChannel("A", "B", "VC1")
 SOLVERS = (solve_min_cost_rwa, brute_force_rwa)
@@ -953,6 +955,195 @@ class TestValidator:
                     LightPath("c2", VC_AB, 1, (("B", "A"),)),
                 ]
             )
+
+
+def reference_validate_allocation(net, alloc, demands=None):
+    """``validate_allocation`` as first written: every check recounted lightpath by lightpath."""
+    violations = []
+    cells = {}
+    per_link = {}
+    waves = {}
+
+    for lp in alloc.lightpaths:
+        waves.setdefault(lp.conn, []).append(lp.wavelength)
+        if not lp.hops:
+            violations.append(Violation("path-shape", f"{lp.conn}: empty hop list"))
+            continue
+        nodes = lp.nodes()
+        if nodes[0] != lp.vc.src or nodes[-1] != lp.vc.dst:
+            violations.append(Violation("path-shape", f"{lp.conn}: route does not join {lp.vc.src}->{lp.vc.dst}"))
+        if len(set(nodes)) != len(nodes):
+            violations.append(Violation("path-shape", f"{lp.conn}: route revisits a node"))
+        for i in range(len(lp.hops) - 1):
+            if lp.hops[i][1] != lp.hops[i + 1][0]:
+                violations.append(Violation("continuity", f"{lp.conn}: hops are not contiguous"))
+                break
+        if not 1 <= lp.wavelength <= net.wavelength_count:
+            violations.append(Violation("wavelength-range", f"{lp.conn}: wavelength {lp.wavelength} outside 1..{net.wavelength_count}"))
+        balance = {}
+        for u, v in lp.hops:
+            key = link_key(u, v)
+            if key not in net.link_by_key:
+                violations.append(Violation("unknown-link", f"{lp.conn}: no link {key} in network {net.id!r}"))
+            balance[u] = balance.get(u, 0) + 1
+            balance[v] = balance.get(v, 0) - 1
+            cells[(key, lp.wavelength)] = cells.get((key, lp.wavelength), 0) + 1
+            per_link[key] = per_link.get(key, 0) + 1
+        for node, net_flow in balance.items():
+            expect = 1 if node == lp.vc.src else -1 if node == lp.vc.dst else 0
+            if net_flow != expect:
+                violations.append(Violation("continuity", f"{lp.conn}: flow imbalance {net_flow:+d} at {node}"))
+
+    for (key, w), n in cells.items():
+        if n > 1:
+            violations.append(Violation("direction-exclusivity", f"{n} lightpaths share link {key} on wavelength {w}"))
+    for key, n in per_link.items():
+        link = net.link_by_key.get(key)
+        if link is not None and n > link.capacity:
+            violations.append(Violation("capacity", f"link {key} carries {n} wavelengths, capacity {link.capacity}"))
+
+    for conn, ws in waves.items():
+        if len(set(ws)) != len(ws):
+            violations.append(Violation("demand-count", f"{conn}: units share a wavelength index"))
+    if demands is not None:
+        for conn, want in demands.items():
+            got = len(waves.get(conn, ()))
+            if got != want:
+                violations.append(Violation("demand-count", f"{conn}: {got} units allocated, {want} requested"))
+    return violations
+
+
+def unchecked_state(grants):
+    """An allocation holding ``grants`` as given, however broken: no cell or range check."""
+    return object.__new__(Allocation)._init(tuple(grants), {})
+
+
+def corrupted(rng, net, grants, kind):
+    """A copy of ``grants`` (a list, non-empty) broken in one way, ``kind``."""
+    grants = list(grants)
+    k = rng.randrange(len(grants))
+    g = grants[k]
+    runs = list(g.runs)
+    r = rng.randrange(len(runs))
+    hops, mask = runs[r]
+    if not hops and kind in ("unknown link", "discontinuous hops"):
+        hops = ((g.vc.src, g.vc.dst),)
+    if kind == "shared cell":
+        # another connection on the same cells, its route walked backwards or not
+        turned = tuple((v, u) for u, v in reversed(hops)) if rng.random() < 0.5 else hops
+        grants.insert(rng.randint(0, len(grants)), Grant(g.conn + "x", g.vc, ((turned, mask & -mask),), 1))
+        return grants
+    if kind == "wavelength above W":
+        runs[r] = (hops, mask | 1 << (net.wavelength_count + rng.randint(0, 2)))
+    elif kind == "unknown link":
+        i = rng.randrange(len(hops))
+        runs[r] = (hops[:i] + ((hops[i][0], "NOWHERE"), ("NOWHERE", hops[i][1])) + hops[i + 1 :], mask)
+    elif kind == "discontinuous hops":
+        runs[r] = ((hops[-1], *hops[:-1]) if len(hops) > 1 else (hops[0], hops[0]), mask)
+    elif kind == "empty hops":
+        runs[r] = ((), mask)
+    elif kind == "repeated wavelength":
+        runs.insert(rng.randint(0, len(runs)), (hops, mask & -mask))
+    grants[k] = Grant(g.conn, g.vc, tuple(runs), sum(m.bit_count() for _, m in runs))
+    return grants
+
+
+CORRUPTIONS = ("wavelength above W", "shared cell", "unknown link", "discontinuous hops", "empty hops", "repeated wavelength")
+
+
+class TestValidatorMatchesReference:
+    """``validate_allocation``, a run at a time, lists what the lightpath-by-lightpath reference lists."""
+
+    @staticmethod
+    def fuzzed_states(rng, tag):
+        links = [("S", "T", rng.randint(1, 6), rng.randint(1, 9))]
+        for m in range(rng.randint(1, 3)):
+            cap, cost = rng.randint(1, 6), rng.randint(1, 9)
+            links += [("S", f"M{m}", cap, cost), (f"M{m}", "T", cap, cost), (f"M{m}", "M9", cap, cost)]
+        net = mknet(links, wavelength_count=rng.randint(2, 8), net_id=f"val{tag}")
+        state = Allocation()
+        for step in range(rng.randint(1, 6)):
+            vc = rng.choice((VirtualChannel("S", "T", "V0"), VirtualChannel("S", "M9", "V1"), VirtualChannel("M0", "T", "V2")))
+            grant, _ = incremental_allocate(net, state, vc, rng.randint(1, 6))
+            state = apply_delta(net, state, grant)
+        return net, state
+
+    @staticmethod
+    def demands_of(rng, state):
+        counts = {}
+        for grant in state._grants:
+            counts[grant.conn] = counts.get(grant.conn, 0) + len(grant)
+        for conn in rng.sample(sorted(counts), min(len(counts), rng.randint(0, 2))):
+            counts[conn] += rng.choice((-1, 1))
+        if rng.random() < 0.3:
+            counts["ghost"] = 1
+        return counts
+
+    def test_fuzzed_and_corrupted_allocations(self, tmp_path):
+        rng = random.Random(8080)
+        cases = [self.fuzzed_states(rng, tag) for tag in range(150)]
+        for index in range(2):
+            report = run_scenario(benchmark_config(tmp_path, "stress", 1, index))
+            cases += [(report.networks[nid], report.final_states[nid]) for nid in report.network_ids]
+        flagged = collections.Counter()
+        for net, state in cases:
+            assert validate_allocation(net, state) == reference_validate_allocation(net, state) == []
+            demands = self.demands_of(rng, state)
+            assert validate_allocation(net, state, demands) == reference_validate_allocation(net, state, demands)
+            grants = [grant for grant in state._grants if grant.runs]
+            if not grants:
+                continue
+            for kind in CORRUPTIONS:
+                broken = grants
+                for extra in (kind, *rng.sample(CORRUPTIONS, rng.randint(0, 2))):
+                    broken = corrupted(rng, net, broken, extra)
+                bad = unchecked_state(broken)
+                vios = validate_allocation(net, bad)
+                assert vios == reference_validate_allocation(net, bad), kind
+                assert validate_allocation(net, bad, demands) == reference_validate_allocation(net, bad, demands), kind
+                flagged[kind] += bool(vios)
+        assert flagged.keys() == set(CORRUPTIONS) and min(flagged.values()) >= 100, flagged
+
+    def test_each_corruption_is_flagged_where_the_reference_flags_it(self):
+        net = mknet([("A", "B", 4, 5), ("B", "C", 4, 5)], wavelength_count=2)
+        vc = VirtualChannel("A", "C", "x")
+        route = (("A", "B"), ("B", "C"))
+        clean = grant_of("c1", vc, (route, [1, 2]))
+        cases = {
+            "wavelength above W": ([grant_of("c1", vc, (route, [1, 3]))], ["wavelength-range"]),
+            "shared cell": (
+                [clean, grant_of("c2", VirtualChannel("C", "A", "y"), ((("C", "B"), ("B", "A")), [2]))],
+                ["direction-exclusivity"] * 2,
+            ),
+            "unknown link": ([grant_of("c1", vc, ((("A", "Z"), ("Z", "C")), [1]))], ["unknown-link"] * 2),
+            "discontinuous hops": ([grant_of("c1", vc, ((("A", "B"), ("C", "B")), [1]))], ["path-shape"] * 2 + ["continuity"] * 3),
+            "empty hops": ([grant_of("c1", vc, ((), [1, 2]))], ["path-shape"] * 2),
+            "repeated wavelength": ([clean, grant_of("c1", vc, (route, [2]))], ["direction-exclusivity"] * 2 + ["demand-count"]),
+        }
+        assert set(cases) == set(CORRUPTIONS)
+        for kind, (grants, codes) in cases.items():
+            state = unchecked_state(grants)
+            vios = validate_allocation(net, state)
+            assert vios == reference_validate_allocation(net, state), kind
+            assert [v.code for v in vios] == codes, kind
+        state = unchecked_state([clean])
+        assert validate_allocation(net, state, {"c1": 3}) == reference_validate_allocation(net, state, {"c1": 3}) == [
+            Violation("demand-count", "c1: 2 units allocated, 3 requested")
+        ]
+
+    def test_a_stress_run_is_checked_without_building_a_lightpath(self, tmp_path, monkeypatch):
+        report = run_scenario(benchmark_config(tmp_path, "stress", 1, 0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LightPath built")
+
+        monkeypatch.setattr(rwa, "LightPath", refuse)
+        units = 0
+        for nid in report.network_ids:
+            state = report.final_states[nid]
+            assert validate_allocation(report.networks[nid], state) == []
+            units += len(state.lightpaths)
+        assert units > 500
 
 
 class TestDump:
