@@ -228,12 +228,16 @@ def apply_delta(net: Network, state: Allocation, grant: Grant) -> Allocation:
 
     The parent's masks under ``net`` are copied and each run is ORed in by
     link index, hop by hop, so a route that crosses one link twice clashes
-    with itself.  Raises ConflictError on a taken cell and ValueError on a
-    hop that is not a link of ``net``.  An empty grant returns ``state``.
+    with itself.  Raises ConflictError on a taken cell, and ValueError on a
+    hop that is not a link of ``net`` or, before any mask is written, on a
+    run whose mask is below 1.  An empty grant returns ``state``.
     """
     if not grant.count:
         return state
-    keys, index, _, _ = tables = _net_tables(net)
+    for _, bits in grant.runs:
+        if bits < 1:
+            raise ValueError(f"{grant.conn}: wavelength mask {bits} is below 1")
+    keys, index, _ = tables = _net_tables(net)
     masks = _link_masks(net, state, tables).copy()
     for hops, bits in grant.runs:
         for hop in hops:
@@ -404,15 +408,19 @@ ROUTES_PER_NETWORK = 2048
 def _tables_by_value(net: Network):
     """Sorted link keys, each hop's link index in either direction, capacities."""
     keys = tuple(sorted(net.link_by_key))
-    # one (u, v) tuple per link direction, shared by every hop tuple of the network
-    pairs = {hop: hop for k in keys for hop in (k, k[::-1])}
-    index = {hop: i for i, k in enumerate(keys) for hop in (k, k[::-1])}
+    # keyed by the arc table's own hop tuples, so a network holds one tuple per
+    # link direction; a link the arc table skips (a self-loop, or one to an
+    # unknown node) is keyed by its key and the key reversed
+    index = {hop: i for arcs in net.arcs.values() for _, hop, _, i in arcs}
+    for i, k in enumerate(keys):
+        index.setdefault(k, i)
+        index.setdefault(k[::-1], i)
     caps = tuple(min(net.link_by_key[k].capacity, net.wavelength_count) for k in keys)
-    return keys, index, caps, pairs
+    return keys, index, caps
 
 
 def _net_tables(net: Network):
-    """``(keys, index, caps, pairs)`` of ``_tables_by_value``, kept on ``net``."""
+    """``(keys, index, caps)`` of ``_tables_by_value``, kept on ``net``."""
     tables = net.__dict__.get("_net_tables")
     if tables is None:
         tables = net.__dict__["_net_tables"] = _tables_by_value(net)
@@ -422,17 +430,16 @@ def _net_tables(net: Network):
 @lru_cache(maxsize=2048)
 def _path_tables(net: Network, vc: VirtualChannel):
     """Per candidate path, cheapest first: its hop tuple, its cost, its link indexes
-    and whether it is the only candidate at its cost.  Keyed by value, and read
-    through ``_route``; a ``NoPathError`` is raised, not cached."""
-    _, index, _, pairs = _net_tables(net)
-    paths = route_candidates(net, vc)
-    costs = paths.costs
-    hops = tuple(tuple(pairs[hop] for hop in zip(p, p[1:])) for p in paths)
-    link_lists = tuple(tuple(index[hop] for hop in h) for h in hops)
+    and whether it is the only candidate at its cost.  The first three are
+    ``route_candidates``' ``hops``, ``costs`` and ``links``, whose hop tuples are
+    ``net.arcs``' own and whose link numbers are ``_net_tables``' link indexes.
+    Keyed by value, and read through ``_route``; a ``NoPathError`` is raised, not cached."""
+    routes = route_candidates(net, vc)
+    costs = routes.costs
     # costs ascend, so a tie can only be with a neighbour
     padded = (None,) + costs + (None,)
     alone = tuple(padded[i] != c != padded[i + 2] for i, c in enumerate(costs))
-    return hops, costs, link_lists, alone
+    return routes.hops, costs, routes.links, alone
 
 
 class _Route:
@@ -500,7 +507,7 @@ def _link_masks(net: Network, state: Allocation, tables=None) -> list[int]:
     list built from its grants, counting only hops on ``net``'s links.  A
     caller that holds ``_net_tables(net)`` passes it as ``tables``.
     """
-    keys, index, _, _ = tables or _net_tables(net)
+    keys, index, _ = tables or _net_tables(net)
     if state._keys is keys:
         return state._masks
     masks = [0] * len(keys)
@@ -629,7 +636,7 @@ def _flow_upper_bound(net: Network, state: Allocation, vc: VirtualChannel, need:
     Ignores wavelength layering, so it only proves infeasibility, never
     feasibility.  Early-exits once ``need`` units are proven possible.
     """
-    keys, _, caps, _ = tables = _net_tables(net)
+    keys, _, caps = tables = _net_tables(net)
     residual: dict[str, dict[str, int]] = {n: {} for n in net.nodes}
     for (a, b), cap, mask in zip(keys, caps, _link_masks(net, state, tables)):
         free = cap - mask.bit_count()

@@ -4,9 +4,10 @@ Link capacity bounds how many wavelengths the fiber may carry at once and
 ``unit_cost`` is the price of lighting one wavelength on it.  Networks are
 plain values; nothing here mutates after construction.  A network object
 does keep what is derived from it in its ``__dict__``: its hash, its link
-and adjacency maps, and the placement tables ``rwa`` keeps there
-(``_net_tables``, and ``_routes`` per channel).  Equality ignores them,
-and a pickle drops the hash and the placement tables.
+map, its arc table (``arcs``, which route enumeration walks and whose hop
+tuples every route table shares), and the placement tables ``rwa`` keeps
+there (``_net_tables``, and ``_routes`` per channel).  Equality ignores
+them, and a pickle drops the hash, the arc table and the placement tables.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ class Network:
 
     def __getstate__(self):
         # str hashes differ between processes, so a pickled copy rehashes;
-        # rwa's placement tables are kept here too, and rebuilt on first use
+        # the arc table and rwa's placement tables are kept here too, and
+        # rebuilt on first use
         state = dict(self.__dict__)
-        for name in ("_hash", "_net_tables", "_routes"):
+        for name in ("_hash", "arcs", "_net_tables", "_routes"):
             state.pop(name, None)
         return state
 
@@ -81,13 +83,19 @@ class Network:
         return out
 
     @cached_property
-    def adjacency(self) -> dict[str, tuple[str, ...]]:
-        nbrs: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for link in self.links:
-            if link.a in nbrs and link.b in nbrs and link.a != link.b:
-                nbrs[link.a].add(link.b)
-                nbrs[link.b].add(link.a)
-        return {n: tuple(sorted(v)) for n, v in nbrs.items()}
+    def arcs(self) -> dict[str, tuple[tuple[str, tuple[str, str], int, int], ...]]:
+        # per node, one (neighbour, hop, unit cost, link number) per neighbour;
+        # link numbers count the sorted link keys, which also puts each
+        # node's neighbours in label order, and a hop from the lower label
+        # is the link's key itself
+        out: dict[str, list] = {n: [] for n in self.nodes}
+        for i, key in enumerate(sorted(self.link_by_key)):
+            a, b = key
+            if a in out and b in out and a != b:
+                cost = self.link_by_key[key].unit_cost
+                out[a].append((b, key, cost, i))
+                out[b].append((a, (b, a), cost, i))
+        return {n: tuple(v) for n, v in out.items()}
 
 
 def make_network(net_id: str, nodes, links, wavelength_count: int) -> Network:
@@ -162,7 +170,9 @@ def path_cost(net: Network, path: Path) -> int:
 
 
 class Routes(list):
-    """Candidate paths, cheapest first; ``costs`` holds each one's ``path_cost``, in the same order."""
+    """Candidate paths, cheapest first, and per path, in the same order: its
+    ``path_cost`` in ``costs``, its hop tuples in ``hops`` and the numbers of
+    its links (their places in the sorted link keys) in ``links``."""
 
 
 def route_candidates(net: Network, vc: VirtualChannel) -> Routes:
@@ -170,10 +180,11 @@ def route_candidates(net: Network, vc: VirtualChannel) -> Routes:
 
     Ordering is total and insertion-independent: ascending per-wavelength
     path cost, ties broken lexicographically by the node-label sequence.
-    Each path's cost is summed once, for the sort, and kept in ``costs``.
-    Raises NoPathError when the endpoints are disconnected, and
-    NetworkTooLargeError beyond MAX_ROUTE_NODES nodes or, as soon as the
-    walk finds one more, beyond MAX_ROUTE_PATHS paths.
+    One walk over ``net.arcs`` finds the paths: each prefix carries its
+    cost, hops and link numbers, so a path's cost is summed as it is found
+    and the paths are sorted once.  Raises NoPathError when the endpoints
+    are disconnected, and NetworkTooLargeError beyond MAX_ROUTE_NODES nodes
+    or, as soon as the walk finds one more, beyond MAX_ROUTE_PATHS paths.
     """
     if len(net.nodes) > MAX_ROUTE_NODES:
         raise NetworkTooLargeError(
@@ -182,54 +193,53 @@ def route_candidates(net: Network, vc: VirtualChannel) -> Routes:
     if vc.src not in net.nodes or vc.dst not in net.nodes:
         raise ValueError(f"virtual channel {vc.label!r} references nodes outside network {net.id!r}")
 
-    adjacency = net.adjacency
+    arcs = net.arcs
+    src, dst = vc.src, vc.dst
     # The walk below visits every simple path from src, so look for dst first.
-    seen = {vc.src}
-    todo = [vc.src]
-    while todo and vc.dst not in seen:
-        for nxt in adjacency[todo.pop()]:
+    seen = {src}
+    todo = [src]
+    while todo and dst not in seen:
+        for nxt, _, _, _ in arcs[todo.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-    if vc.dst not in seen:
-        raise NoPathError(f"{vc.src} and {vc.dst} are disconnected in network {net.id!r}")
+    if dst not in seen:
+        raise NoPathError(f"{src} and {dst} are disconnected in network {net.id!r}")
 
     # A node that dst cannot reach without passing src lies on no simple
     # path, so the walk treats it as already on the path and never enters it.
-    reach = {vc.src, vc.dst}
-    todo = [vc.dst]
+    reach = {src, dst}
+    todo = [dst]
     while todo:
-        for nxt in adjacency[todo.pop()]:
+        for nxt, _, _, _ in arcs[todo.pop()]:
             if nxt not in reach:
                 reach.add(nxt)
                 todo.append(nxt)
 
-    found: list[Path] = []
-    stack = [vc.src]
-    on_path = {vc.src} | (net.nodes - reach)
+    found: list[tuple] = []
+    on_path = {src} | (net.nodes - reach)
 
-    def walk(node: str) -> None:
-        for nxt in adjacency[node]:
-            if nxt == vc.dst:
-                found.append(tuple(stack) + (vc.dst,))
+    def walk(node: str, path: Path, cost: int, hops: tuple, links: tuple) -> None:
+        for nxt, hop, unit_cost, link in arcs[node]:
+            if nxt == dst:
+                found.append((cost + unit_cost, path + (dst,), hops + (hop,), links + (link,)))
                 if len(found) > MAX_ROUTE_PATHS:
                     raise NetworkTooLargeError(
-                        f"more than {MAX_ROUTE_PATHS} paths join {vc.src} and {vc.dst};"
+                        f"more than {MAX_ROUTE_PATHS} paths join {src} and {dst};"
                         f" route enumeration is capped at {MAX_ROUTE_PATHS}"
                     )
             elif nxt not in on_path:
-                stack.append(nxt)
                 on_path.add(nxt)
-                walk(nxt)
+                walk(nxt, path + (nxt,), cost + unit_cost, hops + (hop,), links + (link,))
                 on_path.remove(nxt)
-                stack.pop()
 
     try:
-        walk(vc.src)
+        walk(src, (src,), 0, (), ())
     finally:
         del walk  # it refers to itself; unbinding it frees the paths without a GC pass
     # paths are distinct, so the sort never compares beyond them
-    costs, paths = zip(*sorted([(path_cost(net, p), p) for p in found]))
+    found.sort()
+    costs, paths, hop_lists, link_lists = zip(*found)
     routes = Routes(paths)
-    routes.costs = costs
+    routes.costs, routes.hops, routes.links = costs, hop_lists, link_lists
     return routes

@@ -303,7 +303,7 @@ def unit_at_a_time(net, state, vc, count):
     except NoPathError:
         return (), 0
     conn = _fresh_conn_id(state, vc.label)
-    _, _, caps, _ = _net_tables(net)
+    caps = _net_tables(net)[2]
     masks = _link_masks(net, state).copy()
     allowed = (1 << net.wavelength_count) - 1
     delta = []
@@ -387,6 +387,8 @@ class TestPathAtATime:
         assert alone == (True, False, False, True)
 
     def test_each_candidate_cost_is_summed_once(self, monkeypatch):
+        # the walk carries each prefix's cost, so enumeration never calls path_cost;
+        # every cost it keeps is still the path's path_cost
         summed = []
         real = topology.path_cost
 
@@ -403,7 +405,7 @@ class TestPathAtATime:
         all_hops, costs, _links, _alone = _path_tables(net, VC_AB)
         paths = [_hops_nodes(hops) for hops in all_hops]
         assert len(paths) == 65
-        assert sorted(summed) == sorted(paths)
+        assert summed == []
         # cheapest first, ties by node labels, each with its own cost
         assert costs == tuple(real(net, p) for p in paths)
         assert list(zip(costs, paths)) == sorted(zip(costs, paths))
@@ -461,6 +463,23 @@ class TestApplyDelta:
         assert len(state.lightpaths) == 1
         with pytest.raises(ConflictError):
             apply_delta(net, state, delta)
+
+    def test_a_run_mask_below_one_is_refused_before_any_write(self):
+        # a negative mask would make every later reader of the runs loop forever
+        net = mknet([("A", "B", 2, 5)])
+        good, _ = incremental_allocate(net, Allocation(), VC_AB, 1)
+        state = apply_delta(net, Allocation(), good)
+        kept = list(state._masks)
+        hops = (("A", "B"),)
+        for mask in (-1, 0):
+            for parent in (Allocation(), state):
+                with pytest.raises(ValueError, match=f"^c1: wavelength mask {mask} is below 1"):
+                    apply_delta(net, parent, Grant("c1", VC_AB, ((hops, mask),), 1))
+            # refused before the run ahead of it is written: that run's clash is never reached
+            with pytest.raises(ValueError, match="^c2: "):
+                apply_delta(net, state, Grant("c2", VC_AB, ((hops, 0b1), (hops, mask)), 2))
+        assert state._masks == kept and len(state.lightpaths) == 1
+        assert validate_allocation(net, state) == []
 
     def test_empty_delta_is_identity(self):
         net = mknet([("A", "B", 2, 5)])
@@ -766,11 +785,11 @@ class TestKeptTables:
     def test_a_pickled_network_carries_no_tables(self):
         net = two_route_net("pickled")
         assert marginal_cost(net, Allocation.empty(net), VC_SEA_BOS) == 125
-        assert {"_hash", "_net_tables", "_routes"} <= set(vars(net))
+        assert {"_hash", "arcs", "_net_tables", "_routes"} <= set(vars(net))
         data = pickle.dumps(net)
-        assert b"_net_tables" not in data and b"_routes" not in data and b"_hash" not in data
+        assert b"_net_tables" not in data and b"_routes" not in data and b"_hash" not in data and b"arcs" not in data
         copy = pickle.loads(data)
-        assert copy == net and not {"_hash", "_net_tables", "_routes"} & set(vars(copy))
+        assert copy == net and not {"_hash", "arcs", "_net_tables", "_routes"} & set(vars(copy))
         assert marginal_cost(copy, Allocation.empty(copy), VC_SEA_BOS) == 125
 
     def test_the_channel_map_stays_capped(self):

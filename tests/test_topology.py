@@ -1,6 +1,7 @@
 import gc
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,11 @@ from wavebroker import (
     validate_network,
 )
 
-from wavebroker.topology import MAX_ROUTE_PATHS
+from wavebroker import rwa
+from wavebroker.cli import load_scenario
+from wavebroker.topology import MAX_ROUTE_NODES, MAX_ROUTE_PATHS, Routes
 
-from conftest import mknet, two_route_net, VC_SEA_BOS
+from conftest import benchmark_config, mknet, scenario_path, two_route_net, VC_SEA_BOS
 
 
 def codes(violations):
@@ -102,15 +105,16 @@ class TestDomainTypes:
 
 
 def counted_reads(net):
-    """Make ``net``'s adjacency record each node read; returns the list of reads."""
+    """Make ``net``'s arc table, which the reachability searches and the walk read,
+    record each node read; returns the list of reads."""
     reads = []
 
-    class CountingAdjacency(dict):
+    class CountingArcs(dict):
         def __getitem__(self, node):
             reads.append(node)
             return super().__getitem__(node)
 
-    net.__dict__["adjacency"] = CountingAdjacency(net.adjacency)
+    net.__dict__["arcs"] = CountingArcs(net.arcs)
     return reads
 
 
@@ -161,7 +165,7 @@ class TestRouteCandidates:
 
     def test_an_unreachable_destination_is_found_before_any_path_is_walked(self):
         # a complete 7-node component beside an isolated node: walking every
-        # simple path from N0 would read the adjacency once per path prefix
+        # simple path from N0 would read the arc table once per path prefix
         nodes = [f"N{i}" for i in range(7)]
         links = [Link(a, b, 1, 1) for k, a in enumerate(nodes) for b in nodes[k + 1 :]]
         net = make_network("iso", nodes + ["Z"], links, 1)
@@ -175,7 +179,7 @@ class TestRouteCandidates:
 
     def test_nodes_behind_a_cut_vertex_at_src_are_never_walked(self):
         # S-D, with S also in a complete 8-node component: one path, but a
-        # walk into the component would read the adjacency once per simple
+        # walk into the component would read the arc table once per simple
         # path prefix from S (over 13,000 of them)
         clique = ["S"] + [f"N{i}" for i in range(7)]
         links = [Link(a, b, 1, 1) for k, a in enumerate(clique) for b in clique[k + 1 :]]
@@ -247,3 +251,195 @@ class TestRouteCandidates:
             for p in paths:
                 assert len(set(p)) == len(p)
             assert route_candidates(net, vc) == paths
+
+
+# -- reference route tables ----------------------------------------------------
+#
+# The route enumeration as it was before the one-walk build: a walk over node
+# tuples, each path's cost summed per hop afterwards, then every path zipped
+# again for its hop tuples and link indexes.
+
+
+def reference_adjacency(net):
+    nbrs = {n: set() for n in net.nodes}
+    for link in net.links:
+        if link.a in nbrs and link.b in nbrs and link.a != link.b:
+            nbrs[link.a].add(link.b)
+            nbrs[link.b].add(link.a)
+    return {n: tuple(sorted(v)) for n, v in nbrs.items()}
+
+
+def reference_route_candidates(net, vc):
+    """``(paths, costs)``, cheapest first, ties by node labels."""
+    if len(net.nodes) > MAX_ROUTE_NODES:
+        raise NetworkTooLargeError(
+            f"{len(net.nodes)} nodes; complete path enumeration is capped at {MAX_ROUTE_NODES}"
+        )
+    if vc.src not in net.nodes or vc.dst not in net.nodes:
+        raise ValueError(f"virtual channel {vc.label!r} references nodes outside network {net.id!r}")
+
+    adjacency = reference_adjacency(net)
+    seen = {vc.src}
+    todo = [vc.src]
+    while todo and vc.dst not in seen:
+        for nxt in adjacency[todo.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    if vc.dst not in seen:
+        raise NoPathError(f"{vc.src} and {vc.dst} are disconnected in network {net.id!r}")
+
+    reach = {vc.src, vc.dst}
+    todo = [vc.dst]
+    while todo:
+        for nxt in adjacency[todo.pop()]:
+            if nxt not in reach:
+                reach.add(nxt)
+                todo.append(nxt)
+
+    found = []
+    stack = [vc.src]
+    on_path = {vc.src} | (net.nodes - reach)
+
+    def walk(node):
+        for nxt in adjacency[node]:
+            if nxt == vc.dst:
+                found.append(tuple(stack) + (vc.dst,))
+                if len(found) > MAX_ROUTE_PATHS:
+                    raise NetworkTooLargeError(
+                        f"more than {MAX_ROUTE_PATHS} paths join {vc.src} and {vc.dst};"
+                        f" route enumeration is capped at {MAX_ROUTE_PATHS}"
+                    )
+            elif nxt not in on_path:
+                stack.append(nxt)
+                on_path.add(nxt)
+                walk(nxt)
+                on_path.remove(nxt)
+                stack.pop()
+
+    try:
+        walk(vc.src)
+    finally:
+        del walk
+    costs, paths = zip(*sorted([(path_cost(net, p), p) for p in found]))
+    return list(paths), costs
+
+
+def reference_path_tables(net, vc):
+    """``(paths, hops, costs, link_lists, alone)``, with link indexes in sorted link-key order."""
+    keys = tuple(sorted(net.link_by_key))
+    index = {hop: i for i, k in enumerate(keys) for hop in (k, k[::-1])}
+    paths, costs = reference_route_candidates(net, vc)
+    hops = tuple(tuple(zip(p, p[1:])) for p in paths)
+    link_lists = tuple(tuple(index[hop] for hop in h) for h in hops)
+    padded = (None,) + costs + (None,)
+    alone = tuple(padded[i] != c != padded[i + 2] for i, c in enumerate(costs))
+    return paths, hops, costs, link_lists, alone
+
+
+def assert_route_tables_match(net, vc):
+    """Compare the route tables with the reference's; returns the outcome: "paths" or the error type both raise."""
+    try:
+        paths, hops, costs, link_lists, alone = reference_path_tables(net, vc)
+    except (NoPathError, NetworkTooLargeError, ValueError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            route_candidates(net, vc)
+        return type(exc)
+    routes = route_candidates(net, vc)
+    assert type(routes) is Routes and routes == paths
+    assert (routes.costs, routes.hops, routes.links) == (costs, hops, link_lists)
+    assert rwa._path_tables(net, vc) == (hops, costs, link_lists, alone)
+    # every hop tuple is one the network's arc table already holds
+    own = {id(hop) for arcs in net.arcs.values() for _, hop, _, _ in arcs}
+    assert all(id(hop) in own for path_hops in routes.hops for hop in path_hops)
+    return "paths"
+
+
+LABELS = ["A", "B", "C", "D", "E", "F", "G", "N0", "N10", "N2", "a", "b1", "Z"]
+
+
+def random_route_net(rng, tag):
+    """A network of one or two components, tree-like to dense, with few or many link costs.
+
+    Some get a clique hung off one node (a cut vertex), a self-loop, a
+    second link between two nodes, or a link to a node outside the network.
+    Returns ``(net, cut)`` with ``cut`` the cut vertex or None.
+    """
+    nodes = rng.sample(LABELS[:10], rng.randint(2, 8))
+    pool = rng.choice([[1], [1, 2], [1, 2, 3], [2, 3, 5], list(range(1, 40))])
+    split = rng.randrange(1, len(nodes)) if len(nodes) > 2 and rng.random() < 0.25 else len(nodes)
+    density = rng.random()
+    pairs = []
+    for group in (nodes[:split], nodes[split:]):
+        for i in range(1, len(group)):
+            pairs.append((group[rng.randrange(i)], group[i]))
+        pairs += [(a, b) for k, a in enumerate(group) for b in group[k + 1 :] if rng.random() < density * 0.6]
+    cut = None
+    if rng.random() < 0.3:
+        cut = rng.choice(nodes)
+        block = [cut] + rng.sample(LABELS[10:], rng.randint(1, 3))
+        nodes += block[1:]
+        pairs += [(a, b) for k, a in enumerate(block) for b in block[k + 1 :]]
+    if rng.random() < 0.2:
+        pairs.append((nodes[0], nodes[0]))
+    if rng.random() < 0.2:
+        pairs.append(pairs[0][::-1])
+    if rng.random() < 0.1:
+        pairs.append((nodes[0], "OUT"))
+    links = [Link(a, b, 1, rng.choice(pool)) for a, b in pairs]
+    return make_network(f"routes{tag}", nodes, links, 1), cut
+
+
+class TestRouteTablesMatchReference:
+    def test_fuzzed_networks(self):
+        rng = random.Random(2511)
+        outcomes = {"paths": 0, NoPathError: 0, NetworkTooLargeError: 0}
+        tied = cut_src = 0
+        for tag in range(300):
+            net, cut = random_route_net(rng, tag)
+            nodes = sorted(net.nodes)
+            ends = [(a, b) for a in nodes for b in nodes if a != b]
+            if cut is not None:
+                ends = [(cut, b) for b in nodes if b != cut] + ends
+            for src, dst in ends[:12]:
+                vc = VirtualChannel(src, dst, "p")
+                outcome = assert_route_tables_match(net, vc)
+                outcomes[outcome] += 1
+                if outcome == "paths":
+                    costs = route_candidates(net, vc).costs
+                    tied += len(set(costs)) < len(costs)
+                    cut_src += src == cut
+        # past the path cap, and past the node cap, both raise the same error
+        clique = [f"K{i}" for i in range(9)]
+        net = make_network("clique", clique, [Link(a, b, 1, 1) for k, a in enumerate(clique) for b in clique[k + 1 :]], 1)
+        outcomes[assert_route_tables_match(net, VirtualChannel("K0", "K8", "p"))] += 1
+        line = [f"L{i:02d}" for i in range(MAX_ROUTE_NODES + 1)]
+        net = make_network("line", line, [Link(a, b, 1, 1) for a, b in zip(line, line[1:])], 1)
+        outcomes[assert_route_tables_match(net, VirtualChannel(line[0], line[-1], "p"))] += 1
+        assert outcomes[NetworkTooLargeError] == 2
+        assert outcomes["paths"] >= 1500 and outcomes[NoPathError] >= 100
+        assert tied >= 500 and cut_src >= 100
+
+    def test_one_hop_tuple_per_link_direction(self):
+        # the link index is keyed by the arc table's own hop tuples, and the route tables hold them too
+        links = [Link("A", "B", 1, 1), Link("B", "C", 1, 1), Link("A", "C", 1, 3), Link("C", "C", 1, 1), Link("C", "X", 1, 1)]
+        net = make_network("one-hop-set", "ABCD", links, 1)
+        keys, index, _ = rwa._net_tables(net)
+        index_keys = {k: k for k in index}
+        for arcs in net.arcs.values():
+            assert all(index_keys[hop] is hop for _, hop, _, _ in arcs)
+        for path_hops in rwa._path_tables(net, VirtualChannel("A", "C", "p"))[0]:
+            assert all(index_keys[hop] is hop for hop in path_hops)
+        # the self-loop and the link to an unknown node are indexed too, both ways
+        assert index == {hop: i for i, k in enumerate(keys) for hop in (k, k[::-1])}
+
+    def test_shipped_and_benchmark_markets(self, tmp_path):
+        configs = [load_scenario(scenario_path(name)) for name in ("duel", "three_channels", "two_route_costcurve")]
+        configs += [benchmark_config(tmp_path, workload, 1, index) for workload in ("stress", "auction") for index in range(3)]
+        outcomes = [
+            assert_route_tables_match(supplier.network, ch.vc)
+            for config in configs
+            for supplier in config.suppliers
+            for ch in config.channels
+        ]
+        assert len(outcomes) >= 150 and set(outcomes) == {"paths"}
