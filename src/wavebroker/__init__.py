@@ -65,10 +65,10 @@ from .protocol import (
     run_competition,
     validate_trace,
 )
+from .rwa import __getattr__  # LightPath, defined on its first use
 from .rwa import (
     Allocation,
     Grant,
-    LightPath,
     apply_delta,
     brute_force_rwa,
     dump_allocation,

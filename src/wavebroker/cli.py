@@ -13,7 +13,6 @@ import json
 import math
 import os
 import re
-import statistics
 import sys
 from json.encoder import encode_basestring_ascii
 from json.scanner import NUMBER_RE
@@ -415,6 +414,7 @@ def write_report_files(report: Report, out_dir: Path, emit_traces: bool = False)
 
 def sweep_summary_csv(profits: dict[str, list[float]], wins: dict[str, int]) -> str:
     """One row per network from its per-run profits and its count of auctions won."""
+    import statistics  # only sweeps need it
     lines = ["network,runs,auctions_won,mean_profit,std_profit"]
     for nid, runs in profits.items():
         mean = statistics.mean(runs)

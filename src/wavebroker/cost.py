@@ -9,22 +9,20 @@ linear with TC(0) = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyCurveError, InfeasibleError
 from .rwa import Allocation, _hops_cost, incremental_allocate, next_unit_cost
 from .topology import Network, VirtualChannel
 
 
-@dataclass(frozen=True)
-class CurveSegment:
+class CurveSegment(NamedTuple):
     q_from: int
     q_to: int
     mc: int
 
 
-@dataclass(frozen=True)
-class CostCurve:
+class CostCurve(NamedTuple):
     """Per-channel supply curve: contiguous constant-MC segments from q=1 up."""
 
     vc: VirtualChannel

@@ -17,39 +17,39 @@ applies once per round.  The race in ``protocol.run_competition`` writes
 the same rule out inline, so that an ask costs no Python-level call;
 ``decide_bid`` stays as the one-ask rule for callers, and as the binding
 through which the benchmark's tracer counts the game layer.  The step
-constants ``(l_min, width, bits)`` are ``UndercutPolicy.step``, set once
-when the policy is made.  A ``Bid`` and an ``EquilibriumBound`` are named
+constants ``(l_min, width, bits)`` are ``UndercutPolicy.step``, which a
+run reads once per supplier.  A ``Bid`` and an ``EquilibriumBound`` are named
 tuples, built with ``tuple.__new__`` so that making one runs no Python
 frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .cost import marginal_cost
-from .errors import DegenerateMarketError, InfeasibleError
+from .errors import DegenerateMarketError, InfeasibleError, Record, _set
 from .rwa import Allocation, apply_delta
 from .topology import Network, VirtualChannel
 
 
-@dataclass(frozen=True)
-class UndercutPolicy:
+class UndercutPolicy(Record):
     """Inclusive bounds, in minor units, for the random undercutting step.
 
-    ``step`` is ``(l_min, width, bits)``, the constants a step is drawn
-    from, set once when the policy is made.
+    ``step`` is ``(l_min, width, bits)``, the constants a step is drawn from.
     """
 
-    l_min: int
-    l_max: int
+    __slots__ = _fields = ("l_min", "l_max")
 
-    def __post_init__(self):
-        if not 0 < self.l_min <= self.l_max:
-            raise ValueError(f"need 0 < l_min <= l_max, got [{self.l_min}, {self.l_max}]")
+    def __init__(self, l_min: int, l_max: int):
+        if not 0 < l_min <= l_max:
+            raise ValueError(f"need 0 < l_min <= l_max, got [{l_min}, {l_max}]")
+        _set(self, "l_min", l_min), _set(self, "l_max", l_max)
+
+    @property
+    def step(self) -> tuple[int, int, int]:
         width = self.l_max - self.l_min + 1
-        object.__setattr__(self, "step", (self.l_min, width, width.bit_length()))
+        return self.l_min, width, width.bit_length()
 
 
 class Bid(NamedTuple):

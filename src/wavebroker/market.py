@@ -13,18 +13,16 @@ made, so ``run_scenario`` and sweep workers take it as valid.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import random
 import re
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
-from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, UnknownNetworkError
+from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, Record, UnknownNetworkError, _set
 from .game import SupplierAgent, UndercutPolicy, _new
 from .protocol import (
     BROKER_TO_SUPPLIER,
@@ -48,18 +46,16 @@ from .topology import MAX_ROUTE_NODES, Network, VirtualChannel, validate_network
 
 # -- demand --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearDemand:
+class LinearDemand(Record):
     """D(p) = max(0, floor(a - b*p)); a in wavelengths, b in wavelengths per minor unit."""
 
-    a: float
-    b: float
-
+    __slots__ = _fields = ("a", "b")
     kind = "linear"
 
-    def __post_init__(self):
-        if self.b < 0:
-            raise ValueError(f"slope b={self.b} is negative; demand must not rise with price")
+    def __init__(self, a: float, b: float):
+        if b < 0:
+            raise ValueError(f"slope b={b} is negative; demand must not rise with price")
+        _set(self, "a", a), _set(self, "b", b)
 
     def quantity(self, price: int) -> int:
         # a steep slope can overflow to -inf, which floor() refuses
@@ -67,18 +63,16 @@ class LinearDemand:
         return math.floor(q) if q > 0 else 0
 
 
-@dataclass(frozen=True)
-class ConstantElasticityDemand:
+class ConstantElasticityDemand(Record):
     """D(p) = floor(a * p**(-eps)), defined from one minor unit upward."""
 
-    a: float
-    eps: float
-
+    __slots__ = _fields = ("a", "eps")
     kind = "constant_elasticity"
 
-    def __post_init__(self):
-        if self.eps <= 0:
+    def __init__(self, a: float, eps: float):
+        if eps <= 0:
             raise ValueError("elasticity must be positive")
+        _set(self, "a", a), _set(self, "eps", eps)
 
     def quantity(self, price: int) -> int:
         return max(0, math.floor(self.a * max(price, 1) ** (-self.eps)))
@@ -96,11 +90,12 @@ def broker_demand(df: DemandFunction, price: int) -> int:
 
 # -- ledger --------------------------------------------------------------------
 
-@dataclass
-class LedgerEntry:
-    revenue: int = 0
-    cost: int = 0
-    wavelengths_sold: int = 0
+class LedgerEntry(Record):
+    __slots__ = _fields = ("revenue", "cost", "wavelengths_sold")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # added to in place
+
+    def __init__(self, revenue: int = 0, cost: int = 0, wavelengths_sold: int = 0):
+        self.revenue, self.cost, self.wavelengths_sold = revenue, cost, wavelengths_sold
 
     @property
     def profit(self) -> int:
@@ -239,32 +234,26 @@ NODE_ID_RULE = "must be letters, digits, '_' or '.', not starting with '.'"
 MAX_OPENING_BID = 2**53
 
 
-@dataclass(frozen=True)
-class SupplierConfig:
+class SupplierConfig(NamedTuple):
     network: Network
     policy: UndercutPolicy
     markup: float
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
+class ChannelConfig(NamedTuple):
     vc: VirtualChannel
     demand: DemandFunction
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     """A valid scenario: making one with any problem raises ``ConfigError``."""
 
-    id: str
-    seed: int
-    suppliers: tuple[SupplierConfig, ...]
-    channels: tuple[ChannelConfig, ...]
-    schedule: tuple[tuple[int, str], ...]
-    round_cap: int = DEFAULT_ROUND_CAP
-    reject_partial: bool = False
+    _fields = ("id", "seed", "suppliers", "channels", "schedule", "round_cap", "reject_partial")
+    __slots__ = (*_fields, "__weakref__")  # so that a run is seen to keep no config alive
 
-    def __post_init__(self):
+    def __init__(self, id: str, seed: int, suppliers: tuple[SupplierConfig, ...], channels: tuple[ChannelConfig, ...],
+                 schedule: tuple[tuple[int, str], ...], round_cap: int = DEFAULT_ROUND_CAP, reject_partial=False):
+        super().__init__(id, seed, suppliers, channels, schedule, round_cap, reject_partial)
         problems = validate_scenario(self)
         if problems:
             raise ConfigError(problems)
@@ -368,17 +357,10 @@ class AuctionRecord(NamedTuple):
 _TERMINATION_TEXT = {t: t.value for t in Termination}
 
 
-@dataclass
-class Report:
-    scenario_id: str
-    seed: int
-    network_ids: tuple[str, ...]
-    vc_labels: tuple[str, ...]
-    ledger: ProfitLedger
-    records: tuple[AuctionRecord, ...]
-    traces: tuple[CompetitionTrace, ...]
-    final_states: dict[str, Allocation]
-    networks: dict[str, Network]
+class Report(Record):
+    __slots__ = _fields = ("scenario_id", "seed", "network_ids", "vc_labels", "ledger", "records", "traces",
+                           "final_states", "networks")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None  # writable, as a LedgerEntry
 
 
 def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Report:
@@ -474,6 +456,7 @@ SWEEP_RUNS_PER_WORKER = 2
 
 def child_seed(root: int, index: int) -> int:
     """Stable 63-bit child seed for run ``index`` of a sweep rooted at ``root``."""
+    import hashlib  # only sweeps need it
     digest = hashlib.sha256(f"{root}:{index}".encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 

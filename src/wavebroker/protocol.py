@@ -10,8 +10,9 @@ with a single cutter right after a round that had several.  Demand and
 grant/deny messages are exchanged at settlement, after the price is final.
 
 Every message is recorded.  A trace event is a named tuple (round,
-direction, supplier_id, message) and messages are frozen, slotted
-dataclasses that compare by value.  A competition, though, records no
+direction, supplier_id, message) and messages are read-only, slotted
+records (``errors.Record``) that compare by type and value, so message
+types with equal fields differ.  A competition, though, records no
 per-message objects.  Its opening block is an ``OpeningLog``: the
 supplier ids and each one's opening price, or None where it declined at
 the gate.  The race, where nearly all messages are sent, records only
@@ -52,17 +53,15 @@ which runs no Python frame.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import count
 from math import floor
 from operator import sub
 from typing import NamedTuple
 
-from .errors import RoundCapExceededError, Violation
+from .errors import Record, RoundCapExceededError, Violation, _set
 from .game import SupplierAgent, _new
 from .game import decide_bid  # noqa: F401 -- the race inlines it; perfbench/layers.py traces the game layer by this name
 from .topology import VirtualChannel
@@ -76,66 +75,60 @@ DEFAULT_ROUND_CAP = 10_000
 MAX_ROUND_CAP = 1_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class Reqc:
+class Reqc(Record):
     """Open a competition for the virtual link x-y."""
+    __slots__ = _fields = ("x", "y")
 
-    x: str
-    y: str
+    def __init__(self, x: str, y: str):
+        _set(self, "x", x), _set(self, "y", y)
 
 
-@dataclass(frozen=True, slots=True)
-class Offp:
+class Offp(Record):
     """A supplier's per-wavelength price offer."""
+    __slots__ = _fields = ("p", "x", "y")
 
-    p: int
-    x: str
-    y: str
+    def __init__(self, p: int, x: str, y: str):
+        _set(self, "p", p), _set(self, "x", x), _set(self, "y", y)
 
 
-@dataclass(frozen=True, slots=True)
-class Ocl:
+class Ocl(Record):
     """Broker: beat this price.  Carries no bidder identity."""
+    __slots__ = _fields = ("x", "y", "p")
 
-    x: str
-    y: str
-    p: int
+    def __init__(self, x: str, y: str, p: int):
+        _set(self, "x", x), _set(self, "y", y), _set(self, "p", p)
 
 
-@dataclass(frozen=True, slots=True)
-class Nack:
+class Nack(Record):
     """The link request is not granted."""
+    __slots__ = _fields = ("x", "y")
 
-    x: str
-    y: str
+    def __init__(self, x: str, y: str):
+        _set(self, "x", x), _set(self, "y", y)
 
 
-@dataclass(frozen=True, slots=True)
-class Ack:
+class Ack(Record):
     """The link request is granted with d wavelengths to provision."""
+    __slots__ = _fields = ("x", "y", "d")
 
-    x: str
-    y: str
-    d: int
+    def __init__(self, x: str, y: str, d: int):
+        _set(self, "x", x), _set(self, "y", y), _set(self, "d", d)
 
 
-@dataclass(frozen=True, slots=True)
-class Exc1:
+class Exc1(Record):
     """Supplier exception: only d of the requested wavelengths fit (0 = none)."""
+    __slots__ = _fields = ("d", "p", "x", "y")
 
-    d: int
-    p: int
-    x: str
-    y: str
+    def __init__(self, d: int, p: int, x: str, y: str):
+        _set(self, "d", d), _set(self, "p", p), _set(self, "x", x), _set(self, "y", y)
 
 
-@dataclass(frozen=True, slots=True)
-class Exc2:
+class Exc2(Record):
     """Broker exception: at price p the demand is zero."""
+    __slots__ = _fields = ("x", "y", "p")
 
-    x: str
-    y: str
-    p: int
+    def __init__(self, x: str, y: str, p: int):
+        _set(self, "x", x), _set(self, "y", y), _set(self, "p", p)
 
 
 Message = Reqc | Offp | Ocl | Nack | Ack | Exc1 | Exc2
@@ -151,7 +144,7 @@ class TraceEvent(NamedTuple):
 
 
 def _line_format(cls) -> str:
-    fields = ",".join(f"{f.name}={{3.{f.name}}}" for f in dataclasses.fields(cls))
+    fields = ",".join(f"{name}={{3.{name}}}" for name in cls._fields)
     return f"{{0}}\t{{1}}\t{{2}}\t{_WIRE_NAMES[cls]}\t{fields}"
 
 

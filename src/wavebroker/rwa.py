@@ -35,7 +35,6 @@ probe, do not ask the kernel again.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, groupby
 from operator import itemgetter
@@ -46,6 +45,7 @@ from .errors import (
     InfeasibleError,
     InstanceTooLargeError,
     NoPathError,
+    Record,
     Violation,
 )
 from .topology import Network, VirtualChannel, link_key, route_candidates
@@ -56,20 +56,29 @@ BRUTE_MAX_WAVELENGTHS = 3
 BRUTE_MAX_UNITS = 4
 
 
-@dataclass(frozen=True)
-class LightPath:
-    """One allocated unit: a connection's route pinned to a single wavelength."""
+@lru_cache(maxsize=None)
+def __getattr__(name: str):
+    """``LightPath``: a frozen dataclass, made on first use so that importing the package skips ``dataclasses``."""
+    if name != "LightPath":
+        raise AttributeError(f"module has no attribute {name!r}")
+    from dataclasses import dataclass
 
-    conn: str
-    vc: VirtualChannel
-    wavelength: int
-    hops: tuple[tuple[str, str], ...]
+    @dataclass(frozen=True)
+    class LightPath:
+        """One allocated unit: a connection's route pinned to a single wavelength."""
+        conn: str
+        vc: VirtualChannel
+        wavelength: int
+        hops: tuple[tuple[str, str], ...]
 
-    def nodes(self) -> tuple[str, ...]:
-        return _hops_nodes(self.hops)
+        def nodes(self) -> tuple[str, ...]:
+            return _hops_nodes(self.hops)
 
-    def cost(self, net: Network) -> int:
-        return _hops_cost(net, self.hops)
+        def cost(self, net: Network) -> int:
+            return _hops_cost(net, self.hops)
+
+    LightPath.__qualname__ = "LightPath"  # pickled and shown as rwa.LightPath
+    return LightPath
 
 
 def _hops_nodes(hops) -> tuple[str, ...]:
@@ -80,33 +89,27 @@ def _hops_cost(net: Network, hops) -> int:
     return sum(net.link_by_key[link_key(u, v)].unit_cost for u, v in hops)
 
 
-# Not frozen, since a frozen slotted dataclass pickles as a list of its fields; hashed by value all the same,
-# and pickled as its constructor's arguments.
-@dataclass(slots=True, unsafe_hash=True)
-class Grant:
+class Grant(Record):
     """The units one placement grants one connection, kept as ``(hops, mask)`` runs.
 
     A run is a hop tuple and a wavelength bitmask (bit ``w-1`` set =
     wavelength ``w``).  Runs keep placement order, and within a run the
     wavelengths ascend.  ``len()`` is the unit count; ``lightpaths()``
-    builds the units, in that order.
+    builds the units, in that order.  It pickles as its four fields.
     """
 
-    conn: str
-    vc: VirtualChannel
-    runs: tuple
-    count: int
+    __slots__ = _fields = ("conn", "vc", "runs", "count")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__  # writable as before: four plain writes
+
+    def __init__(self, conn: str, vc: VirtualChannel, runs: tuple, count: int):
+        self.conn, self.vc, self.runs, self.count = conn, vc, runs, count
 
     def __len__(self) -> int:
         return self.count
 
-    def __reduce__(self):
-        # its fields as arguments, not the default {slot name: value} dict
-        return Grant, (self.conn, self.vc, self.runs, self.count)
-
-    def lightpaths(self) -> tuple[LightPath, ...]:
-        conn, vc = self.conn, self.vc
-        return tuple(LightPath(conn, vc, b + 1, hops) for hops, mask in self.runs for b in _bits(mask))
+    def lightpaths(self) -> tuple:
+        conn, vc, lightpath = self.conn, self.vc, __getattr__("LightPath")
+        return tuple(lightpath(conn, vc, b + 1, hops) for hops, mask in self.runs for b in _bits(mask))
 
 
 class _LightpathView:

@@ -7,15 +7,15 @@ does keep what is derived from it in its ``__dict__``: its hash, its link
 map, its arc table (``arcs``, which route enumeration walks and whose hop
 tuples every route table shares), and the placement tables ``rwa`` keeps
 there (``_net_tables``, and ``_routes`` per channel).  Equality ignores
-them, and a pickle drops the hash, the arc table and the placement tables.
+them, and a network pickles as its fields alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .errors import NetworkTooLargeError, NoPathError, Violation
+from .errors import NetworkTooLargeError, NoPathError, Record, Violation, _set
 
 # Complete simple-path enumeration is exponential; desk-scale graphs only.
 MAX_ROUTE_NODES = 12
@@ -35,8 +35,7 @@ def link_key(u: str, v: str) -> tuple[str, str]:
     return (u, v) if u <= v else (v, u)
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """Bidirectional fiber link between two named nodes."""
 
     a: str
@@ -48,31 +47,16 @@ class Link:
         return link_key(self.a, self.b)
 
 
-@dataclass(frozen=True)
-class Network:
-    id: str
-    nodes: frozenset[str]
-    links: tuple[Link, ...]
-    wavelength_count: int
+class Network(Record):
+    __slots__ = ("id", "nodes", "links", "wavelength_count", "__dict__")
+    _fields = __slots__[:4]
 
     # rwa finds its tables by value once per network object, through
-    # lru_caches keyed by the network; hash the fields (as the dataclass
-    # would) only once.
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.id, self.nodes, self.links, self.wavelength_count))
+    # lru_caches keyed by the network; hash the fields only once.
+    _hash = cached_property(Record.__hash__)
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __getstate__(self):
-        # str hashes differ between processes, so a pickled copy rehashes;
-        # the arc table and rwa's placement tables are kept here too, and
-        # rebuilt on first use
-        state = dict(self.__dict__)
-        for name in ("_hash", "arcs", "_net_tables", "_routes"):
-            state.pop(name, None)
-        return state
 
     @cached_property
     def link_by_key(self) -> dict[tuple[str, str], Link]:
@@ -101,39 +85,31 @@ class Network:
 def make_network(net_id: str, nodes, links, wavelength_count: int) -> Network:
     """Build a Network with links stored in canonical order."""
     return Network(
-        id=net_id,
-        nodes=frozenset(nodes),
-        links=tuple(sorted(links, key=lambda l: l.key())),
-        wavelength_count=wavelength_count,
+        net_id,
+        frozenset(nodes),
+        tuple(sorted(links, key=lambda l: l.key())),
+        wavelength_count,
     )
 
 
-@dataclass(frozen=True)
-class VirtualChannel:
+class VirtualChannel(Record):
     """A requested end-to-end logical connection."""
 
-    src: str
-    dst: str
-    label: str
+    __slots__ = ("src", "dst", "label", "__dict__")
+    _fields = __slots__[:3]
+
+    def __init__(self, src: str, dst: str, label: str):
+        if src == dst:
+            raise ValueError(f"virtual channel {label!r} has identical endpoints")
+        if not label:
+            raise ValueError("virtual channel label must be non-empty")
+        _set(self, "src", src), _set(self, "dst", dst), _set(self, "label", label)
 
     # Keys the route-table lru_cache beside the network, once per (network, channel) object; hash the fields once, as Network does.
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.src, self.dst, self.label))
+    _hash = cached_property(Record.__hash__)
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError(f"virtual channel {self.label!r} has identical endpoints")
-        if not self.label:
-            raise ValueError("virtual channel label must be non-empty")
 
 
 def validate_network(net: Network) -> list[Violation]:

@@ -28,7 +28,7 @@ from wavebroker.cli import load_scenario
 from wavebroker.protocol import Ocl
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def scenario_path(name: str) -> str:
@@ -189,8 +189,9 @@ def random_scenario(rng: random.Random, tag: int) -> ScenarioConfig:
 
 
 @functools.cache
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded from its file: ``perfbench`` is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -198,7 +199,8 @@ def _workloads():
 
 def benchmark_config(tmp_path: Path, workload: str, seed: int, index: int) -> ScenarioConfig:
     """Generated market ``index`` of a benchmark workload seed (``stress`` or ``auction``), loaded from a file."""
-    generate = {"stress": _workloads().stress_scenario, "auction": _workloads().auction_scenario}[workload]
+    workloads = perfbench_module("workloads")
+    generate = {"stress": workloads.stress_scenario, "auction": workloads.auction_scenario}[workload]
     path = tmp_path / f"{workload}_{seed}_{index}.json"
     path.write_text(json.dumps(generate(seed, index)), encoding="utf-8")
     return load_scenario(path)

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import gc
 import json
 import math
@@ -589,7 +588,7 @@ class TestValidateOnce:
         good = duel_config()
         for _ in range(3):
             with pytest.raises(ConfigError, match="unknown virtual channel 'NOPE'"):
-                dataclasses.replace(good, schedule=((1, "NOPE"),))
+                good._replace(schedule=((1, "NOPE"),))
         assert validations[0] is good and len(validations) == 4
         assert all(bad.schedule == ((1, "NOPE"),) for bad in validations[1:])
 

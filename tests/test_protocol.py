@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 import os
 import pickle
@@ -160,7 +159,7 @@ class TestTraceConformance:
             assert outcome.rounds <= bound
 
     def test_announcements_carry_no_identity(self):
-        assert {f.name for f in dataclasses.fields(Ocl)} == {"x", "y", "p"}
+        assert set(Ocl._fields) == {"x", "y", "p"} and Ocl.__slots__ == Ocl._fields
 
     def test_winner_never_prices_below_own_marginal_cost(self):
         for seed in range(40):
@@ -420,7 +419,7 @@ class TestTraceFormat:
     def test_every_message_type_formats_as_its_fields_in_order(self):
         def reference_format(ev):
             msg = ev.message
-            fields = ",".join(f"{f.name}={getattr(msg, f.name)}" for f in dataclasses.fields(msg))
+            fields = ",".join(f"{name}={getattr(msg, name)}" for name in msg.__slots__)
             return f"{ev.round}\t{ev.direction}\t{ev.supplier_id}\t{_WIRE_NAMES[type(msg)]}\t{fields}"
 
         messages = [

@@ -5,7 +5,12 @@ request, the rest repeat it) is replaced in turn by each entry of a fixed
 pool of hostile JSON literals (the channel label together with the
 schedule's reference to it), and every object key is deleted in turn.
 Whatever the file then says, ``simulate run --traces`` must return 0, 2, 3
-or 4 with no traceback, and write nothing outside ``--out``.
+or 4 with no traceback, and write nothing outside ``--out``.  Every run
+that returns 0 is checked by the benchmark's own checks
+(``perfbench/checks.py``): the report behind its files passes
+``validate_allocation`` on every final state and ``validate_trace`` on
+every trace, and each network's ledger cost equals its allocation's
+``total_cost``.
 """
 
 from __future__ import annotations
@@ -15,9 +20,10 @@ from pathlib import Path
 
 import pytest
 
+from wavebroker import cli
 from wavebroker.cli import main
 
-from conftest import scenario_path
+from conftest import perfbench_module, scenario_path
 
 # Raw JSON text, so that literals json.dumps cannot write (NaN is allowed by
 # it, but not integers over 4300 digits) still reach the decoder.
@@ -82,6 +88,10 @@ def _mutants():
 
 MUTANTS = dict(_mutants())
 
+# Of the 902 mutants, 45 run to the end and return 0; a floor on them keeps
+# the checks on their reports from going vacuous.
+MIN_CLEAN_RUNS = 45
+
 
 def test_mutated_scenarios_exit_cleanly_inside_out(tmp_path, capsys, monkeypatch):
     root = tmp_path / "a" / "b" / "c"
@@ -89,16 +99,33 @@ def test_mutated_scenarios_exit_cleanly_inside_out(tmp_path, capsys, monkeypatch
     scenario.parent.mkdir(parents=True)
     monkeypatch.chdir(root)
     out = root / "out"
+    report_violations = perfbench_module("checks").report_violations
+    # the Report behind each run's files
+    reports = []
+    run_scenario = cli.run_scenario
+
+    def capture(*args, **kwargs):
+        reports.append(run_scenario(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_scenario", capture)
     seen_codes = set()
+    clean_runs = 0
     for name, text in MUTANTS.items():
         scenario.write_text(text, encoding="utf-8")
+        reports.clear()
         try:
             code = main(["run", str(scenario), "--out", str(out), "--traces"])
         except Exception as exc:  # a traceback in the CLI
             pytest.fail(f"{name}: {type(exc).__name__}: {exc}")
         assert code in {0, 2, 3, 4}, name
         seen_codes.add(code)
+        if code == 0:
+            assert len(reports) == 1, name
+            assert report_violations(reports[0]) == [], name
+            clean_runs += 1
         stray = [p for p in tmp_path.rglob("*") if p.is_file() and p != scenario and out not in p.parents]
         assert not stray, f"{name}: wrote {stray}"
         assert "Traceback" not in capsys.readouterr().err, name
     assert {0, 2, 3} <= seen_codes
+    assert clean_runs >= MIN_CLEAN_RUNS, f"only {clean_runs} of {len(MUTANTS)} mutants ran to the end"

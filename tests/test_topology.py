@@ -76,7 +76,7 @@ class TestDomainTypes:
 
     def test_vc_hash_is_cached_and_not_pickled(self):
         vc = VirtualChannel("A", "B", "VC1")
-        # what the frozen dataclass's own __hash__ returns, and its equality
+        # the hash of its fields' tuple, as a frozen dataclass had, and its equality
         assert hash(vc) == hash(("A", "B", "VC1")) == hash(VirtualChannel("A", "B", "VC1"))
         assert "_hash" in vars(vc)
         assert vc == VirtualChannel("A", "B", "VC1")
