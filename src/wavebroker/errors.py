@@ -10,9 +10,10 @@ _set = object.__setattr__  # how an __init__ writes a record's read-only fields
 class Record:
     """A slotted record whose methods come from ``_fields``, its slots named in order.
 
-    ``__init__``, or a subclass's own through ``_set``, sets each field once; a write afterwards raises
-    AttributeError.  Records are equal when of one type with equal fields, so never equal to a tuple
-    or another type's record; the hash is the fields' tuple's.  Pickled as that tuple, unchecked.
+    ``__init__`` takes the fields by position or name and sets each once; a subclass that checks its
+    fields calls it too.  A write afterwards raises AttributeError.  Records are equal when of one type
+    with equal fields, so never equal to a tuple or another type's record; the hash is the fields'
+    tuple's.  Pickled as that tuple, unchecked.
     """
 
     __slots__ = ()
@@ -42,7 +43,8 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join([f'{name}={getattr(self, name)!r}' for name in self._fields])})"
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
 
     def __setstate__(self, state: tuple) -> None:
         Record.__init__(self, *state)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .cost import marginal_cost
-from .errors import DegenerateMarketError, InfeasibleError, Record, _set
+from .errors import DegenerateMarketError, InfeasibleError, Record
 from .rwa import Allocation, apply_delta
 from .topology import Network, VirtualChannel
 
@@ -44,7 +44,7 @@ class UndercutPolicy(Record):
     def __init__(self, l_min: int, l_max: int):
         if not 0 < l_min <= l_max:
             raise ValueError(f"need 0 < l_min <= l_max, got [{l_min}, {l_max}]")
-        _set(self, "l_min", l_min), _set(self, "l_max", l_max)
+        super().__init__(l_min, l_max)
 
     @property
     def step(self) -> tuple[int, int, int]:

@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
-from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, Record, UnknownNetworkError, _set
+from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, Record, UnknownNetworkError
 from .game import SupplierAgent, UndercutPolicy, _new
 from .protocol import (
     BROKER_TO_SUPPLIER,
@@ -55,7 +55,7 @@ class LinearDemand(Record):
     def __init__(self, a: float, b: float):
         if b < 0:
             raise ValueError(f"slope b={b} is negative; demand must not rise with price")
-        _set(self, "a", a), _set(self, "b", b)
+        super().__init__(a, b)
 
     def quantity(self, price: int) -> int:
         # a steep slope can overflow to -inf, which floor() refuses
@@ -72,7 +72,7 @@ class ConstantElasticityDemand(Record):
     def __init__(self, a: float, eps: float):
         if eps <= 0:
             raise ValueError("elasticity must be positive")
-        _set(self, "a", a), _set(self, "eps", eps)
+        super().__init__(a, eps)
 
     def quantity(self, price: int) -> int:
         return max(0, math.floor(self.a * max(price, 1) ** (-self.eps)))
@@ -251,8 +251,16 @@ class ScenarioConfig(Record):
     _fields = ("id", "seed", "suppliers", "channels", "schedule", "round_cap", "reject_partial")
     __slots__ = (*_fields, "__weakref__")  # so that a run is seen to keep no config alive
 
-    def __init__(self, id: str, seed: int, suppliers: tuple[SupplierConfig, ...], channels: tuple[ChannelConfig, ...],
-                 schedule: tuple[tuple[int, str], ...], round_cap: int = DEFAULT_ROUND_CAP, reject_partial=False):
+    def __init__(
+        self,
+        id: str,
+        seed: int,
+        suppliers: tuple[SupplierConfig, ...],
+        channels: tuple[ChannelConfig, ...],
+        schedule: tuple[tuple[int, str], ...],
+        round_cap: int = DEFAULT_ROUND_CAP,
+        reject_partial=False,
+    ):
         super().__init__(id, seed, suppliers, channels, schedule, round_cap, reject_partial)
         problems = validate_scenario(self)
         if problems:

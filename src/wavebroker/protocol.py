@@ -79,56 +79,40 @@ class Reqc(Record):
     """Open a competition for the virtual link x-y."""
     __slots__ = _fields = ("x", "y")
 
-    def __init__(self, x: str, y: str):
-        _set(self, "x", x), _set(self, "y", y)
-
 
 class Offp(Record):
     """A supplier's per-wavelength price offer."""
     __slots__ = _fields = ("p", "x", "y")
-
-    def __init__(self, p: int, x: str, y: str):
-        _set(self, "p", p), _set(self, "x", x), _set(self, "y", y)
 
 
 class Ocl(Record):
     """Broker: beat this price.  Carries no bidder identity."""
     __slots__ = _fields = ("x", "y", "p")
 
-    def __init__(self, x: str, y: str, p: int):
-        _set(self, "x", x), _set(self, "y", y), _set(self, "p", p)
-
 
 class Nack(Record):
     """The link request is not granted."""
     __slots__ = _fields = ("x", "y")
-
-    def __init__(self, x: str, y: str):
-        _set(self, "x", x), _set(self, "y", y)
 
 
 class Ack(Record):
     """The link request is granted with d wavelengths to provision."""
     __slots__ = _fields = ("x", "y", "d")
 
-    def __init__(self, x: str, y: str, d: int):
-        _set(self, "x", x), _set(self, "y", y), _set(self, "d", d)
+    def __init__(self, x: str, y: str, d: int):  # one per granted request: skips the generic __init__'s loop
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "d", d)
 
 
 class Exc1(Record):
     """Supplier exception: only d of the requested wavelengths fit (0 = none)."""
     __slots__ = _fields = ("d", "p", "x", "y")
 
-    def __init__(self, d: int, p: int, x: str, y: str):
-        _set(self, "d", d), _set(self, "p", p), _set(self, "x", x), _set(self, "y", y)
-
 
 class Exc2(Record):
     """Broker exception: at price p the demand is zero."""
     __slots__ = _fields = ("x", "y", "p")
-
-    def __init__(self, x: str, y: str, p: int):
-        _set(self, "x", x), _set(self, "y", y), _set(self, "p", p)
 
 
 Message = Reqc | Offp | Ocl | Nack | Ack | Exc1 | Exc2

@@ -56,11 +56,16 @@ BRUTE_MAX_WAVELENGTHS = 3
 BRUTE_MAX_UNITS = 4
 
 
-@lru_cache(maxsize=None)
 def __getattr__(name: str):
-    """``LightPath``: a frozen dataclass, made on first use so that importing the package skips ``dataclasses``."""
+    """``LightPath``: a frozen dataclass, made on first use so that importing the package skips ``dataclasses``.
+
+    The class is then stored as this module's ``LightPath``, which later lookups read, and which
+    ``Grant.lightpaths()`` reads through this function, so a replaced ``rwa.LightPath`` builds every unit.
+    """
     if name != "LightPath":
         raise AttributeError(f"module has no attribute {name!r}")
+    if name in globals():  # made or replaced already; the package's re-export asks each time
+        return globals()[name]
     from dataclasses import dataclass
 
     @dataclass(frozen=True)
@@ -78,6 +83,7 @@ def __getattr__(name: str):
             return _hops_cost(net, self.hops)
 
     LightPath.__qualname__ = "LightPath"  # pickled and shown as rwa.LightPath
+    globals()["LightPath"] = LightPath
     return LightPath
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import NetworkTooLargeError, NoPathError, Record, Violation, _set
+from .errors import NetworkTooLargeError, NoPathError, Record, Violation
 
 # Complete simple-path enumeration is exponential; desk-scale graphs only.
 MAX_ROUTE_NODES = 12
@@ -103,7 +103,7 @@ class VirtualChannel(Record):
             raise ValueError(f"virtual channel {label!r} has identical endpoints")
         if not label:
             raise ValueError("virtual channel label must be non-empty")
-        _set(self, "src", src), _set(self, "dst", dst), _set(self, "label", label)
+        super().__init__(src, dst, label)
 
     # Keys the route-table lru_cache beside the network, once per (network, channel) object; hash the fields once, as Network does.
     _hash = cached_property(Record.__hash__)

@@ -281,6 +281,16 @@ def test_lightpath_is_a_frozen_dataclass_defined_on_first_use():
         rwa.NotALightPath
 
 
+def test_grants_build_lightpaths_from_the_module_attribute(monkeypatch):
+    # test_rwa's no-lightpath guards patch rwa.LightPath; a grant must build through that name.
+    def refuse(*args, **kwargs):
+        raise AssertionError("LightPath built")
+
+    monkeypatch.setattr(rwa, "LightPath", refuse)
+    with pytest.raises(AssertionError, match="LightPath built"):
+        GRANT.lightpaths()
+
+
 def test_a_fresh_cli_run_imports_none_of_the_modules_it_does_not_need(tmp_path):
     """``dataclasses`` and ``inspect`` are not imported at all; ``hashlib`` and ``statistics`` only by sweeps."""
     out = tmp_path / "out"
