@@ -3,14 +3,13 @@
 Competing optical transport networks bid to carry point-to-point
 wavelength demand aggregated by a broker; prices fall through a stochastic
 undercutting race and the winner provisions capacity by greedy placement,
-one wavelength at a time at the cheapest free route and wavelength.  An
-exact minimum-cost routing and wavelength assignment solver for one
-connection, with an exhaustive oracle, is provided beside it but does not
-yet drive settlement.  Placement and both solvers return a ``Grant``, a
-record of ``(hops, wavelength mask)`` runs whose ``len()`` is its unit
-count, and ``apply_delta(net, state, grant)`` commits one into an
-``Allocation``: its grants plus one list of link masks, which placement
-reads in place.  A ``ScenarioConfig`` is valid by construction: making
+one wavelength at a time at the cheapest free route and wavelength.  Where
+capacity binds, greedy placement can fall short of a joint solve; the
+exhaustive oracle that shows it is a test helper, not part of the package.
+Placement returns a ``Grant``, a record of ``(hops, wavelength mask)``
+runs whose ``len()`` is its unit count, and ``apply_delta(net, state,
+grant)`` commits one into an ``Allocation``: its grants plus one list of
+link masks, which placement reads in place.  A ``ScenarioConfig`` is valid by construction: making
 one with any problem raises ``ConfigError``.
 """
 
@@ -21,7 +20,6 @@ from .errors import (
     DegenerateMarketError,
     EmptyCurveError,
     InfeasibleError,
-    InstanceTooLargeError,
     InvalidOutcomeError,
     NetworkTooLargeError,
     NoPathError,
@@ -70,10 +68,8 @@ from .rwa import (
     Allocation,
     Grant,
     apply_delta,
-    brute_force_rwa,
     dump_allocation,
     incremental_allocate,
-    solve_min_cost_rwa,
     validate_allocation,
 )
 from .topology import (

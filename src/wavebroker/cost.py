@@ -29,12 +29,6 @@ class CostCurve(NamedTuple):
     segments: tuple[CurveSegment, ...]
     q_max: int
 
-    def mc_at(self, q: int) -> int:
-        for seg in self.segments:
-            if seg.q_from <= q <= seg.q_to:
-                return seg.mc
-        raise ValueError(f"q={q} outside curve (q_max={self.q_max})")
-
     def total_cost(self, q: int) -> int:
         if q < 0 or q > self.q_max:
             raise ValueError(f"q={q} outside curve (q_max={self.q_max})")

@@ -81,10 +81,6 @@ class InfeasibleError(WavebrokerError):
     """The requested wavelengths cannot all be accommodated."""
 
 
-class InstanceTooLargeError(WavebrokerError):
-    """Instance exceeds the exhaustive-enumeration guard."""
-
-
 class ConflictError(WavebrokerError):
     """A delta touches an occupancy cell that is already taken."""
 

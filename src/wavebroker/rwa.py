@@ -1,4 +1,4 @@
-"""Exact minimum-cost routing and wavelength assignment.
+"""Routing and wavelength assignment by greedy placement.
 
 The allocation model: every provisioned unit is a lightpath, i.e. a simple
 route locked to one wavelength end to end.  A (link, wavelength) cell
@@ -6,23 +6,25 @@ carries at most one lightpath, in one direction; per-link occupancy is
 bounded by the link capacity; and the units of one connection must sit on
 pairwise-distinct wavelength indices.
 
-Two solvers are provided: a branch-and-bound exact solver and a guarded
-exhaustive enumerator used as its oracle in tests.  A third operation
-places units greedily one at a time, which is what suppliers can actually
-evaluate mid-market; its unit costs trace out the marginal-cost curve, and
-settlement provisions through it.  Greedy placement asks the kernel for
-the cheapest cell once per path, not once per unit: when the chosen path
-is the only candidate at its cost, the units after it land on that path
-until its room runs out, which is where the unit-by-unit rule puts them.
+Units are placed greedily one at a time, each at the cheapest free route
+and wavelength, which is what suppliers can actually evaluate mid-market;
+the unit costs trace out the marginal-cost curve, and settlement
+provisions through the same placement.  Where capacity binds, greedy can
+place fewer units, or dearer ones, than a joint solve; the exhaustive
+oracle that shows it lives in ``tests/oracle.py``.  Greedy placement asks
+the kernel for the cheapest cell once per path, not once per unit: when
+the chosen path is the only candidate at its cost, the units after it
+land on that path until its room runs out, which is where the
+unit-by-unit rule puts them.
 
-All three place units of one connection and return one result shape,
-``(grant, added)``: a ``Grant`` of the new units, held as ``(hops,
-wavelength mask)`` runs of consecutive units on one path, and their summed
-cost.  A grant's ``len()`` is its unit count, and ``grant.lightpaths()``
-builds its ``LightPath``s.  Nothing is committed; ``apply_delta(net,
-state, grant)`` merges the grant into a new state, which keeps one list of
-link masks.  Placement reads that list in place, and a marginal-cost
-probe, ``next_unit_cost``, is at most one kernel call against it.
+Placement returns ``(grant, added)``: a ``Grant`` of the new units, held
+as ``(hops, wavelength mask)`` runs of consecutive units on one path, and
+their summed cost.  A grant's ``len()`` is its unit count, and
+``grant.lightpaths()`` builds its ``LightPath``s.  Nothing is committed;
+``apply_delta(net, state, grant)`` merges the grant into a new state,
+which keeps one list of link masks.  Placement reads that list in place,
+and a marginal-cost probe, ``next_unit_cost``, is at most one kernel call
+against it.
 
 Placement finds its tables on the network object: its link tables, and
 per channel object its route tables, are kept in the network's
@@ -34,26 +36,13 @@ probe, do not ask the kernel again.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from itertools import chain, groupby
 from operator import itemgetter
 
 from . import _kernel
-from .errors import (
-    ConflictError,
-    InfeasibleError,
-    InstanceTooLargeError,
-    NoPathError,
-    Record,
-    Violation,
-)
+from .errors import ConflictError, NoPathError, Record, Violation
 from .topology import Network, VirtualChannel, link_key, route_candidates
-
-# exhaustive-oracle guard
-BRUTE_MAX_NODES = 6
-BRUTE_MAX_WAVELENGTHS = 3
-BRUTE_MAX_UNITS = 4
 
 
 def __getattr__(name: str):
@@ -635,167 +624,3 @@ def incremental_allocate(
         allowed &= ~take
         p, w0 = _kernel.cheapest_placement(link_lists, costs, masks, caps, allowed)
     return Grant(conn, vc, tuple(runs), placed), added
-
-
-# -- exact solvers -------------------------------------------------------------
-
-def _flow_upper_bound(net: Network, state: Allocation, vc: VirtualChannel, need: int) -> int:
-    """Max-flow bound on how many units this channel could ever receive.
-
-    Ignores wavelength layering, so it only proves infeasibility, never
-    feasibility.  Early-exits once ``need`` units are proven possible.
-    """
-    keys, _, caps = tables = _net_tables(net)
-    residual: dict[str, dict[str, int]] = {n: {} for n in net.nodes}
-    for (a, b), cap, mask in zip(keys, caps, _link_masks(net, state, tables)):
-        free = cap - mask.bit_count()
-        if free <= 0 or a == b:
-            continue
-        residual[a][b] = free
-        residual[b][a] = free
-    flow = 0
-    while flow < need:
-        parent = {vc.src: vc.src}
-        queue = deque([vc.src])
-        while queue and vc.dst not in parent:
-            u = queue.popleft()
-            for v in sorted(residual[u]):
-                if residual[u][v] > 0 and v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if vc.dst not in parent:
-            break
-        bottleneck = need - flow
-        v = vc.dst
-        while v != vc.src:
-            u = parent[v]
-            bottleneck = min(bottleneck, residual[u][v])
-            v = u
-        v = vc.dst
-        while v != vc.src:
-            u = parent[v]
-            residual[u][v] -= bottleneck
-            residual[v][u] = residual[v].get(u, 0) + bottleneck
-            v = u
-        flow += bottleneck
-    return flow
-
-
-def _search(net, state, vc, count, *, prune: bool, reduce_symmetry: bool) -> tuple[Grant, int]:
-    """Shared DFS over per-unit (wavelength, path) choices for one connection.
-
-    The units take ascending wavelengths, and choices are explored in
-    ascending (wavelength, path-rank) order with an incumbent that only
-    improves strictly, so the first optimum found is the lexicographically
-    least one: wavelength index, then candidate-path rank.  With ``prune``
-    the admissible bound (the cheapest candidate path per unplaced unit,
-    conflicts ignored) turns the enumeration into branch and bound; with
-    ``reduce_symmetry`` a unit may only take an already-used wavelength or
-    the single lowest fresh one, which is sound because fresh wavelengths
-    are interchangeable.  Returns ``(grant, added)``; raises
-    InfeasibleError when nothing fits.
-    """
-    W = net.wavelength_count
-    route = _route(net, vc)
-    hops, costs, link_lists, caps = route.hops, route.costs, route.link_lists, route.tables[2]
-    masks = _link_masks(net, state, route.tables).copy()
-    full = (1 << W) - 1
-    # wavelengths in use on any link of the network, as a mask
-    anchored = 0
-    for mask in masks:
-        anchored |= mask
-    assignment: list[tuple[int, int]] = [(-1, -1)] * count
-    best: list[tuple[int, int]] | None = None
-    best_cost = 0
-
-    def wave_choices(lo: int):
-        if reduce_symmetry:
-            fresh = (~anchored & (anchored + 1)).bit_length() - 1
-            ws = anchored >> (lo + 1) << (lo + 1)
-            if lo < fresh < W:
-                ws |= 1 << fresh
-            return _bits(ws & full)
-        return range(lo + 1, W)
-
-    def fits(links, bit: int) -> bool:
-        for li in links:
-            mask = masks[li]
-            if mask & bit or mask.bit_count() >= caps[li]:
-                return False
-        return True
-
-    def dfs(u: int, lo: int, cost: int) -> None:
-        nonlocal best, best_cost, anchored
-        remaining = count - u
-        if best is not None and prune and cost + costs[0] * remaining >= best_cost:
-            return
-        if u == count:
-            if best is None or cost < best_cost:
-                best = assignment.copy()
-                best_cost = cost
-            return
-        for w in wave_choices(lo):
-            bit = 1 << w
-            for p in range(len(costs)):
-                if best is not None and prune and cost + costs[p] + costs[0] * (remaining - 1) >= best_cost:
-                    break
-                links = link_lists[p]
-                if not fits(links, bit):
-                    continue
-                for li in links:
-                    masks[li] |= bit
-                introduced = not anchored & bit
-                anchored |= bit
-                assignment[u] = (p, w)
-                dfs(u + 1, w, cost + costs[p])
-                if introduced:
-                    anchored ^= bit
-                for li in links:
-                    masks[li] ^= bit
-
-    dfs(0, -1, 0)
-    if best is None:
-        raise InfeasibleError("no joint assignment satisfies the constraints")
-    # the wavelengths ascend, so consecutive units on one path form one run
-    runs = tuple((hops[p], sum(1 << w for _, w in units)) for p, units in groupby(best, key=lambda unit: unit[0]))
-    return Grant(_fresh_conn_id(state, vc.label), vc, runs, count), best_cost
-
-
-def solve_min_cost_rwa(net: Network, state: Allocation, vc: VirtualChannel, count: int) -> tuple[Grant, int]:
-    """Minimum-cost placement of ``count`` wavelengths of one connection on top of ``state``.
-
-    Returns ``(grant, added)``: the new units, wavelengths ascending, and
-    their summed cost.  Existing lightpaths are never moved.
-    Deterministic: cost-equal optima are resolved by (wavelength index,
-    path rank).  Raises InfeasibleError when the demand cannot be met.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count > net.wavelength_count:
-        raise InfeasibleError(
-            f"{vc.label}: {count} units need {count} distinct wavelengths, only {net.wavelength_count} exist"
-        )
-    error = _route(net, vc).error
-    if error is not None:
-        raise InfeasibleError(str(error)) from error
-    if _flow_upper_bound(net, state, vc, count) < count:
-        raise InfeasibleError(f"{vc.label}: demand {count} exceeds residual capacity")
-    return _search(net, state, vc, count, prune=True, reduce_symmetry=True)
-
-
-def brute_force_rwa(net: Network, state: Allocation, vc: VirtualChannel, count: int) -> tuple[Grant, int]:
-    """Test oracle: exhaustive enumeration of every feasible assignment.
-
-    No bounding and no wavelength-symmetry reduction; only the guard below
-    keeps it tractable.  Result shape and tie-break match solve_min_cost_rwa.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if len(net.nodes) > BRUTE_MAX_NODES or net.wavelength_count > BRUTE_MAX_WAVELENGTHS or count > BRUTE_MAX_UNITS:
-        raise InstanceTooLargeError(
-            f"guard is <= {BRUTE_MAX_NODES} nodes, W <= {BRUTE_MAX_WAVELENGTHS}, <= {BRUTE_MAX_UNITS} units"
-        )
-    error = _route(net, vc).error
-    if error is not None:
-        raise InfeasibleError(str(error)) from error
-    return _search(net, state, vc, count, prune=False, reduce_symmetry=False)

@@ -48,7 +48,7 @@ class TestLoadScenario:
         assert kinds == {"linear", "constant_elasticity"}
 
     def test_negative_capacity_error_names_the_link(self, tmp_path):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         doc["networks"][0]["links"][0]["capacity"] = -1
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
@@ -57,7 +57,7 @@ class TestLoadScenario:
         assert any("networks[0]" in msg and "capacity" in msg for msg in err.value.problems)
 
     def test_missing_seed_is_a_config_error(self, tmp_path):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         del doc["seed"]
         p = tmp_path / "noseed.json"
         p.write_text(json.dumps(doc))
@@ -69,7 +69,7 @@ class TestLoadScenario:
         assert config.seed == 123
 
     def test_unknown_schedule_channel(self, tmp_path):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         doc["schedule"][0]["vc"] = "GHOST"
         p = tmp_path / "ghost.json"
         p.write_text(json.dumps(doc))
@@ -78,7 +78,7 @@ class TestLoadScenario:
         assert any("schedule[0]" in msg for msg in err.value.problems)
 
     def test_endpoint_missing_from_one_network(self, tmp_path):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         doc["virtual_channels"][0]["dst"] = "Z"
         doc["networks"][0]["nodes"].append("Z")
         doc["networks"][0]["links"][0]["b"] = "Z"
@@ -103,7 +103,7 @@ class TestLoadScenario:
         [("markup", "NaN"), ("a", "Infinity"), ("a", "1e400")],
     )
     def test_non_finite_number_is_a_located_parse_error(self, tmp_path, capsys, field, literal):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         if field == "markup":
             doc["networks"][1]["markup"] = "@"
         else:
@@ -244,7 +244,7 @@ class TestRunCommand:
         assert json.loads((b / "report.json").read_text())["seed"] == 123
 
     def test_env_seed_fills_missing_file_seed(self, tmp_path, monkeypatch):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         del doc["seed"]
         p = tmp_path / "noseed.json"
         p.write_text(json.dumps(doc))
@@ -257,7 +257,7 @@ class TestRunCommand:
         assert json.loads((tmp_path / "o3" / "report.json").read_text())["seed"] == 5
 
     def test_seed_option_fills_missing_file_seed(self, tmp_path, monkeypatch):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         del doc["seed"]
         p = tmp_path / "noseed.json"
         p.write_text(json.dumps(doc))
@@ -304,7 +304,7 @@ class TestRunCommand:
         p.write_text("{oops")
         assert main(["run", str(p), "--out", str(tmp_path / "x")]) == EXIT_PARSE
         q = tmp_path / "bad.json"
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         doc["networks"][0]["links"][0]["capacity"] = -2
         q.write_text(json.dumps(doc))
         assert main(["run", str(q), "--out", str(tmp_path / "y")]) == EXIT_CONFIG
@@ -357,7 +357,7 @@ class TestCurveCommand:
         ) == EXIT_CONFIG
 
     def test_channel_with_no_capacity_is_a_runtime_error(self, tmp_path, capsys):
-        doc = json.loads(open(scenario_path("two_route_costcurve")).read())
+        doc = json.loads(Path(scenario_path("two_route_costcurve")).read_text(encoding="utf-8"))
         for link in doc["networks"][0]["links"]:
             link["capacity"] = 0
         p = tmp_path / "dark.json"
@@ -409,7 +409,7 @@ class TestValidateCommand:
         assert "ok" in capsys.readouterr().out
 
     def test_invalid(self, tmp_path, capsys):
-        doc = json.loads(open(scenario_path("duel")).read())
+        doc = duel_doc()
         doc["networks"][0]["links"][0]["a"] = "GHOST"
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))

@@ -10,7 +10,6 @@ from wavebroker import (
     InfeasibleError,
     VirtualChannel,
     apply_delta,
-    brute_force_rwa,
     incremental_allocate,
     marginal_cost,
     total_cost_curve,
@@ -19,6 +18,7 @@ from wavebroker.cost import curve_csv_rows
 from wavebroker.topology import Link, link_key, make_network
 
 from conftest import mknet, random_parallel_routes_net, two_route_net, VC_SEA_BOS
+from oracle import brute_force_rwa
 
 
 class TestCurveStructure:
@@ -70,8 +70,11 @@ class TestTotalCost:
         assert curve.total_cost(8) == 8 * 125
         assert curve.total_cost(9) == 8 * 125 + 170
         assert curve.total_cost(16) == 8 * 125 + 8 * 170
-        for q in range(1, curve.q_max + 1):
-            assert curve.total_cost(q) - curve.total_cost(q - 1) == curve.mc_at(q)
+        # each unit of a segment adds the segment's marginal cost, up to q_max
+        assert curve.segments[-1].q_to == curve.q_max
+        for seg in curve.segments:
+            for q in range(seg.q_from, seg.q_to + 1):
+                assert curve.total_cost(q) - curve.total_cost(q - 1) == seg.mc
 
     def test_out_of_range_queries_raise(self):
         net = mknet([("A", "B", 1, 5)])
@@ -79,7 +82,7 @@ class TestTotalCost:
         with pytest.raises(ValueError):
             curve.total_cost(2)
         with pytest.raises(ValueError):
-            curve.mc_at(0)
+            curve.total_cost(-1)
 
     def test_tc_at_qmax_matches_exact_solver_on_parallel_routes(self):
         rng = random.Random(31)
@@ -173,7 +176,7 @@ class TestProbeIsGreedyPlacement:
                         else:
                             full += 1
                         continue
-                    assert mc == added == total_cost_curve(net, form, vc, rng.randint(1, 4)).mc_at(1)
+                    assert mc == added == total_cost_curve(net, form, vc, rng.randint(1, 4)).segments[0].mc
                     priced += 1
         # capacity binds on many probes, and many reach the isolated node
         assert priced >= 500 and full >= 500 and cut_off >= 500

@@ -11,7 +11,6 @@ from wavebroker import (
     ConflictError,
     Grant,
     InfeasibleError,
-    InstanceTooLargeError,
     LightPath,
     LinearDemand,
     NoPathError,
@@ -21,12 +20,10 @@ from wavebroker import (
     VirtualChannel,
     Violation,
     apply_delta,
-    brute_force_rwa,
     dump_allocation,
     incremental_allocate,
     marginal_cost,
     run_scenario,
-    solve_min_cost_rwa,
     validate_allocation,
 )
 from wavebroker import _kernel, cli, rwa, topology
@@ -35,9 +32,9 @@ from wavebroker.rwa import _fresh_conn_id, _hops_nodes, _link_masks, _net_tables
 from wavebroker.topology import Link, link_key, make_network
 
 from conftest import benchmark_config, mknet, random_guard_instance, random_parallel_routes_net, scenario_path, two_route_net, VC_SEA_BOS
+from oracle import InstanceTooLargeError, brute_force_rwa
 
 VC_AB = VirtualChannel("A", "B", "VC1")
-SOLVERS = (solve_min_cost_rwa, brute_force_rwa)
 
 
 def grant_of(conn, vc, *runs):
@@ -71,16 +68,18 @@ def route2_count(delta):
 
 
 class TestSolve:
+    """One connection's placement: the exhaustive oracle inside its guard, greedy placement past it."""
+
     def test_single_link_forced_placement(self):
         net = mknet([("A", "B", 2, 5)])
-        delta, added = solve_min_cost_rwa(net, Allocation(), VC_AB, 1)
+        delta, added = brute_force_rwa(net, Allocation(), VC_AB, 1)
         assert added == 5
         assert len(delta) == 1
         assert delta.lightpaths()[0].wavelength == 1  # tie-break takes the lowest index
 
     def test_two_route_overflow_split(self):
         net = two_route_net()
-        delta, added = solve_min_cost_rwa(net, Allocation(), VC_SEA_BOS, 9)
+        delta, added = incremental_allocate(net, Allocation(), VC_SEA_BOS, 9)
         assert route1_count(delta) == 8
         assert route2_count(delta) == 1
         # consecutive units on one path share a run
@@ -89,39 +88,37 @@ class TestSolve:
 
     def test_two_route_capacity_ceiling(self):
         net = two_route_net()
-        _delta, added = solve_min_cost_rwa(net, Allocation(), VC_SEA_BOS, 16)
+        _delta, added = incremental_allocate(net, Allocation(), VC_SEA_BOS, 16)
         assert added == 8 * 125 + 8 * 170
-        with pytest.raises(InfeasibleError):
-            solve_min_cost_rwa(net, Allocation(), VC_SEA_BOS, 17)
+        # a seventeenth unit finds no room: 16 of 17 are placed, at the same cost
+        delta, more = incremental_allocate(net, Allocation(), VC_SEA_BOS, 17)
+        assert (len(delta), more) == (16, added)
 
     def test_crossing_demands_infeasible_confirmed_by_oracle(self):
         # ring A-B-C-D with W=1: once one diagonal is placed, the other cannot be
         net = mknet([("A", "B", 1, 1), ("B", "C", 1, 1), ("C", "D", 1, 1), ("D", "A", 1, 1)], wavelength_count=1)
-        for solve in SOLVERS:
-            first, added = solve(net, Allocation(), VirtualChannel("A", "C", "d1"), 1)
+        d1, d2 = VirtualChannel("A", "C", "d1"), VirtualChannel("B", "D", "d2")
+        for place in (incremental_allocate, brute_force_rwa):
+            first, added = place(net, Allocation(), d1, 1)
             assert added == 2 and [lp.nodes() for lp in first.lightpaths()] == [("A", "B", "C")]
             state = apply_delta(net, Allocation(), first)
-            for other in SOLVERS:
-                with pytest.raises(InfeasibleError):
-                    other(net, state, VirtualChannel("B", "D", "d2"), 1)
-
-    def test_empty_requests_cost_zero(self):
-        # an empty request is a count below 1, refused before any search places or charges a unit
-        net = mknet([("A", "B", 2, 5)])
-        for count in (0, -1):
-            with pytest.raises(ValueError, match="count must be >= 1"):
-                solve_min_cost_rwa(net, Allocation(), VC_AB, count)
+            with pytest.raises(InfeasibleError):
+                brute_force_rwa(net, state, d2, 1)
+            assert len(incremental_allocate(net, state, d2, 1)[0]) == 0
 
     def test_demand_above_wavelength_budget_infeasible(self):
+        # three units of one connection need three distinct wavelengths; two exist
         net = mknet([("A", "B", 5, 5)], wavelength_count=2)
-        with pytest.raises(InfeasibleError, match="3 units need 3 distinct wavelengths"):
-            solve_min_cost_rwa(net, Allocation(), VC_AB, 3)
+        with pytest.raises(InfeasibleError):
+            brute_force_rwa(net, Allocation(), VC_AB, 3)
+        delta, added = incremental_allocate(net, Allocation(), VC_AB, 3)
+        assert (len(delta), added) == (2, 10)
 
     def test_existing_lightpaths_never_move(self):
         net = mknet([("A", "B", 3, 5)], wavelength_count=3)
         delta, _ = incremental_allocate(net, Allocation(), VC_AB, 2)
         state = apply_delta(net, Allocation(), delta)
-        extra, added = solve_min_cost_rwa(net, state, VC_AB, 1)
+        extra, added = brute_force_rwa(net, state, VC_AB, 1)
         merged = apply_delta(net, state, extra)
         assert set(state.lightpaths) <= set(merged.lightpaths)
         assert merged.total_cost(net) == 15  # three units on the same 5-cost link
@@ -130,16 +127,16 @@ class TestSolve:
     def test_disconnected_vc_infeasible(self):
         net = mknet([("A", "B", 1, 1), ("C", "D", 1, 1)])
         with pytest.raises(InfeasibleError):
-            solve_min_cost_rwa(net, Allocation(), VirtualChannel("A", "C", "x"), 1)
+            brute_force_rwa(net, Allocation(), VirtualChannel("A", "C", "x"), 1)
 
     def test_deterministic_under_link_permutation(self):
         base = [("A", "B", 1, 10), ("A", "C", 2, 1), ("C", "B", 1, 2), ("A", "D", 1, 4), ("D", "B", 2, 4)]
-        ref_delta, ref_cost = solve_min_cost_rwa(mknet(base, 3), Allocation(), VC_AB, 2)
+        ref_delta, ref_cost = brute_force_rwa(mknet(base, 3), Allocation(), VC_AB, 2)
         rng = random.Random(5)
         for _ in range(5):
             shuffled = base[:]
             rng.shuffle(shuffled)
-            delta, added = solve_min_cost_rwa(mknet(shuffled, 3), Allocation(), VC_AB, 2)
+            delta, added = brute_force_rwa(mknet(shuffled, 3), Allocation(), VC_AB, 2)
             assert added == ref_cost
             assert delta.lightpaths() == ref_delta.lightpaths()
 
@@ -162,44 +159,6 @@ class TestBruteForce:
             with pytest.raises(ValueError, match="count must be >= 1"):
                 brute_force_rwa(net, Allocation(), VC_AB, count)
 
-    @staticmethod
-    def assert_agree(net, state, vc, count):
-        """Both solvers give the same grant and cost, or both raise InfeasibleError; True when feasible."""
-        try:
-            expected = brute_force_rwa(net, state, vc, count)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                solve_min_cost_rwa(net, state, vc, count)
-            return False
-        grant, added = solve_min_cost_rwa(net, state, vc, count)
-        assert added == expected[1]
-        lightpaths = grant.lightpaths()
-        assert lightpaths == expected[0].lightpaths()  # identical tie-breaks
-        assert [lp.wavelength for lp in lightpaths] == sorted({lp.wavelength for lp in lightpaths})
-        return True
-
-    def test_oracle_equivalence_randomized(self):
-        rng = random.Random(1234)
-        feasible = infeasible = 0
-        for tag in range(80):
-            if self.assert_agree(*random_guard_instance(rng, tag)):
-                feasible += 1
-            else:
-                infeasible += 1
-        assert feasible >= 20 and infeasible >= 5
-
-    def test_oracle_equivalence_on_top_of_state(self):
-        # place the channel once greedily, then solve for it again on top
-        rng = random.Random(77)
-        checked = 0
-        for tag in range(40):
-            net, state, vc, count = random_guard_instance(rng, 1000 + tag)
-            grant, _ = incremental_allocate(net, state, vc, count)
-            if not grant:
-                continue
-            checked += self.assert_agree(net, apply_delta(net, state, grant), vc, count)
-        assert checked >= 10
-
     def test_solver_monotone_in_count(self):
         rng = random.Random(4321)
         checked = 0
@@ -208,11 +167,11 @@ class TestBruteForce:
             if count < 2:
                 continue
             try:
-                _, bigger = solve_min_cost_rwa(net, state, vc, count)
+                _, bigger = brute_force_rwa(net, state, vc, count)
             except InfeasibleError:
                 continue
             # whatever fits count units fits fewer, each one costing at least the cheapest path
-            _, smaller = solve_min_cost_rwa(net, state, vc, count - 1)
+            _, smaller = brute_force_rwa(net, state, vc, count - 1)
             assert bigger >= smaller + _path_tables(net, vc)[1][0]
             checked += 1
         assert checked >= 10
@@ -290,10 +249,36 @@ class TestIncremental:
         delta, added = incremental_allocate(net, Allocation(), vc, 2)
         assert len(delta) == 1
         assert delta.lightpaths()[0].cost(net) == added == 3
-        for solve in SOLVERS:
-            exact_grant, exact = solve(net, Allocation(), vc, 2)
-            assert exact == 22
-            assert [(lp.nodes(), lp.wavelength) for lp in exact_grant.lightpaths()] == [(("S", "X", "T"), 1), (("S", "Y", "T"), 2)]
+        exact_grant, exact = brute_force_rwa(net, Allocation(), vc, 2)
+        assert exact == 22
+        assert [(lp.nodes(), lp.wavelength) for lp in exact_grant.lightpaths()] == [(("S", "X", "T"), 1), (("S", "Y", "T"), 2)]
+
+    @pytest.mark.parametrize(
+        "chord, greedy, greedy_cost",
+        [
+            # room for one unit on X-Y: nothing is left for a second unit
+            (1, [(("S", "X", "Y", "T"), 1)], 3),
+            # room for two: the second unit crosses the chord back, at 5 + 1 + 5
+            (2, [(("S", "X", "Y", "T"), 1), (("S", "Y", "X", "T"), 2)], 14),
+        ],
+    )
+    def test_greedy_falls_short_of_the_oracle_where_capacity_binds(self, chord, greedy, greedy_cost):
+        # S-X and Y-T have room for one unit, so the cheapest path S-X-Y-T (cost 3) blocks both
+        # outer paths S-X-T and S-Y-T (6 each), which together fit two units at cost 12
+        net = mknet(
+            [("S", "X", 1, 1), ("X", "T", 1, 5), ("S", "Y", 1, 5), ("Y", "T", 1, 1), ("X", "Y", chord, 1)],
+            wavelength_count=2,
+        )
+        vc = VirtualChannel("S", "T", "p")
+        grant, added = incremental_allocate(net, Allocation(), vc, 2)
+        assert [(lp.nodes(), lp.wavelength) for lp in grant.lightpaths()] == greedy
+        assert added == greedy_cost
+        # one unit alone is placed at the exact cost; two are placed fully and cheapest by the oracle only
+        assert brute_force_rwa(net, Allocation(), vc, 1)[1] == 3
+        exact, cost = brute_force_rwa(net, Allocation(), vc, 2)
+        assert (len(exact), cost) == (2, 12)
+        assert [lp.nodes() for lp in exact.lightpaths()] == [("S", "X", "T"), ("S", "Y", "T")]
+        assert validate_allocation(net, apply_delta(net, Allocation(), exact), {exact.conn: 2}) == []
 
 
 def unit_at_a_time(net, state, vc, count):
@@ -564,11 +549,10 @@ class TestStateView:
                 pass
             grant, _ = incremental_allocate(net, state, vc, count)
             multi += len(grant.runs) > 1
-            for solve in SOLVERS:
-                try:
-                    solve(net, state, vc, count)
-                except InfeasibleError:
-                    pass
+            try:
+                brute_force_rwa(net, state, vc, count)
+            except InfeasibleError:
+                pass
             assert state._keys is keys and state._masks is kept and (kept is None or kept == before)
             assert _link_masks(net, state) == recounted_masks(net, state)
         # some placements wrote between kernel picks, on their own copy
@@ -633,14 +617,13 @@ class TestStateView:
                 assert _link_masks(net, other) == state._masks
                 assert rwa.next_unit_cost(net, other, vc) == rwa.next_unit_cost(net, state, vc)
                 assert incremental_allocate(net, other, vc, count) == (grant, added)
-                for solve in SOLVERS:
-                    try:
-                        want = solve(net, state, vc, count)
-                    except InfeasibleError:
-                        with pytest.raises(InfeasibleError):
-                            solve(net, other, vc, count)
-                    else:
-                        assert solve(net, other, vc, count) == want
+                try:
+                    want = brute_force_rwa(net, state, vc, count)
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        brute_force_rwa(net, other, vc, count)
+                else:
+                    assert brute_force_rwa(net, other, vc, count) == want
                 assert other.total_cost(net) == state.total_cost(net)
                 assert dump_allocation(net, other) == dump_allocation(net, state)
                 child, ref = apply_delta(net, other, grant), apply_delta(net, state, grant)
@@ -778,8 +761,10 @@ class TestKeptTables:
         for _ in range(10):
             assert rwa.next_unit_cost(b, state, vc) is None
             assert incremental_allocate(b, state, vc, 2) == (Grant("VC1#1", vc, (), 0), 0)
-            with pytest.raises(InfeasibleError, match="disconnected"):
-                solve_min_cost_rwa(b, state, vc, 1)
+            with pytest.raises(InfeasibleError):
+                marginal_cost(b, state, vc)
+        # the entry keeps the routing error, so nothing routes the channel again
+        assert "disconnected" in str(vars(b)["_routes"][id(vc)].error)
         assert routed.count("netB") == 1
 
     def test_a_pickled_network_carries_no_tables(self):
@@ -836,7 +821,7 @@ class TestValidator:
         for tag in range(60):
             net, state, vc, count = random_guard_instance(rng, 3000 + tag)
             try:
-                grant, _ = solve_min_cost_rwa(net, state, vc, count)
+                grant, _ = brute_force_rwa(net, state, vc, count)
             except InfeasibleError:
                 continue
             assert validate_allocation(net, apply_delta(net, state, grant), {grant.conn: count}) == []
@@ -897,7 +882,7 @@ class TestValidator:
         # placement takes only wavelengths 1..W, and W+1 still counts against capacity 3
         delta, _ = incremental_allocate(net, state, VC_AB, 2)
         assert [lp.wavelength for lp in delta.lightpaths()] == [1, 2]
-        exact, _ = solve_min_cost_rwa(net, state, VC_AB, 2)
+        exact, _ = brute_force_rwa(net, state, VC_AB, 2)
         assert sorted(lp.wavelength for lp in exact.lightpaths()) == [1, 2]
         extra, added = incremental_allocate(net, apply_delta(net, state, delta), VC_AB, 1)
         assert (extra.lightpaths(), added) == ((), 0)

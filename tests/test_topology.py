@@ -13,12 +13,10 @@ from wavebroker import (
     NetworkTooLargeError,
     NoPathError,
     VirtualChannel,
-    brute_force_rwa,
     incremental_allocate,
     make_network,
     path_cost,
     route_candidates,
-    solve_min_cost_rwa,
     validate_network,
 )
 
@@ -27,6 +25,7 @@ from wavebroker.cli import load_scenario
 from wavebroker.topology import MAX_ROUTE_NODES, MAX_ROUTE_PATHS, Routes
 
 from conftest import benchmark_config, mknet, scenario_path, two_route_net, VC_SEA_BOS
+from oracle import brute_force_rwa
 
 
 def codes(violations):
@@ -96,10 +95,10 @@ class TestDomainTypes:
             VirtualChannel("A", "B", "")
 
     def test_demand_rejects_zero(self):
-        # a channel's demand is the count passed to a placement call; every entry point refuses 0
+        # a channel's demand is the count passed to a placement call; placement and the oracle refuse 0
         net = mknet([("A", "B", 2, 5)])
         vc = VirtualChannel("A", "B", "VC1")
-        for place in (incremental_allocate, solve_min_cost_rwa, brute_force_rwa):
+        for place in (incremental_allocate, brute_force_rwa):
             with pytest.raises(ValueError, match="count must be >= 1"):
                 place(net, Allocation(), vc, 0)
 
