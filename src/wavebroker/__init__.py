@@ -17,7 +17,6 @@ from .cost import CostCurve, CurveSegment, marginal_cost, total_cost_curve
 from .errors import (
     ConfigError,
     ConflictError,
-    DegenerateMarketError,
     EmptyCurveError,
     InfeasibleError,
     InvalidOutcomeError,
@@ -30,14 +29,7 @@ from .errors import (
     Violation,
     WavebrokerError,
 )
-from .game import (
-    Bid,
-    EquilibriumBound,
-    SupplierAgent,
-    UndercutPolicy,
-    decide_bid,
-    equilibrium_bounds,
-)
+from .game import Bid, SupplierAgent, UndercutPolicy, decide_bid
 from .market import (
     ChannelConfig,
     ConstantElasticityDemand,

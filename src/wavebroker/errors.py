@@ -93,10 +93,6 @@ class RoundCapExceededError(WavebrokerError):
     """The bidding loop ran past its overflow guard."""
 
 
-class DegenerateMarketError(WavebrokerError):
-    """Equilibrium bounds need at least two competitors."""
-
-
 class InvalidOutcomeError(WavebrokerError):
     """Settlement was invoked on an auction that produced no winner."""
 

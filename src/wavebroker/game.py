@@ -1,9 +1,10 @@
-"""Stochastic price-undercutting strategy and equilibrium-band prediction.
+"""Stochastic price-undercutting strategy.
 
 A supplier undercuts the standing minimum by a step drawn uniformly from
 its policy interval, as long as the resulting price does not fall below
 its own next-unit marginal cost.  The undercutting race therefore rests
-near the runner-up marginal cost, within a band set by the step extremes.
+near the runner-up marginal cost, within a band set by the step extremes;
+``market.run_scenario`` records that band with every auction.
 
 The step is ``random.Random.randint(l_min, l_max)`` written out on
 ``getrandbits``: with ``width = l_max - l_min + 1``, draw
@@ -18,9 +19,8 @@ the same rule out inline, so that an ask costs no Python-level call;
 ``decide_bid`` stays as the one-ask rule for callers, and as the binding
 through which the benchmark's tracer counts the game layer.  The step
 constants ``(l_min, width, bits)`` are ``UndercutPolicy.step``, which a
-run reads once per supplier.  A ``Bid`` and an ``EquilibriumBound`` are named
-tuples, built with ``tuple.__new__`` so that making one runs no Python
-frame.
+run reads once per supplier.  A ``Bid`` is a named tuple, built with
+``tuple.__new__`` so that making one runs no Python frame.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .cost import marginal_cost
-from .errors import DegenerateMarketError, InfeasibleError, Record
+from .errors import InfeasibleError, Record
 from .rwa import Allocation, apply_delta
 from .topology import Network, VirtualChannel
 
@@ -86,33 +86,6 @@ def decide_bid(
     if candidate >= own_next_unit_mc:
         return _new(Bid, (candidate,))
     return None
-
-
-class EquilibriumBound(NamedTuple):
-    """Predicted resting point of a race: runner-up MC plus/minus the step band."""
-
-    reference_mc: int
-    e_min: int
-    e_max: int
-
-    def interval(self) -> tuple[int, int]:
-        return self.reference_mc - self.e_max, self.reference_mc + self.e_max
-
-
-def equilibrium_bounds(mc_list: list[int], policies: list[UndercutPolicy]) -> EquilibriumBound:
-    """Band the final price is expected to land in, from costs and policies alone.
-
-    The band is centred on the runner-up (second-lowest) marginal cost,
-    and its half-width is the largest ``l_max`` among the given policies;
-    ``e_min``, the smallest ``l_min``, is only reported.  This is the
-    band's one definition: ``market.run_scenario`` computes the same
-    figures from constants it builds once per run.
-    """
-    if len(mc_list) < 2 or len(policies) < 2:
-        raise DegenerateMarketError("equilibrium bounds need at least two competitors")
-    return _new(
-        EquilibriumBound, (sorted(mc_list)[1], min([p.l_min for p in policies]), max([p.l_max for p in policies]))
-    )
 
 
 class SupplierAgent:

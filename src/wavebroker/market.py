@@ -315,12 +315,13 @@ def validate_scenario(config: ScenarioConfig) -> list[str]:
             for end in (ch.vc.src, ch.vc.dst):
                 if end not in sup.network.nodes:
                     problems.append(f"{loc}: endpoint {end!r} missing from networks[{i}] ({sup.network.id!r})")
-    # the route entries made here, a channel without a route included, are the ones placement reads later
+    # the route entries made here, one per endpoint pair and a pair without a route included, are the ones
+    # placement reads later; a pair too large to route keeps no entry, so each of its channels is reported
     for i, net in routable:
         for j, ch in enumerate(config.channels):
             if ch.vc.src in net.nodes and ch.vc.dst in net.nodes:
                 try:
-                    _route(net, ch.vc)
+                    _route(net, ch.vc.src, ch.vc.dst)
                 except NetworkTooLargeError as exc:
                     problems.append(f"networks[{i}]: virtual_channels[{j}] ({ch.vc.label!r}): {exc}")
     for k, (rnd, label) in enumerate(config.schedule):
@@ -376,8 +377,9 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
 
     Each request probes every supplier's next-unit marginal cost, then
     runs one competition plus settlement.  Every auction record carries
-    the equilibrium-band prediction of ``game.equilibrium_bounds`` over
-    the suppliers priced at auction start, so the band can be checked
+    the equilibrium-band prediction over the suppliers priced at auction
+    start: centred on the runner-up marginal cost, with the largest
+    ``l_max`` among them as its half-width, so the band can be checked
     from the report alone.  What only the suppliers determine is built
     once per run: the race's ``Bidders`` table and each supplier's
     largest step, so a request pays for its probes, its race, its
@@ -426,7 +428,7 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         if race is not None:
             asks, bids, passes, most_cutters = race.counts()
 
-        # game.equilibrium_bounds' band over the priced suppliers
+        # the band over the priced suppliers: runner-up MC plus or minus their largest l_max
         priced, e_max = mcs, run_l_max
         if None in mcs:
             priced = [mc for mc in mcs if mc is not None]

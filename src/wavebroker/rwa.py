@@ -27,11 +27,12 @@ and a marginal-cost probe, ``next_unit_cost``, is at most one kernel call
 against it.
 
 Placement finds its tables on the network object: its link tables, and
-per channel object its route tables, are kept in the network's
-``__dict__`` and found by value only once per object.  A channel's entry
-also keeps the kernel's last pick on a state's own mask list, so a probe
-of a state that has not changed, and the winner's settlement after its
-probe, do not ask the kernel again.
+per ordered endpoint pair its route tables, are kept in the network's
+``__dict__`` and found by value only once per object.  A channel's label
+plays no part in them, so every channel on one pair shares one entry.  An
+entry also keeps the kernel's last pick on a state's own mask list, so a
+probe of a state that has not changed, and the winner's settlement after
+its probe, do not ask the kernel again.
 """
 
 from __future__ import annotations
@@ -392,14 +393,12 @@ def _label_conn(grant: Grant) -> tuple[str, str]:
 # -- placement tables, kept on the network object ------------------------------
 #
 # A network object keeps its link tables in its ``__dict__`` under
-# ``_net_tables``, and one ``_Route`` per channel object under ``_routes``,
-# as it keeps ``_hash`` and ``link_by_key``; its pickle drops both.  The
-# value-keyed caches below are read once per network object, and once per
-# (network object, channel object), so equal networks loaded afresh share
-# their tables without a lookup by value on every call.
-
-# Channel entries one network object keeps; beyond this the oldest goes.
-ROUTES_PER_NETWORK = 2048
+# ``_net_tables``, and one ``_Route`` per ordered endpoint pair under
+# ``_routes``, as it keeps ``_hash`` and ``link_by_key``; its pickle drops
+# both.  The value-keyed caches below are read once per network object, and
+# once per (network object, src, dst), so equal networks loaded afresh share
+# their tables without a lookup by value on every call.  A routable network
+# has at most 12 nodes (``MAX_ROUTE_NODES``), so it keeps at most 132 entries.
 
 
 @lru_cache(maxsize=512)
@@ -426,13 +425,14 @@ def _net_tables(net: Network):
 
 
 @lru_cache(maxsize=2048)
-def _path_tables(net: Network, vc: VirtualChannel):
-    """Per candidate path, cheapest first: its hop tuple, its cost, its link indexes
-    and whether it is the only candidate at its cost.  The first three are
-    ``route_candidates``' ``hops``, ``costs`` and ``links``, whose hop tuples are
-    ``net.arcs``' own and whose link numbers are ``_net_tables``' link indexes.
-    Keyed by value, and read through ``_route``; a ``NoPathError`` is raised, not cached."""
-    routes = route_candidates(net, vc)
+def _path_tables(net: Network, src: str, dst: str):
+    """Per candidate path from ``src`` to ``dst``, cheapest first: its hop tuple, its
+    cost, its link indexes and whether it is the only candidate at its cost.  The
+    first three are ``route_candidates``' ``hops``, ``costs`` and ``links``, whose hop
+    tuples are ``net.arcs``' own and whose link numbers are ``_net_tables``' link
+    indexes.  Keyed by value, and read through ``_route``; a ``NoPathError`` is
+    raised, not cached."""
+    routes = route_candidates(net, src, dst)
     costs = routes.costs
     # costs ascend, so a tie can only be with a neighbour
     padded = (None,) + costs + (None,)
@@ -441,12 +441,13 @@ def _path_tables(net: Network, vc: VirtualChannel):
 
 
 class _Route:
-    """One channel's placement tables on one network object, and its last kernel pick.
+    """One endpoint pair's placement tables on one network object, and its last kernel pick.
 
     ``hops``, ``costs``, ``link_lists`` and ``alone`` are ``_path_tables``';
     ``tables`` is ``_net_tables(net)`` and ``full`` the mask of every
-    wavelength.  When no route joins the channel's ends,
-    ``error`` is the ``NoPathError`` and the path tables are empty.
+    wavelength.  When no route joins the two ends, ``error`` is the
+    ``NoPathError``, which names only the ends and the network, and the
+    path tables are empty.
 
     ``pick`` is the kernel's ``(path, wavelength)`` answer on the mask list
     ``masks`` with every wavelength allowed.  It is kept only for a state's
@@ -454,13 +455,13 @@ class _Route:
     ``Allocation.empty`` makes it, so the same list gives the same pick.
     """
 
-    __slots__ = ("vc", "tables", "full", "hops", "costs", "link_lists", "alone", "error", "masks", "pick")
+    __slots__ = ("tables", "full", "hops", "costs", "link_lists", "alone", "error", "masks", "pick")
 
-    def __init__(self, net: Network, vc: VirtualChannel):
-        self.vc, self.tables, self.full = vc, _net_tables(net), (1 << net.wavelength_count) - 1
+    def __init__(self, net: Network, src: str, dst: str):
+        self.tables, self.full = _net_tables(net), (1 << net.wavelength_count) - 1
         self.error = self.masks = self.pick = None
         try:
-            self.hops, self.costs, self.link_lists, self.alone = _path_tables(net, vc)
+            self.hops, self.costs, self.link_lists, self.alone = _path_tables(net, src, dst)
         except NoPathError as exc:
             self.hops = self.costs = self.link_lists = self.alone = ()
             self.error = exc.with_traceback(None)
@@ -475,24 +476,21 @@ class _Route:
         return pick
 
 
-def _route(net: Network, vc: VirtualChannel) -> _Route:
-    """``vc``'s entry on the network object ``net``, made on first use.
+def _route(net: Network, src: str, dst: str) -> _Route:
+    """The entry of the ordered pair ``(src, dst)`` on the network object ``net``, made on first use.
 
-    Entries are keyed by the channel object's id and hold the channel, so
-    an id is not reused while its entry is kept.  A channel with no route
-    keeps its ``NoPathError``; a ``NetworkTooLargeError`` is raised and not
-    kept.  ``next_unit_cost`` and ``incremental_allocate`` read the map
-    inline and call this only when the entry is missing.
+    Every channel from ``src`` to ``dst`` reads this one entry, whatever its
+    label; ``(dst, src)`` has its own, as its tie-break differs.  A pair with
+    no route keeps its ``NoPathError``; a ``NetworkTooLargeError`` is raised
+    and not kept.  ``next_unit_cost`` and ``incremental_allocate`` read the
+    map inline and call this only when the entry is missing.
     """
     routes = net.__dict__.get("_routes")
     if routes is None:
         routes = net.__dict__["_routes"] = {}
-    route = routes.get(id(vc))
+    route = routes.get((src, dst))
     if route is None:
-        route = _Route(net, vc)
-        if len(routes) >= ROUTES_PER_NETWORK:
-            del routes[next(iter(routes))]
-        routes[id(vc)] = route
+        route = routes[src, dst] = _Route(net, src, dst)
     return route
 
 
@@ -532,13 +530,13 @@ def _fresh_conn_id(state: Allocation, label: str) -> str:
 def next_unit_cost(net: Network, state: Allocation, vc: VirtualChannel) -> int | None:
     """What greedy placement of one more unit adds, or None when nothing fits.
 
-    One kernel call, or none when the channel's entry keeps the pick on
+    One kernel call, or none when the pair's entry keeps the pick on
     this state's own masks.
     """
     try:
-        route = net.__dict__["_routes"][id(vc)]
+        route = net.__dict__["_routes"][vc.src, vc.dst]
     except KeyError:
-        route = _route(net, vc)
+        route = _route(net, vc.src, vc.dst)
     if route.error is not None:
         return None
     masks = _link_masks(net, state, route.tables)
@@ -579,9 +577,9 @@ def incremental_allocate(
         raise ValueError("count must be >= 1")
     conn = _fresh_conn_id(state, vc.label)
     try:
-        route = net.__dict__["_routes"][id(vc)]
+        route = net.__dict__["_routes"][vc.src, vc.dst]
     except KeyError:
-        route = _route(net, vc)
+        route = _route(net, vc.src, vc.dst)
     if route.error is not None:
         return Grant(conn, vc, (), 0), 0
     hops, costs, link_lists, alone, allowed = route.hops, route.costs, route.link_lists, route.alone, route.full
@@ -612,6 +610,8 @@ def incremental_allocate(
                 free ^= block
                 take |= block
                 n += block.bit_count()
+            if not n:  # a pick with no room would be asked for again on the same masks, without end
+                raise RuntimeError(f"the kernel picked path {p}, which has no free wavelength with room")
         runs.append((hops[p], take))
         placed += n
         added += costs[p] * n

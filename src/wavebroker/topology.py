@@ -6,8 +6,8 @@ plain values; nothing here mutates after construction.  A network object
 does keep what is derived from it in its ``__dict__``: its hash, its link
 map, its arc table (``arcs``, which route enumeration walks and whose hop
 tuples every route table shares), and the placement tables ``rwa`` keeps
-there (``_net_tables``, and ``_routes`` per channel).  Equality ignores
-them, and a network pickles as its fields alone.
+there (``_net_tables``, and ``_routes`` per ordered endpoint pair).
+Equality ignores them, and a network pickles as its fields alone.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import NetworkTooLargeError, NoPathError, Record, Violation
 # Complete simple-path enumeration is exponential; desk-scale graphs only.
 MAX_ROUTE_NODES = 12
 
-# Candidate paths per channel: a complete 8-node network has 1,957 between
+# Candidate paths per endpoint pair: a complete 8-node network has 1,957 between
 # two nodes, a complete 12-node one about 9.9 million.
 MAX_ROUTE_PATHS = 2048
 
@@ -95,8 +95,7 @@ def make_network(net_id: str, nodes, links, wavelength_count: int) -> Network:
 class VirtualChannel(Record):
     """A requested end-to-end logical connection."""
 
-    __slots__ = ("src", "dst", "label", "__dict__")
-    _fields = __slots__[:3]
+    __slots__ = _fields = ("src", "dst", "label")
 
     def __init__(self, src: str, dst: str, label: str):
         if src == dst:
@@ -104,12 +103,6 @@ class VirtualChannel(Record):
         if not label:
             raise ValueError("virtual channel label must be non-empty")
         super().__init__(src, dst, label)
-
-    # Keys the route-table lru_cache beside the network, once per (network, channel) object; hash the fields once, as Network does.
-    _hash = cached_property(Record.__hash__)
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def validate_network(net: Network) -> list[Violation]:
@@ -151,8 +144,8 @@ class Routes(list):
     its links (their places in the sorted link keys) in ``links``."""
 
 
-def route_candidates(net: Network, vc: VirtualChannel) -> Routes:
-    """All simple paths from vc.src to vc.dst, cheapest first.
+def route_candidates(net: Network, src: str, dst: str) -> Routes:
+    """All simple paths from ``src`` to ``dst``, cheapest first.
 
     Ordering is total and insertion-independent: ascending per-wavelength
     path cost, ties broken lexicographically by the node-label sequence.
@@ -166,11 +159,10 @@ def route_candidates(net: Network, vc: VirtualChannel) -> Routes:
         raise NetworkTooLargeError(
             f"{len(net.nodes)} nodes; complete path enumeration is capped at {MAX_ROUTE_NODES}"
         )
-    if vc.src not in net.nodes or vc.dst not in net.nodes:
-        raise ValueError(f"virtual channel {vc.label!r} references nodes outside network {net.id!r}")
+    if src not in net.nodes or dst not in net.nodes:
+        raise ValueError(f"{src!r} or {dst!r} is not a node of network {net.id!r}")
 
     arcs = net.arcs
-    src, dst = vc.src, vc.dst
     # The walk below visits every simple path from src, so look for dst first.
     seen = {src}
     todo = [src]

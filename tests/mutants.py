@@ -152,6 +152,12 @@ MUTANTS = [
             "tests/test_layers.py::test_a_traced_run_builds_no_lightpath",
         ),
     ),
+    Mutant(
+        "placement-accepts-a-pick-with-no-room",
+        "a kernel pick that places nothing is asked for again instead of refused",
+        ((RWA, "            if not n:", "            if not n and False:"),),
+        (f"{T_RWA}::TestPathAtATime::test_a_pick_on_a_path_with_no_room_raises",),
+    ),
     # -- grants and commits -----------------------------------------------------
     Mutant(
         "commit-shares-the-parent-counts",
@@ -257,6 +263,21 @@ MUTANTS = [
         (
             f"{T_TOPOLOGY}::TestRouteTablesMatchReference::test_fuzzed_networks",
             f"{T_TOPOLOGY}::TestRouteCandidates::test_cost_tie_broken_lexicographically",
+        ),
+    ),
+    Mutant(
+        "routes-keyed-by-unordered-pair",
+        "a network keeps one entry per unordered endpoint pair, so (dst, src) reads the tables of (src, dst)",
+        (
+            (
+                RWA,
+                "    route = routes.get((src, dst))\n    if route is None:\n        route = routes[src, dst] = _Route(net, src, dst)\n",
+                "    key = min((src, dst), (dst, src))\n    route = routes.get(key)\n    if route is None:\n        route = routes[key] = _Route(net, *key)\n",
+            ),
+        ),
+        (
+            f"{T_RWA}::TestKeptTables::test_a_scenario_with_many_labels_on_one_pair_routes_each_pair_once",
+            f"{T_RWA}::TestKeptTables::test_probes_and_settlements_match_the_kernel_over_commit_chains",
         ),
     ),
     # -- the validator ----------------------------------------------------------

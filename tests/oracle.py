@@ -44,7 +44,7 @@ def brute_force_rwa(net, state, vc, count):
             f"guard is <= {BRUTE_MAX_NODES} nodes, W <= {BRUTE_MAX_WAVELENGTHS}, <= {BRUTE_MAX_UNITS} units"
         )
     try:
-        routes = route_candidates(net, vc)
+        routes = route_candidates(net, vc.src, vc.dst)
     except NoPathError as exc:
         raise InfeasibleError(str(exc)) from exc
     # link numbers are indexes into the sorted link keys, as the state's masks are

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavebroker import (
-    Bid,
-    DegenerateMarketError,
-    SupplierAgent,
-    UndercutPolicy,
-    decide_bid,
-    equilibrium_bounds,
-)
+from wavebroker import Bid, SupplierAgent, UndercutPolicy, decide_bid
 
+from band import DegenerateMarketError, equilibrium_bounds
 from conftest import mknet
 
 

@@ -17,7 +17,6 @@ from wavebroker import (
     CompetitionOutcome,
     ConfigError,
     ConstantElasticityDemand,
-    EquilibriumBound,
     Grant,
     InvalidOutcomeError,
     LightPath,
@@ -33,7 +32,6 @@ from wavebroker import (
     VirtualChannel,
     broker_demand,
     child_seed,
-    equilibrium_bounds,
     profit_percentages,
     run_competition,
     run_scenario,
@@ -48,6 +46,7 @@ from wavebroker.protocol import Ack, CompetitionTrace, Exc1, Exc2, Nack
 from wavebroker import market, rwa
 from wavebroker.rwa import _link_masks
 
+from band import EquilibriumBound, equilibrium_bounds
 from conftest import mknet, probed_mcs, random_scenario, scenario_path
 
 VC = VirtualChannel("S", "T", "VC1")

@@ -172,7 +172,7 @@ class TestBruteForce:
                 continue
             # whatever fits count units fits fewer, each one costing at least the cheapest path
             _, smaller = brute_force_rwa(net, state, vc, count - 1)
-            assert bigger >= smaller + _path_tables(net, vc)[1][0]
+            assert bigger >= smaller + _path_tables(net, vc.src, vc.dst)[1][0]
             checked += 1
         assert checked >= 10
 
@@ -284,7 +284,7 @@ class TestIncremental:
 def unit_at_a_time(net, state, vc, count):
     """Reference greedy placement: one kernel call per unit."""
     try:
-        hops, costs, link_lists, _alone = _path_tables(net, vc)
+        hops, costs, link_lists, _alone = _path_tables(net, vc.src, vc.dst)
     except NoPathError:
         return (), 0
     conn = _fresh_conn_id(state, vc.label)
@@ -353,7 +353,7 @@ class TestPathAtATime:
             if any(a.hops is b.hops for a, b in zip(lightpaths, lightpaths[1:])):
                 runs += 1
             try:
-                _hops, costs, _links, alone = _path_tables(net, vc)
+                _hops, costs, _links, alone = _path_tables(net, vc.src, vc.dst)
             except NoPathError:
                 continue
             assert alone == tuple(costs.count(c) == 1 for c in costs)
@@ -367,7 +367,7 @@ class TestPathAtATime:
             [("A", "B", 2, 5), ("A", "C", 2, 3), ("C", "B", 2, 3), ("A", "D", 2, 4), ("D", "B", 2, 2), ("A", "E", 2, 4), ("E", "B", 2, 4)],
             wavelength_count=4,
         )
-        _hops, costs, _links, alone = _path_tables(net, VC_AB)
+        _hops, costs, _links, alone = _path_tables(net, "A", "B")
         assert costs == (5, 6, 6, 8)
         assert alone == (True, False, False, True)
 
@@ -387,7 +387,7 @@ class TestPathAtATime:
         nodes = "ABCDEF"
         links = [Link(a, b, 4, rng.choice((1, 2, 3))) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
         net = make_network("cost-once", nodes, links, 4)
-        all_hops, costs, _links, _alone = _path_tables(net, VC_AB)
+        all_hops, costs, _links, _alone = _path_tables(net, "A", "B")
         paths = [_hops_nodes(hops) for hops in all_hops]
         assert len(paths) == 65
         assert summed == []
@@ -404,6 +404,22 @@ class TestPathAtATime:
         ]
         assert added == 3 * 5 + 2 * 8
 
+    def test_a_pick_on_a_path_with_no_room_raises(self, monkeypatch):
+        # the one link carries its capacity of 1 on wavelength 1; a kernel that picks wavelength 2
+        # on it anyway leaves a lone path with no room, which places nothing
+        net = mknet([("A", "B", 1, 5)], wavelength_count=4, net_id="full-pick")
+        state = apply_delta(net, Allocation.empty(net), grant_of("old#1", VC_AB, ((("A", "B"),), [1])))
+        asked = []
+
+        def full_pick(link_lists, costs, masks, caps, allowed):
+            asked.append(masks)
+            assert len(asked) <= 3, "the kernel was asked again on unchanged masks"
+            return 0, 1
+
+        monkeypatch.setattr(_kernel, "cheapest_placement", full_pick)
+        with pytest.raises(RuntimeError, match="no free wavelength with room"):
+            incremental_allocate(net, state, VC_AB, 2)
+        assert len(asked) == 1
 
     def test_fragmented_masks_with_room_ending_mid_block(self):
         """Wide ranges with scattered prior units: runs of free wavelengths, cut short by a link's room."""
@@ -428,7 +444,7 @@ class TestPathAtATime:
             multi_block += any(mask & (mask + (mask & -mask)) for _, mask in delta.runs)
             # did the first run stop at its path's room, with the next wavelength up still free?
             hops, take = delta.runs[0]
-            all_hops, _costs, link_lists, _alone = _path_tables(net, VC_AB)
+            all_hops, _costs, link_lists, _alone = _path_tables(net, "A", "B")
             path = all_hops.index(hops)
             masks, caps = _link_masks(net, state), _net_tables(net)[2]
             room = min(caps[li] - masks[li].bit_count() for li in link_lists[path])
@@ -657,7 +673,7 @@ def reference_greedy(net, state, vc, count):
     keys = sorted(net.link_by_key)
     index = {key: i for i, key in enumerate(keys)}
     try:
-        paths = topology.route_candidates(net, vc)
+        paths = topology.route_candidates(net, vc.src, vc.dst)
     except NoPathError:
         return [], 0
     link_lists = [[index[link_key(u, v)] for u, v in zip(p, p[1:])] for p in paths]
@@ -742,7 +758,7 @@ class TestKeptTables:
     def test_a_channel_without_a_route_is_routed_once(self, monkeypatch):
         routed = []
         route_candidates = rwa.route_candidates
-        monkeypatch.setattr(rwa, "route_candidates", lambda net, vc: routed.append(net.id) or route_candidates(net, vc))
+        monkeypatch.setattr(rwa, "route_candidates", lambda net, src, dst: routed.append(net.id) or route_candidates(net, src, dst))
         vc = VirtualChannel("S", "T", "VC1")
         a = mknet([("S", "T", 40, 10)], wavelength_count=40, net_id="netA")
         # netB holds both ends of the channel, and no route joins them
@@ -763,8 +779,8 @@ class TestKeptTables:
             assert incremental_allocate(b, state, vc, 2) == (Grant("VC1#1", vc, (), 0), 0)
             with pytest.raises(InfeasibleError):
                 marginal_cost(b, state, vc)
-        # the entry keeps the routing error, so nothing routes the channel again
-        assert "disconnected" in str(vars(b)["_routes"][id(vc)].error)
+        # the pair's entry keeps the routing error, so nothing routes the channel again
+        assert "disconnected" in str(vars(b)["_routes"]["S", "T"].error)
         assert routed.count("netB") == 1
 
     def test_a_pickled_network_carries_no_tables(self):
@@ -777,16 +793,45 @@ class TestKeptTables:
         assert copy == net and not {"_hash", "arcs", "_net_tables", "_routes"} & set(vars(copy))
         assert marginal_cost(copy, Allocation.empty(copy), VC_SEA_BOS) == 125
 
-    def test_the_channel_map_stays_capped(self):
-        net = mknet([("A", "B", 2, 5)], net_id="capped")
+    def test_labels_on_one_pair_make_one_entry(self, monkeypatch):
+        calls = self.kernel_calls(monkeypatch)
+        net = mknet([("A", "B", 2, 5)], net_id="one-pair")
         state = Allocation.empty(net)
-        channels = [VirtualChannel("A", "B", f"c{i}") for i in range(3000)]
-        for vc in channels:
-            assert rwa.next_unit_cost(net, state, vc) == 5
-        routes = vars(net)["_routes"]
-        # the newest entries are the ones kept
-        assert len(routes) == rwa.ROUTES_PER_NETWORK
-        assert [route.vc for route in routes.values()] == channels[-rwa.ROUTES_PER_NETWORK :]
+        for i in range(3000):
+            assert rwa.next_unit_cost(net, state, VirtualChannel("A", "B", f"c{i}")) == 5
+        assert list(vars(net)["_routes"]) == [("A", "B")]
+        # the first label's pick on this state's masks is every later label's
+        assert len(calls) == 1
+
+    def test_a_scenario_with_many_labels_on_one_pair_routes_each_pair_once(self, monkeypatch):
+        routed = []
+        route_candidates = rwa.route_candidates
+        monkeypatch.setattr(
+            rwa, "route_candidates", lambda net, src, dst: routed.append((net.id, src, dst)) or route_candidates(net, src, dst)
+        )
+        nets = [two_route_net(f"labels{k}") for k in range(2)]
+        channels = [VirtualChannel("SEA", "BOS", f"c{i}") for i in range(200)] + [VirtualChannel("BOS", "SEA", "back")]
+        policy = UndercutPolicy(1, 2)
+        config = ScenarioConfig(
+            "many-labels",
+            5,
+            tuple(SupplierConfig(net, policy, 2.0) for net in nets),
+            tuple(ChannelConfig(vc, LinearDemand(a=2, b=0.001)) for vc in channels),
+            tuple((r, vc.label) for r, vc in enumerate(channels[:200:25] + channels[-1:])),
+        )
+        report = run_scenario(config)
+        assert [rec.granted for rec in report.records] == [1] * 9
+        assert sorted(routed) == sorted((net.id, *pair) for net in nets for pair in (("SEA", "BOS"), ("BOS", "SEA")))
+        for net in nets:
+            routes = vars(net)["_routes"]
+            assert list(routes) == [("SEA", "BOS"), ("BOS", "SEA")]
+            route, back = routes["SEA", "BOS"], routes["BOS", "SEA"]
+            # every label reads the one entry of its ordered pair, and the reverse pair has its own tables
+            assert all(rwa._route(net, vc.src, vc.dst) is route for vc in channels[:200])
+            assert back.hops == tuple(tuple(hop[::-1] for hop in reversed(hops)) for hops in route.hops)
+            state = report.final_states[net.id]
+            assert len({rwa.next_unit_cost(net, state, vc) for vc in channels[:200]}) == 1
+        assert len(routed) == 4  # the probes above routed nothing
 
     def test_a_shipped_run_compares_no_network_once_loaded(self, tmp_path, monkeypatch):
         compared = []

@@ -73,17 +73,16 @@ class TestDomainTypes:
         assert "_hash" not in vars(clone)
         assert clone == net and hash(clone) == hash(net)
 
-    def test_vc_hash_is_cached_and_not_pickled(self):
+    def test_vc_hashes_by_value_and_pickles_as_its_fields(self):
         vc = VirtualChannel("A", "B", "VC1")
-        # the hash of its fields' tuple, as a frozen dataclass had, and its equality
+        # the hash of its fields' tuple, as a frozen dataclass had, and its equality; nothing else is kept on it
         assert hash(vc) == hash(("A", "B", "VC1")) == hash(VirtualChannel("A", "B", "VC1"))
-        assert "_hash" in vars(vc)
+        assert not hasattr(vc, "__dict__")
         assert vc == VirtualChannel("A", "B", "VC1")
         assert vc != VirtualChannel("B", "A", "VC1") and vc != VirtualChannel("A", "B", "VC2")
         assert {vc: 1}[VirtualChannel("A", "B", "VC1")] == 1
         assert repr(vc) == "VirtualChannel(src='A', dst='B', label='VC1')"
         clone = pickle.loads(pickle.dumps(vc))
-        assert "_hash" not in vars(clone)
         assert clone == vc and hash(clone) == hash(vc)
 
     def test_vc_rejects_equal_endpoints(self):
@@ -120,11 +119,11 @@ def counted_reads(net):
 class TestRouteCandidates:
     def test_single_link(self):
         net = mknet([("A", "B", 2, 5)])
-        assert route_candidates(net, VirtualChannel("A", "B", "VC1")) == [("A", "B")]
+        assert route_candidates(net, "A", "B") == [("A", "B")]
 
     def test_cheapest_route_first_on_two_route_net(self):
         net = two_route_net()
-        paths = route_candidates(net, VC_SEA_BOS)
+        paths = route_candidates(net, "SEA", "BOS")
         assert len(paths) == 2
         assert paths[0] == ("SEA", "DEN", "BOS")
         assert paths[1] == ("SEA", "POR", "SLC", "KC", "CHI", "BOS")
@@ -138,7 +137,7 @@ class TestRouteCandidates:
         gc.collect()
         gc.disable()
         try:
-            route_candidates(net, VC_SEA_BOS)
+            route_candidates(net, "SEA", "BOS")
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -147,20 +146,20 @@ class TestRouteCandidates:
         net = mknet(
             [("A", "B", 1, 10), ("A", "C", 1, 1), ("C", "B", 1, 2), ("A", "D", 1, 4), ("D", "B", 1, 4)]
         )
-        paths = route_candidates(net, VirtualChannel("A", "B", "p"))
+        paths = route_candidates(net, "A", "B")
         cost_list = [path_cost(net, p) for p in paths]
         assert cost_list == sorted(cost_list)
         assert paths[0] == ("A", "C", "B")
 
     def test_cost_tie_broken_lexicographically(self):
         net = mknet([("A", "B", 1, 5), ("A", "C", 1, 2), ("C", "B", 1, 3)])
-        paths = route_candidates(net, VirtualChannel("A", "B", "p"))
+        paths = route_candidates(net, "A", "B")
         assert paths == [("A", "B"), ("A", "C", "B")]
 
     def test_disconnected_raises(self):
         net = make_network("n", ["A", "B", "C", "D"], [Link("A", "B", 1, 1), Link("C", "D", 1, 1)], 1)
         with pytest.raises(NoPathError):
-            route_candidates(net, VirtualChannel("A", "C", "p"))
+            route_candidates(net, "A", "C")
 
     def test_an_unreachable_destination_is_found_before_any_path_is_walked(self):
         # a complete 7-node component beside an isolated node: walking every
@@ -170,10 +169,10 @@ class TestRouteCandidates:
         net = make_network("iso", nodes + ["Z"], links, 1)
         reads = counted_reads(net)
         with pytest.raises(NoPathError):
-            route_candidates(net, VirtualChannel("N0", "Z", "p"))
+            route_candidates(net, "N0", "Z")
         assert sorted(reads) == nodes
         reads.clear()
-        assert len(route_candidates(net, VirtualChannel("N0", "N1", "p"))) == 326
+        assert len(route_candidates(net, "N0", "N1")) == 326
         assert len(reads) > 326
 
     def test_nodes_behind_a_cut_vertex_at_src_are_never_walked(self):
@@ -184,14 +183,14 @@ class TestRouteCandidates:
         links = [Link(a, b, 1, 1) for k, a in enumerate(clique) for b in clique[k + 1 :]]
         net = make_network("cut", clique + ["D"], links + [Link("S", "D", 1, 1)], 1)
         reads = counted_reads(net)
-        assert route_candidates(net, VirtualChannel("S", "D", "p")) == [("S", "D")]
+        assert route_candidates(net, "S", "D") == [("S", "D")]
         # S is read by the reachability search and by the walk, D by the search from D
         assert sorted(reads) == ["D", "S", "S"]
 
     def test_unknown_endpoint_raises(self):
         net = mknet([("A", "B", 1, 1)])
         with pytest.raises(ValueError):
-            route_candidates(net, VirtualChannel("A", "Z", "p"))
+            route_candidates(net, "A", "Z")
 
     def test_path_count_guard(self):
         def complete(n):
@@ -199,18 +198,17 @@ class TestRouteCandidates:
             links = [Link(a, b, 1, 1) for k, a in enumerate(nodes) for b in nodes[k + 1 :]]
             return make_network(f"k{n}", nodes, links, 1)
 
-        vc = VirtualChannel("N00", "N01", "p")
         # a complete 8-node network has 1,957 paths between two nodes, under the cap
-        assert len(route_candidates(complete(8), vc)) == 1957 <= MAX_ROUTE_PATHS
+        assert len(route_candidates(complete(8), "N00", "N01")) == 1957 <= MAX_ROUTE_PATHS
         with pytest.raises(NetworkTooLargeError, match=f"more than {MAX_ROUTE_PATHS} paths"):
-            route_candidates(complete(12), vc)
+            route_candidates(complete(12), "N00", "N01")
 
     def test_node_count_guard(self):
         nodes = [f"N{i}" for i in range(13)]
         links = [Link(nodes[i], nodes[i + 1], 1, 1) for i in range(12)]
         net = make_network("big", nodes, links, 1)
         with pytest.raises(NetworkTooLargeError):
-            route_candidates(net, VirtualChannel("N0", "N12", "p"))
+            route_candidates(net, "N0", "N12")
 
     @settings(max_examples=40, deadline=None)
     @given(st.randoms(use_true_random=False))
@@ -223,11 +221,11 @@ class TestRouteCandidates:
             ("D", "B", 2, 4),
             ("C", "D", 1, 1),
         ]
-        reference = route_candidates(mknet(base), VirtualChannel("A", "B", "p"))
+        reference = route_candidates(mknet(base), "A", "B")
         shuffled = base[:]
         rnd.shuffle(shuffled)
         flipped = [(b, a, c, p) if rnd.random() < 0.5 else (a, b, c, p) for a, b, c, p in shuffled]
-        assert route_candidates(mknet(flipped), VirtualChannel("A", "B", "p")) == reference
+        assert route_candidates(mknet(flipped), "A", "B") == reference
 
     def test_fuzzed_ordering_total_and_deterministic(self):
         rng = random.Random(99)
@@ -239,9 +237,9 @@ class TestRouteCandidates:
                 key = (a, b) if a <= b else (b, a)
                 links[key] = Link(key[0], key[1], 1, rng.randint(1, 9))
             net = make_network(f"t{tag}", nodes, links.values(), 1)
-            vc = VirtualChannel(nodes[0], nodes[-1], "p")
+            src, dst = nodes[0], nodes[-1]
             try:
-                paths = route_candidates(net, vc)
+                paths = route_candidates(net, src, dst)
             except NoPathError:
                 continue
             cost_list = [path_cost(net, p) for p in paths]
@@ -249,7 +247,7 @@ class TestRouteCandidates:
             assert len(set(paths)) == len(paths)
             for p in paths:
                 assert len(set(p)) == len(p)
-            assert route_candidates(net, vc) == paths
+            assert route_candidates(net, src, dst) == paths
 
 
 # -- reference route tables ----------------------------------------------------
@@ -268,28 +266,28 @@ def reference_adjacency(net):
     return {n: tuple(sorted(v)) for n, v in nbrs.items()}
 
 
-def reference_route_candidates(net, vc):
+def reference_route_candidates(net, src, dst):
     """``(paths, costs)``, cheapest first, ties by node labels."""
     if len(net.nodes) > MAX_ROUTE_NODES:
         raise NetworkTooLargeError(
             f"{len(net.nodes)} nodes; complete path enumeration is capped at {MAX_ROUTE_NODES}"
         )
-    if vc.src not in net.nodes or vc.dst not in net.nodes:
-        raise ValueError(f"virtual channel {vc.label!r} references nodes outside network {net.id!r}")
+    if src not in net.nodes or dst not in net.nodes:
+        raise ValueError(f"{src!r} or {dst!r} is not a node of network {net.id!r}")
 
     adjacency = reference_adjacency(net)
-    seen = {vc.src}
-    todo = [vc.src]
-    while todo and vc.dst not in seen:
+    seen = {src}
+    todo = [src]
+    while todo and dst not in seen:
         for nxt in adjacency[todo.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-    if vc.dst not in seen:
-        raise NoPathError(f"{vc.src} and {vc.dst} are disconnected in network {net.id!r}")
+    if dst not in seen:
+        raise NoPathError(f"{src} and {dst} are disconnected in network {net.id!r}")
 
-    reach = {vc.src, vc.dst}
-    todo = [vc.dst]
+    reach = {src, dst}
+    todo = [dst]
     while todo:
         for nxt in adjacency[todo.pop()]:
             if nxt not in reach:
@@ -297,16 +295,16 @@ def reference_route_candidates(net, vc):
                 todo.append(nxt)
 
     found = []
-    stack = [vc.src]
-    on_path = {vc.src} | (net.nodes - reach)
+    stack = [src]
+    on_path = {src} | (net.nodes - reach)
 
     def walk(node):
         for nxt in adjacency[node]:
-            if nxt == vc.dst:
-                found.append(tuple(stack) + (vc.dst,))
+            if nxt == dst:
+                found.append(tuple(stack) + (dst,))
                 if len(found) > MAX_ROUTE_PATHS:
                     raise NetworkTooLargeError(
-                        f"more than {MAX_ROUTE_PATHS} paths join {vc.src} and {vc.dst};"
+                        f"more than {MAX_ROUTE_PATHS} paths join {src} and {dst};"
                         f" route enumeration is capped at {MAX_ROUTE_PATHS}"
                     )
             elif nxt not in on_path:
@@ -317,18 +315,18 @@ def reference_route_candidates(net, vc):
                 stack.pop()
 
     try:
-        walk(vc.src)
+        walk(src)
     finally:
         del walk
     costs, paths = zip(*sorted([(path_cost(net, p), p) for p in found]))
     return list(paths), costs
 
 
-def reference_path_tables(net, vc):
+def reference_path_tables(net, src, dst):
     """``(paths, hops, costs, link_lists, alone)``, with link indexes in sorted link-key order."""
     keys = tuple(sorted(net.link_by_key))
     index = {hop: i for i, k in enumerate(keys) for hop in (k, k[::-1])}
-    paths, costs = reference_route_candidates(net, vc)
+    paths, costs = reference_route_candidates(net, src, dst)
     hops = tuple(tuple(zip(p, p[1:])) for p in paths)
     link_lists = tuple(tuple(index[hop] for hop in h) for h in hops)
     padded = (None,) + costs + (None,)
@@ -336,18 +334,18 @@ def reference_path_tables(net, vc):
     return paths, hops, costs, link_lists, alone
 
 
-def assert_route_tables_match(net, vc):
+def assert_route_tables_match(net, src, dst):
     """Compare the route tables with the reference's; returns the outcome: "paths" or the error type both raise."""
     try:
-        paths, hops, costs, link_lists, alone = reference_path_tables(net, vc)
+        paths, hops, costs, link_lists, alone = reference_path_tables(net, src, dst)
     except (NoPathError, NetworkTooLargeError, ValueError) as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-            route_candidates(net, vc)
+            route_candidates(net, src, dst)
         return type(exc)
-    routes = route_candidates(net, vc)
+    routes = route_candidates(net, src, dst)
     assert type(routes) is Routes and routes == paths
     assert (routes.costs, routes.hops, routes.links) == (costs, hops, link_lists)
-    assert rwa._path_tables(net, vc) == (hops, costs, link_lists, alone)
+    assert rwa._path_tables(net, src, dst) == (hops, costs, link_lists, alone)
     # every hop tuple is one the network's arc table already holds
     own = {id(hop) for arcs in net.arcs.values() for _, hop, _, _ in arcs}
     assert all(id(hop) in own for path_hops in routes.hops for hop in path_hops)
@@ -401,20 +399,19 @@ class TestRouteTablesMatchReference:
             if cut is not None:
                 ends = [(cut, b) for b in nodes if b != cut] + ends
             for src, dst in ends[:12]:
-                vc = VirtualChannel(src, dst, "p")
-                outcome = assert_route_tables_match(net, vc)
+                outcome = assert_route_tables_match(net, src, dst)
                 outcomes[outcome] += 1
                 if outcome == "paths":
-                    costs = route_candidates(net, vc).costs
+                    costs = route_candidates(net, src, dst).costs
                     tied += len(set(costs)) < len(costs)
                     cut_src += src == cut
         # past the path cap, and past the node cap, both raise the same error
         clique = [f"K{i}" for i in range(9)]
         net = make_network("clique", clique, [Link(a, b, 1, 1) for k, a in enumerate(clique) for b in clique[k + 1 :]], 1)
-        outcomes[assert_route_tables_match(net, VirtualChannel("K0", "K8", "p"))] += 1
+        outcomes[assert_route_tables_match(net, "K0", "K8")] += 1
         line = [f"L{i:02d}" for i in range(MAX_ROUTE_NODES + 1)]
         net = make_network("line", line, [Link(a, b, 1, 1) for a, b in zip(line, line[1:])], 1)
-        outcomes[assert_route_tables_match(net, VirtualChannel(line[0], line[-1], "p"))] += 1
+        outcomes[assert_route_tables_match(net, line[0], line[-1])] += 1
         assert outcomes[NetworkTooLargeError] == 2
         assert outcomes["paths"] >= 1500 and outcomes[NoPathError] >= 100
         assert tied >= 500 and cut_src >= 100
@@ -427,7 +424,7 @@ class TestRouteTablesMatchReference:
         index_keys = {k: k for k in index}
         for arcs in net.arcs.values():
             assert all(index_keys[hop] is hop for _, hop, _, _ in arcs)
-        for path_hops in rwa._path_tables(net, VirtualChannel("A", "C", "p"))[0]:
+        for path_hops in rwa._path_tables(net, "A", "C")[0]:
             assert all(index_keys[hop] is hop for hop in path_hops)
         # the self-loop and the link to an unknown node are indexed too, both ways
         assert index == {hop: i for i, k in enumerate(keys) for hop in (k, k[::-1])}
@@ -436,7 +433,7 @@ class TestRouteTablesMatchReference:
         configs = [load_scenario(scenario_path(name)) for name in ("duel", "three_channels", "two_route_costcurve")]
         configs += [benchmark_config(tmp_path, workload, 1, index) for workload in ("stress", "auction") for index in range(3)]
         outcomes = [
-            assert_route_tables_match(supplier.network, ch.vc)
+            assert_route_tables_match(supplier.network, ch.vc.src, ch.vc.dst)
             for config in configs
             for supplier in config.suppliers
             for ch in config.channels
