@@ -19,7 +19,6 @@ import random
 import re
 from collections import deque
 from collections.abc import Iterator
-from decimal import ROUND_HALF_UP, Decimal
 from typing import NamedTuple
 
 from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, Record, UnknownNetworkError
@@ -160,8 +159,10 @@ def profit_percentages(ledger: ProfitLedger, network_id: str) -> dict[str, float
         return None
     out: dict[str, float] = {}
     for vc in ledger.vc_labels(network_id):
-        share = Decimal(ledger.entry(network_id, vc).profit * 100) / Decimal(total)
-        out[vc] = float(share.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+        profit = ledger.entry(network_id, vc).profit
+        # tenths of a percent, a half rounded away from zero; a negative share keeps its sign at 0 (-0.0)
+        tenths = (abs(profit) * 2000 + total) // (2 * total)
+        out[vc] = -(tenths / 10) if profit < 0 else tenths / 10
     return out
 
 

@@ -22,9 +22,12 @@ that, as each carries the previous round's lowest bid.
 ``CompetitionTrace`` builds the events from the logs when they are
 first read, so a run whose traces nobody reads builds no per-message
 objects, and a trace not yet read pickles as its logs.  Its trace lines
-come from the logs as well, one f-string per message, so writing a
-trace builds no events and keeps the logs, and ``validate_trace``
-checks the opening block and the race from their logs too.
+come from the logs as well, so writing a trace builds no events and
+keeps the logs, and ``validate_trace`` checks the opening block and the
+race from their logs too.  Neither makes a Python-level call per round:
+the race's lines are formatted in whole-race comprehensions and
+interleaved with slices, and the check takes the announced prices from
+the same walk of the log and tracks the standing minimum itself.
 
 What only the suppliers determine is built once per run, in a
 ``Bidders`` table: their ids and markups, one row ``[index, mc, l_min,
@@ -146,9 +149,11 @@ class RaceLog(NamedTuple):
 
     ``bids`` is a flat list of (bidder index, price) pairs in the order the
     bids arrived, bidder indexes pointing into ``ids``; ``starts`` holds the
-    offset in ``bids`` of the first bid of rounds 2, 3, ....  Every round
+    offset in ``bids`` of the first bid of rounds 2, 3, ..., even and
+    non-decreasing offsets within ``[0, len(bids)]``.  Every round
     opens with one announcement per bidder, and the price announced is
-    ``opening_min`` in round 2 and the previous round's lowest bid after it.
+    ``opening_min`` in round 2 and the previous round's lowest bid after it,
+    or the price before that when the previous round logged no bids.
     """
 
     x: str
@@ -158,14 +163,19 @@ class RaceLog(NamedTuple):
     starts: list[int]
     bids: list[int]
 
-    def _rounds(self):
-        """(round, announced price, offset of its first bid, offset past its last bid) per round."""
+    def _walk(self) -> tuple[list[int], list[list[int]], list[int]]:
+        """Per round: the offset past its last bid, the prices it was offered, and the price announced in it."""
         bids, starts = self.bids, self.starts
+        ends = starts[1:] + [len(bids)]
         price = self.opening_min
-        for rnd, start, end in zip(count(2), starts, starts[1:] + [len(bids)]):
-            yield rnd, price, start, end
-            if end > start:
-                price = min(bids[start + 1 : end : 2])
+        offers, announced = [], [price]
+        for start, end in zip(starts, ends):
+            offered = bids[start + 1 : end : 2]
+            offers.append(offered)
+            if end > start:  # a round that logged no bids leaves the price as it was
+                price = min(offered)
+            announced.append(price)
+        return ends, offers, announced
 
     def counts(self) -> tuple[int, int, int, int]:
         """(asks, bids, passes, most cutters in one round) of this race.
@@ -180,8 +190,9 @@ class RaceLog(NamedTuple):
 
     def events(self) -> list[TraceEvent]:
         x, y, ids, bids = self.x, self.y, self.ids, self.bids
+        ends, _, announced = self._walk()
         events: list[TraceEvent] = []
-        for rnd, price, start, end in self._rounds():
+        for rnd, price, start, end in zip(count(2), announced, self.starts, ends):
             ocl = Ocl(x, y, price)
             events += [_new(TraceEvent, (rnd, BROKER_TO_SUPPLIER, sid, ocl)) for sid in ids]
             for j in range(start, end, 2):
@@ -189,15 +200,28 @@ class RaceLog(NamedTuple):
         return events
 
     def lines(self) -> list[str]:
-        """``format_event`` of each of ``events()``, written straight from the log."""
-        ids, bids = self.ids, self.bids
+        """``format_event`` of each of ``events()``, written from the log whole and then interleaved by round."""
+        ids, bids, starts = self.ids, self.bids, self.starts
+        ends, offers, announced = self._walk()
         xy = f"x={self.x},y={self.y}"
+        announce = [f"\t{BROKER_TO_SUPPLIER}\t{sid}\tocl\t{xy},p=" for sid in ids]
+        offer = [f"\t{SUPPLIER_TO_BROKER}\t{sid}\toffp\tp=" for sid in ids]
+        tail = f",{xy}"
+        rounds = list(map(str, range(2, 2 + len(starts))))
+        prices = list(map(str, announced))
+        announcements = [f"{rnd}{prefix}{price}" for rnd, price in zip(rounds, prices) for prefix in announce]
+        bid_lines = [
+            f"{rnd}{offer[i]}{p}{tail}"
+            for rnd, start, end, offered in zip(rounds, starts, ends, offers)
+            for i, p in zip(bids[start:end:2], offered)
+        ]
         lines: list[str] = []
-        for rnd, price, start, end in self._rounds():
-            announce, ocl = f"{rnd}\t{BROKER_TO_SUPPLIER}\t", f"\tocl\t{xy},p={price}"
-            lines += [announce + sid + ocl for sid in ids]
-            bid = f"{rnd}\t{SUPPLIER_TO_BROKER}\t"
-            lines += [f"{bid}{ids[i]}\toffp\tp={p},{xy}" for i, p in zip(bids[start:end:2], bids[start + 1 : end : 2])]
+        n, a, b = len(ids), 0, 0
+        for k in map(len, offers):
+            lines += announcements[a : a + n]
+            lines += bid_lines[b : b + k]
+            a += n
+            b += k
         return lines
 
 
@@ -488,21 +512,23 @@ def validate_trace(trace: CompetitionTrace) -> list[Violation]:
     open_round = None
     race = trace._race
     if race is not None:
-        ids, bids = race.ids, race.bids
+        ids, bids, starts = race.ids, race.bids, race.starts
         bidders = bids[::2]
         # a bidder index outside ``ids`` raises, as building the events does
         if bidders and not -len(ids) <= min(bidders) <= max(bidders) < len(ids):
             raise IndexError(f"bidder index outside the race's {len(ids)} bidders")
         if ids:
+            # the writer's announced prices, each checked against the standing
+            # minimum that the previous round's bids leave
+            _, offered, announced = race._walk()
             low = None  # the previous round's lowest bid
-            for rnd, price, start, end in race._rounds():
+            for price, offers in zip(announced, offered):
                 if low is not None:
                     minimum = low
-                if minimum is None or price != minimum:
+                if price != minimum:  # a minimum of None matches no price
                     violations.append(Violation("ocl-price-mismatch", f"announced {price}, standing minimum {minimum}"))
                 low = None
-                if end > start:
-                    offers = bids[start + 1 : end : 2]
+                if offers:
                     if max(offers) >= price:
                         violations += [
                             Violation("non-undercutting-bid", f"bid {p} does not beat announced {price}")
@@ -510,9 +536,9 @@ def validate_trace(trace: CompetitionTrace) -> list[Violation]:
                             if p >= price
                         ]
                     low = min(offers)
-            if race.starts:
+            if starts:
                 # the tail may continue the last round
-                open_round = (rnd, price, low)
+                open_round = (1 + len(starts), price, low)
     return _check_rounds_and_tail(trace._tail, violations, minimum, 1, open_round)
 
 

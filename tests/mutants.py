@@ -372,10 +372,46 @@ MUTANTS = [
     Mutant(
         "race-announces-price-plus-one",
         "a logged round is announced one above its price",
-        ((PROTOCOL, "            yield rnd, price, start, end\n", "            yield rnd, price + 1, start, end\n"),),
+        ((PROTOCOL, "            announced.append(price)\n", "            announced.append(price + 1)\n"),),
         (
             f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_generated_markets",
             f"{T_PROTOCOL}::TestTraceConformance::test_emitted_traces_validate",
+            f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_logs_the_race_never_writes",
+            "tests/test_golden.py::test_outputs_match_golden_digests",
+        ),
+    ),
+    Mutant(
+        "race-lines-announce-the-previous-price",
+        "a round's trace lines announce the price of the round before it",
+        ((PROTOCOL, "for rnd, price in zip(rounds, prices)", "for rnd, price in zip(rounds, [prices[0], *prices])"),),
+        (
+            f"{T_PROTOCOL}::TestTraceFormat::test_lines_are_the_same_from_the_log_and_from_the_events",
+            f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_logs_the_race_never_writes",
+            "tests/test_golden.py::test_six_way_race_lines_come_from_the_log_unchanged",
+        ),
+    ),
+    Mutant(
+        "race-check-lets-a-bid-at-the-price-pass",
+        "the log check flags a round's bids only when one is above the announced price",
+        ((PROTOCOL, "if max(offers) >= price:", "if max(offers) > price:"),),
+        (
+            f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_generated_markets",
+            f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_logs_the_race_never_writes",
+        ),
+    ),
+    Mutant(
+        "race-check-skips-a-round-with-no-bids",
+        "the log check skips a round that logged no bids, and its announcement with it",
+        (
+            (
+                PROTOCOL,
+                "            for price, offers in zip(announced, offered):\n",
+                "            for price, offers in zip(announced, offered):\n                if not offers:\n                    continue\n",
+            ),
+        ),
+        (
+            f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_generated_markets",
+            f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_logs_the_race_never_writes",
         ),
     ),
     Mutant(

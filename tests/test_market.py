@@ -7,6 +7,7 @@ import os
 import pickle
 import random
 import weakref
+from decimal import ROUND_HALF_UP, Decimal
 from types import SimpleNamespace
 
 import pytest
@@ -247,6 +248,40 @@ class TestProfitLedger:
     def test_unknown_network(self):
         with pytest.raises(UnknownNetworkError):
             profit_percentages(ProfitLedger(), "nope")
+
+    @staticmethod
+    def decimal_percentages(ledger, network_id):
+        """The reference: each share as a ``Decimal``, quantized to 0.1 with ROUND_HALF_UP."""
+        total = ledger.totals(network_id).profit
+        if total <= 0:
+            return None
+        return {
+            vc: float((Decimal(ledger.entry(network_id, vc).profit * 100) / Decimal(total)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+            for vc in ledger.vc_labels(network_id)
+        }
+
+    def assert_same_as_decimal(self, profits):
+        ledger = ProfitLedger()
+        for k, profit in enumerate(profits):
+            ledger.record("A", f"VC{k}", profit, 0, 1)
+        got, want = profit_percentages(ledger, "A"), self.decimal_percentages(ledger, "A")
+        # repr tells -0.0 from 0.0
+        assert repr(got) == repr(want)
+        return got
+
+    def test_integer_rounding_matches_decimal(self):
+        # every profit from -2T to 2T against each total T below 400: the
+        # symmetric range sums to 0 and a last channel holds the total
+        for total in range(1, 400):
+            self.assert_same_as_decimal([*range(-2 * total, 2 * total + 1), total])
+        rng = random.Random(7)
+        for _ in range(2000):
+            profits = [rng.randint(-(10**15), 10**15) for _ in range(rng.randint(1, 6))]
+            profits.append(abs(sum(profits)) + rng.randint(1, 10**12) - sum(profits))
+            self.assert_same_as_decimal(profits)
+        # a small loss on a large total rounds to a signed zero, as Decimal's does
+        shares = self.assert_same_as_decimal([-1, 100_001])
+        assert math.copysign(1, shares["VC0"]) == -1 and shares == {"VC0": -0.0, "VC1": 100.0}
 
     def test_totals_aggregate(self):
         ledger = ProfitLedger()

@@ -4,6 +4,7 @@ import os
 import pickle
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,8 @@ from wavebroker.protocol import (
     Nack,
     Ocl,
     Offp,
+    OpeningLog,
+    RaceLog,
     Reqc,
     TraceEvent,
     format_event,
@@ -273,7 +276,8 @@ def logged_variants(rng, trace):
     announced = None
     if race is not None and race.bids:
         j = rng.randrange(1, len(race.bids), 2)
-        announced = next(price for _, price, start, end in race._rounds() if start < j < end)
+        ends, _, prices = race._walk()
+        announced = next(price for price, start, end in zip(prices, race.starts, ends) if start < j < end)
         for name, price in (
             ("bid raised to the announced price", announced),
             ("bid raised above the announced price", announced + rng.randint(1, 50)),
@@ -294,6 +298,57 @@ def logged_variants(rng, trace):
         )
         out.append(("appended tail events", opening, race, tail + extra) if k % 2 else ("replaced tail events", opening, race, extra))
     return out
+
+
+def hand_built_races():
+    """(name, opening, race, tail, announced prices, violation details) of races the race loop never logs.
+
+    Three bidders open at 500, 510 and 520.  A round with no bids ends a
+    logged race, and a round's bids are all below its price, so none of
+    these comes from ``run_competition``.
+    """
+    ids = ("S0", "S1", "S2")
+    opening = OpeningLog("S", "T", ids, [500, 510, 520])
+
+    def race(starts, bids):
+        return RaceLog("S", "T", ids, 500, starts, bids)
+
+    def tail(*events):
+        return tuple(TraceEvent(rnd, direction, "S0", msg) for rnd, direction, msg in events)
+
+    # round 2 and round 4 log no bids, so rounds 3 and 5 announce the price again
+    yield "a middle round with no bids", opening, race([0, 0, 2, 2], [1, 495, 2, 490]), (), [500, 500, 495, 495], []
+    yield "a single round", opening, race([0], [1, 498, 2, 497]), (), [500], []
+    yield "tied lowest bids", opening, race([0, 6], [1, 495, 2, 493, 0, 493, 2, 490]), (), [500, 493], []
+    yield (
+        "a bid equal to the announced price in the last round",
+        opening,
+        race([0, 2], [1, 495, 0, 495, 2, 494]),
+        (),
+        [500, 495],
+        ["bid 495 does not beat announced 495"],
+    )
+    yield (
+        "a tail that continues the last round",
+        opening,
+        race([0, 2], [1, 495, 2, 493]),
+        tail((3, BROKER_TO_SUPPLIER, Ocl("S", "T", 495)), (3, SUPPLIER_TO_BROKER, Offp(496, "S", "T")), (3, BROKER_TO_SUPPLIER, Ack("S", "T", 1))),
+        [500, 495],
+        ["bid 496 does not beat announced 495"],
+    )
+
+
+def reference_lines(race):
+    """A race's trace lines written round by round: the reference for ``RaceLog.lines``, which writes the race whole."""
+    ids, bids, starts = race.ids, race.bids, race.starts
+    xy = f"x={race.x},y={race.y}"
+    lines, price = [], race.opening_min
+    for rnd, start, end in zip(range(2, 2 + len(starts)), starts, starts[1:] + [len(bids)]):
+        lines += [f"{rnd}\t{BROKER_TO_SUPPLIER}\t{sid}\tocl\t{xy},p={price}" for sid in ids]
+        lines += [f"{rnd}\t{SUPPLIER_TO_BROKER}\t{ids[i]}\toffp\tp={p},{xy}" for i, p in zip(bids[start:end:2], bids[start + 1 : end : 2])]
+        if end > start:
+            price = min(bids[start + 1 : end : 2])
+    return lines
 
 
 class TestLogCheckMatchesReplay:
@@ -338,6 +393,36 @@ class TestLogCheckMatchesReplay:
         # raising a bid always breaks a rule; the other changes may or may not
         for name in ("bid raised to the announced price", "bid raised above the announced price"):
             assert seen[f"{name}, flagged"] == seen[name] >= 100
+
+    def test_logs_the_race_never_writes(self):
+        """Hand-built races: lines agree with the events, and the log check with the replay, as written and with a lowered opening."""
+        names = []
+        for name, opening, race, tail, want_prices, want_details in hand_built_races():
+            assert race.lines() == [format_event(ev) for ev in race.events()], name
+            events = CompetitionTrace._logged(opening, race, tail).events
+            assert CompetitionTrace._logged(opening, race, tail).lines() == [format_event(ev) for ev in events], name
+            assert ocl_prices(CompetitionTrace(events)) == want_prices, name
+            vios = self.assert_agrees(opening, race, tail, name)
+            assert [v.detail for v in vios] == want_details, name
+            # a lowered opening makes every announcement up to the first round with bids a mismatch
+            lowered = opening._replace(prices=[p - 1 for p in opening.prices])
+            vios = self.assert_agrees(lowered, race, tail, name)
+            assert "ocl-price-mismatch" in {v.code for v in vios}, name
+            names.append(name)
+        assert len(names) == 5
+
+    def test_lines_of_random_logs_match_the_reference(self):
+        """Random logs, empty rounds included, are written as the round-by-round reference writes them."""
+        rng = random.Random(31)
+        for _ in range(1000):
+            ids = tuple(f"S{i}" for i in range(rng.randint(1, 4)))
+            bids, starts = [], []
+            for _ in range(rng.randint(0, 5)):
+                starts.append(len(bids))
+                for _ in range(rng.choice((0, 1, 2))):
+                    bids += [rng.randrange(len(ids)), rng.randint(90, 110)]
+            race = RaceLog("S", "T", ids, 100, starts, bids)
+            assert race.lines() == reference_lines(race), race
 
     def test_a_bidder_index_past_the_bidders_raises(self):
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(4)]
@@ -842,6 +927,27 @@ class TestFoldedAsk:
         # the long race ties in many more rounds, and each tie is broken without a call
         assert tied_rounds[3000] > tied_rounds[300] > 10
         assert calls[300] == calls[3000] > 0
+
+    def test_writing_and_checking_a_trace_make_no_python_call_per_round(self):
+        """A race ten times longer is written and checked with the same Python-level calls."""
+        # only the package's own calls: a garbage collection may call back into test tooling
+        package = {path.name for path in Path(protocol.__file__).parent.glob("*.py")}
+
+        def own(tally):
+            return sum(n for (file, _), n in tally.items() if file in package)
+
+        written, checked, rounds = {}, {}, {}
+        for base in (300, 3000):
+            suppliers = [supplier(f"S{i}", base + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(6)]
+            out = run_competition(VC, suppliers, random.Random(5), probed_mcs(VC, suppliers))
+            rounds[base] = out.rounds
+            lines, written[base] = profiled_tally(out.trace.lines)
+            violations, checked[base] = profiled_tally(lambda: validate_trace(out.trace))
+            assert violations == [] and len(lines) > 6 * out.rounds
+            assert out.trace._opening is not None  # both read the logs, not events
+        assert rounds == {300: 101, 3000: 1043}
+        assert own(written[300]) == own(written[3000]) > 0, written
+        assert own(checked[300]) == own(checked[3000]) > 0, checked
 
 
 def capacity_bound_config():

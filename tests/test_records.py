@@ -292,14 +292,14 @@ def test_grants_build_lightpaths_from_the_module_attribute(monkeypatch):
 
 
 def test_a_fresh_cli_run_imports_none_of_the_modules_it_does_not_need(tmp_path):
-    """``dataclasses`` and ``inspect`` are not imported at all; ``hashlib`` and ``statistics`` only by sweeps."""
+    """``dataclasses``, ``inspect`` and ``decimal`` are not imported at all; ``hashlib`` and ``statistics`` only by sweeps."""
     out = tmp_path / "out"
     code = (
         "import sys\n"
         f"sys.path.insert(0, {str(SRC)!r})\n"
         "import wavebroker.cli\n"
         f"assert wavebroker.cli.main(['run', {scenario_path('duel')!r}, '--traces', '--out', {str(out)!r}]) == 0\n"
-        "print(sorted({'dataclasses', 'inspect', 'hashlib', 'statistics'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'decimal', 'inspect', 'hashlib', 'statistics'} & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
