@@ -19,6 +19,7 @@ import random
 import re
 from collections import deque
 from collections.abc import Iterator
+from itertools import repeat
 from typing import NamedTuple
 
 from .errors import ConfigError, InvalidOutcomeError, NetworkTooLargeError, Record, UnknownNetworkError
@@ -485,14 +486,15 @@ def run_sweep(config: ScenarioConfig, count: int, workers: int = 1) -> Iterator[
         raise ValueError("sweep count must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    seeds = [child_seed(config.seed, i) for i in range(count)]
+    # a seed is made as its run is submitted, so memory does not grow with the count
+    seeds = map(child_seed, repeat(config.seed), range(count))
     workers = min(workers, count, os.cpu_count() or 1)
     if workers == 1:
-        return map(run_scenario, [config] * count, seeds)
+        return map(run_scenario, repeat(config), seeds)
     return _pooled_runs(config, seeds, workers)
 
 
-def _pooled_runs(config: ScenarioConfig, seeds: list[int], workers: int) -> Iterator[Report]:
+def _pooled_runs(config: ScenarioConfig, seeds: Iterator[int], workers: int) -> Iterator[Report]:
     from concurrent.futures import ProcessPoolExecutor
 
     in_flight: deque = deque()

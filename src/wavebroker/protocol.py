@@ -19,15 +19,16 @@ the gate.  The race, where nearly all messages are sent, records only
 its bids: a ``RaceLog`` of (bidder index, price) pairs and the offset
 where each round's bids start.  A round's announcements follow from
 that, as each carries the previous round's lowest bid.
-``CompetitionTrace`` builds the events from the logs when they are
-first read, so a run whose traces nobody reads builds no per-message
-objects, and a trace not yet read pickles as its logs.  Its trace lines
-come from the logs as well, so writing a trace builds no events and
-keeps the logs, and ``validate_trace`` checks the opening block and the
-race from their logs too.  Neither makes a Python-level call per round:
-the race's lines are formatted in whole-race comprehensions and
-interleaved with slices, and the check takes the announced prices from
-the same walk of the log and tracks the standing minimum itself.
+A ``CompetitionTrace`` always holds its logs and builds the events from
+them on each read, storing nothing, so a run whose traces nobody reads
+builds no per-message objects, a trace pickles as its logs, and reading
+its events changes nothing.  Its trace lines come from the logs as
+well, so writing a trace builds no events, and ``validate_trace`` checks
+the opening block and the race from their logs too.  Neither makes a
+Python-level call per round: the race's lines are formatted in
+whole-race comprehensions and interleaved with slices, and the check
+takes the announced prices from the same walk of the log and tracks the
+standing minimum itself.
 
 What only the suppliers determine is built once per run, in a
 ``Bidders`` table: their ids and markups, one row ``[index, mc, l_min,
@@ -266,49 +267,36 @@ class OpeningLog(NamedTuple):
 class CompetitionTrace:
     """Every message of one competition, in the order sent.
 
-    ``CompetitionTrace(events)`` holds the given events.  ``run_competition``
-    instead hands over logs: an ``OpeningLog`` and, when bidding rounds
-    ran, a ``RaceLog``, to which settlement adds a tail of events.  The
-    events are built from the logs on the first read of ``events`` and
-    then replace them, so a trace that was never read pickles as its
-    logs.  ``lines()`` formats the opening block and the race from their
-    logs and the tail event by event, building no events and keeping the
-    logs.  Two traces are equal when their events are.
+    A trace holds logs and a tail of events: ``run_competition`` hands
+    over an ``OpeningLog`` and, when bidding rounds ran, a ``RaceLog``, to
+    which settlement adds the tail.  ``CompetitionTrace(events)`` is a
+    trace with no logs whose tail is the given events.  ``events`` builds
+    the events from the logs on every read and stores nothing, and
+    ``lines()`` formats the logs as they stand and the tail event by
+    event, so reading a trace changes neither its pickle nor its lines.
+    Two traces are equal when their events are.
     """
 
-    __slots__ = ("_events", "_opening", "_race", "_tail")
+    __slots__ = ("_tail", "_opening", "_race")
 
-    def __init__(self, events):
-        self._events, self._opening, self._race, self._tail = tuple(events), None, None, ()
-
-    @classmethod
-    def _logged(
-        cls, opening: OpeningLog, race: RaceLog | None = None, tail: tuple[TraceEvent, ...] = ()
-    ) -> CompetitionTrace:
-        trace = cls.__new__(cls)
-        trace._events, trace._opening, trace._race, trace._tail = None, opening, race, tail
-        return trace
+    def __init__(self, tail=(), opening: OpeningLog | None = None, race: RaceLog | None = None):
+        self._tail, self._opening, self._race = tuple(tail), opening, race
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
-        if self._opening is not None:
-            race = () if self._race is None else self._race.events()
-            self._events = (*self._opening.events(), *race, *self._tail)
-            self._opening, self._race, self._tail = None, None, ()
-        return self._events
+        opening = () if self._opening is None else self._opening.events()
+        race = () if self._race is None else self._race.events()
+        return (*opening, *race, *self._tail)
 
     def settled(self, tail: tuple[TraceEvent, ...]) -> CompetitionTrace:
         """This trace followed by the settlement messages ``tail``, without building its events."""
-        if self._opening is None:
-            return CompetitionTrace(self._events + tail)
-        return CompetitionTrace._logged(self._opening, self._race, self._tail + tail)
+        return CompetitionTrace(self._tail + tail, self._opening, self._race)
 
     def lines(self) -> list[str]:
-        """``format_event`` of each event; logs not yet read are formatted as they stand and kept."""
-        if self._opening is None:
-            return [format_event(ev) for ev in self._events]
+        """``format_event`` of each event, the logs formatted as they stand."""
+        opening = [] if self._opening is None else self._opening.lines()
         race = [] if self._race is None else self._race.lines()
-        return [*self._opening.lines(), *race, *map(format_event, self._tail)]
+        return [*opening, *race, *map(format_event, self._tail)]
 
     def __eq__(self, other):
         if not isinstance(other, CompetitionTrace):
@@ -402,7 +390,7 @@ def run_competition(
     if None in prices:
         active = [i for i, p in enumerate(prices) if p is not None]
         if not active:
-            trace = CompetitionTrace._logged(opening)
+            trace = CompetitionTrace((), opening)
             return _new(CompetitionOutcome, (None, None, 1, trace, Termination.ALL_DECLINED, None))
         bidder_ids = tuple([ids[i] for i in active])
         opening_bids = [prices[i] for i in active]
@@ -414,7 +402,7 @@ def run_competition(
         leader = rng.choice([k for k, p in enumerate(opening_bids) if p == current_min])
 
     if len(opening_bids) == 1:
-        trace = CompetitionTrace._logged(opening)
+        trace = CompetitionTrace((), opening)
         return _new(CompetitionOutcome, (bidder_ids[0], current_min, 1, trace, Termination.WON, None))
 
     # Of the race, only the bids are logged.
@@ -477,7 +465,7 @@ def run_competition(
         prev_contested = logged > 2
     else:
         raise RoundCapExceededError(f"no resting price after {round_cap} rounds")
-    trace = CompetitionTrace._logged(opening, race)
+    trace = CompetitionTrace((), opening, race)
     return _new(CompetitionOutcome, (bidder_ids[winner], final, rnd, trace, Termination.WON, race))
 
 
@@ -494,15 +482,14 @@ def validate_trace(trace: CompetitionTrace) -> list[Violation]:
     exception messages appear only in the settlement tail, in a legal
     order.
 
-    A trace that still holds its logs is checked from them and keeps
-    them: the opening block and the race build no events, and the
-    settlement tail goes through the same replay as events do.  A trace
-    made from events, or whose logs were already read, is replayed event
-    by event.
+    A trace's logs are checked as they stand: the opening block and the
+    race build no events, and the settlement tail goes through the same
+    replay as events do.  A trace with no logs has its tail replayed
+    event by event.
     """
     opening = trace._opening
     if opening is None:
-        return _replay(trace.events)
+        return _replay(trace._tail)
     if not opening.ids:
         return [Violation("missing-reqc", "trace must open with a connection request broadcast")]
     violations: list[Violation] = []
@@ -543,7 +530,7 @@ def validate_trace(trace: CompetitionTrace) -> list[Violation]:
 
 
 def _replay(events) -> list[Violation]:
-    """``validate_trace`` of a trace held as events, replayed one by one."""
+    """``validate_trace`` of a trace with no logs, its events replayed one by one."""
     violations: list[Violation] = []
     if not events or not isinstance(events[0].message, Reqc):
         return [Violation("missing-reqc", "trace must open with a connection request broadcast")]

@@ -163,19 +163,9 @@ def route_candidates(net: Network, src: str, dst: str) -> Routes:
         raise ValueError(f"{src!r} or {dst!r} is not a node of network {net.id!r}")
 
     arcs = net.arcs
-    # The walk below visits every simple path from src, so look for dst first.
-    seen = {src}
-    todo = [src]
-    while todo and dst not in seen:
-        for nxt, _, _, _ in arcs[todo.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    if dst not in seen:
-        raise NoPathError(f"{src} and {dst} are disconnected in network {net.id!r}")
-
     # A node that dst cannot reach without passing src lies on no simple
     # path, so the walk treats it as already on the path and never enters it.
+    # When src and dst are disconnected, that is every neighbour of src.
     reach = {src, dst}
     todo = [dst]
     while todo:
@@ -205,6 +195,8 @@ def route_candidates(net: Network, src: str, dst: str) -> Routes:
         walk(src, (src,), 0, (), ())
     finally:
         del walk  # it refers to itself; unbinding it frees the paths without a GC pass
+    if not found:
+        raise NoPathError(f"{src} and {dst} are disconnected in network {net.id!r}")
     # paths are distinct, so the sort never compares beyond them
     found.sort()
     costs, paths, hop_lists, link_lists = zip(*found)

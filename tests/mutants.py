@@ -1,7 +1,8 @@
 """Standing mutation list: each mutant breaks the program in one place, and the tests it names must fail.
 
 Run by hand from anywhere; it is not part of tier-1, and pytest does not
-collect it:
+collect it, though ``test_mutants.py`` checks that every entry still
+applies and names tests that exist:
 
     python3 tests/mutants.py              # every mutant
     python3 tests/mutants.py NAME ...     # only these
@@ -412,6 +413,22 @@ MUTANTS = [
         (
             f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_generated_markets",
             f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_logs_the_race_never_writes",
+        ),
+    ),
+    Mutant(
+        "trace-events-replace-the-logs",
+        "reading a trace's events stores them in place of its logs",
+        (
+            (
+                PROTOCOL,
+                "        return (*opening, *race, *self._tail)\n",
+                "        self._tail, self._opening, self._race = (*opening, *race, *self._tail), None, None\n        return self._tail\n",
+            ),
+        ),
+        (
+            f"{T_PROTOCOL}::TestTraceFormat::test_reading_the_events_changes_no_pickle_line_or_check",
+            f"{T_PROTOCOL}::TestTraceFormat::test_a_race_pickles_as_its_log_and_settles_without_its_events",
+            "tests/test_layers.py::test_a_traced_run_formats_and_checks_its_traces_from_their_logs",
         ),
     ),
     Mutant(

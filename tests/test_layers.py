@@ -9,7 +9,7 @@ import importlib.util
 import json
 from pathlib import Path
 
-from wavebroker import LightPath, cli, rwa
+from wavebroker import LightPath, cli, protocol, rwa, validate_trace
 
 REPO = Path(__file__).resolve().parents[1]
 LAYERS = REPO / "perfbench" / "layers.py"
@@ -77,3 +77,25 @@ def test_a_traced_run_builds_no_lightpath(tmp_path, monkeypatch):
     assert code == 0
     assert tracer.metrics()["rwa.apply_delta.lightpaths_indexed"] > 0
     assert built == []
+
+
+def test_a_traced_run_formats_and_checks_its_traces_from_their_logs(tmp_path, monkeypatch):
+    # the tracer reads each race's events; that must not turn its logs into events to write and replay
+    formatted, replayed, reports = [], [], []
+    format_event, replay, write = protocol.format_event, protocol._replay, cli.write_report_files
+    monkeypatch.setattr(protocol, "format_event", lambda ev: formatted.append(ev) or format_event(ev))
+    monkeypatch.setattr(protocol, "_replay", lambda events: replayed.append(events) or replay(events))
+    monkeypatch.setattr(cli, "write_report_files", lambda report, *args: reports.append(report) or write(report, *args))
+    tracer = _layers().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["run", str(REPO / "tests" / "golden" / "six_way_race.json"), "--out", str(tmp_path), "--traces"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    (report,) = reports
+    assert tracer.metrics()["protocol.run_competition.events"] > 2000
+    # only the settlement tails are formatted event by event, and no trace is replayed
+    assert len(formatted) == 4 and formatted == [ev for trace in report.traces for ev in trace._tail]
+    assert [validate_trace(trace) for trace in report.traces] == [[]] * 4
+    assert replayed == []

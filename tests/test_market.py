@@ -518,6 +518,22 @@ class TestSweep:
         assert serial_pool.submitted == count and serial_pool.unread == 0
         assert serial_pool.most_unread == bound
 
+    @pytest.mark.parametrize("workers, made", [(1, 1), (2, 2 * SWEEP_RUNS_PER_WORKER + 1)])
+    def test_seeds_are_made_as_runs_start(self, serial_pool, monkeypatch, workers, made):
+        # a billion-run sweep reports its first run after making a window of seeds, not all of them
+        made_for = []
+
+        def counted(root, i):
+            made_for.append(i)
+            assert i < 100, "seeds made ahead of their runs"
+            return child_seed(root, i)
+
+        monkeypatch.setattr(market, "child_seed", counted)
+        reports = run_sweep(duel_config(schedule_len=1), 10**9, workers=workers)
+        assert made_for == []
+        assert next(reports).seed == child_seed(42, 0)
+        assert made_for == list(range(made))
+
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(duel_config(schedule_len=1), 2, workers=0)

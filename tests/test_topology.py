@@ -103,7 +103,7 @@ class TestDomainTypes:
 
 
 def counted_reads(net):
-    """Make ``net``'s arc table, which the reachability searches and the walk read,
+    """Make ``net``'s arc table, which the reachability search and the walk read,
     record each node read; returns the list of reads."""
     reads = []
 
@@ -170,7 +170,8 @@ class TestRouteCandidates:
         reads = counted_reads(net)
         with pytest.raises(NoPathError):
             route_candidates(net, "N0", "Z")
-        assert sorted(reads) == nodes
+        # the search from Z stops at once, so the walk finds every neighbour of N0 off limits
+        assert sorted(reads) == ["N0", "Z"]
         reads.clear()
         assert len(route_candidates(net, "N0", "N1")) == 326
         assert len(reads) > 326
@@ -184,8 +185,8 @@ class TestRouteCandidates:
         net = make_network("cut", clique + ["D"], links + [Link("S", "D", 1, 1)], 1)
         reads = counted_reads(net)
         assert route_candidates(net, "S", "D") == [("S", "D")]
-        # S is read by the reachability search and by the walk, D by the search from D
-        assert sorted(reads) == ["D", "S", "S"]
+        # S is read by the walk, D by the search from D
+        assert sorted(reads) == ["D", "S"]
 
     def test_unknown_endpoint_raises(self):
         net = mknet([("A", "B", 1, 1)])
