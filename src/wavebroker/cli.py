@@ -279,122 +279,92 @@ def ledger_csv(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def series_rows(report: Report) -> list[dict]:
-    rows = []
+def _series_rows(report: Report):
+    """(round, vc, requested, winner, final_price, allocated) per auction; the winner only if granted units."""
     for rec in report.records:
-        rows.append(
-            {
-                "round": rec.request_round,
-                "vc": rec.vc,
-                "requested": rec.demand,
-                "winner": rec.winner if rec.granted > 0 else None,
-                "final_price": rec.final_price,
-                "allocated": rec.granted,
-            }
-        )
-    return rows
+        yield rec.request_round, rec.vc, rec.demand, rec.winner if rec.granted > 0 else None, rec.final_price, rec.granted
+
+
+_SERIES_KEYS = ("round", "vc", "requested", "winner", "final_price", "allocated")
 
 
 def series_csv(report: Report) -> str:
-    lines = ["round,vc,requested,winner,final_price,allocated"]
-    for row in series_rows(report):
-        cells = [
-            str(row["round"]),
-            row["vc"],
-            "" if row["requested"] is None else str(row["requested"]),
-            row["winner"] or "",
-            "" if row["final_price"] is None else str(row["final_price"]),
-            str(row["allocated"]),
-        ]
-        lines.append(",".join(cells))
+    lines = [",".join(_SERIES_KEYS)]
+    for rnd, vc, requested, winner, price, allocated in _series_rows(report):
+        requested = "" if requested is None else requested
+        price = "" if price is None else price
+        lines.append(f"{rnd},{vc},{requested},{winner or ''},{price},{allocated}")
     return "\n".join(lines) + "\n"
 
 
-def _float_text(value: float) -> str:
-    """A float as ``json.dumps`` writes it: NaN and infinities as JavaScript constants."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
+class _ScalarWriters(dict):
+    """How ``json.dumps`` writes each type a report holds, matched exactly: str, int, float, bool and None.
 
-
-# What json.dumps writes for each scalar type; bool is not int here, as types match exactly.
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-_scalar = _SCALAR_TEXT.get
-
-
-def _json_text(value, pad: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, for the types a report holds.
-
-    Those are dicts with str keys, lists, str, int, float, bool and None;
-    any other type raises TypeError.  ``pad`` is the line break and indent
-    at the depth of ``value``.  Unlike ``json.dumps`` with an indent, which
-    runs the stdlib's pure-Python encoder, this makes one call per
-    container and one table lookup per scalar.
+    Any other type, a subclass included, raises TypeError.  Report floats are profit shares, so finite.
     """
-    kind = type(value)
-    if kind is dict:
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [
-            f"{encode_basestring_ascii(k)}: {text(v) if (text := _scalar(type(v))) else _json_text(v, inner)}"
-            for k, v in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        items = [text(v) if (text := _scalar(type(v))) else _json_text(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    text = _scalar(kind)
-    if text is None:
+
+    def __missing__(self, kind):
         raise TypeError(f"report values cannot be of type {kind.__name__}")
-    return text(value)
+
+
+_SCALAR = _ScalarWriters(
+    {
+        str: encode_basestring_ascii,
+        int: int.__repr__,
+        float: float.__repr__,
+        bool: {True: "true", False: "false"}.__getitem__,
+        type(None): {None: "null"}.__getitem__,
+    }
+)
+
+
+def _scalars(values) -> list[str]:
+    return [_SCALAR[type(v)](v) for v in values]
+
+
+def _block(pad: str, texts, keys=None) -> str:
+    """A JSON array of the written values ``texts``, or an object of them under ``keys``, laid out as ``indent=2``.
+
+    ``pad`` is the line break and indent at the depth of the block itself.
+    An object's members are sorted by key, each key escaped as ``json.dumps``
+    escapes it; an empty block is ``[]`` or ``{}``.
+    """
+    brackets = "[]" if keys is None else "{}"
+    items = list(texts) if keys is None else [f"{encode_basestring_ascii(k)}: {t}" for k, t in sorted(zip(keys, texts))]
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _ledger_json(e, pad: str) -> str:
+    values = (e.revenue, e.cost, e.profit, e.wavelengths_sold)
+    return _block(pad, _scalars(values), ("revenue", "cost", "profit", "wavelengths_sold"))
 
 
 def report_json(report: Report) -> str:
-    networks = {}
+    """``report.json``, as ``json.dumps(doc, sort_keys=True, indent=2)`` writes the report's document.
+
+    Each auction is written from its record's ``_fields``, so a new field needs no writer code.
+    """
+    ledger, networks = report.ledger, []
     for nid in report.network_ids:
-        totals = report.ledger.totals(nid)
-        per_channel = {}
-        for vc in report.ledger.vc_labels(nid):
-            e = report.ledger.entry(nid, vc)
-            per_channel[vc] = {
-                "revenue": e.revenue,
-                "cost": e.cost,
-                "profit": e.profit,
-                "wavelengths_sold": e.wavelengths_sold,
-            }
-        networks[nid] = {
-            "totals": {
-                "revenue": totals.revenue,
-                "cost": totals.cost,
-                "profit": totals.profit,
-                "wavelengths_sold": totals.wavelengths_sold,
-            },
-            "profit_percentages": profit_percentages(report.ledger, nid),
-            "per_channel": per_channel,
-            "allocation": dump_allocation(report.networks[nid], report.final_states[nid]),
-        }
-    doc = {
-        "scenario": report.scenario_id,
-        "seed": report.seed,
-        "networks": networks,
-        "auctions": [rec._asdict() for rec in report.records],
-        "series": series_rows(report),
-    }
-    return _json_text(doc) + "\n"
+        labels = ledger.vc_labels(nid)
+        shares = profit_percentages(ledger, nid)
+        members = (
+            _ledger_json(ledger.totals(nid), "\n      "),
+            _scalars([shares])[0] if shares is None else _block("\n      ", _scalars(shares.values()), shares),
+            _block("\n      ", [_ledger_json(ledger.entry(nid, vc), "\n        ") for vc in labels], labels),
+            _block("\n      ", _scalars(dump_allocation(report.networks[nid], report.final_states[nid]))),
+        )
+        networks.append(_block("\n    ", members, ("totals", "profit_percentages", "per_channel", "allocation")))
+    members = (
+        *_scalars((report.scenario_id, report.seed)),
+        _block("\n  ", networks, report.network_ids),
+        _block("\n  ", [_block("\n    ", _scalars(rec), rec._fields) for rec in report.records]),
+        _block("\n  ", [_block("\n    ", _scalars(row), _SERIES_KEYS) for row in _series_rows(report)]),
+    )
+    return _block("\n", members, ("scenario", "seed", "networks", "auctions", "series")) + "\n"
 
 
 def write_report_files(report: Report, out_dir: Path, emit_traces: bool = False) -> list[Path]:

@@ -51,7 +51,7 @@ def total_cost_curve(net: Network, state: Allocation, vc: VirtualChannel, q_cap:
         raise ValueError("q_cap must be >= 1")
     grant, _added = incremental_allocate(net, state, vc, q_cap)
     if not grant:
-        raise EmptyCurveError(f"{vc.label}: no capacity for even one wavelength")
+        raise EmptyCurveError(f"{vc.label}: network {net.id} has no capacity for even one wavelength")
     # the units of a run share its path, and so its cost
     segments: list[CurveSegment] = []
     q = 0

@@ -120,24 +120,19 @@ class ProfitLedger:
     def entry(self, network_id: str, vc_label: str) -> LedgerEntry:
         return self._entries[(network_id, vc_label)]
 
-    def networks(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for net_id, _ in self._entries:
-            seen.setdefault(net_id)
-        return list(seen)
-
     def vc_labels(self, network_id: str) -> list[str]:
         return [vc for net, vc in self._entries if net == network_id]
 
     def totals(self, network_id: str) -> LedgerEntry:
-        if network_id not in self.networks():
-            raise UnknownNetworkError(f"no ledger entries for network {network_id!r}")
-        total = LedgerEntry()
+        total, found = LedgerEntry(), False
         for (net, _vc), entry in self._entries.items():
             if net == network_id:
+                found = True
                 total.revenue += entry.revenue
                 total.cost += entry.cost
                 total.wavelengths_sold += entry.wavelengths_sold
+        if not found:
+            raise UnknownNetworkError(f"no ledger entries for network {network_id!r}")
         return total
 
     def rows(self) -> list[tuple[str, str, int, int, int, int]]:

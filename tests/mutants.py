@@ -48,6 +48,13 @@ CLI, ERRORS, ORACLE = "src/wavebroker/cli.py", "src/wavebroker/errors.py", "test
 
 T_RWA, T_TOPOLOGY, T_PROTOCOL = "tests/test_rwa.py", "tests/test_topology.py", "tests/test_protocol.py"
 T_MARKET, T_RECORDS, T_KERNEL = "tests/test_market.py", "tests/test_records.py", "tests/test_kernel.py"
+# every comparison of report_json with json.dumps on real or fuzzed reports
+T_REPORT_JSON = tuple(
+    f"tests/test_report_json.py::{name}"
+    for name in ("test_shipped_reports_match_json_dumps", "test_generated_markets_match_json_dumps",
+                 "test_benchmark_markets_match_json_dumps", "test_report_shaped_documents_match_json_dumps",
+                 "test_edge_cases_match_json_dumps")
+)
 
 MUTANTS = [
     # -- the exhaustive oracle --------------------------------------------------
@@ -503,6 +510,25 @@ MUTANTS = [
             (MARKET, "delta, added = incremental_allocate(", "delta, added = place("),
         ),
         ("tests/test_layers.py::test_tracer_finds_every_traced_binding",),
+    ),
+    # -- report.json --------------------------------------------------------------
+    Mutant(
+        "report-keys-unsorted",
+        "report.json writes an object's members in the order given, not sorted by key",
+        ((CLI, "for k, t in sorted(zip(keys, texts))]", "for k, t in zip(keys, texts)]"),),
+        (*T_REPORT_JSON, "tests/test_golden.py::test_outputs_match_golden_digests"),
+    ),
+    Mutant(
+        "report-empty-block-opened",
+        "report.json writes an empty array or object over two lines, as a non-empty one",
+        ((CLI, "    if not items:\n        return brackets\n", ""),),
+        (*T_REPORT_JSON, "tests/test_golden.py::test_outputs_match_golden_digests"),
+    ),
+    Mutant(
+        "report-none-as-python",
+        "report.json writes None as None, not null",
+        ((CLI, '{None: "null"}', '{None: "None"}'),),
+        (*T_REPORT_JSON, "tests/test_golden.py::test_outputs_match_golden_digests"),
     ),
     # -- records and imports ----------------------------------------------------
     Mutant(

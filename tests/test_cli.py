@@ -357,15 +357,20 @@ class TestCurveCommand:
         ) == EXIT_CONFIG
 
     def test_channel_with_no_capacity_is_a_runtime_error(self, tmp_path, capsys):
-        doc = json.loads(Path(scenario_path("two_route_costcurve")).read_text(encoding="utf-8"))
-        for link in doc["networks"][0]["links"]:
+        dark = json.loads(Path(scenario_path("two_route_costcurve")).read_text(encoding="utf-8"))
+        for link in dark["networks"][0]["links"]:
             link["capacity"] = 0
-        p = tmp_path / "dark.json"
-        p.write_text(json.dumps(doc))
-        assert main(["curve", str(p), "--vc", "VC1", "--out", str(tmp_path)]) == EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "VC1" in err
-        assert "Traceback" not in err
+        # netA has no route from S to T: a run has it decline at the gate, and a curve names it
+        cut = duel_doc()
+        cut["networks"][0] |= {"nodes": ["S", "M", "T"], "links": [{"a": "S", "b": "M", "capacity": 2, "unit_cost": 10}]}
+        for name, doc, nid in [("dark", dark, "canwest"), ("cut", cut, "netA")]:
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(doc))
+            assert main(["run", str(p), "--out", str(tmp_path / name)]) == EXIT_OK
+            capsys.readouterr()
+            assert main(["curve", str(p), "--vc", "VC1", "--out", str(tmp_path)]) == EXIT_RUNTIME
+            err = capsys.readouterr().err
+            assert err == f"error: VC1: network {nid} has no capacity for even one wavelength\n"
 
     @pytest.mark.parametrize("qmax", ["0", "-4"])
     def test_qmax_below_one_is_a_config_error(self, tmp_path, capsys, qmax):
