@@ -19,7 +19,7 @@ from json.scanner import NUMBER_RE
 from pathlib import Path
 
 from .cost import curve_csv_rows, total_cost_curve
-from .errors import ConfigError, OutputError, ParseError, WavebrokerError
+from .errors import ConfigError, EmptyCurveError, OutputError, ParseError, WavebrokerError
 from .game import UndercutPolicy
 from .market import (
     ChannelConfig,
@@ -349,12 +349,12 @@ def report_json(report: Report) -> str:
     """
     ledger, networks = report.ledger, []
     for nid in report.network_ids:
-        labels = ledger.vc_labels(nid)
-        shares = profit_percentages(ledger, nid)
+        shares = profit_percentages(ledger, nid)  # raises UnknownNetworkError for a network with no entries
+        entries = ledger.entries[nid]
         members = (
             _ledger_json(ledger.totals(nid), "\n      "),
             _scalars([shares])[0] if shares is None else _block("\n      ", _scalars(shares.values()), shares),
-            _block("\n      ", [_ledger_json(ledger.entry(nid, vc), "\n        ") for vc in labels], labels),
+            _block("\n      ", [_ledger_json(e, "\n        ") for e in entries.values()], entries),
             _block("\n      ", _scalars(dump_allocation(report.networks[nid], report.final_states[nid]))),
         )
         networks.append(_block("\n    ", members, ("totals", "profit_percentages", "per_channel", "allocation")))
@@ -443,16 +443,19 @@ def _cmd_curve(args) -> int:
     if args.qmax < 1:
         raise ConfigError("--qmax: probe depth must be >= 1")
     out_dir = Path(args.out)
+    empty = []  # a network with no capacity has no curve; the others are still written
     for sup in wanted:
-        curve = total_cost_curve(sup.network, Allocation.empty(sup.network), channel.vc, args.qmax)
-        lines = ["vc,q_from,q_to,mc_minor_units"]
-        for vc, q_from, q_to, mc in curve_csv_rows(curve):
-            lines.append(f"{vc},{q_from},{q_to},{mc}")
+        try:
+            curve = total_cost_curve(sup.network, Allocation.empty(sup.network), channel.vc, args.qmax)
+        except EmptyCurveError as exc:
+            empty.append(f"error: {exc}\n")
+            continue
+        rows = [f"{vc},{q_from},{q_to},{mc}\n" for vc, q_from, q_to, mc in curve_csv_rows(curve)]
         name = f"curve_{sup.network.id}.csv"
-        _write_files(out_dir, [(name, "\n".join(lines) + "\n")])
-        path = out_dir / name
-        print(f"{sup.network.id}: q_max={curve.q_max} -> {path}")
-    return EXIT_OK
+        _write_files(out_dir, [(name, "vc,q_from,q_to,mc_minor_units\n" + "".join(rows))])
+        print(f"{sup.network.id}: q_max={curve.q_max} -> {out_dir / name}")
+    sys.stderr.write("".join(empty))
+    return EXIT_RUNTIME if empty else EXIT_OK
 
 
 def _cmd_validate(args) -> int:

@@ -103,45 +103,38 @@ class LedgerEntry(Record):
 
 
 class ProfitLedger:
-    """Exact per-(network, channel) accounting in integer minor units."""
+    """Exact per-(network, channel) accounting in integer minor units.
 
-    def __init__(self):
-        self._entries: dict[tuple[str, str], LedgerEntry] = {}
+    ``entries`` holds one dict per network, of its entries by channel
+    label in the order they were made: up front for every network and
+    channel given, else on a channel's first ``record``.
+    """
 
-    def ensure(self, network_id: str, vc_label: str) -> LedgerEntry:
-        return self._entries.setdefault((network_id, vc_label), LedgerEntry())
+    def __init__(self, network_ids=(), vc_labels=()):
+        self.entries = {nid: {vc: LedgerEntry() for vc in vc_labels} for nid in network_ids}
 
     def record(self, network_id: str, vc_label: str, revenue: int, cost: int, sold: int) -> None:
-        entry = self.ensure(network_id, vc_label)
+        entry = self.entries.setdefault(network_id, {}).setdefault(vc_label, LedgerEntry())
         entry.revenue += revenue
         entry.cost += cost
         entry.wavelengths_sold += sold
 
-    def entry(self, network_id: str, vc_label: str) -> LedgerEntry:
-        return self._entries[(network_id, vc_label)]
-
     def vc_labels(self, network_id: str) -> list[str]:
-        return [vc for net, vc in self._entries if net == network_id]
+        return list(self.entries.get(network_id, ()))
 
     def totals(self, network_id: str) -> LedgerEntry:
-        total, found = LedgerEntry(), False
-        for (net, _vc), entry in self._entries.items():
-            if net == network_id:
-                found = True
-                total.revenue += entry.revenue
-                total.cost += entry.cost
-                total.wavelengths_sold += entry.wavelengths_sold
-        if not found:
+        channels = self.entries.get(network_id)
+        if not channels:
             raise UnknownNetworkError(f"no ledger entries for network {network_id!r}")
-        return total
+        return LedgerEntry(*map(sum, zip(*[(e.revenue, e.cost, e.wavelengths_sold) for e in channels.values()])))
 
     def rows(self) -> list[tuple[str, str, int, int, int, int]]:
         """(network, vc, revenue, cost, profit, wavelengths_sold), sorted."""
-        out = []
-        for (net, vc) in sorted(self._entries):
-            e = self._entries[(net, vc)]
-            out.append((net, vc, e.revenue, e.cost, e.profit, e.wavelengths_sold))
-        return out
+        return sorted(
+            (net, vc, e.revenue, e.cost, e.profit, e.wavelengths_sold)
+            for net, channels in self.entries.items()
+            for vc, e in channels.items()
+        )
 
 
 def profit_percentages(ledger: ProfitLedger, network_id: str) -> dict[str, float] | None:
@@ -154,8 +147,8 @@ def profit_percentages(ledger: ProfitLedger, network_id: str) -> dict[str, float
     if total <= 0:
         return None
     out: dict[str, float] = {}
-    for vc in ledger.vc_labels(network_id):
-        profit = ledger.entry(network_id, vc).profit
+    for vc, entry in ledger.entries[network_id].items():
+        profit = entry.profit
         # tenths of a percent, a half rounded away from zero; a negative share keeps its sign at 0 (-0.0)
         tenths = (abs(profit) * 2000 + total) // (2 * total)
         out[vc] = -(tenths / 10) if profit < 0 else tenths / 10
@@ -188,11 +181,9 @@ def settle(
     broker takes that partial grant unless ``reject_partial`` is set.  The
     caller commits the returned allocation delta.
     """
-    if outcome.termination is not Termination.WON:
-        raise InvalidOutcomeError(f"cannot settle a {outcome.termination.value} auction")
-    price = outcome.final_price
-    rnd = outcome.rounds
-    wid = outcome.winner
+    wid, price, rnd, _, termination = outcome
+    if termination is not Termination.WON:
+        raise InvalidOutcomeError(f"cannot settle a {termination.value} auction")
     x, y = vc.src, vc.dst
 
     demand = broker_demand(df, price)
@@ -394,9 +385,8 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
     run_l_max = max(l_maxes)
     channels = {ch.vc.label: ch for ch in config.channels}
     by_id = {agent.id: agent for agent in agents}
-    ledger = ProfitLedger()
     # each request adds to its winner's entry for the channel
-    entries = {(agent.id, label): ledger.ensure(agent.id, label) for agent in agents for label in channels}
+    ledger = ProfitLedger(by_id, channels)
 
     records: list[AuctionRecord] = []
     traces: list[CompetitionTrace] = []
@@ -406,14 +396,14 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         mcs = [agent.next_unit_mc(vc) for agent in agents]
 
         outcome = run_competition(vc, bidders, rng, mcs, config.round_cap)
-        winner_id, final_price, rounds, trace, termination, race = outcome
+        winner_id, final_price, rounds, trace, termination = outcome
         if termination is Termination.WON:
             winner = by_id[winner_id]
             result = settle(outcome, ch.demand, winner, vc, config.reject_partial)
             termination, demand, granted, revenue, cost, delta, events = result
             if delta:
                 winner.commit(delta)
-            entry = entries[winner_id, label]
+            entry = ledger.entries[winner_id][label]
             entry.revenue += revenue
             entry.cost += cost
             entry.wavelengths_sold += granted
@@ -421,9 +411,7 @@ def run_scenario(config: ScenarioConfig, seed_override: int | None = None) -> Re
         else:
             demand, granted, revenue, cost = None, 0, 0, 0
 
-        asks = bids = passes = most_cutters = 0
-        if race is not None:
-            asks, bids, passes, most_cutters = race.counts()
+        asks, bids, passes, most_cutters = trace.log.counts()
 
         # the band over the priced suppliers: runner-up MC plus or minus their largest l_max
         priced, e_max = mcs, run_l_max

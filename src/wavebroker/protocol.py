@@ -13,18 +13,20 @@ Every message is recorded.  A trace event is a named tuple (round,
 direction, supplier_id, message) and messages are read-only, slotted
 records (``errors.Record``) that compare by type and value, so message
 types with equal fields differ.  A competition, though, records no
-per-message objects.  Its opening block is an ``OpeningLog``: the
-supplier ids and each one's opening price, or None where it declined at
-the gate.  The race, where nearly all messages are sent, records only
-its bids: a ``RaceLog`` of (bidder index, price) pairs and the offset
-where each round's bids start.  A round's announcements follow from
-that, as each carries the previous round's lowest bid.
-A ``CompetitionTrace`` always holds its logs and builds the events from
-them on each read, storing nothing, so a run whose traces nobody reads
-builds no per-message objects, a trace pickles as its logs, and reading
-its events changes nothing.  Its trace lines come from the logs as
-well, so writing a trace builds no events, and ``validate_trace`` checks
-the opening block and the race from their logs too.  Neither makes a
+per-message objects: it is one ``CompetitionLog``.  Its opening block is
+the supplier ids and each one's opening price, or None where it declined
+at the gate.  The race, where nearly all messages are sent, records only
+its bids: (bidder index, price) pairs and the offset where each round's
+bids start.  Its bidders are the priced suppliers and its first price
+their lowest opening price, so both are read from the opening block, and
+a round's announcements follow from the bids, as each carries the
+previous round's lowest bid.
+A ``CompetitionTrace`` always holds its log and builds the events from
+it on each read, storing nothing, so a run whose traces nobody reads
+builds no per-message objects, a trace pickles as its log, and reading
+its events changes nothing.  Its trace lines come from the log as well,
+so writing a trace builds no events, and ``validate_trace`` checks the
+opening block and the race from the log too.  Neither makes a
 Python-level call per round: the race's lines are formatted in
 whole-race comprehensions and interleaved with slices, and the check
 takes the announced prices from the same walk of the log and tracks the
@@ -49,8 +51,8 @@ that same rule as a function, kept for callers that want one ask and for
 the benchmark's tracer.  The round minimum and its tied cutters are
 tracked as the bids arrive, and a tie is broken by ``rng.choice``'s draw
 written out: CPython's ``_randbelow`` loop on ``getrandbits``, as with
-the step, so a round makes no Python-level call.  ``RaceLog.counts``
-derives the race's asks, bids and passes afterwards.  The logs and the
+the step, so a round makes no Python-level call.  ``CompetitionLog.counts``
+derives the race's asks, bids and passes afterwards.  The log and the
 ``CompetitionOutcome`` are named tuples made with ``tuple.__new__``,
 which runs no Python frame.
 """
@@ -145,30 +147,45 @@ def format_event(ev: TraceEvent) -> str:
     return _LINE_FORMATS[type(ev.message)](*ev)
 
 
-class RaceLog(NamedTuple):
-    """The bidding rounds of one competition, without per-message objects.
+class CompetitionLog(NamedTuple):
+    """One competition, its opening block and its bidding rounds, without per-message objects.
 
-    ``bids`` is a flat list of (bidder index, price) pairs in the order the
-    bids arrived, bidder indexes pointing into ``ids``; ``starts`` holds the
-    offset in ``bids`` of the first bid of rounds 2, 3, ..., even and
-    non-decreasing offsets within ``[0, len(bids)]``.  Every round
-    opens with one announcement per bidder, and the price announced is
-    ``opening_min`` in round 2 and the previous round's lowest bid after it,
-    or the price before that when the previous round logged no bids.
+    ``ids`` lists every supplier asked, in order; ``prices`` holds each
+    one's opening price, or None where it declined at the gate.  The
+    opening block is one request broadcast to every supplier, then one
+    answer from each: an offer at its opening price or a gate exception.
+    The priced suppliers, in order, are the race's bidders.  ``bids`` is a
+    flat list of (bidder index, price) pairs in the order the bids arrived;
+    ``starts`` holds the offset in ``bids`` of the first bid of rounds 2,
+    3, ..., even and non-decreasing offsets within ``[0, len(bids)]``; both
+    are empty when no round ran.  Every round opens with one announcement
+    per bidder, of the lowest opening price in round 2 and of the previous
+    round's lowest bid after it, or the price before that when the
+    previous round logged no bids.
     """
 
     x: str
     y: str
     ids: tuple[str, ...]
-    opening_min: int
+    prices: list[int | None]
     starts: list[int]
     bids: list[int]
 
-    def _walk(self) -> tuple[list[int], list[list[int]], list[int]]:
-        """Per round: the offset past its last bid, the prices it was offered, and the price announced in it."""
+    def _bidders(self) -> tuple[tuple[str, ...], int | None]:
+        """The race's bidder ids and their lowest opening price, None when no supplier is priced."""
+        ids, prices = self.ids, self.prices
+        if None in prices:
+            ids = tuple([sid for sid, p in zip(ids, prices) if p is not None])
+            prices = [p for p in prices if p is not None]
+        return ids, min(prices) if prices else None
+
+    def _walk(self, price: int) -> tuple[list[int], list[list[int]], list[int]]:
+        """Per round: the offset past its last bid, the prices it was offered, and the price announced in it.
+
+        ``price`` is the lowest opening price, which round 2 announces.
+        """
         bids, starts = self.bids, self.starts
         ends = starts[1:] + [len(bids)]
-        price = self.opening_min
         offers, announced = [], [price]
         for start, end in zip(starts, ends):
             offered = bids[start + 1 : end : 2]
@@ -179,21 +196,30 @@ class RaceLog(NamedTuple):
         return ends, offers, announced
 
     def counts(self) -> tuple[int, int, int, int]:
-        """(asks, bids, passes, most cutters in one round) of this race.
+        """(asks, bids, passes, most cutters in one round) of the race, zeros when no round ran.
 
         Each round asks every bidder but the leader once, and each cutter
         logs two entries, so the counts follow from the log alone.
         """
-        starts, logged = self.starts, len(self.bids)
-        asks = len(starts) * (len(self.ids) - 1)
+        starts, logged, prices = self.starts, len(self.bids), self.prices
+        asks = len(starts) * (len(prices) - prices.count(None) - 1)
         bids = logged // 2
-        return asks, bids, asks - bids, max(map(sub, starts[1:] + [logged], starts)) // 2
+        return asks, bids, asks - bids, max(map(sub, starts[1:] + [logged], starts), default=0) // 2
 
     def events(self) -> list[TraceEvent]:
-        x, y, ids, bids = self.x, self.y, self.ids, self.bids
-        ends, _, announced = self._walk()
-        events: list[TraceEvent] = []
-        for rnd, price, start, end in zip(count(2), announced, self.starts, ends):
+        x, y, ids, prices, starts, bids = self
+        reqc = Reqc(x, y)
+        events = [_new(TraceEvent, (1, BROKER_TO_SUPPLIER, sid, reqc)) for sid in ids]
+        declined = Exc1(0, 0, x, y) if None in prices else None
+        events += [
+            _new(TraceEvent, (1, SUPPLIER_TO_BROKER, sid, declined if p is None else Offp(p, x, y)))
+            for sid, p in zip(ids, prices)
+        ]
+        if not starts:
+            return events
+        ids, price = self._bidders()
+        ends, _, announced = self._walk(price)
+        for rnd, price, start, end in zip(count(2), announced, starts, ends):
             ocl = Ocl(x, y, price)
             events += [_new(TraceEvent, (rnd, BROKER_TO_SUPPLIER, sid, ocl)) for sid in ids]
             for j in range(start, end, 2):
@@ -201,10 +227,20 @@ class RaceLog(NamedTuple):
         return events
 
     def lines(self) -> list[str]:
-        """``format_event`` of each of ``events()``, written from the log whole and then interleaved by round."""
-        ids, bids, starts = self.ids, self.bids, self.starts
-        ends, offers, announced = self._walk()
-        xy = f"x={self.x},y={self.y}"
+        """``format_event`` of each of ``events()``, the race's lines written whole, then interleaved by round."""
+        x, y, ids, prices, starts, bids = self
+        xy = f"x={x},y={y}"
+        ask, reqc = f"1\t{BROKER_TO_SUPPLIER}\t", f"\treqc\t{xy}"
+        answer, declined = f"1\t{SUPPLIER_TO_BROKER}\t", f"\texc_1\td=0,p=0,{xy}"
+        lines = [ask + sid + reqc for sid in ids]
+        lines += [
+            answer + sid + declined if p is None else f"{answer}{sid}\toffp\tp={p},{xy}"
+            for sid, p in zip(ids, prices)
+        ]
+        if not starts:
+            return lines
+        ids, price = self._bidders()
+        ends, offers, announced = self._walk(price)
         announce = [f"\t{BROKER_TO_SUPPLIER}\t{sid}\tocl\t{xy},p=" for sid in ids]
         offer = [f"\t{SUPPLIER_TO_BROKER}\t{sid}\toffp\tp=" for sid in ids]
         tail = f",{xy}"
@@ -216,7 +252,6 @@ class RaceLog(NamedTuple):
             for rnd, start, end, offered in zip(rounds, starts, ends, offers)
             for i, p in zip(bids[start:end:2], offered)
         ]
-        lines: list[str] = []
         n, a, b = len(ids), 0, 0
         for k in map(len, offers):
             lines += announcements[a : a + n]
@@ -226,77 +261,35 @@ class RaceLog(NamedTuple):
         return lines
 
 
-class OpeningLog(NamedTuple):
-    """The opening block of one competition, without per-message objects.
-
-    ``ids`` lists every supplier asked, in order; ``prices`` holds each
-    one's opening price, or None where it declined at the gate.  The
-    block is one request broadcast to every supplier, then one answer from
-    each: an offer at its opening price or a gate exception.
-    """
-
-    x: str
-    y: str
-    ids: tuple[str, ...]
-    prices: list[int | None]
-
-    def events(self) -> list[TraceEvent]:
-        x, y, ids, prices = self.x, self.y, self.ids, self.prices
-        reqc = Reqc(x, y)
-        events = [_new(TraceEvent, (1, BROKER_TO_SUPPLIER, sid, reqc)) for sid in ids]
-        declined = Exc1(0, 0, x, y) if None in prices else None
-        events += [
-            _new(TraceEvent, (1, SUPPLIER_TO_BROKER, sid, declined if p is None else Offp(p, x, y)))
-            for sid, p in zip(ids, prices)
-        ]
-        return events
-
-    def lines(self) -> list[str]:
-        """``format_event`` of each of ``events()``, written straight from the log."""
-        xy = f"x={self.x},y={self.y}"
-        ask, reqc = f"1\t{BROKER_TO_SUPPLIER}\t", f"\treqc\t{xy}"
-        answer, declined = f"1\t{SUPPLIER_TO_BROKER}\t", f"\texc_1\td=0,p=0,{xy}"
-        lines = [ask + sid + reqc for sid in self.ids]
-        lines += [
-            answer + sid + declined if p is None else f"{answer}{sid}\toffp\tp={p},{xy}"
-            for sid, p in zip(self.ids, self.prices)
-        ]
-        return lines
-
-
 class CompetitionTrace:
     """Every message of one competition, in the order sent.
 
-    A trace holds logs and a tail of events: ``run_competition`` hands
-    over an ``OpeningLog`` and, when bidding rounds ran, a ``RaceLog``, to
-    which settlement adds the tail.  ``CompetitionTrace(events)`` is a
-    trace with no logs whose tail is the given events.  ``events`` builds
-    the events from the logs on every read and stores nothing, and
-    ``lines()`` formats the logs as they stand and the tail event by
-    event, so reading a trace changes neither its pickle nor its lines.
-    Two traces are equal when their events are.
+    A trace holds a log and a tail of events: ``run_competition`` hands
+    over the competition's ``CompetitionLog``, to which settlement adds
+    the tail.  ``CompetitionTrace(events)`` is a trace with no log whose
+    tail is the given events.  ``events`` builds the events from the log
+    on every read and stores nothing, and ``lines()`` formats the log as
+    it stands and the tail event by event, so reading a trace changes
+    neither its pickle nor its lines.  Two traces are equal when their
+    events are.
     """
 
-    __slots__ = ("_tail", "_opening", "_race")
+    __slots__ = ("_tail", "log")
 
-    def __init__(self, tail=(), opening: OpeningLog | None = None, race: RaceLog | None = None):
-        self._tail, self._opening, self._race = tuple(tail), opening, race
+    def __init__(self, tail=(), log: CompetitionLog | None = None):
+        self._tail, self.log = tuple(tail), log
 
     @property
     def events(self) -> tuple[TraceEvent, ...]:
-        opening = () if self._opening is None else self._opening.events()
-        race = () if self._race is None else self._race.events()
-        return (*opening, *race, *self._tail)
+        return (*(() if self.log is None else self.log.events()), *self._tail)
 
     def settled(self, tail: tuple[TraceEvent, ...]) -> CompetitionTrace:
         """This trace followed by the settlement messages ``tail``, without building its events."""
-        return CompetitionTrace(self._tail + tail, self._opening, self._race)
+        return CompetitionTrace(self._tail + tail, self.log)
 
     def lines(self) -> list[str]:
-        """``format_event`` of each event, the logs formatted as they stand."""
-        opening = [] if self._opening is None else self._opening.lines()
-        race = [] if self._race is None else self._race.lines()
-        return [*opening, *race, *map(format_event, self._tail)]
+        """``format_event`` of each event, the log formatted as it stands."""
+        return [*(() if self.log is None else self.log.lines()), *map(format_event, self._tail)]
 
     def __eq__(self, other):
         if not isinstance(other, CompetitionTrace):
@@ -322,8 +315,6 @@ class CompetitionOutcome(NamedTuple):
     rounds: int
     trace: CompetitionTrace
     termination: Termination
-    # the bidding rounds, None when the auction ended at the opening bids
-    race: RaceLog | None = None
 
 
 class Bidders:
@@ -382,16 +373,16 @@ def run_competition(
     x, y = vc.src, vc.dst
     # markup times MC, rounded half up
     prices = [None if mc is None else floor(markup * mc + 0.5) for markup, mc in zip(table.markups, mcs)]
-    # The opening block is logged; the trace builds its events when they are read.
-    opening = _new(OpeningLog, (x, y, ids, prices))
+    # One log: the opening block now, the race's bids as they arrive; events are built when read.
+    competition = _new(CompetitionLog, (x, y, ids, prices, [], []))
+    trace = CompetitionTrace((), competition)
     # Bidders, the leader among them, are indexes into ``active``, which
     # holds indexes into ``ids``; None when every supplier is priced.
     active = None
     if None in prices:
         active = [i for i, p in enumerate(prices) if p is not None]
         if not active:
-            trace = CompetitionTrace((), opening)
-            return _new(CompetitionOutcome, (None, None, 1, trace, Termination.ALL_DECLINED, None))
+            return _new(CompetitionOutcome, (None, None, 1, trace, Termination.ALL_DECLINED))
         bidder_ids = tuple([ids[i] for i in active])
         opening_bids = [prices[i] for i in active]
     else:
@@ -402,12 +393,9 @@ def run_competition(
         leader = rng.choice([k for k, p in enumerate(opening_bids) if p == current_min])
 
     if len(opening_bids) == 1:
-        trace = CompetitionTrace((), opening)
-        return _new(CompetitionOutcome, (bidder_ids[0], current_min, 1, trace, Termination.WON, None))
+        return _new(CompetitionOutcome, (bidder_ids[0], current_min, 1, trace, Termination.WON))
 
-    # Of the race, only the bids are logged.
-    race = _new(RaceLog, (x, y, bidder_ids, current_min, [], []))
-    starts, log = race.starts, race.bids
+    starts, log = competition.starts, competition.bids
     add = log.append
     # Each bidder's row holds its MC and step constants, and each round
     # asks from the asker list of its leader: the table's own when every
@@ -465,8 +453,7 @@ def run_competition(
         prev_contested = logged > 2
     else:
         raise RoundCapExceededError(f"no resting price after {round_cap} rounds")
-    trace = CompetitionTrace((), opening, race)
-    return _new(CompetitionOutcome, (bidder_ids[winner], final, rnd, trace, Termination.WON, race))
+    return _new(CompetitionOutcome, (bidder_ids[winner], final, rnd, trace, Termination.WON))
 
 
 # Settlement sequences the broker may end a competition with, as message types.
@@ -482,32 +469,31 @@ def validate_trace(trace: CompetitionTrace) -> list[Violation]:
     exception messages appear only in the settlement tail, in a legal
     order.
 
-    A trace's logs are checked as they stand: the opening block and the
-    race build no events, and the settlement tail goes through the same
-    replay as events do.  A trace with no logs has its tail replayed
-    event by event.
+    A trace's log is checked as it stands: the opening block and the race
+    build no events, and the settlement tail goes through the same replay
+    as events do.  A trace with no log has its tail replayed event by
+    event.
     """
-    opening = trace._opening
-    if opening is None:
+    log = trace.log
+    if log is None:
         return _replay(trace._tail)
-    if not opening.ids:
+    if not log.ids:
         return [Violation("missing-reqc", "trace must open with a connection request broadcast")]
     violations: list[Violation] = []
-    # The opening block holds one request and one answer per supplier, as they should be.
-    priced = [p for p in opening.prices if p is not None]
-    minimum = min(priced) if priced else None
+    # The opening block holds one request and one answer per supplier, as
+    # it should; the race's bidders and first price are derived from it.
+    ids, minimum = log._bidders()
     open_round = None
-    race = trace._race
-    if race is not None:
-        ids, bids, starts = race.ids, race.bids, race.starts
+    bids, starts = log.bids, log.starts
+    if starts:
         bidders = bids[::2]
-        # a bidder index outside ``ids`` raises, as building the events does
+        # a bidder index outside the bidders raises, as building the events does
         if bidders and not -len(ids) <= min(bidders) <= max(bidders) < len(ids):
             raise IndexError(f"bidder index outside the race's {len(ids)} bidders")
         if ids:
             # the writer's announced prices, each checked against the standing
             # minimum that the previous round's bids leave
-            _, offered, announced = race._walk()
+            _, offered, announced = log._walk(minimum)
             low = None  # the previous round's lowest bid
             for price, offers in zip(announced, offered):
                 if low is not None:
@@ -523,9 +509,8 @@ def validate_trace(trace: CompetitionTrace) -> list[Violation]:
                             if p >= price
                         ]
                     low = min(offers)
-            if starts:
-                # the tail may continue the last round
-                open_round = (1 + len(starts), price, low)
+            # the tail may continue the last round
+            open_round = (1 + len(starts), price, low)
     return _check_rounds_and_tail(trace._tail, violations, minimum, 1, open_round)
 
 

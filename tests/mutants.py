@@ -378,6 +378,22 @@ MUTANTS = [
         (f"{T_PROTOCOL}::TestRaceMatchesReference::test_random_markets",),
     ),
     Mutant(
+        "race-opens-below-the-lowest-price",
+        "the race starts one below the lowest opening price, which the log does not hold",
+        ((PROTOCOL, "    getrandbits = rng.getrandbits\n", "    getrandbits = rng.getrandbits\n    current_min = min(opening_bids) - 1\n"),),
+        (f"{T_PROTOCOL}::TestRaceMatchesReference::test_random_markets",),
+    ),
+    Mutant(
+        "log-bidders-keep-the-declined",
+        "a log's race bidders include the suppliers that declined at the gate",
+        ((PROTOCOL, "            ids = tuple([sid for sid, p in zip(ids, prices) if p is not None])\n", ""),),
+        (
+            f"{T_PROTOCOL}::TestCompetitionLog::test_bidders_after_a_gate_decline_are_the_priced_suppliers",
+            f"{T_PROTOCOL}::TestLogCheckMatchesReplay::test_lines_of_random_logs_match_the_reference",
+            f"{T_PROTOCOL}::TestRaceMatchesReference::test_random_markets",
+        ),
+    ),
+    Mutant(
         "race-announces-price-plus-one",
         "a logged round is announced one above its price",
         ((PROTOCOL, "            announced.append(price)\n", "            announced.append(price + 1)\n"),),
@@ -428,8 +444,9 @@ MUTANTS = [
         (
             (
                 PROTOCOL,
-                "        return (*opening, *race, *self._tail)\n",
-                "        self._tail, self._opening, self._race = (*opening, *race, *self._tail), None, None\n        return self._tail\n",
+                "        return (*(() if self.log is None else self.log.events()), *self._tail)\n",
+                "        self._tail, self.log = (*(() if self.log is None else self.log.events()), *self._tail), None\n"
+                "        return self._tail\n",
             ),
         ),
         (

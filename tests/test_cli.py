@@ -368,9 +368,16 @@ class TestCurveCommand:
             p.write_text(json.dumps(doc))
             assert main(["run", str(p), "--out", str(tmp_path / name)]) == EXIT_OK
             capsys.readouterr()
-            assert main(["curve", str(p), "--vc", "VC1", "--out", str(tmp_path)]) == EXIT_RUNTIME
+            assert main(["curve", str(p), "--vc", "VC1", "--out", str(tmp_path / f"{name}_all")]) == EXIT_RUNTIME
             err = capsys.readouterr().err
             assert err == f"error: VC1: network {nid} has no capacity for even one wavelength\n"
+            # the networks that have capacity still get their curves, as each would alone
+            if name == "cut":
+                assert main(["curve", str(p), "--vc", "VC1", "--network", "netB", "--out", str(tmp_path / "cut_netB")]) == EXIT_OK
+                assert "netB: q_max=20 -> " in capsys.readouterr().out
+                assert [f.name for f in (tmp_path / "cut_all").iterdir()] == ["curve_netB.csv"]
+                written = (tmp_path / "cut_all" / "curve_netB.csv").read_bytes()
+                assert written == (tmp_path / "cut_netB" / "curve_netB.csv").read_bytes()
 
     @pytest.mark.parametrize("qmax", ["0", "-4"])
     def test_qmax_below_one_is_a_config_error(self, tmp_path, capsys, qmax):

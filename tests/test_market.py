@@ -256,8 +256,8 @@ class TestProfitLedger:
         if total <= 0:
             return None
         return {
-            vc: float((Decimal(ledger.entry(network_id, vc).profit * 100) / Decimal(total)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
-            for vc in ledger.vc_labels(network_id)
+            vc: float((Decimal(entry.profit * 100) / Decimal(total)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+            for vc, entry in ledger.entries[network_id].items()
         }
 
     def assert_same_as_decimal(self, profits):
@@ -440,7 +440,11 @@ def reference_run(config: ScenarioConfig):
                 winner.commit(result.allocation_delta)
             termination, demand, granted, revenue, cost = result[:5]
             trace = trace.settled(result.events)
-        counts = outcome.race.counts() if outcome.race is not None else (0, 0, 0, 0)
+        # the race's counts from its trace lines: each bid is an offer after round 1
+        written = trace.lines()
+        bids = collections.Counter(line.split("\t", 1)[0] for line in written if "\toffp\t" in line and not line.startswith("1\t"))
+        asks = (outcome.rounds - 1) * (len(priced) - 1)
+        counts = (asks, sum(bids.values()), asks - sum(bids.values()), max(bids.values(), default=0))
         ref = low = high = within = None
         if len(priced) >= 2:
             bound = equilibrium_bounds([mc for mc, _ in priced], [agent.policy for _, agent in priced])
@@ -451,7 +455,7 @@ def reference_run(config: ScenarioConfig):
             index, request_round, label, termination.value, outcome.winner, outcome.final_price, outcome.rounds,
             *counts, demand, granted, revenue, cost, ref, low, high, within,
         ))
-        lines.append(trace.lines())
+        lines.append(written)
     return records, lines, kinds
 
 
@@ -551,7 +555,7 @@ def record_samples():
 
 
 RECORD_FIELDS = {
-    CompetitionOutcome: ("winner", "final_price", "rounds", "trace", "termination", "race"),
+    CompetitionOutcome: ("winner", "final_price", "rounds", "trace", "termination"),
     SettlementResult: ("termination", "demand", "granted", "revenue", "cost", "allocation_delta", "events"),
     EquilibriumBound: ("reference_mc", "e_min", "e_max"),
     AuctionRecord: (

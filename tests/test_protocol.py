@@ -33,13 +33,12 @@ from wavebroker.protocol import (
     BROKER_TO_SUPPLIER,
     SUPPLIER_TO_BROKER,
     Ack,
+    CompetitionLog,
     Exc1,
     Exc2,
     Nack,
     Ocl,
     Offp,
-    OpeningLog,
-    RaceLog,
     Reqc,
     TraceEvent,
     format_event,
@@ -245,8 +244,7 @@ class TestValidateTraceViolations:
         def refuse(log):
             raise AssertionError("events built")
 
-        monkeypatch.setattr(protocol.OpeningLog, "events", refuse)
-        monkeypatch.setattr(protocol.RaceLog, "events", refuse)
+        monkeypatch.setattr(protocol.CompetitionLog, "events", refuse)
         for (name, unread_trace, tail), want in zip(shapes, replayed):
             trace = unread_trace().settled(tail)
             unread = pickle.dumps(trace)
@@ -255,36 +253,36 @@ class TestValidateTraceViolations:
 
 
 def logged_variants(rng, trace):
-    """(name, opening, race, tail) logs: the trace's own, then altered copies.
+    """(name, log, tail) of the trace: its own, then altered copies.
 
     The copies lower an opening price, raise a bid to or above the price
     it answers, lower a bid, and append a few random events to the
     settlement tail or put them in its place, any of which may break the
-    protocol.  Events in place of the tail may continue the race's last
-    round.
+    protocol.  A lowered opening price opens the race lower as well.
+    Events in place of the tail may continue the race's last round.
     """
-    opening, race, tail = trace._opening, trace._race, trace._tail
-    x, y = opening.x, opening.y
-    out = [("as run", opening, race, tail)]
-    priced = [k for k, p in enumerate(opening.prices) if p is not None]
+    log, tail = trace.log, trace._tail
+    x, y = log.x, log.y
+    out = [("as run", log, tail)]
+    priced = [k for k, p in enumerate(log.prices) if p is not None]
     if priced:
-        prices = list(opening.prices)
+        prices = list(log.prices)
         prices[rng.choice(priced)] -= rng.randint(1, 5)
-        out.append(("lowered opening price", opening._replace(prices=prices), race, tail))
+        out.append(("lowered opening price", log._replace(prices=prices), tail))
     announced = None
-    if race is not None and race.bids:
-        j = rng.randrange(1, len(race.bids), 2)
-        ends, _, prices = race._walk()
-        announced = next(price for price, start, end in zip(prices, race.starts, ends) if start < j < end)
+    if log.bids:
+        j = rng.randrange(1, len(log.bids), 2)
+        ends, _, prices = log._walk(log._bidders()[1])
+        announced = next(price for price, start, end in zip(prices, log.starts, ends) if start < j < end)
         for name, price in (
             ("bid raised to the announced price", announced),
             ("bid raised above the announced price", announced + rng.randint(1, 50)),
-            ("bid lowered", race.bids[j] - rng.randint(1, 5)),
+            ("bid lowered", log.bids[j] - rng.randint(1, 5)),
         ):
-            bids = list(race.bids)
+            bids = list(log.bids)
             bids[j] = price
-            out.append((name, opening, race._replace(bids=bids), tail))
-    last = 1 if race is None else 1 + len(race.starts)  # the last round run
+            out.append((name, log._replace(bids=bids), tail))
+    last = 1 + len(log.starts)  # the last round run
     for k in range(4):
         pool = [
             Ack(x, y, 1), Nack(x, y), Exc1(rng.randint(0, 2), 600, x, y), Exc2(x, y, 600),
@@ -294,33 +292,30 @@ def logged_variants(rng, trace):
             TraceEvent(rng.choice((last - 1, last, last + 1)), rng.choice((BROKER_TO_SUPPLIER, SUPPLIER_TO_BROKER)), "S0", rng.choice(pool))
             for _ in range(rng.randint(1, 3))
         )
-        out.append(("appended tail events", opening, race, tail + extra) if k % 2 else ("replaced tail events", opening, race, extra))
+        out.append(("appended tail events", log, tail + extra) if k % 2 else ("replaced tail events", log, extra))
     return out
 
 
 def hand_built_races():
-    """(name, opening, race, tail, announced prices, violation details) of races the race loop never logs.
+    """(name, log, tail, announced prices, violation details) of races and tails that a run never writes.
 
     Three bidders open at 500, 510 and 520.  A round with no bids ends a
-    logged race, and a round's bids are all below its price, so none of
-    these comes from ``run_competition``.
+    logged race, a round's bids are all below its price, and a settlement
+    tail holds no offer, so none of these comes from ``run_competition``
+    and ``settle``.
     """
-    ids = ("S0", "S1", "S2")
-    opening = OpeningLog("S", "T", ids, [500, 510, 520])
-
     def race(starts, bids):
-        return RaceLog("S", "T", ids, 500, starts, bids)
+        return CompetitionLog("S", "T", ("S0", "S1", "S2"), [500, 510, 520], starts, bids)
 
     def tail(*events):
         return tuple(TraceEvent(rnd, direction, "S0", msg) for rnd, direction, msg in events)
 
     # round 2 and round 4 log no bids, so rounds 3 and 5 announce the price again
-    yield "a middle round with no bids", opening, race([0, 0, 2, 2], [1, 495, 2, 490]), (), [500, 500, 495, 495], []
-    yield "a single round", opening, race([0], [1, 498, 2, 497]), (), [500], []
-    yield "tied lowest bids", opening, race([0, 6], [1, 495, 2, 493, 0, 493, 2, 490]), (), [500, 493], []
+    yield "a middle round with no bids", race([0, 0, 2, 2], [1, 495, 2, 490]), (), [500, 500, 495, 495], []
+    yield "a single round", race([0], [1, 498, 2, 497]), (), [500], []
+    yield "tied lowest bids", race([0, 6], [1, 495, 2, 493, 0, 493, 2, 490]), (), [500, 493], []
     yield (
         "a bid equal to the announced price in the last round",
-        opening,
         race([0, 2], [1, 495, 0, 495, 2, 494]),
         (),
         [500, 495],
@@ -328,19 +323,36 @@ def hand_built_races():
     )
     yield (
         "a tail that continues the last round",
-        opening,
         race([0, 2], [1, 495, 2, 493]),
         tail((3, BROKER_TO_SUPPLIER, Ocl("S", "T", 495)), (3, SUPPLIER_TO_BROKER, Offp(496, "S", "T")), (3, BROKER_TO_SUPPLIER, Ack("S", "T", 1))),
         [500, 495],
         ["bid 496 does not beat announced 495"],
     )
+    yield (
+        "a tail that continues a last round with no bids",
+        race([0, 2], [1, 495]),
+        tail(
+            (3, SUPPLIER_TO_BROKER, Offp(497, "S", "T")),
+            (4, BROKER_TO_SUPPLIER, Ocl("S", "T", 497)),
+            (4, BROKER_TO_SUPPLIER, Ack("S", "T", 1)),
+        ),
+        [500, 495, 497],
+        ["bid 497 does not beat announced 495"],
+    )
 
 
-def reference_lines(race):
-    """A race's trace lines written round by round: the reference for ``RaceLog.lines``, which writes the race whole."""
-    ids, bids, starts = race.ids, race.bids, race.starts
-    xy = f"x={race.x},y={race.y}"
-    lines, price = [], race.opening_min
+def reference_lines(log):
+    """A log's trace lines, its race's written round by round: the reference for ``CompetitionLog.lines``.
+
+    The race's bidders are the priced suppliers, and it opens at their lowest price.
+    """
+    xy = f"x={log.x},y={log.y}"
+    lines = [f"1\t{BROKER_TO_SUPPLIER}\t{sid}\treqc\t{xy}" for sid in log.ids]
+    for sid, p in zip(log.ids, log.prices):
+        lines.append(f"1\t{SUPPLIER_TO_BROKER}\t{sid}\t" + (f"exc_1\td=0,p=0,{xy}" if p is None else f"offp\tp={p},{xy}"))
+    ids = [sid for sid, p in zip(log.ids, log.prices) if p is not None]
+    price = min([p for p in log.prices if p is not None], default=None)
+    bids, starts = log.bids, log.starts
     for rnd, start, end in zip(range(2, 2 + len(starts)), starts, starts[1:] + [len(bids)]):
         lines += [f"{rnd}\t{BROKER_TO_SUPPLIER}\t{sid}\tocl\t{xy},p={price}" for sid in ids]
         lines += [f"{rnd}\t{SUPPLIER_TO_BROKER}\t{ids[i]}\toffp\tp={p},{xy}" for i, p in zip(bids[start:end:2], bids[start + 1 : end : 2])]
@@ -353,8 +365,8 @@ class TestLogCheckMatchesReplay:
     """``validate_trace`` on a trace's logs agrees with the replay of its events."""
 
     @staticmethod
-    def assert_agrees(opening, race, tail, name):
-        logged = CompetitionTrace(tail, opening, race)
+    def assert_agrees(log, tail, name):
+        logged = CompetitionTrace(tail, log)
         vios = validate_trace(logged)
         assert vios == validate_trace(CompetitionTrace(logged.events)), name
         return vios
@@ -367,18 +379,17 @@ class TestLogCheckMatchesReplay:
         seen = collections.Counter()
         for config in configs:
             for trace in run_scenario(config).traces:
-                opening, race = trace._opening, trace._race
-                priced = sorted(p for p in opening.prices if p is not None)
+                starts = trace.log.starts
+                priced = sorted(p for p in trace.log.prices if p is not None)
                 seen["all declined"] += not priced
-                seen["shortfall at the opening"] += race is None and any(isinstance(ev.message, Exc1) for ev in trace._tail)
+                seen["shortfall at the opening"] += not starts and any(isinstance(ev.message, Exc1) for ev in trace._tail)
                 seen["tied openings"] += len(priced) > 1 and priced[0] == priced[1]
-                seen["race"] += race is not None
-                for name, *logs in logged_variants(rng, trace):
-                    vios = self.assert_agrees(*logs, name)
+                seen["race"] += bool(starts)
+                for name, log, tail in logged_variants(rng, trace):
+                    vios = self.assert_agrees(log, tail, name)
                     seen[name] += 1
-                    tail = logs[2]
                     seen["tail continues the last round"] += bool(
-                        race and tail and tail[0].round == 1 + len(race.starts) and isinstance(tail[0].message, (Ocl, Offp))
+                        starts and tail and tail[0].round == 1 + len(starts) and isinstance(tail[0].message, (Ocl, Offp))
                     )
                     seen[f"{name}, flagged"] += bool(vios)
                     if name == "as run":
@@ -394,45 +405,50 @@ class TestLogCheckMatchesReplay:
     def test_logs_the_race_never_writes(self):
         """Hand-built races: lines agree with the events, and the log check with the replay, as written and with a lowered opening."""
         names = []
-        for name, opening, race, tail, want_prices, want_details in hand_built_races():
-            assert race.lines() == [format_event(ev) for ev in race.events()], name
-            events = CompetitionTrace(tail, opening, race).events
-            assert CompetitionTrace(tail, opening, race).lines() == [format_event(ev) for ev in events], name
+        for name, log, tail, want_prices, want_details in hand_built_races():
+            assert log.lines() == [format_event(ev) for ev in log.events()], name
+            events = CompetitionTrace(tail, log).events
+            assert CompetitionTrace(tail, log).lines() == [format_event(ev) for ev in events], name
             assert ocl_prices(CompetitionTrace(events)) == want_prices, name
-            vios = self.assert_agrees(opening, race, tail, name)
+            vios = self.assert_agrees(log, tail, name)
             assert [v.detail for v in vios] == want_details, name
-            # a lowered opening makes every announcement up to the first round with bids a mismatch
-            lowered = opening._replace(prices=[p - 1 for p in opening.prices])
-            vios = self.assert_agrees(lowered, race, tail, name)
-            assert "ocl-price-mismatch" in {v.code for v in vios}, name
+            # a lowered opening opens the race lower too: round 2 announces it, in the lines as in the events
+            lowered = log._replace(prices=[p - 1 for p in log.prices])
+            events = CompetitionTrace(tail, lowered).events
+            assert ocl_prices(CompetitionTrace(events))[0] == 499, name
+            assert "2\tbroker->supplier\tS0\tocl\tx=S,y=T,p=499" in CompetitionTrace(tail, lowered).lines(), name
+            self.assert_agrees(lowered, tail, name)
             names.append(name)
-        assert len(names) == 5
+        assert len(names) == 6
 
     def test_lines_of_random_logs_match_the_reference(self):
         """Random logs, empty rounds included, are written as the round-by-round reference writes them."""
         rng = random.Random(31)
         for _ in range(1000):
             ids = tuple(f"S{i}" for i in range(rng.randint(1, 4)))
+            # some suppliers decline at the gate, all of them now and then
+            prices = [None if rng.random() < 0.25 else rng.randint(100, 105) for _ in ids]
+            bidders = len(prices) - prices.count(None)
             bids, starts = [], []
             for _ in range(rng.randint(0, 5)):
                 starts.append(len(bids))
-                for _ in range(rng.choice((0, 1, 2))):
-                    bids += [rng.randrange(len(ids)), rng.randint(90, 110)]
-            race = RaceLog("S", "T", ids, 100, starts, bids)
-            assert race.lines() == reference_lines(race), race
+                for _ in range(rng.choice((0, 1, 2)) if bidders else 0):
+                    bids += [rng.randrange(bidders), rng.randint(90, 110)]
+            log = CompetitionLog("S", "T", ids, prices, starts, bids)
+            assert log.lines() == reference_lines(log), log
 
     def test_a_bidder_index_past_the_bidders_raises(self):
         suppliers = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(4)]
         trace = run_competition(VC, suppliers, random.Random(5), probed_mcs(VC, suppliers)).trace
-        race = trace._race
-        for index in (len(race.ids), -len(race.ids) - 1):
-            bids = list(race.bids)
+        log = trace.log
+        for index in (len(log.ids), -len(log.ids) - 1):
+            bids = list(log.bids)
             bids[-2] = index
-            broken = race._replace(bids=bids)
+            broken = log._replace(bids=bids)
             with pytest.raises(IndexError):
-                validate_trace(CompetitionTrace((), trace._opening, broken))
+                validate_trace(CompetitionTrace((), broken))
             with pytest.raises(IndexError):
-                CompetitionTrace((), trace._opening, broken).events
+                CompetitionTrace((), broken).events
 
 
 SETTLEMENT_TAILS = {
@@ -469,7 +485,7 @@ def competitions_of_every_shape():
 
         def trace():
             out = run_competition(VC, suppliers, random.Random(5), mcs)
-            assert (out.race is not None) == raced == (out.rounds > 1)
+            assert bool(out.trace.log.starts) == raced == (out.rounds > 1)
             return out.trace
 
         return trace
@@ -856,7 +872,7 @@ class TestPerAsk:
         mcs = probed_mcs(VC, suppliers)
         rng = DrawRecorder(11)
         out = run_competition(VC, suppliers, rng, mcs)
-        asks, bids, passes, most_cutters = out.race.counts()
+        asks, bids, passes, most_cutters = out.trace.log.counts()
         mc_of = dict(zip([s.id for s in suppliers], mcs))
         active = [sid for sid, mc in mc_of.items() if mc is not None]
         assert out.rounds > 5
@@ -869,11 +885,11 @@ class TestPerAsk:
         for ev in out.trace.events:
             if ev.round > 1 and isinstance(ev.message, Offp):
                 offers.setdefault(ev.round, []).append((ev.supplier_id, ev.message.p))
-        assert bids == len(out.race.bids) // 2 == sum(map(len, offers.values())) > 0
+        assert bids == len(out.trace.log.bids) // 2 == sum(map(len, offers.values())) > 0
         assert passes == asks - bids
         assert most_cutters == max(map(len, offers.values()))
         # the dry supplier is never asked, never bids and draws nothing
-        assert "dry" not in out.race.ids
+        assert "dry" not in out.trace.log._bidders()[0]
         assert all(sid != "dry" for round_offers in offers.values() for sid, _ in round_offers)
 
         # each round takes its own share of the draws: those of the suppliers
@@ -887,6 +903,37 @@ class TestPerAsk:
                 return [(sid, price - l_min - r) for sid, r in zip(askers, draws) if price - l_min - r >= mc_of[sid]]
 
             assert offers.get(k + 2, []) in [bids_if_led_by(leader) for leader in active], k + 2
+
+
+class TestCompetitionLog:
+    """One log holds a competition: the race's bidders and first price are read from its opening block."""
+
+    def test_counts_of_a_log_with_no_rounds_are_zeros(self):
+        for prices in ([None, None], [None, 305, None], [300, 310]):
+            log = CompetitionLog("S", "T", tuple(f"S{i}" for i in range(len(prices))), prices, [], [])
+            assert log.counts() == (0, 0, 0, 0), prices
+        shapes = 0
+        for name, unread_trace, _ in competitions_of_every_shape():
+            log = unread_trace().log
+            if not log.starts:
+                assert log.counts() == (0, 0, 0, 0), name
+                shapes += 1
+        assert shapes == 6
+
+    def test_bidders_after_a_gate_decline_are_the_priced_suppliers(self):
+        priced = [supplier(f"S{i}", 300 + 10 * i, policy=UndercutPolicy(1, 3)) for i in range(3)]
+        suppliers = [priced[0], supplier("dry0", 100, capacity=0), priced[1], supplier("dry1", 90, capacity=0), priced[2]]
+        out = run_competition(VC, suppliers, random.Random(5), probed_mcs(VC, suppliers))
+        log = out.trace.log
+        assert log.prices == [600, None, 620, None, 640] and out.rounds > 5
+        assert log._bidders() == (("S0", "S1", "S2"), 600)
+        # the race runs, and is written, as it would without the declined suppliers
+        plain = run_competition(VC, priced, random.Random(5), probed_mcs(VC, priced))
+        assert (log.starts, log.bids) == (plain.trace.log.starts, plain.trace.log.bids)
+        assert log.lines()[10:] == plain.trace.log.lines()[6:]
+        assert [ev for ev in out.trace.events if ev.round > 1] == [ev for ev in plain.trace.events if ev.round > 1]
+        assert log.counts() == plain.trace.log.counts() and log.counts()[0] == 2 * len(log.starts)
+        assert validate_trace(out.trace) == [] == validate_trace(CompetitionTrace(out.trace.events))
 
 
 # The package's own source directory: a garbage collection inside a profiled
@@ -939,7 +986,7 @@ class TestFoldedAsk:
             rng = random.Random(5)
             out, calls[base] = profiled_calls(lambda: run_competition(VC, suppliers, rng, mcs))
             rounds[base] = out.rounds
-            log = out.race
+            log = out.trace.log
             bounds = zip(log.starts, log.starts[1:] + [len(log.bids)])
             round_prices = [log.bids[start + 1 : end : 2] for start, end in bounds]
             # the rounds in which two or more cutters reached the round minimum

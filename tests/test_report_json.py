@@ -34,7 +34,7 @@ def reference_doc(report: Report) -> dict:
         networks[nid] = {
             "totals": ledger_doc(report.ledger.totals(nid)),
             "profit_percentages": profit_percentages(report.ledger, nid),
-            "per_channel": {vc: ledger_doc(report.ledger.entry(nid, vc)) for vc in report.ledger.vc_labels(nid)},
+            "per_channel": {vc: ledger_doc(entry) for vc, entry in report.ledger.entries[nid].items()},
             "allocation": dump_allocation(report.networks[nid], report.final_states[nid]),
         }
     series = [
